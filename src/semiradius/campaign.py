@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import re
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -20,11 +19,9 @@ from pathlib import Path
 
 from .catalog import (
     CATALOG,
-    PASS_CERTIFIED,
-    PASS_UNCERTIFIED,
-    SKIPPED,
-    VIOLATION_CANDIDATE,
     CheckResult,
+    _Aggregate,
+    _summaries,
     run_all,
     run_many,
 )
@@ -164,72 +161,6 @@ def _regenerate(config: CampaignConfig, dim: int, rank: int, trial: int):
     return space, bundle
 
 
-class _Aggregate:
-    """Streaming per-check summary; merge order is fixed by the caller."""
-
-    def __init__(self):
-        self.trials = 0
-        self.skipped = 0
-        self.certified = 0
-        self.uncertified = 0
-        self.violations = 0
-        self.slacks: list[float] = []
-        self.min_slack = math.inf
-        self.argmin_instance = ""
-        self.max_tightness = -math.inf
-        self.note_mins: dict[str, float] = {}
-
-    def fold(self, r: CheckResult):
-        self.trials += 1
-        if r.verdict == SKIPPED:
-            self.skipped += 1
-            return
-        self.certified += r.verdict == PASS_CERTIFIED
-        self.uncertified += r.verdict == PASS_UNCERTIFIED
-        self.violations += r.verdict == VIOLATION_CANDIDATE
-        self.slacks.append(r.slack)
-        if r.slack < self.min_slack:
-            self.min_slack = r.slack
-            self.argmin_instance = r.instance
-        self.max_tightness = max(self.max_tightness, r.tightness)
-        for key, val in r.notes.items():
-            if isinstance(val, (int, float)):
-                cur = self.note_mins.get(key, math.inf)
-                self.note_mins[key] = min(cur, float(val))
-
-    def merge(self, other: "_Aggregate"):
-        self.trials += other.trials
-        self.skipped += other.skipped
-        self.certified += other.certified
-        self.uncertified += other.uncertified
-        self.violations += other.violations
-        self.slacks.extend(other.slacks)
-        if other.min_slack < self.min_slack:
-            self.min_slack = other.min_slack
-            self.argmin_instance = other.argmin_instance
-        self.max_tightness = max(self.max_tightness, other.max_tightness)
-        for key, val in other.note_mins.items():
-            self.note_mins[key] = min(self.note_mins.get(key, math.inf), val)
-
-    def summary(self) -> dict:
-        out = {
-            "trials": self.trials,
-            "skipped": self.skipped,
-            "certified": self.certified,
-            "uncertified": self.uncertified,
-            "violations": self.violations,
-        }
-        if self.slacks:
-            ordered = sorted(self.slacks)
-            out["min_slack"] = ordered[0]
-            out["median_slack"] = ordered[len(ordered) // 2]
-            out["max_tightness"] = self.max_tightness
-            out["argmin_instance"] = self.argmin_instance
-            if self.note_mins:
-                out["note_mins"] = self.note_mins
-        return out
-
-
 def _run_cell(args) -> dict[str, _Aggregate]:
     config, dim, rank = args
     opts = config.options()
@@ -265,7 +196,7 @@ def run_campaign(config: CampaignConfig) -> dict:
             else:
                 merged[cid] = agg
 
-    checks = {cid: merged[cid].summary() for cid in sorted(merged, key=_check_order)}
+    checks = _summaries(merged)
     totals = {
         "trials": sum(s["trials"] for s in checks.values()),
         "skipped": sum(s["skipped"] for s in checks.values()),
@@ -288,10 +219,6 @@ def _tool_block() -> dict:
     from . import __version__
 
     return {"name": "semiradius", "version": __version__}
-
-
-def _check_order(cid: str):
-    return (len(cid), cid)
 
 
 def report_exit_code(report: dict) -> int:

@@ -103,11 +103,12 @@ class Evaluator:
     matrix.
 
     Checks request these functionals with ``n``, ``w`` and ``c``, which
-    return a request key; ``solve`` computes every pending request at
-    once (the radii and Crawford numbers in one stacked search) and
-    ``resolve`` turns keys into enclosures.  Results are memoized by the
-    exact bytes of the matrix, so identical derived operands are solved
-    once no matter which check built them.
+    return a request key; ``_solve_together`` computes every pending
+    request at once (the radii and Crawford numbers in one stacked search)
+    and ``resolve`` turns keys into enclosures.  Results are memoized by
+    the exact bytes of the matrix, so identical derived operands are
+    solved once no matter which check built them.  The reduced operands,
+    the enclosures and the checks' memoized facts share one cache.
     """
 
     def __init__(self, space: SemiHilbertSpace, operands, opts: RadiusOptions | None = None):
@@ -115,7 +116,6 @@ class Evaluator:
         self.ops = {name: np.asarray(M, dtype=np.complex128) for name, M in operands.items()}
         self.opts = opts if opts is not None else RadiusOptions()
         self._pending: dict[tuple, np.ndarray] = {}
-        self._reduced: dict[str, np.ndarray | None] = {}
         self._cache: dict[tuple, object] = {}
 
     def full(self, name: str) -> np.ndarray:
@@ -127,20 +127,20 @@ class Evaluator:
 
     def reduce_operands(self, names) -> None:
         """Membership-test and reduce the named operands, all at once."""
-        todo = [name for name in dict.fromkeys(names) if name not in self._reduced]
+        todo = [name for name in dict.fromkeys(names) if ("reduced", name) not in self._cache]
         for name, op in zip(todo, self.space.register_all([self.full(name) for name in todo])):
-            self._reduced[name] = self.space.tilde(op) if op.admits_adjoint and op.a_bounded else None
+            self._cache["reduced", name] = self.space.tilde(op) if op.admits_adjoint and op.a_bounded else None
 
     def member_ok(self, name: str) -> bool:
-        if name not in self._reduced:
+        if ("reduced", name) not in self._cache:
             self.reduce_operands([name])
-        return self._reduced[name] is not None
+        return self._cache["reduced", name] is not None
 
     def mat(self, name: str) -> np.ndarray:
         """The operand's reduced matrix."""
         if not self.member_ok(name):
             raise MembershipViolated(f"operand {name!r} fails the membership tests")
-        return self._reduced[name]
+        return self._cache["reduced", name]
 
     def memo(self, key: tuple, compute: Callable):
         """compute(), once per instance and key."""
@@ -168,37 +168,9 @@ class Evaluator:
         """Request the spectral norm of a reduced matrix."""
         return self._request("norm", M)
 
-    def solve(self) -> None:
-        """Solve every pending request (see ``_solve_together``)."""
-        _solve_together([self])
-
     def resolve(self, keys) -> tuple:
         """The enclosures of solved requests."""
         return tuple(self._cache[key] for key in keys)
-
-    def _now(self, key: tuple) -> Enclosure:
-        self.solve()
-        return self._cache[key]
-
-    # -- full-space operators ----------------------------------------------
-
-    def sharp(self, M: np.ndarray) -> np.ndarray:
-        """A-adjoint of a full-space operator."""
-        return self.memo(("sharp", M.shape[0], M.tobytes()), lambda: self.space.sharp(M))
-
-    def _tilde(self, M: np.ndarray) -> np.ndarray:
-        """Reduced matrix of an operator on the space or, for a two-by-two
-        block operator, on the doubled space."""
-        space = self.space.double() if M.shape[0] == 2 * self.space.dim > 0 else self.space
-        return space.tilde(M)
-
-    def radius(self, M: np.ndarray) -> Enclosure:
-        """A-numerical radius of a full-space operator or block operator."""
-        return self._now(self.w(self._tilde(M)))
-
-    def norm(self, M: np.ndarray) -> Enclosure:
-        """Seminorm of a full-space operator or block operator."""
-        return self._now(self.n(self._tilde(M)))
 
 
 def _solve_together(evaluators) -> None:
@@ -893,39 +865,86 @@ def run_many(items, opts: RadiusOptions | None = None, checks=None) -> list[list
     ]
 
 
-def tightness_report(results) -> dict[str, dict]:
-    """Per-check slack and tightness aggregation over many results."""
-    rows = [r for r in results]
-    if not rows:
-        raise EmptyInput("no results to aggregate")
-    out: dict[str, dict] = {}
-    for cid in sorted({r.check_id for r in rows}, key=_check_order):
-        got = [r for r in rows if r.check_id == cid]
-        live = [r for r in got if r.verdict != SKIPPED]
-        summary = {
-            "trials": len(got),
-            "skipped": len(got) - len(live),
-            "certified": sum(r.verdict == PASS_CERTIFIED for r in live),
-            "uncertified": sum(r.verdict == PASS_UNCERTIFIED for r in live),
-            "violations": sum(r.verdict == VIOLATION_CANDIDATE for r in live),
+class _Aggregate:
+    """Streaming per-check summary; merge order is fixed by the caller."""
+
+    def __init__(self):
+        self.trials = 0
+        self.skipped = 0
+        self.certified = 0
+        self.uncertified = 0
+        self.violations = 0
+        self.slacks: list[float] = []
+        self.min_slack = math.inf
+        self.argmin_instance = ""
+        self.max_tightness = -math.inf
+        self.note_mins: dict[str, float] = {}
+
+    def fold(self, r: CheckResult):
+        self.trials += 1
+        if r.verdict == SKIPPED:
+            self.skipped += 1
+            return
+        self.certified += r.verdict == PASS_CERTIFIED
+        self.uncertified += r.verdict == PASS_UNCERTIFIED
+        self.violations += r.verdict == VIOLATION_CANDIDATE
+        self.slacks.append(r.slack)
+        if r.slack < self.min_slack:
+            self.min_slack = r.slack
+            self.argmin_instance = r.instance
+        self.max_tightness = max(self.max_tightness, r.tightness)
+        for key, val in r.notes.items():
+            if isinstance(val, (int, float)):
+                cur = self.note_mins.get(key, math.inf)
+                self.note_mins[key] = min(cur, float(val))
+
+    def merge(self, other: "_Aggregate"):
+        self.trials += other.trials
+        self.skipped += other.skipped
+        self.certified += other.certified
+        self.uncertified += other.uncertified
+        self.violations += other.violations
+        self.slacks.extend(other.slacks)
+        if other.min_slack < self.min_slack:
+            self.min_slack = other.min_slack
+            self.argmin_instance = other.argmin_instance
+        self.max_tightness = max(self.max_tightness, other.max_tightness)
+        for key, val in other.note_mins.items():
+            self.note_mins[key] = min(self.note_mins.get(key, math.inf), val)
+
+    def summary(self) -> dict:
+        out = {
+            "trials": self.trials,
+            "skipped": self.skipped,
+            "certified": self.certified,
+            "uncertified": self.uncertified,
+            "violations": self.violations,
         }
-        if live:
-            slacks = sorted(r.slack for r in live)
-            argmin = min(live, key=lambda r: r.slack)
-            summary["min_slack"] = slacks[0]
-            summary["median_slack"] = slacks[len(slacks) // 2]
-            summary["max_tightness"] = max(r.tightness for r in live)
-            summary["argmin_instance"] = argmin.instance
-            note_mins: dict[str, float] = {}
-            for r in live:
-                for k, v in r.notes.items():
-                    if isinstance(v, (int, float)):
-                        note_mins[k] = min(note_mins.get(k, math.inf), float(v))
-            if note_mins:
-                summary["note_mins"] = note_mins
-        out[cid] = summary
-    return out
+        if self.slacks:
+            ordered = sorted(self.slacks)
+            out["min_slack"] = ordered[0]
+            out["median_slack"] = ordered[len(ordered) // 2]
+            out["max_tightness"] = self.max_tightness
+            out["argmin_instance"] = self.argmin_instance
+            if self.note_mins:
+                out["note_mins"] = self.note_mins
+        return out
+
+
+def _summaries(folded: dict[str, _Aggregate]) -> dict[str, dict]:
+    """Each check's summary, in catalog order."""
+    return {cid: folded[cid].summary() for cid in sorted(folded, key=_check_order)}
 
 
 def _check_order(cid: str):
     return (len(cid), cid)
+
+
+def tightness_report(results) -> dict[str, dict]:
+    """Per-check slack and tightness aggregation over many results."""
+    folded: dict[str, _Aggregate] = {}
+    for r in results:
+        folded.setdefault(r.check_id, _Aggregate()).fold(r)
+    if not folded:
+        raise EmptyInput("no results to aggregate")
+    return _summaries(folded)

@@ -171,14 +171,13 @@ def _cmd_verify(args) -> int:
         grid_count=args.grid, gap_scale=args.gap, oracle_samples=args.oracle_samples
     )
     rows = verify_instance(args.file, opts=opts)
-    code = 0
     for r in rows:
         print(f"{r.check_id:4s} {r.verdict:19s} slack={r.slack: .6e}")
-        if r.verdict == VIOLATION_CANDIDATE:
-            code = 3
-        elif r.verdict == PASS_UNCERTIFIED and code == 0:
-            code = 2
-    return code
+    totals = {
+        "violations": sum(r.verdict == VIOLATION_CANDIDATE for r in rows),
+        "uncertified": sum(r.verdict == PASS_UNCERTIFIED for r in rows),
+    }
+    return report_exit_code({"totals": totals})
 
 
 def _cmd_info() -> int:

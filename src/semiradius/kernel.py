@@ -1,15 +1,13 @@
-"""Dense Hermitian eigendecompositions and the PSD spectral calculus.
+"""Dense Hermitian eigendecompositions, PSD rank decisions, spectral norms.
 
-Everything downstream (pseudo-inverses, square roots, projections,
-coordinate maps) is derived from a single eigendecomposition of the seed
-matrix so that all factors are mutually consistent.  Rank decisions use a
+The seed's eigendecomposition computed here is the one that space.py
+derives all of its factors from (see build_space).  Rank decisions use a
 relative eigenvalue cutoff.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -23,9 +21,6 @@ __all__ = [
     "as_matrix",
     "hermitian_eigendecomposition",
     "psd_rank",
-    "spectral_function",
-    "psd_pseudo_inverse",
-    "psd_square_root",
     "spectral_norm",
     "spectral_norms",
 ]
@@ -94,38 +89,6 @@ def psd_rank(values: np.ndarray, cutoff: float = DEFAULT_CUTOFF, psd_tol: float 
     if lam_max <= 0.0:
         return 0
     return int(np.sum(values > cutoff * lam_max))
-
-
-def spectral_function(
-    eigen: EigenData,
-    fn: Callable[[np.ndarray], np.ndarray],
-    cutoff: float = DEFAULT_CUTOFF,
-    psd_tol: float = PSD_TOL,
-) -> np.ndarray:
-    """Apply fn to the above-cutoff eigenvalues, zeroing the rest.
-
-    Returns U diag(fn(kept), 0) U*.  All PSD-derived factors in this package
-    come through here from one shared decomposition.
-    """
-    r = psd_rank(eigen.values, cutoff, psd_tol)
-    n = eigen.values.shape[0]
-    if r == 0:
-        return np.zeros((n, n), dtype=np.complex128)
-    U = eigen.vectors[:, n - r :]
-    lam = fn(eigen.values[n - r :])
-    return (U * lam) @ U.conj().T
-
-
-def psd_pseudo_inverse(A, cutoff: float = DEFAULT_CUTOFF, psd_tol: float = PSD_TOL) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse of a PSD matrix via its eigensystem."""
-    eigen = hermitian_eigendecomposition(A)
-    return spectral_function(eigen, lambda lam: 1.0 / lam, cutoff, psd_tol)
-
-
-def psd_square_root(A, cutoff: float = DEFAULT_CUTOFF, psd_tol: float = PSD_TOL) -> np.ndarray:
-    """PSD square root of a PSD matrix via its eigensystem."""
-    eigen = hermitian_eigendecomposition(A)
-    return spectral_function(eigen, np.sqrt, cutoff, psd_tol)
 
 
 def spectral_norm(M) -> float:

@@ -6,9 +6,10 @@ the quotient; their action is realized on coordinates by an r x r matrix
 (the "reduced" matrix) through the coordinate map C = diag(sqrt(kept
 eigenvalues)) U_r*, which satisfies |C x| = |x|_A.
 
-All factors derived from A (square root, pseudo-inverse, range projection,
-coordinate map) come from one shared eigendecomposition, so identities that
-hold in exact arithmetic hold here to rounding accuracy.
+All factors derived from A (pseudo-inverse, range and null projections,
+coordinate map and its right inverse) come from one shared
+eigendecomposition, so identities that hold in exact arithmetic hold here
+to rounding accuracy.
 """
 
 from __future__ import annotations
@@ -79,9 +80,7 @@ class SemiHilbertSpace:
 
         U_r = eigen.vectors[:, n - r :]
         lam = np.maximum(eigen.values[n - r :], 0.0)
-        self.sqrt = (U_r * np.sqrt(lam)) @ U_r.conj().T
         self.pinv = (U_r * (1.0 / lam if r else lam)) @ U_r.conj().T
-        self.pinv_sqrt = (U_r * (lam**-0.5 if r else lam)) @ U_r.conj().T
         self.proj_range = U_r @ U_r.conj().T
         self.proj_null = np.eye(n) - self.proj_range
         # Coordinate map: r x n, isometry from the quotient onto C^r.

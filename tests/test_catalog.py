@@ -12,6 +12,8 @@ from semiradius.catalog import (
     SKIPPED,
     VIOLATION_CANDIDATE,
     Evaluator,
+    _block,
+    _solve_together,
     run_all,
     run_check,
     run_many,
@@ -183,27 +185,46 @@ class TestScalingCovariance:
             assert abs(base[cid].slack - turned[cid].slack) <= 1e-9 * scale, cid
 
 
+def overlap(a, b) -> bool:
+    return a.lo <= b.hi and b.lo <= a.hi
+
+
 class TestEvaluatorCache:
     def test_functionals_memoized(self):
         sp, ops = bundle_for(3, 2, space_seed=6, bundle_seed=2)
         ev = Evaluator(sp, ops)
-        assert ev.radius(ops["T"]) is ev.radius(ops["T"])
-        assert ev.norm(ops["S"]) is ev.norm(ops["S"])
-        assert ev.sharp(ops["T"]) is ev.sharp(ops["T"])
+        T, S = ev.mat("T"), ev.mat("S")
+        # Two separately built copies of one derived matrix share a request.
+        first, second = ev.w(T @ S), ev.w(T @ S)
+        assert first == second and len(ev._pending) == 1
+        _solve_together([ev])
+        enc_first, enc_second = ev.resolve([first, second])
+        assert enc_first is enc_second
+        assert ev.w(T @ S) == first and not ev._pending
 
     def test_full_space_functionals_match_the_space_route(self):
         sp, ops = bundle_for(4, 3, space_seed=6, bundle_seed=4)
         ev = Evaluator(sp, ops)
-        assert ev.radius(ops["T"]) == a_numerical_radius(sp, ops["T"], RadiusOptions())
-        assert ev.norm(ops["S"]) == op_seminorm(sp, ops["S"])
+        keys = ev.w(ev.mat("T")), ev.n(ev.mat("S"))
+        _solve_together([ev])
+        radius, norm = ev.resolve(keys)
+        assert radius == a_numerical_radius(sp, ops["T"], RadiusOptions())
+        assert norm == op_seminorm(sp, ops["S"])
 
     def test_block_operators_reduce_on_the_doubled_space(self):
-        sp, ops = bundle_for(3, 2, space_seed=6, bundle_seed=5)
-        ev = Evaluator(sp, ops)
-        for layout in ("diagonal", "antidiagonal"):
-            B = sp.block2(ops["T"], ops["S"], layout).matrix
-            assert ev.radius(B) == a_numerical_radius(sp.double(), B, RadiusOptions())
-            assert ev.norm(B) == op_seminorm(sp.double(), B)
+        # Blocks of reduced matrices are the reductions of the block
+        # operators on the doubled space (C7, C8, C12 and C13 rely on it).
+        for dim, rank, seed in [(3, 2, 5), (4, 4, 6), (5, 1, 7), (2, 2, 8)]:
+            sp, ops = bundle_for(dim, rank, space_seed=seed, bundle_seed=seed)
+            ev = Evaluator(sp, ops)
+            for layout in ("diagonal", "antidiagonal"):
+                B_reduced = _block(ev.mat("T"), ev.mat("S"), layout)
+                keys = ev.w(B_reduced), ev.n(B_reduced)
+                _solve_together([ev])
+                radius, norm = ev.resolve(keys)
+                B = sp.block2(ops["T"], ops["S"], layout).matrix
+                assert overlap(radius, a_numerical_radius(sp.double(), B, RadiusOptions())), (dim, layout)
+                assert overlap(norm, op_seminorm(sp.double(), B)), (dim, layout)
 
 
 def rows_key(rows):
@@ -246,6 +267,8 @@ class TestTightnessReport:
         slack_by_inst = {r.instance: r.slack for r in rows if r.check_id == "C1"}
         assert c1["min_slack"] == min(slack_by_inst.values())
         assert c1["argmin_instance"] == min(slack_by_inst, key=slack_by_inst.get)
+        assert c1["median_slack"] == max(slack_by_inst.values())
+        assert c1["max_tightness"] == max(r.tightness for r in rows if r.check_id == "C1")
         assert "note_mins" in rep["C13"]
 
     def test_catalog_formula_and_operand_consistency(self):

@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from semiradius import cli
+from semiradius.catalog import PASS_CERTIFIED, PASS_UNCERTIFIED, VIOLATION_CANDIDATE, CheckResult
 from semiradius.cli import (
     WORKERS_ENV,
     _default_workers,
@@ -13,6 +15,11 @@ from semiradius.cli import (
     main,
 )
 from semiradius.errors import BadConfig
+from semiradius.functionals import ipoint
+
+
+def verdict_row(check_id, verdict, slack):
+    return CheckResult(check_id, "fake", ipoint(0.0), ipoint(0.0), slack, verdict, 0.0)
 
 
 class TestParsers:
@@ -85,6 +92,14 @@ class TestCommands:
         out = capsys.readouterr().out
         assert code == 0
         assert "C1" in out and "slack=" in out
+
+    def test_verify_exit_codes_follow_verdicts(self, monkeypatch, capsys):
+        uncertified = [verdict_row("C1", PASS_CERTIFIED, 0.0), verdict_row("C2", PASS_UNCERTIFIED, -1e-9)]
+        violation = uncertified + [verdict_row("C3", VIOLATION_CANDIDATE, -1.0)]
+        for rows, code in ((uncertified, 2), (violation, 3)):
+            monkeypatch.setattr(cli, "verify_instance", lambda path, opts, rows=rows: rows)
+            assert main(["verify", "fake.json"]) == code
+            assert capsys.readouterr().out.count("slack=") == len(rows)
 
     def test_info_lists_tolerances(self, capsys):
         assert main(["info"]) == 0

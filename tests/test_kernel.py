@@ -1,4 +1,4 @@
-"""Eigendecomposition, pseudo-inverse, square root, spectral norm."""
+"""Eigendecomposition, rank, spectral norm, and the seed factors built on them."""
 
 import numpy as np
 import pytest
@@ -8,12 +8,10 @@ from hypothesis import strategies as st
 from semiradius.errors import NonSquare, NotHermitian, NotPSD
 from semiradius.kernel import (
     hermitian_eigendecomposition,
-    psd_pseudo_inverse,
     psd_rank,
-    psd_square_root,
-    spectral_function,
     spectral_norm,
 )
+from semiradius.space import build_space
 
 # Reconstruction and identity tolerances for small dense problems.
 TOL_EIG = 1e-10
@@ -103,21 +101,20 @@ class TestPsdRank:
 class TestPseudoInverse:
     def test_ones_matrix(self):
         # Hand value: pinv of [[1,1],[1,1]] is the same matrix scaled by 1/4.
-        P = psd_pseudo_inverse(ONES2)
-        assert np.allclose(P, 0.25 * ONES2, atol=TOL_EIG)
+        assert np.allclose(build_space(ONES2).pinv, 0.25 * ONES2, atol=TOL_EIG)
 
     def test_identity(self):
-        assert np.allclose(psd_pseudo_inverse(np.eye(3)), np.eye(3), atol=TOL_EIG)
+        assert np.allclose(build_space(np.eye(3)).pinv, np.eye(3), atol=TOL_EIG)
 
     def test_zero(self):
-        assert np.allclose(psd_pseudo_inverse(np.zeros((2, 2))), 0.0, atol=TOL_EIG)
+        assert np.allclose(build_space(np.zeros((2, 2))).pinv, 0.0, atol=TOL_EIG)
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.data())
     @settings(max_examples=40)
     def test_moore_penrose_equations(self, seed, n, data):
         rank = data.draw(st.integers(0, n))
         A = random_psd(seed, n, rank)
-        P = psd_pseudo_inverse(A)
+        P = build_space(A).pinv
         scale = 1.0 + spectral_norm(A) + spectral_norm(P)
         tol = 1e-8 * scale
         assert spectral_norm(A @ P @ A - A) <= tol
@@ -127,39 +124,38 @@ class TestPseudoInverse:
 
 
 class TestSquareRoot:
+    """The coordinate map C is an r x n square root of the seed: C* C = A."""
+
     def test_ones_matrix(self):
-        # Hand value: sqrt of [[1,1],[1,1]] is the same matrix over sqrt(2).
-        S = psd_square_root(ONES2)
-        assert np.allclose(S, ONES2 / np.sqrt(2.0), atol=TOL_EIG)
+        # Hand value: C is the row [1, 1] up to a unimodular factor.
+        C = build_space(ONES2).coord_map
+        assert C.shape == (1, 2)
+        assert np.allclose(np.abs(C), [[1.0, 1.0]], atol=TOL_EIG)
+        assert np.allclose(C.conj().T @ C, ONES2, atol=TOL_EIG)
 
     def test_diagonal(self):
-        S = psd_square_root(np.diag([4.0, 9.0]))
-        assert np.allclose(S, np.diag([2.0, 3.0]), atol=TOL_EIG)
+        C = build_space(np.diag([4.0, 9.0])).coord_map
+        assert np.allclose(np.abs(C), [[2.0, 0.0], [0.0, 3.0]], atol=TOL_EIG)
+        assert np.allclose(C.conj().T @ C, np.diag([4.0, 9.0]), atol=TOL_EIG)
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.data())
     @settings(max_examples=40)
     def test_square_recovers_input(self, seed, n, data):
         rank = data.draw(st.integers(0, n))
         A = random_psd(seed, n, rank)
-        S = psd_square_root(A)
-        scale = 1.0 + spectral_norm(A)
-        assert spectral_norm(S @ S - A) <= 1e-9 * scale
-        assert spectral_norm(S - S.conj().T) <= 1e-10 * scale
+        C = build_space(A).coord_map
+        assert spectral_norm(C.conj().T @ C - A) <= 1e-9 * (1.0 + spectral_norm(A))
 
 
 class TestSharedSpectralCalculus:
     def test_factors_commute_through_shared_eigensystem(self):
         A = random_psd(11, 5, 3)
-        eig = hermitian_eigendecomposition(A)
-        pinv = spectral_function(eig, lambda lam: 1.0 / lam)
-        sqrt = spectral_function(eig, np.sqrt)
-        pinv_sqrt = spectral_function(eig, lambda lam: 1.0 / np.sqrt(lam))
-        proj = spectral_function(eig, np.ones_like)
+        sp = build_space(A)
         scale = 1.0 + spectral_norm(A)
-        # pinv and sqrt compose consistently because they share one basis.
-        assert spectral_norm(sqrt @ pinv_sqrt - proj) <= TOL_EIG * scale
-        assert spectral_norm(pinv_sqrt @ pinv_sqrt - pinv) <= TOL_EIG * scale
-        assert spectral_norm(A @ pinv - proj) <= 1e-8 * scale
+        # The factors compose consistently because they share one basis.
+        assert spectral_norm(sp.coord_map @ sp.coord_lift - np.eye(sp.rank)) <= TOL_EIG * scale
+        assert spectral_norm(sp.coord_lift @ sp.coord_map - sp.proj_range) <= TOL_EIG * scale
+        assert spectral_norm(A @ sp.pinv - sp.proj_range) <= 1e-8 * scale
 
 
 class TestSpectralNorm:

@@ -39,7 +39,6 @@ class TestBuildSpace:
     def test_degenerate_diag_factors(self):
         sp = build_space(A_DEG)
         assert sp.rank == 1
-        assert np.allclose(sp.sqrt, np.diag([np.sqrt(2.0), 0.0]), atol=TOL)
         assert np.allclose(sp.pinv, np.diag([0.5, 0.0]), atol=TOL)
         assert np.allclose(sp.proj_range, np.diag([1.0, 0.0]), atol=TOL)
         assert np.allclose(sp.coord_map, [[np.sqrt(2.0), 0.0]], atol=TOL)
