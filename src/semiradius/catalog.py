@@ -43,7 +43,7 @@ from .functionals import (
     radii_and_crawford_numbers,
 )
 from .instances import content_seed
-from .kernel import spectral_norms
+from .kernel import spectral_norm_bounds, spectral_norms
 from .sampler import sample_unit_vectors
 from .space import SemiHilbertSpace
 
@@ -128,8 +128,9 @@ class Evaluator:
     def reduce_operands(self, names) -> None:
         """Membership-test and reduce the named operands, all at once."""
         todo = [name for name in dict.fromkeys(names) if ("reduced", name) not in self._cache]
-        for name, op in zip(todo, self.space.register_all([self.full(name) for name in todo])):
-            self._cache["reduced", name] = self.space.tilde(op) if op.admits_adjoint and op.a_bounded else None
+        admits, bounded, reduced = self.space.reduce_all([self.full(name) for name in todo])
+        for name, a, b, R in zip(todo, admits, bounded, reduced):
+            self._cache["reduced", name] = R if a and b else None
 
     def member_ok(self, name: str) -> bool:
         if ("reduced", name) not in self._cache:
@@ -353,15 +354,28 @@ def _c9(ev: Evaluator):
     return [(v, w, rhs) for (v, _M), w in zip(signs, ws)]
 
 
-def _commutator_size(P: np.ndarray, Q: np.ndarray) -> tuple[float, float]:
-    """|PQ - QP| and the scale 1 + |P| |Q| it is measured against."""
-    comm, nP, nQ = spectral_norms(np.stack([P @ Q - Q @ P, P, Q]))
+def _commutator_size(P: np.ndarray, Q: np.ndarray, tol: float) -> tuple[float, float]:
+    """|PQ - QP| and the scale 1 + |P| |Q| it is measured against.
+
+    P and Q commute when |PQ - QP| <= tol (1 + |P| |Q|).  A screen runs
+    first: the Frobenius norm of the commutator bounds its spectral norm
+    from above and the largest column norm of each factor bounds the
+    factor's from below.  When those bounds already satisfy the inequality
+    they are returned, and no singular values are computed; otherwise the
+    exact spectral norms decide.
+    """
+    stack = np.stack([P @ Q - Q @ P, P, Q])
+    lo, hi = spectral_norm_bounds(stack)
+    if hi[0] <= tol * (1.0 + lo[1] * lo[2]):
+        return float(hi[0]), 1.0 + float(lo[1] * lo[2])
+    comm, nP, nQ = spectral_norms(stack)
     return comm, 1.0 + nP * nQ
 
 
 def _c10(ev: Evaluator):
-    comm, scale = ev.memo(("commutator", "P", "Q"), lambda: _commutator_size(ev.full("P"), ev.full("Q")))
-    if comm > ev.space.fact_tol * scale:
+    tol = ev.space.fact_tol
+    comm, scale = ev.memo(("commutator", "P", "Q"), lambda: _commutator_size(ev.full("P"), ev.full("Q"), tol))
+    if comm > tol * scale:
         raise PreconditionFailed(f"operands do not commute: deviation {comm:.3e}")
     P, Q = ev.mat("P"), ev.mat("Q")
     wP, wQ, wPQ = yield ev.w(P), ev.w(Q), ev.w(P @ Q)

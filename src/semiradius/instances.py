@@ -58,7 +58,11 @@ def _matrix_from_json(obj, where: str) -> np.ndarray:
     im = _part_from_json(obj, where, "im")
     if re.shape != im.shape:
         raise ParseError(f"{where}.re shape {re.shape} differs from {where}.im shape {im.shape}")
-    return re + 1j * im
+    # Assigned part by part: re + 1j * im would turn an imaginary -0.0 into
+    # +0.0, and with it the content seed of the instance.
+    M = np.empty(re.shape, dtype=np.complex128)
+    M.real, M.imag = re, im
+    return M
 
 
 def write_instance(path, space: SemiHilbertSpace, operators: Mapping[str, np.ndarray]) -> None:
@@ -91,10 +95,10 @@ def read_instance(path) -> tuple[SemiHilbertSpace, dict[str, np.ndarray]]:
     if not isinstance(doc, dict):
         raise ParseError("instance document must be an object")
     dim = doc.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise ParseError(f"dim must be a positive integer, got {dim!r}")
     cutoff = doc.get("cutoff")
-    if not isinstance(cutoff, (int, float)) or not 0.0 <= float(cutoff) < 1.0:
+    if not isinstance(cutoff, (int, float)) or isinstance(cutoff, bool) or not 0.0 <= float(cutoff) < 1.0:
         raise ParseError(f"cutoff must be a number in [0, 1), got {cutoff!r}")
     A = _matrix_from_json(doc.get("A"), "A")
     if A.shape != (dim, dim):

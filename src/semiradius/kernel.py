@@ -1,4 +1,4 @@
-"""Dense Hermitian eigendecompositions, PSD rank decisions, spectral norms.
+"""Dense Hermitian eigendecompositions, PSD rank decisions, matrix norms.
 
 The seed's eigendecomposition computed here is the one that space.py
 derives all of its factors from (see build_space).  Rank decisions use a
@@ -22,6 +22,7 @@ __all__ = [
     "hermitian_eigendecomposition",
     "psd_rank",
     "spectral_norm",
+    "spectral_norm_bounds",
     "spectral_norms",
 ]
 
@@ -108,3 +109,14 @@ def spectral_norms(stack) -> np.ndarray:
         return np.linalg.svd(A, compute_uv=False)[..., 0]
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"singular value computation failed: {exc}") from exc
+
+
+def spectral_norm_bounds(stack) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds lo <= largest singular value <= hi of each matrix of a stack.
+
+    lo is the largest column norm (the norm of the image of a unit basis
+    vector), hi the Frobenius norm; neither needs a factorization.
+    """
+    A = np.asarray(stack, dtype=np.complex128)
+    columns = np.add.reduce(A.real**2 + A.imag**2, axis=-2)
+    return np.sqrt(np.max(columns, axis=-1, initial=0.0)), np.sqrt(np.add.reduce(columns, axis=-1))

@@ -36,9 +36,15 @@ def _as_rng(seed) -> np.random.Generator:
 
 
 def _ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    return (
-        rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-    ) / np.sqrt(2.0)
+    # The bits of (a + 1j * b) / sqrt(2) for consecutive draws a and b,
+    # without the three complex temporaries of that expression.  Only a
+    # draw of exactly -0.0 (probability about 2^-53) could differ, in the
+    # sign of that zero.
+    G = np.empty((rows, cols), dtype=np.complex128)
+    G.real = rng.standard_normal((rows, cols))
+    G.imag = rng.standard_normal((rows, cols))
+    G /= np.sqrt(2.0)
+    return G
 
 
 def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:

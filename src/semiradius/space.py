@@ -28,6 +28,7 @@ from .kernel import (
     hermitian_eigendecomposition,
     psd_rank,
     spectral_norm,
+    spectral_norm_bounds,
     spectral_norms,
 )
 
@@ -81,13 +82,15 @@ class SemiHilbertSpace:
         U_r = eigen.vectors[:, n - r :]
         lam = np.maximum(eigen.values[n - r :], 0.0)
         self.pinv = (U_r * (1.0 / lam if r else lam)) @ U_r.conj().T
-        self.proj_range = U_r @ U_r.conj().T
-        self.proj_null = np.eye(n) - self.proj_range
         # Coordinate map: r x n, isometry from the quotient onto C^r.
         self.coord_map = np.sqrt(lam)[:, None] * U_r.conj().T
         # Right inverse of the coordinate map on the range.
         self.coord_lift = U_r * (lam**-0.5 if r else lam)
         self.seed_norm = float(lam[-1]) if r else 0.0
+        self._range_values = lam
+        # Largest |eigenvalue| below the cutoff; it bounds the seed on its
+        # numerical null space.
+        self._null_norm = float(np.max(np.abs(eigen.values[: n - r]))) if r < n else 0.0
         self._doubled: SemiHilbertSpace | None = None
 
     # -- vectors ---------------------------------------------------------
@@ -121,31 +124,59 @@ class SemiHilbertSpace:
         """Whether the adjoint equation X* seed = seed M has a solution.
 
         Tested as: the part of M* seed leaving the range of the seed is
-        negligible relative to the operator scales involved.
+        negligible relative to the operator scales involved (see reduce_all).
         """
         T = M.matrix if isinstance(M, SemiOperator) else self._as_square(M)
-        return bool(self._admits(T[None])[0])
+        return bool(self.reduce_all([T])[0][0])
 
     def is_a_bounded(self, M) -> bool:
         """Whether the seminorm of M x is controlled by the seminorm of x.
 
         Tested as: M maps the null space of the seed into itself, i.e. the
-        coordinate image of M restricted to the null space is negligible.
+        coordinate image of M restricted to the null space is negligible
+        (see reduce_all).
         """
         T = M.matrix if isinstance(M, SemiOperator) else self._as_square(M)
-        return bool(self._bounded(T[None])[0])
+        return bool(self.reduce_all([T])[1][0])
 
-    # Both tests take a stack of matrices and compare Frobenius norms: they
-    # dominate the operator norm on the residual side, so acceptance here
-    # is the stricter test.
+    def reduce_all(self, mats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Membership facts and reduced matrices of a list of operators.
 
-    def _admits(self, T: np.ndarray) -> np.ndarray:
-        resid = self.proj_null @ (np.swapaxes(T.conj(), -1, -2) @ self.matrix)
-        return _frobenius(resid) <= self.fact_tol * (1.0 + self.seed_norm * _frobenius(T))
+        Returns the boolean arrays ``admits`` and ``bounded`` and the stack
+        of r x r reduced matrices, all read off one product Y = U_r* T U per
+        operator, where U is the seed's eigenbasis (null columns first),
+        U_r its last r columns and Lambda_r the kept eigenvalues.  With W the
+        first n - r (null) columns of Y:
 
-    def _bounded(self, T: np.ndarray) -> np.ndarray:
-        resid = self.coord_map @ T @ self.proj_null
-        return _frobenius(resid) <= self.fact_tol * (1.0 + np.sqrt(self.seed_norm) * _frobenius(T))
+        - bounded residual |Lambda_r^(1/2) W|_F, which equals
+          |C T P_null|_F for the null-space projector P_null;
+        - adjoint residual sqrt(|Lambda_r W|_F^2 + (max|lambda_null| |T|_F)^2),
+          never below |P_null T* seed|_F, so accepting on it is the stricter
+          test;
+        - reduced matrix Lambda_r^(1/2) Y[:, n-r:] Lambda_r^(-1/2), which is
+          C T C^+ (see tilde).
+
+        Each residual is compared with FACT_TOL relative to the operator's
+        Frobenius norm; Frobenius norms dominate the operator norm on the
+        residual side, so acceptance here is the stricter test.  The
+        reduced matrix of an operator that fails a test is returned all the
+        same; it means nothing there.
+        """
+        n, r = self.dim, self.rank
+        T = np.stack([self._as_square(M) for M in mats]) if len(mats) else np.zeros((0, n, n), complex)
+        U = self.eigen.vectors
+        Y = (U[:, n - r :].conj().T @ T) @ U
+        W = Y[:, :, : n - r]
+        lam = self._range_values
+        root = np.sqrt(lam)
+        size = _frobenius(T)
+        bounded_resid = _frobenius(root[:, None] * W)
+        adjoint_resid = np.hypot(_frobenius(lam[:, None] * W), self._null_norm * size)
+        tol = self.fact_tol
+        admits = adjoint_resid <= tol * (1.0 + self.seed_norm * size)
+        bounded = bounded_resid <= tol * (1.0 + np.sqrt(self.seed_norm) * size)
+        reduced = root[:, None] * Y[:, :, n - r :] * lam**-0.5
+        return admits, bounded, reduced
 
     def register(self, M) -> SemiOperator:
         """Wrap a matrix with its membership facts computed once."""
@@ -154,10 +185,7 @@ class SemiHilbertSpace:
     def register_all(self, mats) -> list[SemiOperator]:
         """register for each matrix, testing all of them at once."""
         mats = [self._as_square(M) for M in mats]
-        if not mats:
-            return []
-        T = np.stack(mats)
-        admits, bounded = self._admits(T), self._bounded(T)
+        admits, bounded, _ = self.reduce_all(mats)
         return [SemiOperator(M, bool(a), bool(b), self) for M, a, b in zip(mats, admits, bounded)]
 
     def _as_operator(self, M) -> SemiOperator:
@@ -187,10 +215,14 @@ class SemiHilbertSpace:
         operators, so every seminorm-based functional of M equals the
         corresponding plain functional of tilde(M).
         """
-        op = self._as_operator(M)
-        if not op.a_bounded:
+        if isinstance(M, SemiOperator):
+            T = self._as_operator(M).matrix  # checks that M belongs to this space
+        else:
+            T = self._as_square(M)
+        _, bounded, reduced = self.reduce_all([T])
+        if not bounded[0]:
             raise NotABounded("operator is not bounded for this seminorm")
-        return self.coord_map @ op.matrix @ self.coord_lift
+        return reduced[0]
 
     def re_part(self, M) -> SemiOperator:
         """Selfadjoint part (M + sharp(M)) / 2."""
@@ -203,10 +235,22 @@ class SemiHilbertSpace:
         return self.register(-0.5j * (op.matrix - self.sharp(op)))
 
     def is_a_selfadjoint(self, M) -> bool:
-        """Whether seed @ M is Hermitian within tolerance."""
+        """Whether seed @ M is Hermitian within tolerance.
+
+        The test is |D| <= FACT_TOL (1 + |seed| |M|) for the deviation
+        D = seed M - (seed M)*, in the spectral norm.  A screen runs first:
+        the Frobenius norm of D bounds |D| from above and the largest column
+        norm of M bounds |M| from below, so when the inequality holds with
+        those it holds exactly, and no singular values are computed.  Only
+        when the screen fails are the spectral norms computed.
+        """
         T = M.matrix if isinstance(M, SemiOperator) else self._as_square(M)
         AM = self.matrix @ T
-        dev, size = spectral_norms(np.stack([AM - AM.conj().T, T]))
+        stack = np.stack([AM - AM.conj().T, T])
+        lo, hi = spectral_norm_bounds(stack)
+        if hi[0] <= self.fact_tol * (1.0 + self.seed_norm * lo[1]):
+            return True
+        dev, size = spectral_norms(stack)
         return bool(dev <= self.fact_tol * (1.0 + self.seed_norm * size))
 
     def is_a_positive(self, M) -> bool:
@@ -273,7 +317,7 @@ class SemiHilbertSpace:
 
 def _frobenius(T: np.ndarray) -> np.ndarray:
     """Frobenius norm of each matrix of a stack."""
-    x = np.ascontiguousarray(T).reshape(*T.shape[:-2], -1).view(np.float64)
+    x = np.ascontiguousarray(T).reshape(*T.shape[:-2], T.shape[-2] * T.shape[-1]).view(np.float64)
     return np.sqrt(np.add.reduce(x * x, axis=-1))
 
 

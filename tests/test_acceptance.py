@@ -86,7 +86,8 @@ def test_criterion_2_adjoint_and_reduction_identities():
         sp, seed = _fresh_space(2, k)
         T = sample_operator_in_BA(sp, seed=derive_seed(seed, 1)).matrix
         S = sample_operator_in_BA(sp, seed=derive_seed(seed, 2)).matrix
-        A, P = sp.matrix, sp.proj_range
+        U_r = sp.eigen.vectors[:, sp.dim - sp.rank :]
+        A, P = sp.matrix, U_r @ U_r.conj().T
         Ts, Ss = sp.sharp(T), sp.sharp(S)
         pairs = (
             (A @ Ts, T.conj().T @ A),

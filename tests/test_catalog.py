@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+import semiradius.catalog as catalog_module
+import semiradius.space as space_module
 from semiradius.catalog import (
     CATALOG,
     PASS_CERTIFIED,
@@ -27,7 +29,7 @@ from semiradius.errors import (
 )
 from semiradius.functionals import RadiusOptions, a_numerical_radius, op_seminorm
 from semiradius.sampler import SampleConfig, sample_bundle, sample_space
-from semiradius.space import build_space
+from semiradius.space import FACT_TOL, build_space
 
 SHIFT = np.array([[0.0, 1.0], [0.0, 0.0]])
 A_DEG = np.diag([2.0, 0.0])
@@ -108,6 +110,59 @@ class TestErrors:
         sp = build_space(np.zeros((2, 2)))
         with pytest.raises(PreconditionFailed):
             run_check(sp, "C15", {"T": SHIFT})
+
+
+class TestPreconditionScreens:
+    """C2 and C10 first test their precondition with norm bounds that need
+    no singular values; the exact spectral test decides only when those
+    bounds fail."""
+
+    def _count_svds(self, monkeypatch, module):
+        calls = []
+        real = module.spectral_norms
+
+        def counted(stack):
+            calls.append(len(stack))
+            return real(stack)
+
+        monkeypatch.setattr(module, "spectral_norms", counted)
+        return calls
+
+    def test_screen_passes_sampled_operands(self, monkeypatch):
+        calls = [self._count_svds(monkeypatch, module) for module in (catalog_module, space_module)]
+        sp, ops = bundle_for(5, 3, 61, 62)
+        rows = run_all(sp, ops, checks=["C2", "C10"])
+        assert [r.verdict for r in rows] == [PASS_CERTIFIED, PASS_CERTIFIED]
+        assert calls == [[], []]
+
+    def test_c2_exact_test_decides_when_screen_fails(self, monkeypatch):
+        # Tsa - Tsa* = delta i I: spectral norm delta, Frobenius norm
+        # 2 delta; |Tsa| = 4, largest column norm 2.  delta = 2 FACT_TOL
+        # passes 2 <= 1 + 4 (exact) but not 4 <= 1 + 2 (screen).
+        calls = self._count_svds(monkeypatch, space_module)
+        sp = build_space(np.eye(4))
+        Tsa = np.ones((4, 4)) + 1j * FACT_TOL * np.eye(4)
+        assert run_all(sp, {"Tsa": Tsa}, checks=["C2"])[0].verdict == PASS_CERTIFIED
+        assert calls == [2]
+
+    def test_c10_exact_test_decides_when_screen_fails(self, monkeypatch):
+        # P = J (ones), Q = J + eps K with K = diag(1, -1, 0, 0):
+        # [P, Q] = eps (1 k^T - k 1^T) for k = (1, -1, 0, 0), spectral norm
+        # 2 sqrt(2) eps, Frobenius norm 4 eps; |P| = |Q| = 4 up to eps, the
+        # column norms 2.  eps = 3.5 FACT_TOL passes 9.9 <= 1 + 16 (exact)
+        # but not 14 <= 1 + 4 (screen).
+        calls = self._count_svds(monkeypatch, catalog_module)
+        sp = build_space(np.eye(4))
+        J = np.ones((4, 4))
+        K = np.diag([1.0, -1.0, 0.0, 0.0])
+        ops = {"P": J, "Q": J + 3.5 * FACT_TOL * K}
+        assert run_all(sp, ops, checks=["C10"])[0].verdict == PASS_CERTIFIED
+        assert calls == [3]
+        # Ten times the deviation fails both tests.
+        ops["Q"] = J + 35.0 * FACT_TOL * K
+        with pytest.raises(PreconditionFailed):
+            run_check(sp, "C10", ops)
+        assert calls == [3, 3]
 
 
 class TestRunAll:

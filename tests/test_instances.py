@@ -34,6 +34,19 @@ def test_roundtrip_awkward_floats(tmp_path):
     assert np.array_equal(ops["T"], T)
 
 
+def test_roundtrip_keeps_signed_zeros(tmp_path):
+    sp = sample_space(SampleConfig(dim=3, rank=2, master_seed=1))
+    T = sample_bundle(sp, seed=2)["T"]
+    T.imag[0, 1] = -0.0
+    T.real[1, 2] = -0.0
+    path = tmp_path / "inst.json"
+    write_instance(path, sp, {"T": T})
+    _, ops = read_instance(path)
+    assert ops["T"].tobytes() == T.tobytes()
+    # The replay draws C15's vectors from this seed, as the campaign did.
+    assert content_seed(ops["T"]) == content_seed(T)
+
+
 def test_write_rejects_wrong_shape(tmp_path):
     sp = build_space(np.eye(2))
     with pytest.raises(DimensionMismatch):
@@ -87,6 +100,18 @@ def test_parse_diagnostics(tmp_path, mutate, fragment):
     with pytest.raises(ParseError) as err:
         read_instance(_write_doc(tmp_path, doc))
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize("field,value", [("dim", True), ("cutoff", False)])
+def test_rejects_booleans(tmp_path, field, value):
+    # A 1 x 1 document with cutoff 0, so that reading the boolean as the
+    # number 1 or 0 would pass every other check.
+    doc = {"dim": 1, "cutoff": 0, "A": {"re": [[1.0]], "im": [[0.0]]}, "operators": {}}
+    read_instance(_write_doc(tmp_path, doc))
+    doc[field] = value
+    with pytest.raises(ParseError) as err:
+        read_instance(_write_doc(tmp_path, doc))
+    assert field in str(err.value)
 
 
 def test_rejects_non_finite_tokens(tmp_path):

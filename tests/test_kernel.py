@@ -152,10 +152,12 @@ class TestSharedSpectralCalculus:
         A = random_psd(11, 5, 3)
         sp = build_space(A)
         scale = 1.0 + spectral_norm(A)
+        U_r = sp.eigen.vectors[:, sp.dim - sp.rank :]
+        proj_range = U_r @ U_r.conj().T
         # The factors compose consistently because they share one basis.
         assert spectral_norm(sp.coord_map @ sp.coord_lift - np.eye(sp.rank)) <= TOL_EIG * scale
-        assert spectral_norm(sp.coord_lift @ sp.coord_map - sp.proj_range) <= TOL_EIG * scale
-        assert spectral_norm(A @ sp.pinv - sp.proj_range) <= 1e-8 * scale
+        assert spectral_norm(sp.coord_lift @ sp.coord_map - proj_range) <= TOL_EIG * scale
+        assert spectral_norm(A @ sp.pinv - proj_range) <= 1e-8 * scale
 
 
 class TestSpectralNorm:

@@ -1,13 +1,16 @@
 """Semi-inner product, membership tests, adjoint and reduction maps."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import semiradius.space as space_module
 from semiradius.errors import DimensionMismatch, NotABounded, NotHermitian, NotInBA, NotPSD
 from semiradius.kernel import spectral_norm
-from semiradius.space import build_space
+from semiradius.space import FACT_TOL, build_space
 
 TOL = 1e-10
 
@@ -26,6 +29,12 @@ def random_space(seed: int, n: int, rank: int):
     return build_space(0.5 * (A + A.conj().T))
 
 
+def proj_range(space):
+    """Orthogonal projector U_r U_r* onto the range of the seed."""
+    U_r = space.eigen.vectors[:, space.dim - space.rank :]
+    return U_r @ U_r.conj().T
+
+
 def random_admissible(space, rng, scale=1.0):
     """Operator preserving the null space, built in the eigenbasis."""
     n, r = space.dim, space.rank
@@ -40,14 +49,14 @@ class TestBuildSpace:
         sp = build_space(A_DEG)
         assert sp.rank == 1
         assert np.allclose(sp.pinv, np.diag([0.5, 0.0]), atol=TOL)
-        assert np.allclose(sp.proj_range, np.diag([1.0, 0.0]), atol=TOL)
+        assert np.allclose(proj_range(sp), np.diag([1.0, 0.0]), atol=TOL)
         assert np.allclose(sp.coord_map, [[np.sqrt(2.0), 0.0]], atol=TOL)
 
     def test_identity_seed(self):
         sp = build_space(np.eye(3))
         assert sp.rank == 3
         assert np.allclose(sp.pinv, np.eye(3), atol=TOL)
-        assert np.allclose(sp.proj_range, np.eye(3), atol=TOL)
+        assert np.allclose(proj_range(sp), np.eye(3), atol=TOL)
 
     def test_zero_seed(self):
         sp = build_space(np.zeros((2, 2)))
@@ -155,7 +164,7 @@ class TestSharp:
         rng = np.random.default_rng(seed + 3)
         T = random_admissible(sp, rng)
         S = random_admissible(sp, rng)
-        A, P = sp.matrix, sp.proj_range
+        A, P = sp.matrix, proj_range(sp)
         Ts = sp.sharp(T)
         scale = 1.0 + sp.seed_norm * spectral_norm(T.matrix) * (1.0 + spectral_norm(S.matrix))
         # Defining equation of the adjoint solution.
@@ -296,3 +305,192 @@ class TestDoubling:
         sp = build_space(np.eye(2))
         with pytest.raises(DimensionMismatch):
             sp.block2(np.eye(2), np.eye(2), "rowwise")
+
+
+def seeded_space(seed: int, n: int, rank: int, null_level: float = 0.0):
+    """Random seed of prescribed rank whose n - rank null eigenvalues are
+    null_level * lambda_max times a random factor in [-1, 1] (null_level
+    itself on a rank-0 seed, whose eigenvalues are then made nonpositive),
+    so they are tiny but nonzero when null_level is positive."""
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    Q, R = np.linalg.qr(G)
+    Q = Q * (np.diag(R) / np.abs(np.diag(R)))
+    kept = rng.uniform(0.1, 2.0, rank)
+    null = null_level * (kept.max() if rank else 1.0) * rng.uniform(-1.0, 1.0, n - rank)
+    lam = np.concatenate([null if rank else -np.abs(null), kept])
+    A = (Q * lam) @ Q.conj().T
+    sp = build_space(0.5 * (A + A.conj().T))
+    assert sp.rank == rank
+    return sp
+
+
+def projector_facts(sp, T):
+    """The membership verdicts by the projector formulas, n x n throughout."""
+    n, r = sp.dim, sp.rank
+    U_r = sp.eigen.vectors[:, n - r :]
+    P_null = np.eye(n) - U_r @ U_r.conj().T
+    size = np.linalg.norm(T)
+    admits = np.linalg.norm(P_null @ T.conj().T @ sp.matrix) <= sp.fact_tol * (1.0 + sp.seed_norm * size)
+    bounded = np.linalg.norm(sp.coord_map @ T @ P_null) <= sp.fact_tol * (1.0 + np.sqrt(sp.seed_norm) * size)
+    return admits, bounded
+
+
+def membership_cases(sp, rng):
+    """Admissible operators, and ones leaking from the null space into the
+    range by 1e-14, 1e-3 and 1 relative to their size, with the expected
+    verdict of each (one verdict for both tests)."""
+    n, r = sp.dim, sp.rank
+    V = sp.eigen.vectors
+    cases = []
+    for scale in (1e-3, 1.0, 1e3):
+        G = scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        G[n - r :, : n - r] = 0.0
+        cases.append((V @ G @ V.conj().T, True))
+        if 0 < r < n:
+            for leak in (1e-14, 1e-3, 1.0):
+                L = G.copy()
+                L[n - r :, : n - r] = leak * scale * n * (rng.standard_normal((r, n - r)) + 1j)
+                cases.append((V @ L @ V.conj().T, leak < 1e-8))
+    return cases
+
+
+class TestReduceAll:
+    @pytest.mark.parametrize("null_level", [0.0, 1e-13, 4e-11])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 96])
+    def test_verdicts_match_projector_formulas(self, n, null_level):
+        rng = np.random.default_rng(1000 * n + int(null_level > 0))
+        for rank in sorted({0, 1, n // 2, n - 1, n}):
+            sp = seeded_space(int(rng.integers(2**32)), n, rank, null_level)
+            mats, expected = zip(*membership_cases(sp, rng))
+            admits, bounded, reduced = sp.reduce_all(list(mats))
+            assert reduced.shape == (len(mats), rank, rank)
+            for T, a, b, want in zip(mats, admits, bounded, expected):
+                old_admits, old_bounded = projector_facts(sp, T)
+                assert bool(b) == old_bounded
+                assert old_admits or not a  # never accepts what the projector test rejects
+                # A rank-0 seed with tiny negative eigenvalues has seed_norm 0:
+                # its tolerance does not grow with the operator, and the bound
+                # max|lambda_null| |T|_F may reject what the projector accepts.
+                if rank or not null_level:
+                    assert (bool(a), bool(b)) == (old_admits, old_bounded) == (want, want)
+
+    def test_doubled_space(self):
+        sp = seeded_space(21, 4, 2, 1e-12)
+        dd = sp.double()
+        rng = np.random.default_rng(22)
+        cases = membership_cases(dd, rng)
+        T, S = [M for M, ok in membership_cases(sp, rng) if ok][:2]
+        cases += [(sp.block2(T, S, layout).matrix, True) for layout in ("diagonal", "antidiagonal")]
+        mats, expected = zip(*cases)
+        admits, bounded, _ = dd.reduce_all(list(mats))
+        for T, a, b, want in zip(mats, admits, bounded, expected):
+            assert (bool(a), bool(b)) == projector_facts(dd, T) == (want, want)
+
+    def test_each_operator_is_tested_alone(self):
+        sp = seeded_space(31, 5, 3)
+        rng = np.random.default_rng(32)
+        mats = [M for M, _ok in membership_cases(sp, rng)]
+        admits, bounded, _ = sp.reduce_all(mats)
+        assert [sp.admits_a_adjoint(M) for M in mats] == list(admits)
+        assert [sp.is_a_bounded(M) for M in mats] == list(bounded)
+        assert [len(x) for x in sp.reduce_all([])] == [0, 0, 0]
+
+    @pytest.mark.parametrize("n,rank", [(2, 1), (5, 3), (6, 6), (96, 4), (96, 1)])
+    def test_reductions_match_tilde(self, n, rank):
+        sp = seeded_space(40 + n + rank, n, rank, 1e-12)
+        rng = np.random.default_rng(41)
+        mats = [M for M, ok in membership_cases(sp, rng) if ok]
+        _, _, reduced = sp.reduce_all(mats)
+        for T, R in zip(mats, reduced):
+            scale = 1.0 + sp.seed_norm * np.linalg.norm(T)
+            assert spectral_norm(R - sp.tilde(T)) <= 1e-13 * scale
+            # The coordinate form C T C^+ of the reduction.
+            assert spectral_norm(R - sp.coord_map @ T @ sp.coord_lift) <= 1e-12 * scale
+
+
+def _householder(v):
+    """Rational orthogonal reflection I - 2 v v^T / (v^T v)."""
+    vv = sum(x * x for x in v)
+    return [[Fraction(int(i == j)) - 2 * v[i] * v[j] / vv for j in range(len(v))] for i in range(len(v))]
+
+
+def _mul(X, Y):
+    return [[sum(X[i][k] * Y[k][j] for k in range(len(Y))) for j in range(len(Y[0]))] for i in range(len(X))]
+
+
+def _t(X):
+    return [list(row) for row in zip(*X)]
+
+
+def _fro2(X):
+    return sum(x * x for row in X for x in row)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_adjoint_residual_bounds_projector_residual_exactly(seed):
+    """In rational arithmetic, with seed = Q diag(lambda) Q^T for a rational
+    orthogonal Q and tiny nonzero null eigenvalues: the adjoint residual of
+    reduce_all is at least |P_null T* seed|_F, and the bounded residual
+    equals |C T P_null|_F (compared squared)."""
+    rng = np.random.default_rng(seed)
+    n, r = 4, int(rng.integers(1, 4))
+    frac = lambda x: Fraction(int(x), 97)  # noqa: E731
+    Q = _mul(
+        _householder([frac(x) or Fraction(1) for x in rng.integers(-97, 98, n)]),
+        _householder([frac(x) or Fraction(1) for x in rng.integers(-97, 98, n)]),
+    )
+    null = [Fraction(int(x), 10**12) for x in rng.integers(-50, 51, n - r)]
+    kept = [Fraction(int(x), 97) for x in rng.integers(10, 200, r)]
+    lam = null + kept
+    A = _mul(_mul(Q, [[lam[i] if i == j else Fraction(0) for j in range(n)] for i in range(n)]), _t(Q))
+    T = [[frac(x) for x in row] for row in rng.integers(-300, 301, (n, n))]
+    Q0, Qr = [row[: n - r] for row in Q], [row[n - r :] for row in Q]
+    P_null = _mul(Q0, _t(Q0))
+    old_adjoint = _fro2(_mul(_mul(P_null, _t(T)), A))
+    Y = _mul(_mul(_t(Qr), T), Q)
+    W = [row[: n - r] for row in Y]
+    null_max = max(abs(x) for x in null)
+    new_adjoint = sum((kept[i] * x) ** 2 for i, row in enumerate(W) for x in row) + null_max**2 * _fro2(T)
+    assert new_adjoint >= old_adjoint
+    # C^T C = Q_r Lambda_r Q_r^T, so |C T P_null|_F^2 = tr(P_null T^T Q_r Lambda_r Q_r^T T P_null).
+    CtC = _mul(_mul(Qr, [[kept[i] if i == j else Fraction(0) for j in range(r)] for i in range(r)]), _t(Qr))
+    TP = _mul(T, P_null)
+    old_bounded = sum(_mul(_mul(_t(TP), CtC), TP)[i][i] for i in range(n))
+    new_bounded = sum(kept[i] * x * x for i, row in enumerate(W) for x in row)
+    assert new_bounded == old_bounded
+
+
+class TestSelfadjointScreen:
+    def _count_svds(self, monkeypatch):
+        calls = []
+        real = space_module.spectral_norms
+
+        def counted(stack):
+            calls.append(len(stack))
+            return real(stack)
+
+        monkeypatch.setattr(space_module, "spectral_norms", counted)
+        return calls
+
+    def test_screen_decides_selfadjoint_operators(self, monkeypatch):
+        calls = self._count_svds(monkeypatch)
+        sp = seeded_space(51, 6, 3, 1e-12)
+        T = random_admissible(sp, np.random.default_rng(52))
+        assert sp.is_a_selfadjoint(sp.re_part(T))
+        assert calls == []
+
+    def test_exact_test_decides_when_screen_fails(self, monkeypatch):
+        # Identity seed, M = J + (delta/2) i I with J the 4 x 4 ones matrix:
+        # the deviation M - M* = delta i I has spectral norm delta and
+        # Frobenius norm 2 delta; |M| = 4 but its columns have norm 2.
+        # With delta = 2 FACT_TOL the screen needs 4 <= 1 + 2 and fails,
+        # the exact test needs 2 <= 1 + 4 and passes.
+        calls = self._count_svds(monkeypatch)
+        sp = build_space(np.eye(4))
+        J = np.ones((4, 4))
+        assert sp.is_a_selfadjoint(J + 1j * FACT_TOL * np.eye(4))
+        assert calls == [2]
+        # Twice the deviation fails both.
+        assert not sp.is_a_selfadjoint(J + 6j * FACT_TOL * np.eye(4))
+        assert calls == [2, 2]
