@@ -48,7 +48,7 @@ from .sampler import (
     sample_unit_vector,
     sample_unit_vectors,
 )
-from .space import SemiHilbertSpace, SemiOperator, build_space
+from .space import SemiHilbertSpace, build_space
 
 __all__ = [
     "CATALOG",
@@ -58,7 +58,6 @@ __all__ = [
     "RadiusOptions",
     "SampleConfig",
     "SemiHilbertSpace",
-    "SemiOperator",
     "SemiradiusError",
     "__version__",
     "a_numerical_radius",

@@ -45,7 +45,7 @@ from .functionals import (
 from .instances import content_seed
 from .kernel import spectral_norm_bounds, spectral_norms
 from .sampler import sample_unit_vectors
-from .space import SemiHilbertSpace
+from .space import FACT_TOL, SemiHilbertSpace
 
 LE, GE, EQ, CONDITIONAL = "le", "ge", "eq", "conditional"
 
@@ -354,10 +354,10 @@ def _c9(ev: Evaluator):
     return [(v, w, rhs) for (v, _M), w in zip(signs, ws)]
 
 
-def _commutator_size(P: np.ndarray, Q: np.ndarray, tol: float) -> tuple[float, float]:
+def _commutator_size(P: np.ndarray, Q: np.ndarray) -> tuple[float, float]:
     """|PQ - QP| and the scale 1 + |P| |Q| it is measured against.
 
-    P and Q commute when |PQ - QP| <= tol (1 + |P| |Q|).  A screen runs
+    P and Q commute when |PQ - QP| <= FACT_TOL (1 + |P| |Q|).  A screen runs
     first: the Frobenius norm of the commutator bounds its spectral norm
     from above and the largest column norm of each factor bounds the
     factor's from below.  When those bounds already satisfy the inequality
@@ -366,16 +366,15 @@ def _commutator_size(P: np.ndarray, Q: np.ndarray, tol: float) -> tuple[float, f
     """
     stack = np.stack([P @ Q - Q @ P, P, Q])
     lo, hi = spectral_norm_bounds(stack)
-    if hi[0] <= tol * (1.0 + lo[1] * lo[2]):
+    if hi[0] <= FACT_TOL * (1.0 + lo[1] * lo[2]):
         return float(hi[0]), 1.0 + float(lo[1] * lo[2])
     comm, nP, nQ = spectral_norms(stack)
     return comm, 1.0 + nP * nQ
 
 
 def _c10(ev: Evaluator):
-    tol = ev.space.fact_tol
-    comm, scale = ev.memo(("commutator", "P", "Q"), lambda: _commutator_size(ev.full("P"), ev.full("Q"), tol))
-    if comm > tol * scale:
+    comm, scale = ev.memo(("commutator", "P", "Q"), lambda: _commutator_size(ev.full("P"), ev.full("Q")))
+    if comm > FACT_TOL * scale:
         raise PreconditionFailed(f"operands do not commute: deviation {comm:.3e}")
     P, Q = ev.mat("P"), ev.mat("Q")
     wP, wQ, wPQ = yield ev.w(P), ev.w(Q), ev.w(P @ Q)

@@ -120,32 +120,26 @@ class Enclosure:
 class RadiusOptions:
     """Knobs for the circle branch and bound and its Monte Carlo helpers.
 
-    target_gap, when set, is the absolute enclosure gap to reach; when None
-    the gap is gap_scale * (1 + |M|) per matrix.  oracle_samples drives the
-    Monte Carlo cap inside the Crawford computation; seed is its stream.
+    The search starts from grid_count angles and refines for at most
+    DEFAULT_MAX_ROUNDS rounds towards the enclosure gap gap_scale * (1 + |M|)
+    per matrix.  oracle_samples drives the Monte Carlo cap inside the
+    Crawford computation, whose vectors come from stream 0.
     """
 
     grid_count: int = DEFAULT_GRID
-    target_gap: float | None = None
     gap_scale: float = DEFAULT_GAP_SCALE
-    max_rounds: int = DEFAULT_MAX_ROUNDS
     oracle_samples: int = DEFAULT_MC_SAMPLES
-    seed: int = 0
 
     def __post_init__(self):
         if self.grid_count < 4:
             raise BadConfig("grid_count must be at least 4")
-        if self.target_gap is not None and not self.target_gap > 0.0:
-            raise BadConfig("target_gap must be positive")
         if not self.gap_scale > 0.0:
             raise BadConfig("gap_scale must be positive")
-        if self.max_rounds < 0:
-            raise BadConfig("max_rounds must be nonnegative")
         if self.oracle_samples < 0:
             raise BadConfig("oracle_samples must be nonnegative")
 
     def resolve_gap(self, norm: float) -> float:
-        return self.target_gap if self.target_gap is not None else self.gap_scale * (1.0 + norm)
+        return self.gap_scale * (1.0 + norm)
 
 
 # -- interval helpers ------------------------------------------------------
@@ -390,13 +384,13 @@ def _search(groups: list[_Pencils], L, gap, cap, opts: RadiusOptions):
     lo_l, L_l, gap_l, cap_l = lo.copy(), L, np.full(k, gap), cap
     hw = 0.5 * h * (1.0 + 1e-12)
     halves = (2.0 * np.arange(_SUBDIV) + 1.0 - _SUBDIV) / _SUBDIV
-    for round_no in range(opts.max_rounds + 1):
+    for round_no in range(DEFAULT_MAX_ROUNDS + 1):
         rot = _joined([g.bound(vals[a:b], q, centers[a:b], hw) for g, q, (a, b) in zip(groups, qs, cuts)])
         ub = np.minimum(vals + L_l[seg] * hw, rot)
         hi_l = np.maximum(lo_l, np.maximum.reduceat(ub, starts))
         floor = np.maximum(lo_l, 0.0)
         done = np.minimum(np.maximum(hi_l, 0.0), np.maximum(cap_l, floor)) - floor <= gap_l
-        if round_no == opts.max_rounds:
+        if round_no == DEFAULT_MAX_ROUNDS:
             lo[live], hi[live] = lo_l, hi_l
             break
         # Cells that can beat the running lower bound of an unfinished matrix.
@@ -535,13 +529,13 @@ def _mc_vectors(samples: int, seed: int, dim: int):
 
 
 @functools.lru_cache(maxsize=16)
-def _cap_vectors(samples: int, seed: int, dim: int) -> tuple[np.ndarray, ...]:
+def _cap_vectors(samples: int, dim: int) -> tuple[np.ndarray, ...]:
     """The vectors of the Crawford cap scan, read-only and drawn once.
 
-    Every cap of one size and seed scans the same vectors, so the draw,
+    Every cap of one size scans the same vectors (stream 0), so the draw,
     which costs more than the scan, is shared by all Crawford calls.
     """
-    blocks = tuple(_mc_vectors(samples, seed, dim))
+    blocks = tuple(_mc_vectors(samples, 0, dim))
     for Y in blocks:
         Y.flags.writeable = False
     return blocks
@@ -595,7 +589,7 @@ def radii_and_crawford_numbers(radius_mats, crawford_mats, opts: RadiusOptions =
         M = A[rest]
         norms.append(spectral_norms(M))
         if opts.oracle_samples > 0:
-            blocks = _cap_vectors(opts.oracle_samples, opts.seed, m)
+            blocks = _cap_vectors(opts.oracle_samples, m)
             caps.append(np.array([_mc_extreme(X, blocks, reduce_max=False) for X in M]))
         else:
             caps.append(np.full(rest.size, np.inf))

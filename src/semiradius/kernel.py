@@ -55,17 +55,17 @@ class EigenData:
     vectors: np.ndarray
 
 
-def hermitian_eigendecomposition(M, hermitian_tol: float = HERMITIAN_TOL) -> EigenData:
+def hermitian_eigendecomposition(M) -> EigenData:
     """Eigendecomposition of a Hermitian matrix.
 
     The input is symmetrized as (M + M*)/2 before factorization; inputs whose
-    anti-Hermitian part exceeds hermitian_tol * (1 + |M|) are rejected.
+    anti-Hermitian part exceeds HERMITIAN_TOL * (1 + |M|) are rejected.
     """
     A = as_matrix(M)
     scale = 1.0 + float(np.max(np.abs(A))) if A.size else 1.0
     dev = float(np.max(np.abs(A - A.conj().T))) if A.size else 0.0
-    if not dev <= hermitian_tol * scale:
-        raise NotHermitian(f"anti-Hermitian deviation {dev:.3e} exceeds {hermitian_tol:.1e} * {scale:.3e}")
+    if not dev <= HERMITIAN_TOL * scale:
+        raise NotHermitian(f"anti-Hermitian deviation {dev:.3e} exceeds {HERMITIAN_TOL:.1e} * {scale:.3e}")
     H = 0.5 * (A + A.conj().T)
     try:
         values, vectors = np.linalg.eigh(H)
@@ -74,16 +74,16 @@ def hermitian_eigendecomposition(M, hermitian_tol: float = HERMITIAN_TOL) -> Eig
     return EigenData(values=values, vectors=vectors)
 
 
-def psd_rank(values: np.ndarray, cutoff: float = DEFAULT_CUTOFF, psd_tol: float = PSD_TOL) -> int:
+def psd_rank(values: np.ndarray, cutoff: float = DEFAULT_CUTOFF) -> int:
     """Numerical rank of a PSD spectrum under a relative cutoff.
 
     Eigenvalues <= cutoff * lambda_max count as zero.  Eigenvalues below
-    -psd_tol * max(1, lambda_max) are a hard failure, not rounding noise.
+    -PSD_TOL * max(1, lambda_max) are a hard failure, not rounding noise.
     """
     if values.size == 0:
         return 0
     lam_max = float(values[-1])
-    floor = -psd_tol * max(1.0, lam_max)
+    floor = -PSD_TOL * max(1.0, lam_max)
     lam_min = float(values[0])
     if lam_min < floor:
         raise NotPSD(f"eigenvalue {lam_min:.3e} below tolerance {floor:.3e}")

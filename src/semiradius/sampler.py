@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import BadConfig, DegenerateSpace
 from .kernel import DEFAULT_CUTOFF
-from .space import SemiHilbertSpace, SemiOperator, build_space
+from .space import SemiHilbertSpace, build_space
 
 SPECTRUM_LAWS = ("uniform", "equal", "geometric")
 
@@ -110,27 +110,23 @@ def sample_space(config: SampleConfig) -> SemiHilbertSpace:
     return build_space(0.5 * (A + A.conj().T), cutoff=config.cutoff)
 
 
-def sample_operator_in_BA(space: SemiHilbertSpace, scale: float = 1.0, seed=0) -> SemiOperator:
+def sample_operator_in_BA(space: SemiHilbertSpace, scale: float = 1.0, seed=0) -> np.ndarray:
     """Random operator that maps the null space of the seed into itself.
 
     In the eigenbasis of the seed (null coordinates first) the block from
     null to range coordinates is zeroed, which makes the operator both
-    adjoint-admitting and seminorm-bounded.
+    adjoint-admitting and seminorm-bounded; no membership test runs.
     """
     if scale < 0.0:
         raise BadConfig(f"scale must be nonnegative, got {scale}")
-    return space.register(_admissible_matrix(space, scale, _as_rng(seed)))
-
-
-def _admissible_matrix(space: SemiHilbertSpace, scale: float, rng: np.random.Generator) -> np.ndarray:
     n, r = space.dim, space.rank
-    G = scale * _ginibre(rng, n, n)
+    G = scale * _ginibre(_as_rng(seed), n, n)
     G[n - r :, : n - r] = 0.0
     V = space.eigen.vectors
     return V @ G @ V.conj().T
 
 
-def sample_a_selfadjoint(space: SemiHilbertSpace, seed=0, scale: float = 1.0) -> SemiOperator:
+def sample_a_selfadjoint(space: SemiHilbertSpace, seed=0, scale: float = 1.0) -> np.ndarray:
     """Selfadjoint part of a random admissible operator."""
     return space.re_part(sample_operator_in_BA(space, scale, seed))
 
@@ -155,33 +151,22 @@ def sample_unit_vectors(space: SemiHilbertSpace, count: int, seed=0) -> np.ndarr
     return space.coord_lift @ (Y / np.linalg.norm(Y, axis=0))
 
 
-def sample_commuting_pair(
-    space: SemiHilbertSpace, scale: float = 1.0, seed=0
-) -> tuple[SemiOperator, SemiOperator]:
+def sample_commuting_pair(space: SemiHilbertSpace, scale: float = 1.0, seed=0) -> tuple[np.ndarray, np.ndarray]:
     """Two commuting admissible operators, polynomials in a common draw."""
-    if scale < 0.0:
-        raise BadConfig(f"scale must be nonnegative, got {scale}")
     rng = _as_rng(seed)
-    R = _admissible_matrix(space, scale, rng)
+    R = sample_operator_in_BA(space, scale, rng)
     R2 = R @ R
     eye = np.eye(space.dim)
     coeffs = _ginibre(rng, 2, 3)
     first = coeffs[0, 0] * eye + coeffs[0, 1] * R + coeffs[0, 2] * R2
     second = coeffs[1, 0] * eye + coeffs[1, 1] * R + coeffs[1, 2] * R2
-    return tuple(space.register_all([first, second]))
+    return first, second
 
 
 def sample_bundle(space: SemiHilbertSpace, scale: float = 1.0, seed: int = 0) -> dict[str, np.ndarray]:
     """Named operand set used by the check catalog, one stream per name."""
-    if scale < 0.0:
-        raise BadConfig(f"scale must be nonnegative, got {scale}")
-    out: dict[str, np.ndarray] = {}
-    for k, name in enumerate(_BUNDLE_SINGLES):
-        # The draws of sample_operator_in_BA, without the membership facts,
-        # which a bundle does not carry.
-        out[name] = _admissible_matrix(space, scale, _as_rng(derive_seed(seed, k)))
+    out = {name: sample_operator_in_BA(space, scale, derive_seed(seed, k)) for k, name in enumerate(_BUNDLE_SINGLES)}
     k = len(_BUNDLE_SINGLES)
-    out["Tsa"] = sample_a_selfadjoint(space, derive_seed(seed, k), scale).matrix
-    first, second = sample_commuting_pair(space, scale, derive_seed(seed, k + 1))
-    out["P"], out["Q"] = first.matrix, second.matrix
+    out["Tsa"] = sample_a_selfadjoint(space, derive_seed(seed, k), scale)
+    out["P"], out["Q"] = sample_commuting_pair(space, scale, derive_seed(seed, k + 1))
     return out

@@ -1,27 +1,25 @@
 """Semi-inner-product geometry induced by a PSD seed matrix.
 
 A PSD seed A defines the semi-inner product (x, y) -> y* A x and the
-seminorm |x|_A.  Operators that map the null space of A into itself act on
+seminorm |x|_A.  Operators are plain square matrices; membership in the
+compatible algebra is a property of a matrix relative to the seed, read
+off reduce_all.  Operators that map the null space of A into itself act on
 the quotient; their action is realized on coordinates by an r x r matrix
 (the "reduced" matrix) through the coordinate map C = diag(sqrt(kept
 eigenvalues)) U_r*, which satisfies |C x| = |x|_A.
 
-All factors derived from A (pseudo-inverse, range and null projections,
-coordinate map and its right inverse) come from one shared
-eigendecomposition, so identities that hold in exact arithmetic hold here
-to rounding accuracy.
+All factors derived from A (pseudo-inverse, coordinate map and its right
+inverse) come from one shared eigendecomposition, so identities that hold
+in exact arithmetic hold here to rounding accuracy.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, NotABounded, NotInBA
 from .kernel import (
     DEFAULT_CUTOFF,
-    HERMITIAN_TOL,
     PSD_TOL,
     EigenData,
     as_matrix,
@@ -32,24 +30,10 @@ from .kernel import (
     spectral_norms,
 )
 
-__all__ = ["FACT_TOL", "SemiOperator", "SemiHilbertSpace", "build_space"]
+__all__ = ["FACT_TOL", "SemiHilbertSpace", "build_space"]
 
 # Relative tolerance for the two operator membership tests.
 FACT_TOL = 1e-8
-
-
-@dataclass
-class SemiOperator:
-    """A square matrix together with its cached membership facts."""
-
-    matrix: np.ndarray
-    admits_adjoint: bool
-    a_bounded: bool
-    space: "SemiHilbertSpace"
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 class SemiHilbertSpace:
@@ -59,25 +43,14 @@ class SemiHilbertSpace:
     produced from the seed's eigendecomposition.
     """
 
-    def __init__(
-        self,
-        matrix: np.ndarray,
-        eigen: EigenData,
-        cutoff: float,
-        hermitian_tol: float,
-        psd_tol: float,
-        fact_tol: float,
-    ):
+    def __init__(self, matrix: np.ndarray, eigen: EigenData, cutoff: float):
         n = matrix.shape[0]
-        r = psd_rank(eigen.values, cutoff, psd_tol)
+        r = psd_rank(eigen.values, cutoff)  # raises NotPSD on violation
         self.matrix = matrix
         self.eigen = eigen
         self.dim = n
         self.rank = r
         self.cutoff = cutoff
-        self.hermitian_tol = hermitian_tol
-        self.psd_tol = psd_tol
-        self.fact_tol = fact_tol
 
         U_r = eigen.vectors[:, n - r :]
         lam = np.maximum(eigen.values[n - r :], 0.0)
@@ -89,8 +62,8 @@ class SemiHilbertSpace:
         self.seed_norm = float(lam[-1]) if r else 0.0
         self._range_values = lam
         # Largest |eigenvalue| below the cutoff; it bounds the seed on its
-        # numerical null space.
-        self._null_norm = float(np.max(np.abs(eigen.values[: n - r]))) if r < n else 0.0
+        # numerical null space.  Zero for a rank-0 seed, which counts as zero.
+        self._null_norm = float(np.max(np.abs(eigen.values[: n - r]))) if 0 < r < n else 0.0
         self._doubled: SemiHilbertSpace | None = None
 
     # -- vectors ---------------------------------------------------------
@@ -126,8 +99,7 @@ class SemiHilbertSpace:
         Tested as: the part of M* seed leaving the range of the seed is
         negligible relative to the operator scales involved (see reduce_all).
         """
-        T = M.matrix if isinstance(M, SemiOperator) else self._as_square(M)
-        return bool(self.reduce_all([T])[0][0])
+        return bool(self.reduce_all([M])[0][0])
 
     def is_a_bounded(self, M) -> bool:
         """Whether the seminorm of M x is controlled by the seminorm of x.
@@ -136,8 +108,7 @@ class SemiHilbertSpace:
         coordinate image of M restricted to the null space is negligible
         (see reduce_all).
         """
-        T = M.matrix if isinstance(M, SemiOperator) else self._as_square(M)
-        return bool(self.reduce_all([T])[1][0])
+        return bool(self.reduce_all([M])[1][0])
 
     def reduce_all(self, mats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Membership facts and reduced matrices of a list of operators.
@@ -160,7 +131,8 @@ class SemiHilbertSpace:
         Frobenius norm; Frobenius norms dominate the operator norm on the
         residual side, so acceptance here is the stricter test.  The
         reduced matrix of an operator that fails a test is returned all the
-        same; it means nothing there.
+        same; it means nothing there.  A rank-0 seed counts as zero: both
+        residuals vanish and every operator passes.
         """
         n, r = self.dim, self.rank
         T = np.stack([self._as_square(M) for M in mats]) if len(mats) else np.zeros((0, n, n), complex)
@@ -172,28 +144,10 @@ class SemiHilbertSpace:
         size = _frobenius(T)
         bounded_resid = _frobenius(root[:, None] * W)
         adjoint_resid = np.hypot(_frobenius(lam[:, None] * W), self._null_norm * size)
-        tol = self.fact_tol
-        admits = adjoint_resid <= tol * (1.0 + self.seed_norm * size)
-        bounded = bounded_resid <= tol * (1.0 + np.sqrt(self.seed_norm) * size)
+        admits = adjoint_resid <= FACT_TOL * (1.0 + self.seed_norm * size)
+        bounded = bounded_resid <= FACT_TOL * (1.0 + np.sqrt(self.seed_norm) * size)
         reduced = root[:, None] * Y[:, :, n - r :] * lam**-0.5
         return admits, bounded, reduced
-
-    def register(self, M) -> SemiOperator:
-        """Wrap a matrix with its membership facts computed once."""
-        return self.register_all([M])[0]
-
-    def register_all(self, mats) -> list[SemiOperator]:
-        """register for each matrix, testing all of them at once."""
-        mats = [self._as_square(M) for M in mats]
-        admits, bounded, _ = self.reduce_all(mats)
-        return [SemiOperator(M, bool(a), bool(b), self) for M, a, b in zip(mats, admits, bounded)]
-
-    def _as_operator(self, M) -> SemiOperator:
-        if isinstance(M, SemiOperator):
-            if M.space is not self:
-                raise DimensionMismatch("operator belongs to a different space")
-            return M
-        return self.register(M)
 
     # -- adjoint and reduction -------------------------------------------
 
@@ -203,10 +157,10 @@ class SemiHilbertSpace:
         Defined only for operators admitting an adjoint; the result maps
         the range of the seed into itself.
         """
-        op = self._as_operator(M)
-        if not op.admits_adjoint:
+        T = self._as_square(M)
+        if not self.reduce_all([T])[0][0]:
             raise NotInBA("operator admits no adjoint for this seed")
-        return self.pinv @ op.matrix.conj().T @ self.matrix
+        return self.pinv @ T.conj().T @ self.matrix
 
     def tilde(self, M) -> np.ndarray:
         """Reduced r x r matrix acting on quotient coordinates.
@@ -215,24 +169,20 @@ class SemiHilbertSpace:
         operators, so every seminorm-based functional of M equals the
         corresponding plain functional of tilde(M).
         """
-        if isinstance(M, SemiOperator):
-            T = self._as_operator(M).matrix  # checks that M belongs to this space
-        else:
-            T = self._as_square(M)
-        _, bounded, reduced = self.reduce_all([T])
+        _, bounded, reduced = self.reduce_all([M])
         if not bounded[0]:
             raise NotABounded("operator is not bounded for this seminorm")
         return reduced[0]
 
-    def re_part(self, M) -> SemiOperator:
+    def re_part(self, M) -> np.ndarray:
         """Selfadjoint part (M + sharp(M)) / 2."""
-        op = self._as_operator(M)
-        return self.register(0.5 * (op.matrix + self.sharp(op)))
+        T = self._as_square(M)
+        return 0.5 * (T + self.sharp(T))
 
-    def im_part(self, M) -> SemiOperator:
+    def im_part(self, M) -> np.ndarray:
         """Skew part (M - sharp(M)) / (2i); itself selfadjoint for the seed."""
-        op = self._as_operator(M)
-        return self.register(-0.5j * (op.matrix - self.sharp(op)))
+        T = self._as_square(M)
+        return -0.5j * (T - self.sharp(T))
 
     def is_a_selfadjoint(self, M) -> bool:
         """Whether seed @ M is Hermitian within tolerance.
@@ -242,27 +192,33 @@ class SemiHilbertSpace:
         the Frobenius norm of D bounds |D| from above and the largest column
         norm of M bounds |M| from below, so when the inequality holds with
         those it holds exactly, and no singular values are computed.  Only
-        when the screen fails are the spectral norms computed.
+        when the screen fails are the spectral norms computed.  A rank-0 seed
+        counts as zero, so every operator is selfadjoint for it.
         """
-        T = M.matrix if isinstance(M, SemiOperator) else self._as_square(M)
+        T = self._as_square(M)
+        if not self.rank:
+            return True
         AM = self.matrix @ T
         stack = np.stack([AM - AM.conj().T, T])
         lo, hi = spectral_norm_bounds(stack)
-        if hi[0] <= self.fact_tol * (1.0 + self.seed_norm * lo[1]):
+        if hi[0] <= FACT_TOL * (1.0 + self.seed_norm * lo[1]):
             return True
         dev, size = spectral_norms(stack)
-        return bool(dev <= self.fact_tol * (1.0 + self.seed_norm * size))
+        return bool(dev <= FACT_TOL * (1.0 + self.seed_norm * size))
 
     def is_a_positive(self, M) -> bool:
-        """Whether seed @ M is Hermitian PSD within tolerance."""
-        T = M.matrix if isinstance(M, SemiOperator) else self._as_square(M)
+        """Whether seed @ M is Hermitian PSD within tolerance (always, for a
+        rank-0 seed, which counts as zero)."""
+        T = self._as_square(M)
+        if not self.rank:
+            return True
         if not self.is_a_selfadjoint(T):
             return False
         AM = self.matrix @ T
         H = 0.5 * (AM + AM.conj().T)
-        lam_min = float(np.linalg.eigvalsh(H)[0]) if self.dim else 0.0
+        lam_min = float(np.linalg.eigvalsh(H)[0])
         scale = 1.0 + self.seed_norm * spectral_norm(T)
-        return lam_min >= -self.psd_tol * scale
+        return lam_min >= -PSD_TOL * scale
 
     # -- doubled space and two-by-two blocks -----------------------------
 
@@ -281,38 +237,31 @@ class SemiHilbertSpace:
             vectors = np.zeros((2 * n, 2 * n), dtype=np.complex128)
             vectors[:n, 0::2] = self.eigen.vectors
             vectors[n:, 1::2] = self.eigen.vectors
-            self._doubled = SemiHilbertSpace(
-                AA,
-                EigenData(values=values, vectors=vectors),
-                self.cutoff,
-                self.hermitian_tol,
-                self.psd_tol,
-                self.fact_tol,
-            )
+            self._doubled = SemiHilbertSpace(AA, EigenData(values=values, vectors=vectors), self.cutoff)
         return self._doubled
 
-    def block2(self, T, S, layout: str = "diagonal") -> SemiOperator:
+    def block2(self, T, S, layout: str = "diagonal") -> np.ndarray:
         """Two-by-two block operator on the doubled space.
 
         layout "diagonal" places T and S on the diagonal; "antidiagonal"
         places T upper right and S lower left.  Blocks built from admissible
         operators are admissible; this is asserted.
         """
-        opT, opS = self._as_operator(T), self._as_operator(S)
+        T, S = self._as_square(T), self._as_square(S)
         n = self.dim
         B = np.zeros((2 * n, 2 * n), dtype=np.complex128)
         if layout == "diagonal":
-            B[:n, :n] = opT.matrix
-            B[n:, n:] = opS.matrix
+            B[:n, :n] = T
+            B[n:, n:] = S
         elif layout == "antidiagonal":
-            B[:n, n:] = opT.matrix
-            B[n:, :n] = opS.matrix
+            B[:n, n:] = T
+            B[n:, :n] = S
         else:
             raise DimensionMismatch(f"unknown block layout {layout!r}")
-        out = self.double().register(B)
-        if opT.admits_adjoint and opS.admits_adjoint:
-            assert out.admits_adjoint and out.a_bounded
-        return out
+        if self.reduce_all([T, S])[0].all():
+            admits, bounded, _ = self.double().reduce_all([B])
+            assert admits[0] and bounded[0]
+        return B
 
 
 def _frobenius(T: np.ndarray) -> np.ndarray:
@@ -321,16 +270,8 @@ def _frobenius(T: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(x * x, axis=-1))
 
 
-def build_space(
-    A,
-    cutoff: float = DEFAULT_CUTOFF,
-    hermitian_tol: float = HERMITIAN_TOL,
-    psd_tol: float = PSD_TOL,
-    fact_tol: float = FACT_TOL,
-) -> SemiHilbertSpace:
+def build_space(A, cutoff: float = DEFAULT_CUTOFF) -> SemiHilbertSpace:
     """Validate a PSD seed matrix and derive all factors from one eigensystem."""
     M = as_matrix(A)
-    eigen = hermitian_eigendecomposition(M, hermitian_tol)
-    psd_rank(eigen.values, cutoff, psd_tol)  # raises NotPSD on violation
-    H = 0.5 * (M + M.conj().T)
-    return SemiHilbertSpace(H, eigen, cutoff, hermitian_tol, psd_tol, fact_tol)
+    eigen = hermitian_eigendecomposition(M)
+    return SemiHilbertSpace(0.5 * (M + M.conj().T), eigen, cutoff)

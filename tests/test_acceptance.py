@@ -84,8 +84,8 @@ def test_criterion_2_adjoint_and_reduction_identities():
     worst = 0.0
     for k in range(10_000):
         sp, seed = _fresh_space(2, k)
-        T = sample_operator_in_BA(sp, seed=derive_seed(seed, 1)).matrix
-        S = sample_operator_in_BA(sp, seed=derive_seed(seed, 2)).matrix
+        T = sample_operator_in_BA(sp, seed=derive_seed(seed, 1))
+        S = sample_operator_in_BA(sp, seed=derive_seed(seed, 2))
         U_r = sp.eigen.vectors[:, sp.dim - sp.rank :]
         A, P = sp.matrix, U_r @ U_r.conj().T
         Ts, Ss = sp.sharp(T), sp.sharp(S)
@@ -107,8 +107,8 @@ def test_criterion_3_equality_checks():
     worst = 0.0
     for k in range(1000):
         sp, seed = _fresh_space(3, k)
-        Tsa = sample_a_selfadjoint(sp, seed=derive_seed(seed, 1)).matrix
-        T = sample_operator_in_BA(sp, seed=derive_seed(seed, 2)).matrix
+        Tsa = sample_a_selfadjoint(sp, seed=derive_seed(seed, 1))
+        T = sample_operator_in_BA(sp, seed=derive_seed(seed, 2))
         for cid, ops in (("C2", {"Tsa": Tsa}), ("C3", {"T": T})):
             r = run_check(sp, cid, ops, opts=FAST)
             assert r.verdict != VIOLATION_CANDIDATE, r
@@ -122,7 +122,7 @@ def test_criterion_4_monte_carlo_oracles():
     worst_gap = 0.0
     for k in range(200):
         sp, seed = _fresh_space(4, k)
-        T = sample_operator_in_BA(sp, seed=derive_seed(seed, 1)).matrix
+        T = sample_operator_in_BA(sp, seed=derive_seed(seed, 1))
         allow = 1e-8 * (1.0 + float(np.linalg.norm(sp.tilde(T), 2)))
         w = a_numerical_radius(sp, T, FAST)
         c = crawford(sp, T, FAST)
@@ -161,14 +161,14 @@ def test_criterion_6_block_operator_identities():
     worst = 0.0
     for k in range(500):
         sp, seed = _fresh_space(6, k)
-        T = sample_operator_in_BA(sp, seed=derive_seed(seed, 1)).matrix
-        S = sample_operator_in_BA(sp, seed=derive_seed(seed, 2)).matrix
+        T = sample_operator_in_BA(sp, seed=derive_seed(seed, 1))
+        S = sample_operator_in_BA(sp, seed=derive_seed(seed, 2))
         r = run_check(sp, "C7", {"T": T, "S": S}, opts=FAST)
         assert r.verdict == PASS_CERTIFIED, r
 
         # Off-diagonal blocks: sharp(B)B + B sharp(B) collapses to a
         # diagonal of one-space combinations.
-        B = sp.block2(T, S, "antidiagonal").matrix
+        B = sp.block2(T, S, "antidiagonal")
         Bs = sp.double().sharp(B)
         Ts, Ss = sp.sharp(T), sp.sharp(S)
         n = sp.dim

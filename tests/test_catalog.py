@@ -277,7 +277,7 @@ class TestEvaluatorCache:
                 keys = ev.w(B_reduced), ev.n(B_reduced)
                 _solve_together([ev])
                 radius, norm = ev.resolve(keys)
-                B = sp.block2(ops["T"], ops["S"], layout).matrix
+                B = sp.block2(ops["T"], ops["S"], layout)
                 assert overlap(radius, a_numerical_radius(sp.double(), B, RadiusOptions())), (dim, layout)
                 assert overlap(norm, op_seminorm(sp.double(), B)), (dim, layout)
 

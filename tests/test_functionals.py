@@ -324,14 +324,9 @@ class TestRadiusOptions:
         with pytest.raises(BadConfig):
             RadiusOptions(grid_count=3)
         with pytest.raises(BadConfig):
-            RadiusOptions(target_gap=0.0)
-        with pytest.raises(BadConfig):
             RadiusOptions(gap_scale=-1.0)
-        with pytest.raises(BadConfig):
-            RadiusOptions(max_rounds=-1)
         with pytest.raises(BadConfig):
             RadiusOptions(oracle_samples=-5)
 
     def test_gap_resolution(self):
-        assert RadiusOptions(target_gap=1e-6).resolve_gap(10.0) == 1e-6
         assert RadiusOptions(gap_scale=1e-9).resolve_gap(9.0) == pytest.approx(1e-8)

@@ -19,7 +19,7 @@ from semiradius.sampler import (
     sample_space,
     sample_unit_vector,
 )
-from semiradius.space import build_space
+from semiradius.space import SemiHilbertSpace, build_space
 
 
 class TestSeedDerivation:
@@ -93,19 +93,19 @@ class TestSampleSpace:
 class TestSampleOperators:
     def test_null_to_range_block_vanishes(self):
         sp = build_space(np.diag([2.0, 0.0]))
-        op = sample_operator_in_BA(sp, seed=5)
+        M = sample_operator_in_BA(sp, seed=5)
         V = sp.eigen.vectors
-        B = V.conj().T @ op.matrix @ V
+        B = V.conj().T @ M @ V
         assert abs(B[1, 0]) <= 1e-13
-        assert op.admits_adjoint and op.a_bounded
+        assert sp.admits_a_adjoint(M) and sp.is_a_bounded(M)
         U_r = sp.eigen.vectors[:, 1:]
-        resid = (np.eye(2) - U_r @ U_r.conj().T) @ op.matrix.conj().T @ sp.matrix
+        resid = (np.eye(2) - U_r @ U_r.conj().T) @ M.conj().T @ sp.matrix
         assert np.linalg.norm(resid) <= 1e-13
 
     def test_full_rank_unconstrained(self):
         sp = build_space(np.eye(3))
-        op = sample_operator_in_BA(sp, seed=1)
-        assert op.admits_adjoint and op.a_bounded
+        M = sample_operator_in_BA(sp, seed=1)
+        assert sp.admits_a_adjoint(M) and sp.is_a_bounded(M)
 
     def test_scale_validation(self):
         sp = build_space(np.eye(2))
@@ -114,9 +114,9 @@ class TestSampleOperators:
 
     def test_zero_scale_gives_zero_operator(self):
         sp = build_space(np.eye(2))
-        op = sample_operator_in_BA(sp, scale=0.0, seed=3)
-        assert not op.matrix.any()
-        assert op.admits_adjoint and op.a_bounded
+        M = sample_operator_in_BA(sp, scale=0.0, seed=3)
+        assert not M.any()
+        assert sp.admits_a_adjoint(M) and sp.is_a_bounded(M)
 
     def test_selfadjoint_sample_passes_check(self):
         sp = sample_space(SampleConfig(dim=4, rank=2, master_seed=13))
@@ -125,24 +125,24 @@ class TestSampleOperators:
 
     def test_selfadjoint_identity_seed_is_hermitian(self):
         sp = build_space(np.eye(3))
-        M = sample_a_selfadjoint(sp, seed=2).matrix
+        M = sample_a_selfadjoint(sp, seed=2)
         assert np.linalg.norm(M - M.conj().T) <= 1e-12
 
     def test_commuting_pair_commutes(self):
         sp = sample_space(SampleConfig(dim=4, rank=3, master_seed=17))
         first, second = sample_commuting_pair(sp, seed=8)
-        comm = first.matrix @ second.matrix - second.matrix @ first.matrix
-        scale = np.linalg.norm(first.matrix) * np.linalg.norm(second.matrix)
+        comm = first @ second - second @ first
+        scale = np.linalg.norm(first) * np.linalg.norm(second)
         assert np.linalg.norm(comm) <= 1e-12 * (1.0 + scale)
-        assert first.admits_adjoint and second.admits_adjoint
+        assert sp.admits_a_adjoint(first) and sp.admits_a_adjoint(second)
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 5))
     @settings(max_examples=40)
     def test_membership_always_holds(self, seed, n):
         rank = seed % (n + 1)
         sp = sample_space(SampleConfig(dim=n, rank=rank, master_seed=seed))
-        op = sample_operator_in_BA(sp, scale=2.0, seed=seed + 1)
-        assert op.admits_adjoint and op.a_bounded
+        M = sample_operator_in_BA(sp, scale=2.0, seed=seed + 1)
+        assert sp.admits_a_adjoint(M) and sp.is_a_bounded(M)
 
 
 class TestSampleVectors:
@@ -181,6 +181,30 @@ class TestBundle:
         c = sample_bundle(sp, seed=2)
         assert all(np.array_equal(a[k], b[k]) for k in a)
         assert not np.array_equal(a["T"], c["T"])
+
+    def test_only_the_selfadjoint_operand_tests_membership(self, monkeypatch):
+        # The draws are admissible by construction; only sharp, behind the
+        # selfadjoint part Tsa, asks reduce_all whether its operand admits
+        # an adjoint.
+        sp = sample_space(SampleConfig(dim=5, rank=2, master_seed=37))
+        calls = []
+        real = SemiHilbertSpace.reduce_all
+
+        def counted(self, mats):
+            calls.append(len(mats))
+            return real(self, mats)
+
+        monkeypatch.setattr(SemiHilbertSpace, "reduce_all", counted)
+        sample_bundle(sp, seed=3)
+        assert calls == [1]
+
+    def test_samplers_return_plain_matrices(self):
+        sp = sample_space(SampleConfig(dim=4, rank=2, master_seed=41))
+        T = sample_operator_in_BA(sp, seed=1)
+        outputs = [T, sample_a_selfadjoint(sp, seed=2), *sample_commuting_pair(sp, seed=3)]
+        outputs += [sp.re_part(T), sp.im_part(T), sp.block2(T, T, "antidiagonal")]
+        for M in outputs:
+            assert type(M) is np.ndarray and M.dtype == np.complex128
 
 
 def _sha256(named) -> str:

@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import semiradius.space as space_module
+from semiradius.catalog import PASS_CERTIFIED, run_all
 from semiradius.errors import DimensionMismatch, NotABounded, NotHermitian, NotInBA, NotPSD
 from semiradius.kernel import spectral_norm
+from semiradius.sampler import sample_bundle
 from semiradius.space import FACT_TOL, build_space
 
 TOL = 1e-10
@@ -41,7 +43,7 @@ def random_admissible(space, rng, scale=1.0):
     V = space.eigen.vectors  # first n - r columns span the null space
     G = scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     G[n - r :, : n - r] = 0.0  # no leakage from null block into range block
-    return space.register(V @ G @ V.conj().T)
+    return V @ G @ V.conj().T
 
 
 class TestBuildSpace:
@@ -112,20 +114,21 @@ class TestMembership:
         assert sp.admits_a_adjoint(T_LOWER)
         assert sp.is_a_bounded(T_LOWER)
 
-    def test_register_all_matches_register(self):
+    def test_reduce_all_matches_one_matrix_at_a_time(self):
         sp = random_space(3, 4, 2)
         rng = np.random.default_rng(4)
-        good = random_admissible(sp, rng).matrix
+        good = random_admissible(sp, rng)
         mats = [good, good + rng.standard_normal((4, 4)), np.eye(4), np.zeros((4, 4))]
-        for op, M in zip(sp.register_all(mats), mats):
-            single = sp.register(M)
-            assert (op.admits_adjoint, op.a_bounded) == (single.admits_adjoint, single.a_bounded)
-            assert np.array_equal(op.matrix, single.matrix)
-        assert sp.register_all([]) == []
+        admits, bounded, reduced = sp.reduce_all(mats)
+        for k, M in enumerate(mats):
+            a, b, R = sp.reduce_all([M])
+            assert (admits[k], bounded[k]) == (a[0], b[0])
+            assert np.array_equal(reduced[k], R[0])
+        assert [len(x) for x in sp.reduce_all([])] == [0, 0, 0]
 
     def test_full_rank_seed_accepts_everything(self):
         sp = build_space(np.eye(2))
-        assert sp.register([[0.0, 1.0], [0.0, 0.0]]).admits_adjoint
+        assert sp.admits_a_adjoint([[0.0, 1.0], [0.0, 0.0]])
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.data())
     @settings(max_examples=30)
@@ -133,12 +136,12 @@ class TestMembership:
         rank = data.draw(st.integers(0, n))
         sp = random_space(seed, n, rank)
         rng = np.random.default_rng(seed + 2)
-        op = random_admissible(sp, rng)
-        assert op.admits_adjoint and op.a_bounded
+        M = random_admissible(sp, rng)
+        assert sp.admits_a_adjoint(M) and sp.is_a_bounded(M)
         # A generic dense perturbation breaks both facts together.
         if 0 < rank < n:
-            bad = sp.register(op.matrix + rng.standard_normal((n, n)))
-            assert bad.admits_adjoint == bad.a_bounded
+            bad = M + rng.standard_normal((n, n))
+            assert sp.admits_a_adjoint(bad) == sp.is_a_bounded(bad)
 
 
 class TestSharp:
@@ -166,19 +169,18 @@ class TestSharp:
         S = random_admissible(sp, rng)
         A, P = sp.matrix, proj_range(sp)
         Ts = sp.sharp(T)
-        scale = 1.0 + sp.seed_norm * spectral_norm(T.matrix) * (1.0 + spectral_norm(S.matrix))
+        scale = 1.0 + sp.seed_norm * spectral_norm(T) * (1.0 + spectral_norm(S))
         # Defining equation of the adjoint solution.
-        assert spectral_norm(A @ Ts - T.matrix.conj().T @ A) <= TOL * scale
+        assert spectral_norm(A @ Ts - T.conj().T @ A) <= TOL * scale
         # Product reversal.
-        TS = sp.register(T.matrix @ S.matrix)
-        assert spectral_norm(sp.sharp(TS) - sp.sharp(S) @ Ts) <= TOL * scale
+        assert spectral_norm(sp.sharp(T @ S) - sp.sharp(S) @ Ts) <= TOL * scale
         # Double sharp compresses to the range.
-        Tss = sp.sharp(sp.register(Ts))
-        assert spectral_norm(Tss - P @ T.matrix @ P) <= TOL * scale
+        Tss = sp.sharp(Ts)
+        assert spectral_norm(Tss - P @ T @ P) <= TOL * scale
         # Triple sharp reproduces the single sharp.
-        assert spectral_norm(sp.sharp(sp.register(Tss)) - Ts) <= TOL * scale
+        assert spectral_norm(sp.sharp(Tss) - Ts) <= TOL * scale
         # sharp(T) T is positive for the seed.
-        assert sp.is_a_positive(Ts @ T.matrix)
+        assert sp.is_a_positive(Ts @ T)
 
 
 class TestTilde:
@@ -205,12 +207,12 @@ class TestTilde:
         T = random_admissible(sp, rng)
         S = random_admissible(sp, rng)
         tT, tS = sp.tilde(T), sp.tilde(S)
-        scale = 1.0 + spectral_norm(T.matrix) * (1.0 + spectral_norm(S.matrix)) * (1.0 + sp.seed_norm)
+        scale = 1.0 + spectral_norm(T) * (1.0 + spectral_norm(S)) * (1.0 + sp.seed_norm)
         # Intertwining with the coordinate map.
-        assert spectral_norm(sp.coord_map @ T.matrix - tT @ sp.coord_map) <= TOL * scale
+        assert spectral_norm(sp.coord_map @ T - tT @ sp.coord_map) <= TOL * scale
         # Reduction is an algebra map.
-        assert spectral_norm(sp.tilde(T.matrix @ S.matrix) - tT @ tS) <= TOL * scale
-        assert spectral_norm(sp.tilde(T.matrix + S.matrix) - (tT + tS)) <= TOL * scale
+        assert spectral_norm(sp.tilde(T @ S) - tT @ tS) <= TOL * scale
+        assert spectral_norm(sp.tilde(T + S) - (tT + tS)) <= TOL * scale
         # Reduction turns the canonical adjoint into the plain adjoint.
         assert spectral_norm(sp.tilde(sp.sharp(T)) - tT.conj().T) <= TOL * scale
 
@@ -220,14 +222,14 @@ class TestParts:
         sp = build_space(A_DEG)
         re = sp.re_part(T_LOWER)
         im = sp.im_part(T_LOWER)
-        assert np.allclose(re.matrix, [[1.0, 0.0], [2.5, 1.5]], atol=TOL)
-        assert np.allclose(im.matrix, [[0.0, 0.0], [-2.5j, -1.5j]], atol=TOL)
+        assert np.allclose(re, [[1.0, 0.0], [2.5, 1.5]], atol=TOL)
+        assert np.allclose(im, [[0.0, 0.0], [-2.5j, -1.5j]], atol=TOL)
 
     def test_identity_seed_values(self):
         sp = build_space(np.eye(2))
         T = np.array([[0.0, 1.0], [0.0, 0.0]])
-        assert np.allclose(sp.re_part(T).matrix, [[0.0, 0.5], [0.5, 0.0]], atol=TOL)
-        assert np.allclose(sp.im_part(T).matrix, [[0.0, -0.5j], [0.5j, 0.0]], atol=TOL)
+        assert np.allclose(sp.re_part(T), [[0.0, 0.5], [0.5, 0.0]], atol=TOL)
+        assert np.allclose(sp.im_part(T), [[0.0, -0.5j], [0.5j, 0.0]], atol=TOL)
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.data())
     @settings(max_examples=30)
@@ -237,8 +239,8 @@ class TestParts:
         rng = np.random.default_rng(seed + 5)
         T = random_admissible(sp, rng)
         re, im = sp.re_part(T), sp.im_part(T)
-        scale = 1.0 + spectral_norm(T.matrix)
-        assert spectral_norm(re.matrix + 1j * im.matrix - T.matrix) <= TOL * scale
+        scale = 1.0 + spectral_norm(T)
+        assert spectral_norm(re + 1j * im - T) <= TOL * scale
         assert sp.is_a_selfadjoint(re)
         assert sp.is_a_selfadjoint(im)
 
@@ -277,17 +279,17 @@ class TestDoubling:
         T = np.array([[1.0, 2.0], [3.0, 4.0]])
         S = np.array([[5.0, 6.0], [7.0, 8.0]])
         D = sp.block2(T, S, "diagonal")
-        assert np.allclose(D.matrix[:2, :2], T) and np.allclose(D.matrix[2:, 2:], S)
-        assert np.allclose(D.matrix[:2, 2:], 0.0) and np.allclose(D.matrix[2:, :2], 0.0)
+        assert np.allclose(D[:2, :2], T) and np.allclose(D[2:, 2:], S)
+        assert np.allclose(D[:2, 2:], 0.0) and np.allclose(D[2:, :2], 0.0)
         X = sp.block2(T, S, "antidiagonal")
-        assert np.allclose(X.matrix[:2, 2:], T) and np.allclose(X.matrix[2:, :2], S)
+        assert np.allclose(X[:2, 2:], T) and np.allclose(X[2:, :2], S)
 
     def test_block_membership_inherited(self):
         sp = random_space(9, 4, 2)
         rng = np.random.default_rng(10)
         T, S = random_admissible(sp, rng), random_admissible(sp, rng)
         B = sp.block2(T, S, "antidiagonal")
-        assert B.admits_adjoint and B.a_bounded
+        assert sp.double().admits_a_adjoint(B) and sp.double().is_a_bounded(B)
 
     def test_block_sharp_swaps_antidiagonal(self):
         sp = random_space(13, 3, 2)
@@ -296,7 +298,7 @@ class TestDoubling:
         B = sp.block2(T1, T2, "antidiagonal")
         Bs = sp.double().sharp(B)
         n = sp.dim
-        scale = 1.0 + spectral_norm(B.matrix) * (1.0 + sp.seed_norm)
+        scale = 1.0 + spectral_norm(B) * (1.0 + sp.seed_norm)
         assert spectral_norm(Bs[:n, n:] - sp.sharp(T2)) <= TOL * scale
         assert spectral_norm(Bs[n:, :n] - sp.sharp(T1)) <= TOL * scale
         assert spectral_norm(Bs[:n, :n]) <= TOL * scale and spectral_norm(Bs[n:, n:]) <= TOL * scale
@@ -331,8 +333,8 @@ def projector_facts(sp, T):
     U_r = sp.eigen.vectors[:, n - r :]
     P_null = np.eye(n) - U_r @ U_r.conj().T
     size = np.linalg.norm(T)
-    admits = np.linalg.norm(P_null @ T.conj().T @ sp.matrix) <= sp.fact_tol * (1.0 + sp.seed_norm * size)
-    bounded = np.linalg.norm(sp.coord_map @ T @ P_null) <= sp.fact_tol * (1.0 + np.sqrt(sp.seed_norm) * size)
+    admits = np.linalg.norm(P_null @ T.conj().T @ sp.matrix) <= FACT_TOL * (1.0 + sp.seed_norm * size)
+    bounded = np.linalg.norm(sp.coord_map @ T @ P_null) <= FACT_TOL * (1.0 + np.sqrt(sp.seed_norm) * size)
     return admits, bounded
 
 
@@ -366,14 +368,15 @@ class TestReduceAll:
             admits, bounded, reduced = sp.reduce_all(list(mats))
             assert reduced.shape == (len(mats), rank, rank)
             for T, a, b, want in zip(mats, admits, bounded, expected):
+                if not rank:
+                    # A rank-0 seed counts as zero, tiny null eigenvalues and
+                    # all, so every operator belongs (want is always True).
+                    assert (bool(a), bool(b)) == (want, want)
+                    continue
                 old_admits, old_bounded = projector_facts(sp, T)
                 assert bool(b) == old_bounded
                 assert old_admits or not a  # never accepts what the projector test rejects
-                # A rank-0 seed with tiny negative eigenvalues has seed_norm 0:
-                # its tolerance does not grow with the operator, and the bound
-                # max|lambda_null| |T|_F may reject what the projector accepts.
-                if rank or not null_level:
-                    assert (bool(a), bool(b)) == (old_admits, old_bounded) == (want, want)
+                assert (bool(a), bool(b)) == (old_admits, old_bounded) == (want, want)
 
     def test_doubled_space(self):
         sp = seeded_space(21, 4, 2, 1e-12)
@@ -381,7 +384,7 @@ class TestReduceAll:
         rng = np.random.default_rng(22)
         cases = membership_cases(dd, rng)
         T, S = [M for M, ok in membership_cases(sp, rng) if ok][:2]
-        cases += [(sp.block2(T, S, layout).matrix, True) for layout in ("diagonal", "antidiagonal")]
+        cases += [(sp.block2(T, S, layout), True) for layout in ("diagonal", "antidiagonal")]
         mats, expected = zip(*cases)
         admits, bounded, _ = dd.reduce_all(list(mats))
         for T, a, b, want in zip(mats, admits, bounded, expected):
@@ -395,6 +398,21 @@ class TestReduceAll:
         assert [sp.admits_a_adjoint(M) for M in mats] == list(admits)
         assert [sp.is_a_bounded(M) for M in mats] == list(bounded)
         assert [len(x) for x in sp.reduce_all([])] == [0, 0, 0]
+
+    def test_rank_zero_seed_accepts_every_operator(self):
+        # The seed's spectrum lies below the cutoff, so the rank decision
+        # treats it as zero; membership must too.  The bound
+        # max|lambda_null| |T|_F = 1e-12 |T|_F used to reject every operand
+        # of this bundle, and run_all skipped all 23 rows.
+        sp = build_space(np.diag([-1e-12, 0.0, 0.0]))
+        zero = build_space(np.zeros((3, 3)))
+        assert sp.rank == zero.rank == 0
+        bundle = {name: 1e5 * M for name, M in sample_bundle(sp, seed=0).items()}
+        admits, bounded, reduced = sp.reduce_all(list(bundle.values()))
+        assert admits.all() and bounded.all() and reduced.shape == (len(bundle), 0, 0)
+        verdicts = [row.verdict for row in run_all(sp, bundle)]
+        assert verdicts == [row.verdict for row in run_all(zero, bundle)]
+        assert verdicts.count(PASS_CERTIFIED) == 21
 
     @pytest.mark.parametrize("n,rank", [(2, 1), (5, 3), (6, 6), (96, 4), (96, 1)])
     def test_reductions_match_tilde(self, n, rank):
