@@ -45,7 +45,6 @@ from .sampler import (
     sample_commuting_pair,
     sample_operator_in_BA,
     sample_space,
-    sample_unit_vector,
     sample_unit_vectors,
 )
 from .space import SemiHilbertSpace, build_space
@@ -79,7 +78,6 @@ __all__ = [
     "sample_commuting_pair",
     "sample_operator_in_BA",
     "sample_space",
-    "sample_unit_vector",
     "sample_unit_vectors",
     "tightness_report",
     "verify_instance",

@@ -26,7 +26,7 @@ from .catalog import (
     run_many,
 )
 from .errors import BadConfig, ParseError
-from .functionals import RadiusOptions
+from .functionals import DEFAULT_GAP_SCALE, DEFAULT_GRID, DEFAULT_MC_SAMPLES, RadiusOptions
 from .instances import read_instance, write_instance
 from .sampler import SampleConfig, derive_seed, sample_bundle, sample_space
 
@@ -78,9 +78,9 @@ class CampaignConfig:
     lam_min: float = 0.1
     lam_max: float = 2.0
     scale: float = 1.0
-    grid_count: int = 256
-    gap_scale: float = 1e-9
-    oracle_samples: int = 4096
+    grid_count: int = DEFAULT_GRID
+    gap_scale: float = DEFAULT_GAP_SCALE
+    oracle_samples: int = DEFAULT_MC_SAMPLES
     checks: tuple[str, ...] | None = None
     workers: int = 1
 
@@ -98,6 +98,8 @@ class CampaignConfig:
             raise BadConfig(f"trials must be positive, got {self.trials}")
         if self.workers < 1:
             raise BadConfig(f"workers must be positive, got {self.workers}")
+        if self.scale < 0.0:
+            raise BadConfig(f"scale must be nonnegative, got {self.scale}")
         if self.checks is not None:
             checks = tuple(self.checks)
             unknown = [c for c in checks if c not in CATALOG]
@@ -131,7 +133,6 @@ class CampaignConfig:
             law=self.law,
             lam_min=self.lam_min,
             lam_max=self.lam_max,
-            scale=self.scale,
             master_seed=seed,
         )
 

@@ -7,8 +7,10 @@ entire left enclosure sits at or below the entire right enclosure, up
 to a floor that absorbs last-place rounding between parallel routes.
 Entries carrying a sign choice evaluate both variants and record the one
 with the worse slack.  Checks work on the reduced matrices of their
-operands (see Evaluator), and the radius and Crawford requests of a run
-are solved together in stacks.
+operands, which each instance computes once, up front (see Evaluator).
+A run evaluates in one pass: every check states its requests, the
+radius and Crawford requests of all instances are solved together in
+one stacked search, and every check then finishes on its enclosures.
 """
 
 from __future__ import annotations
@@ -65,10 +67,6 @@ RADIUS_FLOOR = 1e-12
 _2SQRT2 = 2.0 * math.sqrt(2.0)
 
 
-class _Skip(Exception):
-    """Internal: a check declined to evaluate on this instance."""
-
-
 @dataclass(frozen=True)
 class CheckDefinition:
     check_id: str
@@ -94,66 +92,41 @@ class CheckResult:
 class Evaluator:
     """Shared per-instance evaluation state in reduced coordinates.
 
-    Each operand is membership-tested once and reduced once to its r x r
-    matrix tilde(T).  Since the reduction is an algebra map that turns the
-    A-adjoint into the conjugate transpose, the checks then do plain
-    matrix algebra: block operators are 2r x 2r blocks, and the seminorm,
-    A-numerical radius and A-Crawford number of an operator are the
-    spectral norm, numerical radius and Crawford number of its reduced
-    matrix.
+    Every supplied operand is membership-tested and reduced to its r x r
+    matrix tilde(T) on construction, in one reduce_all call; ``reduced``
+    maps each name to that matrix, or to None when a test fails.  Since
+    the reduction is an algebra map that turns the A-adjoint into the
+    conjugate transpose, the checks then do plain matrix algebra: block
+    operators are 2r x 2r blocks, and the seminorm, A-numerical radius and
+    A-Crawford number of an operator are the spectral norm, numerical
+    radius and Crawford number of its reduced matrix.
 
     Checks request these functionals with ``n``, ``w`` and ``c``, which
     return a request key; ``_solve_together`` computes every pending
     request at once (the radii and Crawford numbers in one stacked search)
-    and ``resolve`` turns keys into enclosures.  Results are memoized by
-    the exact bytes of the matrix, so identical derived operands are
-    solved once no matter which check built them.  The reduced operands,
-    the enclosures and the checks' memoized facts share one cache.
+    and ``resolve`` turns keys into enclosures.  Requests are keyed by the
+    exact bytes of the matrix, so identical derived operands are solved
+    once no matter which check built them.
     """
 
-    def __init__(self, space: SemiHilbertSpace, operands, opts: RadiusOptions | None = None):
+    def __init__(self, space: SemiHilbertSpace, operands):
         self.space = space
         self.ops = {name: np.asarray(M, dtype=np.complex128) for name, M in operands.items()}
-        self.opts = opts if opts is not None else RadiusOptions()
+        admits, bounded, reduced = space.reduce_all(list(self.ops.values()))
+        self.reduced = {name: R if a and b else None for name, a, b, R in zip(self.ops, admits, bounded, reduced)}
         self._pending: dict[tuple, np.ndarray] = {}
-        self._cache: dict[tuple, object] = {}
-
-    def full(self, name: str) -> np.ndarray:
-        """The operand as given, on the full space."""
-        try:
-            return self.ops[name]
-        except KeyError:
-            raise BadConfig(f"operand {name!r} not supplied") from None
-
-    def reduce_operands(self, names) -> None:
-        """Membership-test and reduce the named operands, all at once."""
-        todo = [name for name in dict.fromkeys(names) if ("reduced", name) not in self._cache]
-        admits, bounded, reduced = self.space.reduce_all([self.full(name) for name in todo])
-        for name, a, b, R in zip(todo, admits, bounded, reduced):
-            self._cache["reduced", name] = R if a and b else None
-
-    def member_ok(self, name: str) -> bool:
-        if ("reduced", name) not in self._cache:
-            self.reduce_operands([name])
-        return self._cache["reduced", name] is not None
+        self._solved: dict[tuple, Enclosure] = {}
 
     def mat(self, name: str) -> np.ndarray:
-        """The operand's reduced matrix."""
-        if not self.member_ok(name):
-            raise MembershipViolated(f"operand {name!r} fails the membership tests")
-        return self._cache["reduced", name]
-
-    def memo(self, key: tuple, compute: Callable):
-        """compute(), once per instance and key."""
-        if key not in self._cache:
-            self._cache[key] = compute()
-        return self._cache[key]
+        """The operand's reduced matrix (None when it fails the membership
+        tests; the driver runs no check that names such an operand)."""
+        return self.reduced[name]
 
     # -- functional requests on reduced matrices ---------------------------
 
     def _request(self, tag: str, M: np.ndarray) -> tuple:
         key = (tag, M.shape[0], M.tobytes())
-        if key not in self._cache:
+        if key not in self._solved:
             self._pending[key] = M
         return key
 
@@ -171,14 +144,13 @@ class Evaluator:
 
     def resolve(self, keys) -> tuple:
         """The enclosures of solved requests."""
-        return tuple(self._cache[key] for key in keys)
+        return tuple(self._solved[key] for key in keys)
 
 
-def _solve_together(evaluators) -> None:
-    """Solve the pending requests of evaluators that share one
-    RadiusOptions: all radii and Crawford numbers in one search, the norms
-    in one singular value call per size.  Each enclosure is the one its
-    matrix gets alone."""
+def _solve_together(evaluators, opts: RadiusOptions) -> None:
+    """Solve the pending requests of evaluators: all radii and Crawford
+    numbers in one search under opts, the norms in one singular value call
+    per size.  Each enclosure is the one its matrix gets alone."""
     pending = {tag: [] for tag in ("radius", "crawford", "norm")}
     for ev in evaluators:
         for key, M in ev._pending.items():
@@ -187,11 +159,11 @@ def _solve_together(evaluators) -> None:
     radii, crawfords = radii_and_crawford_numbers(
         [M for _ev, _key, M in pending["radius"]],
         [M for _ev, _key, M in pending["crawford"]],
-        evaluators[0].opts,
+        opts,
     )
     norms = matrix_norms([M for _ev, _key, M in pending["norm"]])
     for (ev, key, _M), enc in zip(pending["radius"] + pending["crawford"] + pending["norm"], radii + crawfords + norms):
-        ev._cache[key] = enc
+        ev._solved[key] = enc
 
 
 # -- reduced-coordinate algebra ---------------------------------------------
@@ -252,10 +224,10 @@ def _coarse_commutator_rhs(nT: Enclosure, nS: Enclosure, wT: Enclosure, wS: Encl
 
 # -- check evaluators --------------------------------------------------------
 #
-# Each evaluator is a generator: it yields the keys of the functionals it
-# needs and receives their enclosures in the same order.  The driver
-# collects the requests of all entries before solving any, so that one
-# search serves the whole catalog.
+# Each evaluator is a generator that yields once: it yields the keys of
+# the functionals it needs and receives their enclosures in the same
+# order.  The driver collects the requests of every entry before solving
+# any, so that one search serves the whole catalog.
 
 
 def _c1(ev: Evaluator):
@@ -268,7 +240,7 @@ def _c1(ev: Evaluator):
 
 
 def _c2(ev: Evaluator):
-    if not ev.memo(("selfadjoint", "Tsa"), lambda: ev.space.is_a_selfadjoint(ev.full("Tsa"))):
+    if not ev.space.is_a_selfadjoint(ev.ops["Tsa"]):
         raise PreconditionFailed("operand Tsa is not selfadjoint for the seed")
     Tsa = ev.mat("Tsa")
     nrm, w = yield ev.n(Tsa), ev.w(Tsa)
@@ -373,7 +345,7 @@ def _commutator_size(P: np.ndarray, Q: np.ndarray) -> tuple[float, float]:
 
 
 def _c10(ev: Evaluator):
-    comm, scale = ev.memo(("commutator", "P", "Q"), lambda: _commutator_size(ev.full("P"), ev.full("Q")))
+    comm, scale = _commutator_size(ev.ops["P"], ev.ops["Q"])
     if comm > FACT_TOL * scale:
         raise PreconditionFailed(f"operands do not commute: deviation {comm:.3e}")
     P, Q = ev.mat("P"), ev.mat("Q")
@@ -430,20 +402,16 @@ def _c14(ev: Evaluator):
     ]
 
 
-def _unit_vectors(ev: Evaluator) -> np.ndarray:
-    """C15's seminorm-one vectors of the full space, in reduced coordinates."""
-    X = sample_unit_vectors(ev.space, VECTOR_COUNT, content_seed(ev.space.matrix, ev.full("T")))
-    return ev.space.coord_map @ X
-
-
 def _c15(ev: Evaluator):
     if ev.space.rank == 0:
         raise PreconditionFailed("no unit vectors exist for a rank-zero seed")
     T = ev.mat("T")
     (w,) = yield (ev.w(T),)
     Tn = T / w.hi if w.hi > RADIUS_FLOOR else T
-    # For y = C x: |Tn x|_A = |tilde(Tn) y| and |sharp(Tn) x|_A = |tilde(Tn)* y|.
-    Y = ev.memo(("unit vectors", "T"), lambda: _unit_vectors(ev))
+    # Seminorm-one vectors x of the full space, as y = C x in reduced
+    # coordinates: |Tn x|_A = |tilde(Tn) y| and |sharp(Tn) x|_A = |tilde(Tn)* y|.
+    X = sample_unit_vectors(ev.space, VECTOR_COUNT, content_seed(ev.space.matrix, ev.ops["T"]))
+    Y = ev.space.coord_map @ X
     V, W = Tn @ Y, _adj(Tn) @ Y
     vals = np.einsum("ij,ij->j", V.conj(), V) + np.einsum("ij,ij->j", W.conj(), W)
     worst = float(np.max(np.maximum(vals.real, 0.0)))
@@ -544,7 +512,7 @@ def _c23(ev: Evaluator):
         *(ev.w(M) for _v, M in signs),
     )
     if nS.hi <= RADIUS_FLOOR:
-        raise _Skip("seminorm of S vanishes")
+        raise PreconditionFailed("seminorm of S vanishes")
     rhs = _coarse_commutator_rhs(nT, nS, wT, wS)
     worst_lhs = None
     for w in ws:
@@ -552,7 +520,7 @@ def _c23(ev: Evaluator):
             worst_lhs = w
     tol = EQUALITY_TOL * (1.0 + abs(rhs.hi))
     if rhs.lo - worst_lhs.hi >= tol:
-        raise _Skip("commutator bound is not near equality")
+        raise PreconditionFailed("commutator bound is not near equality")
     gap = _part_gap(n_re, n_im)
     notes = {"near_equality_gap": gap.hi, "parts_agree": float(gap.hi < tol)}
     return [("", worst_lhs, rhs)], notes
@@ -743,45 +711,45 @@ def _verdict(slack: float, rhs: Enclosure) -> str:
     return PASS_UNCERTIFIED
 
 
-# Outcomes of an entry that report a skipped row instead of a result.
-_SKIPS = (_Skip, PreconditionFailed, MembershipViolated)
+def _advance(stages, value, out: list, i: int):
+    """Send value into an entry's generator.  Returns the keys it yields
+    next, or None once its (variants, notes) or skip is stored in out[i]."""
+    try:
+        return stages.send(value)
+    except StopIteration as done:
+        out[i] = done.value if isinstance(done.value, tuple) else (done.value, {})
+    except PreconditionFailed as exc:
+        out[i] = exc
+    return None
 
 
-def _evaluate(jobs) -> list[list]:
+def _evaluate(jobs, opts: RadiusOptions | None) -> list[list]:
     """For each (evaluator, entries) job, each entry's (variants, notes) or
     the skip it raised.
 
-    All evaluators of all jobs run side by side: at each stage the
-    requests of every one of them are solved together before any
-    continues.
+    One pass: every entry yields its requests once, the requests of all
+    jobs are solved together, and every entry then receives its
+    enclosures and finishes.
     """
     outcomes = [[None] * len(entries) for _ev, entries in jobs]
-    running: list = []
-
-    def advance(out: list, i: int, ev: Evaluator, stages, step) -> None:
-        try:
-            running.append((out, i, ev, stages, step()))
-        except StopIteration as done:
-            out[i] = done.value if isinstance(done.value, tuple) else (done.value, {})
-        except _SKIPS as exc:
-            out[i] = exc
-
+    started = []
     for (ev, entries), out in zip(jobs, outcomes):
-        ev.reduce_operands(name for entry in entries for name in entry.operands)
         for i, entry in enumerate(entries):
-            missing = [name for name in entry.operands if not ev.member_ok(name)]
-            if missing:
-                out[i] = MembershipViolated(
-                    f"{entry.check_id}: operand {missing[0]!r} fails the membership tests"
-                )
+            unsupplied = [name for name in entry.operands if name not in ev.reduced]
+            if unsupplied:
+                raise BadConfig(f"operand {unsupplied[0]!r} not supplied")
+            failing = [name for name in entry.operands if ev.reduced[name] is None]
+            if failing:
+                out[i] = MembershipViolated(f"{entry.check_id}: operand {failing[0]!r} fails the membership tests")
                 continue
             stages = entry.evaluate(ev)
-            advance(out, i, ev, stages, lambda: next(stages))
-    while running:
-        _solve_together([ev for ev, _entries in jobs])
-        waiting, running = running, []
-        for out, i, ev, stages, keys in waiting:
-            advance(out, i, ev, stages, lambda: stages.send(ev.resolve(keys)))
+            keys = _advance(stages, None, out, i)
+            if keys is not None:
+                started.append((ev, entry, stages, out, i, keys))
+    _solve_together([ev for ev, _entries in jobs], opts if opts is not None else RadiusOptions())
+    for ev, entry, stages, out, i, keys in started:
+        if _advance(stages, ev.resolve(keys), out, i) is not None:
+            raise RuntimeError(f"check {entry.check_id} yielded a second time; a check requests its functionals once")
     return outcomes
 
 
@@ -832,9 +800,7 @@ def run_check(
     entry = CATALOG.get(check_id)
     if entry is None:
         raise UnknownCheck(f"no catalog entry {check_id!r}")
-    ((outcome,),) = _evaluate([(Evaluator(space, operands, opts), [entry])])
-    if isinstance(outcome, _Skip):
-        raise PreconditionFailed(str(outcome))
+    ((outcome,),) = _evaluate([(Evaluator(space, operands), [entry])], opts)
     if isinstance(outcome, Exception):
         raise outcome
     return _result(entry, instance, outcome)
@@ -867,14 +833,14 @@ def run_many(items, opts: RadiusOptions | None = None, checks=None) -> list[list
     jobs, labels = [], []
     for space, operands, instance in items:
         ids = list(checks) if checks is not None else [cid for cid, d in CATALOG.items() if set(d.operands) <= set(operands)]
-        jobs.append((Evaluator(space, operands, opts), [CATALOG[cid] for cid in ids]))
+        jobs.append((Evaluator(space, operands), [CATALOG[cid] for cid in ids]))
         labels.append(instance)
     return [
         [
             _skip_result(entry.check_id, instance, str(out)) if isinstance(out, Exception) else _result(entry, instance, out)
             for entry, out in zip(entries, outcomes)
         ]
-        for (_ev, entries), instance, outcomes in zip(jobs, labels, _evaluate(jobs))
+        for (_ev, entries), instance, outcomes in zip(jobs, labels, _evaluate(jobs, opts))
     ]
 
 

@@ -33,7 +33,7 @@ from .catalog import (
     VIOLATION_TOL,
 )
 from .errors import BadConfig, SemiradiusError
-from .functionals import RadiusOptions
+from .functionals import DEFAULT_GAP_SCALE, DEFAULT_GRID, DEFAULT_MC_SAMPLES, RadiusOptions
 from .kernel import DEFAULT_CUTOFF, HERMITIAN_TOL, PSD_TOL
 from .space import FACT_TOL
 
@@ -99,6 +99,17 @@ def _default_workers() -> int:
         return 1
 
 
+def _add_solver_flags(parser) -> None:
+    parser.add_argument("--grid", type=int, default=DEFAULT_GRID, help="initial angle grid count")
+    parser.add_argument("--gap", type=float, default=DEFAULT_GAP_SCALE, help="relative enclosure gap target")
+    parser.add_argument("--oracle-samples", type=int, default=DEFAULT_MC_SAMPLES, help="Monte Carlo cap samples")
+
+
+def _solver_settings(args) -> dict:
+    """The solver flags as RadiusOptions (and CampaignConfig) fields."""
+    return {"grid_count": args.grid, "gap_scale": args.gap, "oracle_samples": args.oracle_samples}
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="semiradius", description=__doc__)
     parser.add_argument("--version", action="version", version=f"semiradius {__version__}")
@@ -113,9 +124,7 @@ def _build_parser() -> _Parser:
     camp.add_argument("--lam-min", type=float, default=0.1, help="smallest positive eigenvalue")
     camp.add_argument("--lam-max", type=float, default=2.0, help="largest eigenvalue")
     camp.add_argument("--scale", type=float, default=1.0, help="operator entry scale")
-    camp.add_argument("--grid", type=int, default=256, help="initial angle grid count")
-    camp.add_argument("--gap", type=float, default=1e-9, help="relative enclosure gap target")
-    camp.add_argument("--oracle-samples", type=int, default=4096, help="Monte Carlo cap samples")
+    _add_solver_flags(camp)
     camp.add_argument("--checks", default="all", help="subset such as C1..C5,C12, or 'all'")
     camp.add_argument("--out", default=None, help="write the JSON report here")
     camp.add_argument("--csv", default=None, help="write per-check aggregate CSV here")
@@ -126,9 +135,7 @@ def _build_parser() -> _Parser:
 
     ver = sub.add_parser("verify", help="replay all applicable checks on an instance file")
     ver.add_argument("file", help="instance JSON written by this tool")
-    ver.add_argument("--grid", type=int, default=256, help="initial angle grid count")
-    ver.add_argument("--gap", type=float, default=1e-9, help="relative enclosure gap target")
-    ver.add_argument("--oracle-samples", type=int, default=4096, help="Monte Carlo cap samples")
+    _add_solver_flags(ver)
 
     sub.add_parser("info", help="print version and tolerance constants")
     return parser
@@ -144,11 +151,9 @@ def _cmd_campaign(args) -> int:
         lam_min=args.lam_min,
         lam_max=args.lam_max,
         scale=args.scale,
-        grid_count=args.grid,
-        gap_scale=args.gap,
-        oracle_samples=args.oracle_samples,
         checks=_parse_checks(args.checks),
         workers=args.workers if args.workers is not None else _default_workers(),
+        **_solver_settings(args),
     )
     report = run_campaign(config)
     if args.out:
@@ -167,10 +172,7 @@ def _cmd_campaign(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    opts = RadiusOptions(
-        grid_count=args.grid, gap_scale=args.gap, oracle_samples=args.oracle_samples
-    )
-    rows = verify_instance(args.file, opts=opts)
+    rows = verify_instance(args.file, opts=RadiusOptions(**_solver_settings(args)))
     for r in rows:
         print(f"{r.check_id:4s} {r.verdict:19s} slack={r.slack: .6e}")
     totals = {

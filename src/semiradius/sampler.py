@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadConfig, DegenerateSpace
-from .kernel import DEFAULT_CUTOFF
 from .space import SemiHilbertSpace, build_space
 
 SPECTRUM_LAWS = ("uniform", "equal", "geometric")
@@ -64,9 +63,7 @@ class SampleConfig:
     law: str = "uniform"
     lam_min: float = 0.1
     lam_max: float = 2.0
-    scale: float = 1.0
     master_seed: int = 0
-    cutoff: float = DEFAULT_CUTOFF
 
     def __post_init__(self) -> None:
         if self.dim < 1:
@@ -77,8 +74,6 @@ class SampleConfig:
             raise BadConfig(f"unknown spectrum law {self.law!r}")
         if self.rank > 0 and not 0.0 < self.lam_min <= self.lam_max:
             raise BadConfig("spectrum bounds need 0 < lam_min <= lam_max")
-        if self.scale < 0.0:
-            raise BadConfig(f"scale must be nonnegative, got {self.scale}")
         if self.master_seed < 0:
             raise BadConfig(f"master_seed must be non-negative, got {self.master_seed}")
 
@@ -99,15 +94,15 @@ def sample_space(config: SampleConfig) -> SemiHilbertSpace:
     rng = _as_rng(config.master_seed)
     n, r = config.dim, config.rank
     if r == 0:
-        return build_space(np.zeros((n, n)), cutoff=config.cutoff)
+        return build_space(np.zeros((n, n)))
     if config.law == "equal" and r == n:
         # Unitary conjugation of a scalar matrix is itself; skip the
         # rotation so the seed comes out exactly scalar.
-        return build_space(config.lam_max * np.eye(n), cutoff=config.cutoff)
+        return build_space(config.lam_max * np.eye(n))
     lam = _spectrum(config, rng)
     U = haar_unitary(rng, n)
     A = (U[:, :r] * lam) @ U[:, :r].conj().T
-    return build_space(0.5 * (A + A.conj().T), cutoff=config.cutoff)
+    return build_space(0.5 * (A + A.conj().T))
 
 
 def sample_operator_in_BA(space: SemiHilbertSpace, scale: float = 1.0, seed=0) -> np.ndarray:
@@ -131,18 +126,9 @@ def sample_a_selfadjoint(space: SemiHilbertSpace, seed=0, scale: float = 1.0) ->
     return space.re_part(sample_operator_in_BA(space, scale, seed))
 
 
-def sample_unit_vector(space: SemiHilbertSpace, seed=0) -> np.ndarray:
-    """Vector of seminorm one, uniform over the reduced coordinate sphere."""
-    r = space.rank
-    if r == 0:
-        raise DegenerateSpace("no unit vectors exist for a rank-zero seed")
-    rng = _as_rng(seed)
-    y = _ginibre(rng, r, 1)[:, 0]
-    return space.coord_lift @ (y / np.linalg.norm(y))
-
-
 def sample_unit_vectors(space: SemiHilbertSpace, count: int, seed=0) -> np.ndarray:
-    """Matrix whose columns are independent seminorm-one vectors."""
+    """Matrix whose columns are independent seminorm-one vectors, each
+    uniform over the sphere of the reduced coordinates."""
     r = space.rank
     if r == 0:
         raise DegenerateSpace("no unit vectors exist for a rank-zero seed")

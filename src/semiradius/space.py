@@ -1,12 +1,13 @@
 """Semi-inner-product geometry induced by a PSD seed matrix.
 
 A PSD seed A defines the semi-inner product (x, y) -> y* A x and the
-seminorm |x|_A.  Operators are plain square matrices; membership in the
-compatible algebra is a property of a matrix relative to the seed, read
-off reduce_all.  Operators that map the null space of A into itself act on
+seminorm |x|_A.  Vectors enter only through the coordinate map
+C = diag(sqrt(kept eigenvalues)) U_r*, which satisfies |C x| = |x|_A.
+Operators are plain square matrices; membership in the compatible
+algebra is a property of a matrix relative to the seed, read off
+reduce_all.  Operators that map the null space of A into itself act on
 the quotient; their action is realized on coordinates by an r x r matrix
-(the "reduced" matrix) through the coordinate map C = diag(sqrt(kept
-eigenvalues)) U_r*, which satisfies |C x| = |x|_A.
+(the "reduced" matrix) through C.
 
 All factors derived from A (pseudo-inverse, coordinate map and its right
 inverse) come from one shared eigendecomposition, so identities that hold
@@ -20,12 +21,10 @@ import numpy as np
 from .errors import DimensionMismatch, NotABounded, NotInBA
 from .kernel import (
     DEFAULT_CUTOFF,
-    PSD_TOL,
     EigenData,
     as_matrix,
     hermitian_eigendecomposition,
     psd_rank,
-    spectral_norm,
     spectral_norm_bounds,
     spectral_norms,
 )
@@ -65,25 +64,6 @@ class SemiHilbertSpace:
         # numerical null space.  Zero for a rank-0 seed, which counts as zero.
         self._null_norm = float(np.max(np.abs(eigen.values[: n - r]))) if 0 < r < n else 0.0
         self._doubled: SemiHilbertSpace | None = None
-
-    # -- vectors ---------------------------------------------------------
-
-    def _as_vector(self, x) -> np.ndarray:
-        v = np.asarray(x, dtype=np.complex128).reshape(-1)
-        if v.shape[0] != self.dim:
-            raise DimensionMismatch(f"vector length {v.shape[0]} != dim {self.dim}")
-        return v
-
-    def a_inner(self, x, y) -> complex:
-        """Semi-inner product of x against y (conjugate-linear in y)."""
-        xv, yv = self._as_vector(x), self._as_vector(y)
-        return complex(yv.conj() @ (self.matrix @ xv))
-
-    def a_vec_norm(self, x) -> float:
-        """Seminorm of a vector; zero on the null space of the seed."""
-        xv = self._as_vector(x)
-        val = float(np.real(xv.conj() @ (self.matrix @ xv)))
-        return float(np.sqrt(max(val, 0.0)))
 
     # -- operator membership ---------------------------------------------
 
@@ -205,20 +185,6 @@ class SemiHilbertSpace:
             return True
         dev, size = spectral_norms(stack)
         return bool(dev <= FACT_TOL * (1.0 + self.seed_norm * size))
-
-    def is_a_positive(self, M) -> bool:
-        """Whether seed @ M is Hermitian PSD within tolerance (always, for a
-        rank-0 seed, which counts as zero)."""
-        T = self._as_square(M)
-        if not self.rank:
-            return True
-        if not self.is_a_selfadjoint(T):
-            return False
-        AM = self.matrix @ T
-        H = 0.5 * (AM + AM.conj().T)
-        lam_min = float(np.linalg.eigvalsh(H)[0])
-        scale = 1.0 + self.seed_norm * spectral_norm(T)
-        return lam_min >= -PSD_TOL * scale
 
     # -- doubled space and two-by-two blocks -----------------------------
 

@@ -59,6 +59,7 @@ class TestConfig:
             dict(law="cauchy"),
             dict(lam_min=0.0),
             dict(master_seed=-3),
+            dict(scale=-1.0),
         ],
     )
     def test_rejects_bad_config(self, kwargs):

@@ -1,5 +1,6 @@
 """Catalog mechanics: hand-checked slacks, folding, verdicts, reports."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -22,6 +23,8 @@ from semiradius.catalog import (
     tightness_report,
 )
 from semiradius.errors import (
+    BadConfig,
+    DimensionMismatch,
     EmptyInput,
     MembershipViolated,
     PreconditionFailed,
@@ -29,7 +32,7 @@ from semiradius.errors import (
 )
 from semiradius.functionals import RadiusOptions, a_numerical_radius, op_seminorm
 from semiradius.sampler import SampleConfig, sample_bundle, sample_space
-from semiradius.space import FACT_TOL, build_space
+from semiradius.space import FACT_TOL, SemiHilbertSpace, build_space
 
 SHIFT = np.array([[0.0, 1.0], [0.0, 0.0]])
 A_DEG = np.diag([2.0, 0.0])
@@ -110,6 +113,30 @@ class TestErrors:
         sp = build_space(np.zeros((2, 2)))
         with pytest.raises(PreconditionFailed):
             run_check(sp, "C15", {"T": SHIFT})
+
+    def test_missing_operand(self):
+        sp = build_space(np.eye(2))
+        with pytest.raises(BadConfig):
+            run_check(sp, "C5", {"T": SHIFT})
+        with pytest.raises(BadConfig):
+            run_all(sp, {"T": SHIFT}, checks=["C1", "C5"])
+
+    def test_wrong_shaped_operand_fails_even_when_unused(self):
+        # Every supplied operand is reduced up front, whichever checks run.
+        sp = build_space(np.eye(2))
+        with pytest.raises(DimensionMismatch):
+            run_all(sp, {"T": SHIFT, "S": np.eye(3)}, checks=["C1"])
+
+    def test_check_that_yields_twice_is_an_error(self, monkeypatch):
+        def twice(ev):
+            T = ev.mat("T")
+            yield (ev.w(T),)
+            yield (ev.n(T),)
+            return []
+
+        monkeypatch.setitem(CATALOG, "C1", dataclasses.replace(CATALOG["C1"], evaluate=twice))
+        with pytest.raises(RuntimeError, match="C1"):
+            run_all(build_space(np.eye(2)), {"T": SHIFT})
 
 
 class TestPreconditionScreens:
@@ -252,7 +279,7 @@ class TestEvaluatorCache:
         # Two separately built copies of one derived matrix share a request.
         first, second = ev.w(T @ S), ev.w(T @ S)
         assert first == second and len(ev._pending) == 1
-        _solve_together([ev])
+        _solve_together([ev], RadiusOptions())
         enc_first, enc_second = ev.resolve([first, second])
         assert enc_first is enc_second
         assert ev.w(T @ S) == first and not ev._pending
@@ -261,7 +288,7 @@ class TestEvaluatorCache:
         sp, ops = bundle_for(4, 3, space_seed=6, bundle_seed=4)
         ev = Evaluator(sp, ops)
         keys = ev.w(ev.mat("T")), ev.n(ev.mat("S"))
-        _solve_together([ev])
+        _solve_together([ev], RadiusOptions())
         radius, norm = ev.resolve(keys)
         assert radius == a_numerical_radius(sp, ops["T"], RadiusOptions())
         assert norm == op_seminorm(sp, ops["S"])
@@ -275,7 +302,7 @@ class TestEvaluatorCache:
             for layout in ("diagonal", "antidiagonal"):
                 B_reduced = _block(ev.mat("T"), ev.mat("S"), layout)
                 keys = ev.w(B_reduced), ev.n(B_reduced)
-                _solve_together([ev])
+                _solve_together([ev], RadiusOptions())
                 radius, norm = ev.resolve(keys)
                 B = sp.block2(ops["T"], ops["S"], layout)
                 assert overlap(radius, a_numerical_radius(sp.double(), B, RadiusOptions())), (dim, layout)
@@ -296,6 +323,29 @@ class TestRunMany:
         together = run_many(items, opts=opts)
         for (sp, ops, name), rows in zip(items, together):
             assert rows_key(rows) == rows_key(run_all(sp, ops, opts=opts, instance=name))
+
+    def test_one_search_and_one_reduction_per_instance(self, monkeypatch):
+        items = [
+            (*bundle_for(dim, rank, space_seed=30 + k, bundle_seed=k), f"i{k}")
+            for k, (dim, rank) in enumerate([(2, 1), (3, 2), (4, 4), (5, 2), (3, 3)])
+        ]
+        searches, reductions = [], []
+        real_search, real_reduce = catalog_module.radii_and_crawford_numbers, SemiHilbertSpace.reduce_all
+
+        def search(radius_mats, crawford_mats, opts):
+            searches.append(opts)
+            return real_search(radius_mats, crawford_mats, opts)
+
+        def reduce_all(self, mats):
+            reductions.append((id(self), len(mats)))
+            return real_reduce(self, mats)
+
+        monkeypatch.setattr(catalog_module, "radii_and_crawford_numbers", search)
+        monkeypatch.setattr(SemiHilbertSpace, "reduce_all", reduce_all)
+        opts = RadiusOptions(grid_count=64)
+        run_many(items, opts=opts)
+        assert searches == [opts]
+        assert reductions == [(id(sp), len(ops)) for sp, ops, _name in items]
 
     def test_checks_subset_and_unknown_ids(self):
         sp, ops = bundle_for(3, 2, space_seed=1, bundle_seed=1)

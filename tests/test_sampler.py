@@ -17,7 +17,7 @@ from semiradius.sampler import (
     sample_commuting_pair,
     sample_operator_in_BA,
     sample_space,
-    sample_unit_vector,
+    sample_unit_vectors,
 )
 from semiradius.space import SemiHilbertSpace, build_space
 
@@ -47,8 +47,6 @@ class TestSampleConfig:
             SampleConfig(dim=2, rank=1, law="cauchy")
         with pytest.raises(BadConfig):
             SampleConfig(dim=2, rank=1, lam_min=0.0)
-        with pytest.raises(BadConfig):
-            SampleConfig(dim=2, rank=1, scale=-1.0)
         with pytest.raises(BadConfig):
             SampleConfig(dim=2, rank=1, master_seed=-1)
 
@@ -148,19 +146,21 @@ class TestSampleOperators:
 class TestSampleVectors:
     def test_unit_seminorm(self):
         sp = sample_space(SampleConfig(dim=5, rank=3, master_seed=19))
-        x = sample_unit_vector(sp, seed=6)
-        assert sp.a_vec_norm(x) == pytest.approx(1.0, abs=1e-12)
+        X = sample_unit_vectors(sp, 7, seed=6)
+        assert X.shape == (5, 7)
+        seminorms = np.sqrt(np.einsum("ij,ik,kj->j", X.conj(), sp.matrix, X).real)
+        assert np.allclose(seminorms, 1.0, rtol=0.0, atol=1e-12)
 
     def test_degenerate_direction_is_zeroed(self):
         sp = build_space(np.diag([2.0, 0.0]))
-        x = sample_unit_vector(sp, seed=3)
-        assert abs(x[0]) == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-12)
-        assert x[1] == 0.0
+        X = sample_unit_vectors(sp, 3, seed=3)
+        assert np.allclose(np.abs(X[0]), 1.0 / np.sqrt(2.0), rtol=0.0, atol=1e-12)
+        assert not X[1].any()
 
     def test_rank_zero_raises(self):
         sp = build_space(np.zeros((2, 2)))
         with pytest.raises(DegenerateSpace):
-            sample_unit_vector(sp, seed=0)
+            sample_unit_vectors(sp, 4, seed=0)
 
 
 class TestBundle:
