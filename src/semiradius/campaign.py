@@ -108,8 +108,9 @@ class CampaignConfig:
             object.__setattr__(self, "checks", checks)
         if not self.cells():
             raise BadConfig("no (dim, rank) cell matches the requested grid")
-        # Delegates spectrum and seed validation.
+        # Delegates spectrum, seed and solver validation.
         self._sample_config(self.dims[0], min(1, self.dims[0]), self.master_seed)
+        self.options()
 
     def cells(self) -> list[tuple[int, int]]:
         """The (dim, rank) grid in report order."""

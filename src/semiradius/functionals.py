@@ -3,26 +3,29 @@
 The radius of a matrix M is the maximum over angles of the top eigenvalue
 of the rotated Hermitian part H(t) = cos(t) P + sin(t) K, where
 P = (M + M*)/2 and K = i (M - M*)/2.  The Crawford number replaces the top
-eigenvalue by the bottom one and clamps at zero.  Both are computed by
-branch and bound over the circle:
+eigenvalue by the bottom one and clamps at zero.  H(t + pi) = -H(t), so
+one eigensolve at t answers for t and t + pi: both are computed by branch
+and bound over the half circle [0, pi), the radius as the maximum of
+max(lambda_max, -lambda_min) of H(t), the Crawford number as
+max(0, maximum of max(lambda_min, -lambda_max)).
 
 * every evaluated angle yields an attained value, so the running maximum
   is a true lower bound;
-* each cell of half-width w carries the Lipschitz certificate
-  value + |M| * w (the angle derivative of H is bounded by |M|);
-* cells are additionally capped by a rotation certificate.  For the radius,
-  a cell containing a maximizing angle satisfies value >= radius * cos(w),
-  giving the cap value / cos(w).  For the Crawford number, the bottom
-  eigenvector y at the cell center gives the cosine curve
-  t -> Re(exp(it) y* M y) lying above the objective, whose exact maximum
-  over the cell caps the cell.
+* each cell of half-width w is capped by a rotation certificate.  For the
+  radius, the cell holding a maximizing angle (of either half turn)
+  satisfies value >= radius * cos(w), giving the cap value / cos(w).  For
+  the Crawford number, the bottom eigenvector y of H at the cell center t
+  gives the cosine curve s -> Re(exp(is) y* M y), which lies above
+  lambda_min(H(s)) and touches it at t; the top eigenvector gives one
+  touching at t + pi.  The larger of their exact maxima caps the cell;
+* the Lipschitz cap value + |M| * w is implied: with at least four grid
+  angles w is about pi/4 at most, where no rotation cap exceeds it.
 
 Cells whose cap cannot beat the running lower bound are pruned; surviving
 cells are subdivided until the enclosure gap meets the target or the round
-budget runs out.  H(t + pi) = -H(t), so one eigensolve serves two angles.
-
-Crawford upper ends are further capped by a Monte Carlo scan of
-|y* M y| over random unit vectors, which bounds the infimum from above.
+budget runs out.  After the search, Crawford upper ends are further capped
+by a Monte Carlo scan of |y* M y| over random unit vectors, which bounds
+the infimum from above.
 
 radii_and_crawford_numbers runs one search for many matrices: each round
 makes one eigensolve call (per chunk of cells of bounded size) for every
@@ -118,12 +121,14 @@ class Enclosure:
 
 @dataclass(frozen=True)
 class RadiusOptions:
-    """Knobs for the circle branch and bound and its Monte Carlo helpers.
+    """Knobs for the half-circle branch and bound and its Monte Carlo cap.
 
-    The search starts from grid_count angles and refines for at most
-    DEFAULT_MAX_ROUNDS rounds towards the enclosure gap gap_scale * (1 + |M|)
-    per matrix.  oracle_samples drives the Monte Carlo cap inside the
-    Crawford computation, whose vectors come from stream 0.
+    The search starts from grid_count angles around the circle, that is
+    ceil(grid_count / 2) cells on the half circle, and refines for at most
+    DEFAULT_MAX_ROUNDS rounds towards the enclosure gap
+    gap_scale * (1 + |M|) per matrix.  oracle_samples drives the Monte
+    Carlo cap applied to Crawford enclosures after the search, whose
+    vectors come from stream 0.
     """
 
     grid_count: int = DEFAULT_GRID
@@ -240,12 +245,6 @@ def _extremes(H, vectors: bool = False):
         raise NoConvergence(f"batched eigendecomposition failed: {exc}") from exc
 
 
-def _reduce_angles(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    t = np.mod(thetas, 2.0 * np.pi)
-    flip = t >= np.pi
-    return np.where(flip, t - np.pi, t), flip
-
-
 def _quad_forms(M: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """y* M y for every column y of Y."""
     return np.add.reduce(Y.conj() * (M @ Y), axis=0)
@@ -304,51 +303,47 @@ class _Pencils:
         s = np.sqrt(np.maximum(_extremes(np.swapaxes(H.conj(), -1, -2) @ H)[1], 0.0))
         return -s, s
 
-    def values(self, ext, flip: np.ndarray, seg: np.ndarray):
-        """Objective values of cells from the extremes of H at their reduced
-        angles, and for the Crawford search y* M y at each eigenvector y.
-
-        flip marks cells whose angle is past pi, which see -H.  The radius
-        maximizes the top eigenvalue; the Crawford search the bottom one.
-        """
+    def values(self, ext, seg: np.ndarray):
+        """Objective values of cells from the extremes of H at their
+        centers, and for the Crawford search y* M y at the bottom and the
+        top eigenvectors y."""
         if self.A is None:
             wmin, wmax = ext
-            return np.where(flip, -wmin, wmax), None
+            return np.maximum(wmax, -wmin), None
         wmin, wmax, vmin, vmax = ext
-        Y = np.where(flip[:, None], vmax, vmin)
         step = self.step
-        q = _joined([self._forms(seg[a : a + step], Y[a : a + step]) for a in range(0, Y.shape[0], step)])
-        return np.where(flip, -wmax, wmin), q
+        qs = [
+            _joined([self._forms(seg[a : a + step], Y[a : a + step]) for a in range(0, Y.shape[0], step)])
+            for Y in (vmin, vmax)
+        ]
+        return np.maximum(wmin, -wmax), qs
 
     def _forms(self, seg: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """y* M y for each cell's vector y and matrix M."""
         A = self.A[0] if self.A.shape[0] == 1 else np.take(self.A, seg, axis=0)
         return np.add.reduce(Y.conj() * np.add.reduce(A * Y[:, None, :], axis=2), axis=1)
 
-    def bound(self, vals: np.ndarray, q, centers: np.ndarray, hw: float) -> np.ndarray:
+    def bound(self, vals: np.ndarray, qs, centers: np.ndarray, hw: float) -> np.ndarray:
         """The rotation certificate of cells of half-width hw."""
         if self.A is None:
-            return np.where(vals >= 0.0, vals / np.cos(hw), -np.inf)
-        # Exact maximum over the cell of the tangent cosine curve.
-        dist = np.abs(_wrap_angle(-np.angle(q) - centers))
-        return np.abs(q) * np.cos(np.maximum(dist - hw, 0.0))
+            return vals / np.cos(hw)
+        # y* H(s) y = Re(exp(is) q) lies above lambda_min(H(s)) for every s;
+        # the top eigenvector's curve, taken at s = t + pi, is
+        # Re(exp(it) (-q)).  Each curve's exact maximum over the cell.
+        bounds = []
+        for q in (qs[0], -qs[1]):
+            dist = np.abs(_wrap_angle(-np.angle(q) - centers))
+            bounds.append(np.abs(q) * np.cos(np.maximum(dist - hw, 0.0)))
+        return np.maximum(*bounds)
 
 
-def _twice(x: np.ndarray, k: int, half: int) -> np.ndarray:
-    """Per matrix, the rows of the half grid followed by the same rows."""
-    shape = x.shape[1:]
-    return np.concatenate([x.reshape(k, half, *shape)] * 2, axis=1).reshape(-1, *shape)
+def _search(groups: list[_Pencils], gap, opts: RadiusOptions):
+    """Half-circle branch and bound over stacks of pencils.
 
-
-def _search(groups: list[_Pencils], L, gap, cap, opts: RadiusOptions):
-    """Circle branch and bound over stacks of pencils.
-
-    Radius matrices maximize the top eigenvalue of H(t), Crawford matrices
-    the bottom one.  cap holds each matrix's Monte Carlo upper bound: +inf
-    for the radius, whose running maximum is never negative, so that one
-    stopping test serves both.  L, gap and cap hold per-matrix values in
-    group order.  Returns per-matrix arrays (lo, hi) before the
-    evaluation pad.
+    Radius matrices maximize max(lambda_max, -lambda_min) of H(t) over
+    [0, pi), Crawford matrices max(lambda_min, -lambda_max).  gap holds
+    the per-matrix targets in group order.  Returns per-matrix arrays
+    (lo, hi) before the evaluation pad.
 
     Every matrix owns its cells, bounds and stopping test, and leaves the
     loop as soon as its own gap is met, so its result does not depend on
@@ -356,40 +351,34 @@ def _search(groups: list[_Pencils], L, gap, cap, opts: RadiusOptions):
     group; per round, one eigensolve call per group (per chunk of cells)
     serves every matrix of the group still refining.
     """
-    count = opts.grid_count + (opts.grid_count % 2)
-    half = count // 2
-    h = 2.0 * np.pi / count
-    ts = h * np.arange(half)
-    flip = np.repeat([False, True], half)
-    # Live matrices per group, and the cells of each group as (first, end).
+    half = (opts.grid_count + 1) // 2
+    h = np.pi / half
+    k = gap.size
     sizes = [g.Pv.shape[0] for g in groups]
-    vals, qs, cuts = [], [], []
-    for g, n in zip(groups, sizes):
-        # H(t + pi) = -H(t): one eigensolve serves the cells at t and t + pi.
-        ext = g.extremes(np.arange(n).repeat(half), np.tile(ts, n))
-        v, q = g.values([_twice(x, n, half) for x in ext], np.tile(flip, n), np.arange(n).repeat(count))
-        first = cuts[-1][1] if cuts else 0
-        cuts.append((first, first + v.size))
-        vals.append(v)
-        qs.append(q)
-    k = L.shape[0]
-    vals = _joined(vals)
-    seg = np.arange(k).repeat(count)  # position in live of each cell's matrix
-    centers = np.tile(np.concatenate([ts, ts + np.pi]), k)
-    starts = count * np.arange(k)
-    lo = vals.reshape(k, count).max(axis=1)
-    hi = lo.copy()
+    seg = np.arange(k).repeat(half)  # position in live of each cell's matrix
+    centers = np.tile(h * np.arange(half), k)
+    kept = np.full(k, half)
+    lo, hi = np.full(k, -np.inf), np.empty(k)
     # Per-matrix state of the matrices still refining, in group order.
-    live = np.arange(k)
-    lo_l, L_l, gap_l, cap_l = lo.copy(), L, np.full(k, gap), cap
+    live, lo_l, gap_l = np.arange(k), lo.copy(), gap
     hw = 0.5 * h * (1.0 + 1e-12)
     halves = (2.0 * np.arange(_SUBDIV) + 1.0 - _SUBDIV) / _SUBDIV
     for round_no in range(DEFAULT_MAX_ROUNDS + 1):
-        rot = _joined([g.bound(vals[a:b], q, centers[a:b], hw) for g, q, (a, b) in zip(groups, qs, cuts)])
-        ub = np.minimum(vals + L_l[seg] * hw, rot)
+        ends = kept.cumsum()
+        starts = ends - kept
+        vals, ubs, first = [], [], 0
+        for g, n in zip(groups, sizes):
+            a, b = starts[first], ends[first + n - 1]
+            sg = seg[a:b] - first
+            v, qs = g.values(g.extremes(sg, centers[a:b]), sg)
+            vals.append(v)
+            ubs.append(g.bound(v, qs, centers[a:b], hw))
+            first += n
+        vals, ub = _joined(vals), _joined(ubs)
+        lo_l = np.maximum(lo_l, np.maximum.reduceat(vals, starts))
         hi_l = np.maximum(lo_l, np.maximum.reduceat(ub, starts))
         floor = np.maximum(lo_l, 0.0)
-        done = np.minimum(np.maximum(hi_l, 0.0), np.maximum(cap_l, floor)) - floor <= gap_l
+        done = np.maximum(hi_l, 0.0) - floor <= gap_l
         if round_no == DEFAULT_MAX_ROUNDS:
             lo[live], hi[live] = lo_l, hi_l
             break
@@ -413,28 +402,13 @@ def _search(groups: list[_Pencils], L, gap, cap, opts: RadiusOptions):
                     g.keep(mask)
                     kept_groups.append(g)
             groups, sizes = kept_groups, [g.Pv.shape[0] for g in kept_groups]
-            live, lo_l, L_l, gap_l, cap_l = live[refine], lo_l[refine], L_l[refine], gap_l[refine], cap_l[refine]
+            live, lo_l, gap_l = live[refine], lo_l[refine], gap_l[refine]
             seg = (refine.cumsum() - 1)[seg]
             kept = kept[refine]
         centers = (centers[keep][:, None] + hw * halves).reshape(-1)
         seg = seg[keep].repeat(_SUBDIV)
         kept *= _SUBDIV
-        ends = kept.cumsum()
-        starts = ends - kept
         hw /= _SUBDIV
-        ts, flip = _reduce_angles(centers)
-        vals, qs, cuts = [], [], []
-        first = 0
-        for g, n in zip(groups, sizes):
-            a, b = starts[first], ends[first + n - 1]
-            sg = seg[a:b] - first
-            v, q = g.values(g.extremes(sg, ts[a:b]), flip[a:b], sg)
-            cuts.append((a, b))
-            vals.append(v)
-            qs.append(q)
-            first += n
-        vals = _joined(vals)
-        lo_l = np.maximum(lo_l, np.maximum.reduceat(vals, starts))
     return lo, hi
 
 
@@ -597,7 +571,7 @@ def radii_and_crawford_numbers(radius_mats, crawford_mats, opts: RadiusOptions =
         targets.extend((crawfords, idx[j]) for j in rest)
     if groups:
         L, cap = np.concatenate(norms), np.concatenate(caps)
-        lo, hi = _search(groups, L, opts.resolve_gap(L), cap, opts)
+        lo, hi = _search(groups, opts.resolve_gap(L), opts)
         err = _EVAL_ERR * (1.0 + L)
         for (out, i), lo_i, hi_i, err_i, cap_i in zip(targets, lo, hi, err, cap):
             lo_c, hi_c = max(float(lo_i - err_i), 0.0), float(max(hi_i, lo_i, 0.0) + err_i)

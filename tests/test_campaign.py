@@ -60,6 +60,9 @@ class TestConfig:
             dict(lam_min=0.0),
             dict(master_seed=-3),
             dict(scale=-1.0),
+            dict(grid_count=3),
+            dict(gap_scale=0.0),
+            dict(oracle_samples=-1),
         ],
     )
     def test_rejects_bad_config(self, kwargs):

@@ -171,6 +171,45 @@ class TestStackedSolves:
         assert radii_and_crawford_numbers([], []) == ([], [])
 
 
+def shifted_jordan(seed: int, n: int, c: float, phi: float = 0.0) -> np.ndarray:
+    """exp(i phi) U (J_n + c I) U*, whose numerical range is the disk of
+    radius cos(pi / (n + 1)) about c exp(i phi)."""
+    U = np.linalg.qr(random_matrix(seed, n))[0]
+    return np.exp(1j * phi) * (U @ (np.diag(np.ones(n - 1), 1) + c * np.eye(n)) @ U.conj().T)
+
+
+class TestHalfCircleSearch:
+    @pytest.mark.parametrize("grid", [4, 5])
+    def test_coarse_grids_enclose_the_disk_values(self, grid):
+        # Rotations move the extremes to angles of either half turn.
+        cases = [(n, c, phi) for n in (2, 3, 5, 8) for c in (0.7, 2.5) for phi in (0.0, 1.0, 2.5, -2.0)]
+        cases.append((3, 0.0, 0.0))
+        mats = [shifted_jordan(7 * n + i, n, c, phi) for i, (n, c, phi) in enumerate(cases)]
+        radii, crawfords = radii_and_crawford_numbers(mats, mats, RadiusOptions(grid_count=grid))
+        for (n, c, _), w, cr in zip(cases, radii, crawfords):
+            r = math.cos(math.pi / (n + 1))
+            assert w.lo <= c + r <= w.hi
+            assert cr.lo <= max(c - r, 0.0) <= cr.hi
+
+    def test_one_eigensolve_serves_both_half_turns(self, monkeypatch):
+        # The range of U J_4 U* is a disk about 0: every angle is a
+        # maximizer, so the search refines the whole (half) circle.
+        counted = [0]
+
+        def counting(solver):
+            def solve(H, *args, **kwargs):
+                counted[0] += H.shape[0] if H.ndim == 3 else 1
+                return solver(H, *args, **kwargs)
+
+            return solve
+
+        for name in ("eigvalsh", "eigh"):
+            monkeypatch.setattr(functionals.np.linalg, name, counting(getattr(functionals.np.linalg, name)))
+        enc = numerical_radius(shifted_jordan(0, 4, 0.0))
+        assert enc.lo <= math.cos(math.pi / 5) <= enc.hi
+        assert counted[0] <= 44_000
+
+
 class TestCrawfordNumber:
     def test_positive_diagonal(self):
         enc = crawford_number(np.diag([1.0, 2.0]))
