@@ -58,10 +58,11 @@ _CSV_FIELDS = (
 
 _INSTANCE_ID = re.compile(r"^d(\d+)_r(\d+)_t(\d+)$")
 
-# Trials of a cell whose functionals are solved together.  Rows do not
-# depend on it; larger chunks spread the per-round cost of the search
-# over more instances, up to _TRIAL_CHUNK, while a chunk's n x n
-# matrices (about 16 per trial) stay within _CHUNK_MATRIX_BYTES.
+# Trials of a cell run together: run_many stacks them and evaluates each
+# check once for all.  Rows do not depend on it; larger chunks spread the
+# per-round cost of the search and of each check over more instances, up
+# to _TRIAL_CHUNK, while their n x n matrices (about 16 per trial) stay
+# within _CHUNK_MATRIX_BYTES.
 _TRIAL_CHUNK = 32
 _CHUNK_MATRIX_BYTES = 1 << 26
 
@@ -246,7 +247,6 @@ def write_csv(report: dict, path) -> None:
         for cid, summary in report["checks"].items():
             row = {k: summary.get(k, "") for k in _CSV_FIELDS[1:]}
             row["check"] = cid
-            row.pop("note_mins", None)
             writer.writerow(row)
 
 

@@ -6,18 +6,26 @@ direction-safely: an upper bound claim passes certified only when the
 entire left enclosure sits at or below the entire right enclosure, up
 to a floor that absorbs last-place rounding between parallel routes.
 Entries carrying a sign choice evaluate both variants and record the one
-with the worse slack.  Checks work on the reduced matrices of their
-operands, which each instance computes once, up front (see Evaluator).
-A run evaluates in one pass: every check states its requests, the
-radius and Crawford requests of all instances are solved together in
-one stacked search, and every check then finishes on its enclosures.
+with the worse slack.
+
+Checks work on the reduced matrices of their operands and run once per
+chunk: the items of a run that share a reduced size, a check list and
+operand names, whose operands are stacked (see _Chunk).  An entry names the functionals
+it needs as expressions such as ``w(TS+ST)`` or ``n(re T)``.  Each
+expression's matrix is built once per chunk; the radii and Crawford
+numbers of all chunks are solved in one stacked search and the norms in
+one singular value call per size; every entry then evaluates on interval
+stacks with one row per item, and the rows split into the results each
+item gets alone.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import re
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -30,6 +38,7 @@ from .errors import (
 )
 from .functionals import (
     Enclosure,
+    Enclosures,
     RadiusOptions,
     iabs,
     iadd,
@@ -73,6 +82,7 @@ class CheckDefinition:
     operands: tuple[str, ...]
     direction: str
     formula: str
+    needs: tuple[str, ...]
     evaluate: Callable
 
 
@@ -89,241 +99,258 @@ class CheckResult:
     notes: dict = field(default_factory=dict)
 
 
-class Evaluator:
-    """Shared per-instance evaluation state in reduced coordinates.
+class _Item(NamedTuple):
+    """A reduced item: per operand, its membership result and r x r matrix."""
 
-    Every supplied operand is membership-tested and reduced to its r x r
-    matrix tilde(T) on construction, in one reduce_all call; ``reduced``
-    maps each name to that matrix, or to None when a test fails.  Since
-    the reduction is an algebra map that turns the A-adjoint into the
-    conjugate transpose, the checks then do plain matrix algebra: block
-    operators are 2r x 2r blocks, and the seminorm, A-numerical radius and
-    A-Crawford number of an operator are the spectral norm, numerical
-    radius and Crawford number of its reduced matrix.
+    position: int
+    space: SemiHilbertSpace
+    ops: dict
+    instance: str
+    member: np.ndarray
+    reduced: np.ndarray
 
-    Checks request these functionals with ``n``, ``w`` and ``c``, which
-    return a request key; ``_solve_together`` computes every pending
-    request at once (the radii and Crawford numbers in one stacked search)
-    and ``resolve`` turns keys into enclosures.  Requests are keyed by the
-    exact bytes of the matrix, so identical derived operands are solved
-    once no matter which check built them.
+
+class _Chunk:
+    """Items of one reduced size r, check list and operand names, evaluated
+    together in reduced coordinates.
+
+    The chunk stacks the reduced matrices tilde(T) of its k items per
+    operand name; ``failing`` lists the rows where an operand fails the
+    membership tests.  Since the reduction is an algebra map that turns the
+    A-adjoint into the conjugate transpose, the checks do plain matrix
+    algebra: block operators are 2r x 2r blocks, and the seminorm,
+    A-numerical radius and A-Crawford number of an operator are the
+    spectral norm, numerical radius and Crawford number of its reduced
+    matrix.  Requests are keyed by expression: ``w(M)``, ``c(M)`` and
+    ``n(M)`` ask for the radius, Crawford number and norm of the matrix
+    expression M (see mat); after _solve, ``chunk[key]`` is the
+    Enclosures stack of a request, one row per item.
     """
 
-    def __init__(self, space: SemiHilbertSpace, operands):
-        self.space = space
-        self.ops = {name: np.asarray(M, dtype=np.complex128) for name, M in operands.items()}
-        admits, bounded, reduced = space.reduce_all(list(self.ops.values()))
-        self.reduced = {name: R if a and b else None for name, a, b, R in zip(self.ops, admits, bounded, reduced)}
-        self._pending: dict[tuple, np.ndarray] = {}
-        self._solved: dict[tuple, Enclosure] = {}
+    def __init__(self, entries, items: list[_Item]):
+        self.entries, self.items, self.k, self.r = entries, items, len(items), items[0].space.rank
+        names = list(items[0].ops)
+        bad = ~np.stack([it.member for it in items], axis=1)
+        self.failing = {names[j]: np.flatnonzero(bad[j]).tolist() for j in np.flatnonzero(bad.any(axis=1))}
+        self._mats = dict(zip(names, np.stack([it.reduced for it in items], axis=1)))
+        self.values: dict[str, Enclosures] = {}
 
-    def mat(self, name: str) -> np.ndarray:
-        """The operand's reduced matrix (None when it fails the membership
-        tests; the driver runs no check that names such an operand)."""
-        return self.reduced[name]
+    def __getitem__(self, key: str) -> Enclosures:
+        return self.values[key]
 
-    # -- functional requests on reduced matrices ---------------------------
+    def once(self, key: str, make):
+        """A quantity derived from solved requests, computed once."""
+        if key not in self.values:
+            self.values[key] = make()
+        return self.values[key]
 
-    def _request(self, tag: str, M: np.ndarray) -> tuple:
-        key = (tag, M.shape[0], M.tobytes())
-        if key not in self._solved:
-            self._pending[key] = M
-        return key
+    def mat(self, expr: str) -> np.ndarray:
+        """The (k, m, m) stack of a matrix expression, built once.
 
-    def w(self, M: np.ndarray) -> tuple:
-        """Request the numerical radius of a reduced matrix."""
-        return self._request("radius", M)
+        An expression is an operand name; ``re X`` or ``im X``; a block
+        ``diagonal(X,Y)`` or ``antidiagonal(X,Y)`` (X upper right, Y lower
+        left); a sum ``A+B`` or difference ``A-B`` of two products; or a
+        product of operands, left to right, where ``X*`` is the adjoint.
+        """
+        M = self._mats.get(expr)
+        if M is None:
+            M = self._mats[expr] = self._build(expr)
+        return M
 
-    def c(self, M: np.ndarray) -> tuple:
-        """Request the Crawford number of a reduced matrix."""
-        return self._request("crawford", M)
-
-    def n(self, M: np.ndarray) -> tuple:
-        """Request the spectral norm of a reduced matrix."""
-        return self._request("norm", M)
-
-    def resolve(self, keys) -> tuple:
-        """The enclosures of solved requests."""
-        return tuple(self._solved[key] for key in keys)
+    def _build(self, expr: str) -> np.ndarray:
+        operation, args = _parse(expr)
+        return _OPERATIONS[operation](*map(self.mat, args))
 
 
-def _solve_together(evaluators, opts: RadiusOptions) -> None:
-    """Solve the pending requests of evaluators: all radii and Crawford
-    numbers in one search under opts, the norms in one singular value call
-    per size.  Each enclosure is the one its matrix gets alone."""
-    pending = {tag: [] for tag in ("radius", "crawford", "norm")}
-    for ev in evaluators:
-        for key, M in ev._pending.items():
-            pending[key[0]].append((ev, key, M))
-        ev._pending.clear()
-    radii, crawfords = radii_and_crawford_numbers(
-        [M for _ev, _key, M in pending["radius"]],
-        [M for _ev, _key, M in pending["crawford"]],
-        opts,
-    )
-    norms = matrix_norms([M for _ev, _key, M in pending["norm"]])
-    for (ev, key, _M), enc in zip(pending["radius"] + pending["crawford"] + pending["norm"], radii + crawfords + norms):
-        ev._solved[key] = enc
+# An operand name in a product, with * for its adjoint.
+_FACTOR = re.compile(r"(?:Tsa|[TS][12]?|[XYPQ])\*?")
 
 
-# -- reduced-coordinate algebra ---------------------------------------------
+@functools.lru_cache(maxsize=256)
+def _parse(expr: str) -> tuple[str, tuple[str, ...]]:
+    """The last operation of a matrix expression and the ones it takes."""
+    part, _, name = expr.partition(" ")
+    if name:
+        return part, (name,)
+    layout, paren, args = expr.partition("(")
+    if paren:
+        return layout, tuple(args.rstrip(")").split(","))
+    for sign in "+-":
+        left, op, right = expr.partition(sign)
+        if op:
+            return sign, (left, right)
+    factors = _FACTOR.findall(expr)
+    if "".join(factors) != expr or factors == [expr] and not expr.endswith("*"):
+        raise KeyError(f"no operand or matrix expression {expr!r}")
+    if len(factors) > 1:
+        return "@", (expr[: -len(factors[-1])], factors[-1])
+    return "*", (expr[:-1],)
+
+
+def _chunks(items, checks) -> list[_Chunk]:
+    """Reduce each (space, operands, instance) item with one reduce_all call
+    and group the items by reduced size, check list and operand names."""
+    groups: dict[tuple, list] = {}
+    for pos, (space, operands, instance) in enumerate(items):
+        ops = {name: np.asarray(M, dtype=np.complex128) for name, M in operands.items()}
+        admits, bounded, reduced = space.reduce_all(list(ops.values()))
+        applicable = (cid for cid, d in CATALOG.items() if ops.keys() >= set(d.operands))
+        ids = tuple(checks if checks is not None else applicable)
+        unsupplied = [name for cid in ids for name in CATALOG[cid].operands if name not in ops]
+        if unsupplied:
+            raise BadConfig(f"operand {unsupplied[0]!r} not supplied")
+        item = _Item(pos, space, ops, instance, admits & bounded, reduced)
+        groups.setdefault((space.rank, ids, tuple(ops)), []).append(item)
+    return [_Chunk([CATALOG[cid] for cid in ids], group) for (_r, ids, _names), group in groups.items()]
+
+
+def _solve(requests, opts: RadiusOptions) -> None:
+    """Solve (chunk, keys) requests: all radii and Crawford numbers in one
+    search, all norms in one singular value call per size."""
+    mats = {"w": [], "c": [], "n": []}
+    slots = []
+    for ch, keys in requests:
+        for key in keys:
+            stack, batch = ch.mat(key[2:-1]), mats[key[0]]
+            slots.append((ch, key, len(batch), len(batch) + len(stack)))
+            batch.extend(stack)
+    radii, crawfords = radii_and_crawford_numbers(mats["w"], mats["c"], opts)
+    solved = {"w": Enclosures.of(radii), "c": Enclosures.of(crawfords), "n": matrix_norms(mats["n"])}
+    for ch, key, start, stop in slots:
+        ch.values[key] = solved[key[0]][start:stop]
+
+
+# -- reduced-coordinate algebra on stacks -------------------------------------
 
 
 def _adj(M: np.ndarray) -> np.ndarray:
     """The A-adjoint in reduced coordinates."""
-    return M.conj().T
+    return np.swapaxes(M.conj(), -1, -2)
 
 
 def _re(M: np.ndarray) -> np.ndarray:
     """Selfadjoint part (M + adj(M)) / 2."""
-    return 0.5 * (M + M.conj().T)
+    return 0.5 * (M + _adj(M))
 
 
 def _im(M: np.ndarray) -> np.ndarray:
     """Skew part (M - adj(M)) / (2i)."""
-    return -0.5j * (M - M.conj().T)
+    return -0.5j * (M - _adj(M))
 
 
 def _block(X: np.ndarray, Y: np.ndarray, layout: str) -> np.ndarray:
-    """Two-by-two block operator: X, Y on the diagonal or X upper right
+    """Two-by-two block operators: X, Y on the diagonal or X upper right
     and Y lower left ("antidiagonal")."""
-    r = X.shape[0]
-    B = np.zeros((2 * r, 2 * r), dtype=np.complex128)
+    r = X.shape[-1]
+    B = np.zeros((*X.shape[:-2], 2 * r, 2 * r), dtype=np.complex128)
     if layout == "diagonal":
-        B[:r, :r], B[r:, r:] = X, Y
+        B[..., :r, :r], B[..., r:, r:] = X, Y
     else:
-        B[:r, r:], B[r:, :r] = X, Y
+        B[..., :r, r:], B[..., r:, :r] = X, Y
     return B
 
 
-def _pm(L: np.ndarray, R: np.ndarray):
-    return (("+", L + R), ("-", L - R))
+_OPERATIONS = {
+    "re": _re,
+    "im": _im,
+    "diagonal": lambda X, Y: _block(X, Y, "diagonal"),
+    "antidiagonal": lambda X, Y: _block(X, Y, "antidiagonal"),
+    "+": np.add,
+    "-": np.subtract,
+    "@": np.matmul,
+    "*": _adj,
+}
 
 
 # -- shared composite quantities --------------------------------------------
 
 
-def _parts(ev: Evaluator, M: np.ndarray) -> tuple:
-    """Requests for the seminorms of the re and im parts of M."""
-    return ev.n(_re(M)), ev.n(_im(M))
+def _sq(ch: _Chunk, key: str):
+    """The square of a solved request."""
+    return ch.once(f"{key}^2", lambda: isq(ch[key]))
 
 
-def _part_gap(n_re: Enclosure, n_im: Enclosure) -> Enclosure:
-    """| seminorm(re part)^2 - seminorm(im part)^2 |."""
-    return iabs(isub(isq(n_re), isq(n_im)))
+def _gap(sq_re, sq_im):
+    """| seminorm(re part)^2 - seminorm(im part)^2 | from the two squares."""
+    return iabs(isub(sq_re, sq_im))
 
 
-def _damped_radius_sq(w: Enclosure, gap: Enclosure) -> Enclosure:
-    """sqrt(radius^2 - part_gap/2), the refinement factor."""
-    return isqrt(isub(isq(w), iscale(0.5, gap)))
+def _part_gap(ch: _Chunk, X: str):
+    """_gap of operand X from its requested part norms."""
+    return ch.once(f"gap {X}", lambda: _gap(_sq(ch, f"n(re {X})"), _sq(ch, f"n(im {X})")))
 
 
-def _coarse_commutator_rhs(nT: Enclosure, nS: Enclosure, wT: Enclosure, wS: Enclosure) -> Enclosure:
-    return iscale(_2SQRT2, imin(imul(nT, wS), imul(nS, wT)))
+def _damped_radius(ch: _Chunk, X: str):
+    """sqrt(radius(X)^2 - part_gap(X)/2), the refinement factor."""
+    return ch.once(f"damped {X}", lambda: isqrt(isub(_sq(ch, f"w({X})"), iscale(0.5, _part_gap(ch, X)))))
+
+
+def _coarse_commutator_rhs(ch: _Chunk):
+    """2 sqrt(2) min(|T| w(S), |S| w(T))."""
+    return ch.once("coarse", lambda: iscale(_2SQRT2, imin(imul(ch["n(T)"], ch["w(S)"]), imul(ch["n(S)"], ch["w(T)"]))))
 
 
 # -- check evaluators --------------------------------------------------------
 #
-# Each evaluator is a generator that yields once: it yields the keys of
-# the functionals it needs and receives their enclosures in the same
-# order.  The driver collects the requests of every entry before solving
-# any, so that one search serves the whole catalog.
+# Each evaluator runs once per chunk, after its entry's requests are solved,
+# and returns its (variant, lhs, rhs) stacks, or those with notes and the
+# rows its preconditions skip: (variants, notes, per-row PreconditionFailed
+# or None).
 
 
-def _c1(ev: Evaluator):
-    T = ev.mat("T")
-    w, nrm = yield ev.w(T), ev.n(T)
+def _c1(ch):
+    w, nrm = ch["w(T)"], ch["n(T)"]
+    return [("lower", iscale(0.5, nrm), w), ("upper", w, nrm)]
+
+
+def _c2(ch):
+    reason = "operand Tsa is not selfadjoint for the seed"
+    skip = [None if it.space.is_a_selfadjoint(it.ops["Tsa"]) else PreconditionFailed(reason) for it in ch.items]
+    return [("", ch["n(Tsa)"], ch["w(Tsa)"])], {}, skip
+
+
+def _c3(ch):
+    left = ch["n(T*T)"]
     return [
-        ("lower", iscale(0.5, nrm), w),
-        ("upper", w, nrm),
+        ("products", left, ch["n(TT*)"]),
+        ("norm-square", left, _sq(ch, "n(T)")),
+        ("adjoint-norm", left, isq(ch["n(T*)"])),
     ]
 
 
-def _c2(ev: Evaluator):
-    if not ev.space.is_a_selfadjoint(ev.ops["Tsa"]):
-        raise PreconditionFailed("operand Tsa is not selfadjoint for the seed")
-    Tsa = ev.mat("Tsa")
-    nrm, w = yield ev.n(Tsa), ev.w(Tsa)
-    return [("", nrm, w)]
+def _c4(ch):
+    d, wsq = ch["n(T*T+TT*)"], _sq(ch, "w(T)")
+    return [("lower", iscale(0.25, d), wsq), ("upper", wsq, iscale(0.5, d))]
 
 
-def _c3(ev: Evaluator):
-    T = ev.mat("T")
-    Ts = _adj(T)
-    left, right, nT, nTs = yield ev.n(Ts @ T), ev.n(T @ Ts), ev.n(T), ev.n(Ts)
+def _c5(ch):
+    rhs = _coarse_commutator_rhs(ch)
+    return [("+", ch["w(TS+ST)"], rhs), ("-", ch["w(TS-ST)"], rhs)]
+
+
+def _c6(ch):
+    rhs = imul(isqrt(ch["n(T1T1*+T2*T2)"]), isqrt(ch["n(S1*S1+S2S2*)"]))
+    return [("+", ch["w(T1S1+S2T2)"], rhs), ("-", ch["w(T1S1-S2T2)"], rhs)]
+
+
+def _c7(ch):
+    top = imax(ch["n(T)"], ch["n(S)"])
     return [
-        ("products", left, right),
-        ("norm-square", left, isq(nT)),
-        ("adjoint-norm", left, isq(nTs)),
+        ("diag-radius", ch["w(diagonal(T,S))"], imax(ch["w(T)"], ch["w(S)"])),
+        ("antidiag-radius", ch["w(antidiagonal(T,T))"], ch["w(T)"]),
+        ("diag-norm", ch["n(diagonal(T,S))"], top),
+        ("antidiag-norm", ch["n(antidiagonal(T,S))"], top),
     ]
 
 
-def _c4(ev: Evaluator):
-    T = ev.mat("T")
-    Ts = _adj(T)
-    d, w = yield ev.n(Ts @ T + T @ Ts), ev.w(T)
-    wsq = isq(w)
-    return [
-        ("lower", iscale(0.25, d), wsq),
-        ("upper", wsq, iscale(0.5, d)),
-    ]
+def _c8(ch):
+    rhs = iscale(4.0, imul(ch["w(antidiagonal(T1,T2))"], ch["w(S)"]))
+    return [("+", ch["w(T1S+ST2)"], rhs), ("-", ch["w(T1S-ST2)"], rhs)]
 
 
-def _c5(ev: Evaluator):
-    T, S = ev.mat("T"), ev.mat("S")
-    signs = _pm(T @ S, S @ T)
-    nT, nS, wT, wS, *ws = yield (ev.n(T), ev.n(S), ev.w(T), ev.w(S), *(ev.w(M) for _v, M in signs))
-    rhs = _coarse_commutator_rhs(nT, nS, wT, wS)
-    return [(v, w, rhs) for (v, _M), w in zip(signs, ws)]
-
-
-def _c6(ev: Evaluator):
-    T1, S1 = ev.mat("T1"), ev.mat("S1")
-    T2, S2 = ev.mat("T2"), ev.mat("S2")
-    signs = _pm(T1 @ S1, S2 @ T2)
-    n_left, n_right, *ws = yield (
-        ev.n(T1 @ _adj(T1) + _adj(T2) @ T2),
-        ev.n(_adj(S1) @ S1 + S2 @ _adj(S2)),
-        *(ev.w(M) for _v, M in signs),
-    )
-    rhs = imul(isqrt(n_left), isqrt(n_right))
-    return [(v, w, rhs) for (v, _M), w in zip(signs, ws)]
-
-
-def _c7(ev: Evaluator):
-    T, S = ev.mat("T"), ev.mat("S")
-    w_diag, wT, wS, w_anti, n_diag, nT, nS, n_anti = yield (
-        ev.w(_block(T, S, "diagonal")),
-        ev.w(T),
-        ev.w(S),
-        ev.w(_block(T, T, "antidiagonal")),
-        ev.n(_block(T, S, "diagonal")),
-        ev.n(T),
-        ev.n(S),
-        ev.n(_block(T, S, "antidiagonal")),
-    )
-    return [
-        ("diag-radius", w_diag, imax(wT, wS)),
-        ("antidiag-radius", w_anti, wT),
-        ("diag-norm", n_diag, imax(nT, nS)),
-        ("antidiag-norm", n_anti, imax(nT, nS)),
-    ]
-
-
-def _c8(ev: Evaluator):
-    T1, T2, S = ev.mat("T1"), ev.mat("T2"), ev.mat("S")
-    signs = _pm(T1 @ S, S @ T2)
-    w_block, wS, *ws = yield (ev.w(_block(T1, T2, "antidiagonal")), ev.w(S), *(ev.w(M) for _v, M in signs))
-    rhs = iscale(4.0, imul(w_block, wS))
-    return [(v, w, rhs) for (v, _M), w in zip(signs, ws)]
-
-
-def _c9(ev: Evaluator):
-    T, S = ev.mat("T"), ev.mat("S")
-    signs = _pm(T @ S, S @ T)
-    wT, wS, *ws = yield (ev.w(T), ev.w(S), *(ev.w(M) for _v, M in signs))
-    rhs = iscale(4.0, imul(wT, wS))
-    return [(v, w, rhs) for (v, _M), w in zip(signs, ws)]
+def _c9(ch):
+    rhs = iscale(4.0, imul(ch["w(T)"], ch["w(S)"]))
+    return [("+", ch["w(TS+ST)"], rhs), ("-", ch["w(TS-ST)"], rhs)]
 
 
 def _commutator_size(P: np.ndarray, Q: np.ndarray) -> tuple[float, float]:
@@ -332,10 +359,8 @@ def _commutator_size(P: np.ndarray, Q: np.ndarray) -> tuple[float, float]:
     P and Q commute when |PQ - QP| <= FACT_TOL (1 + |P| |Q|).  A screen runs
     first: the Frobenius norm of the commutator bounds its spectral norm
     from above and the largest column norm of each factor bounds the
-    factor's from below.  When those bounds already satisfy the inequality
-    they are returned, and no singular values are computed; otherwise the
-    exact spectral norms decide.
-    """
+    factor's from below.  Only when those bounds fail the test are the
+    exact spectral norms computed."""
     stack = np.stack([P @ Q - Q @ P, P, Q])
     lo, hi = spectral_norm_bounds(stack)
     if hi[0] <= FACT_TOL * (1.0 + lo[1] * lo[2]):
@@ -344,360 +369,327 @@ def _commutator_size(P: np.ndarray, Q: np.ndarray) -> tuple[float, float]:
     return comm, 1.0 + nP * nQ
 
 
-def _c10(ev: Evaluator):
-    comm, scale = _commutator_size(ev.ops["P"], ev.ops["Q"])
-    if comm > FACT_TOL * scale:
-        raise PreconditionFailed(f"operands do not commute: deviation {comm:.3e}")
-    P, Q = ev.mat("P"), ev.mat("Q")
-    wP, wQ, wPQ = yield ev.w(P), ev.w(Q), ev.w(P @ Q)
-    rhs = iscale(2.0, imul(wP, wQ))
-    return [("", wPQ, rhs)]
+def _c10(ch):
+    skip = []
+    for it in ch.items:
+        comm, scale = _commutator_size(it.ops["P"], it.ops["Q"])
+        fails = comm > FACT_TOL * scale
+        skip.append(PreconditionFailed(f"operands do not commute: deviation {comm:.3e}") if fails else None)
+    rhs = iscale(2.0, imul(ch["w(P)"], ch["w(Q)"]))
+    return [("", ch["w(PQ)"], rhs)], {}, skip
 
 
-def _c11(ev: Evaluator):
-    T, S = ev.mat("T"), ev.mat("S")
-    lhs, nT, nS, nST = yield ev.n(T @ _adj(T) + _adj(S) @ S), ev.n(T), ev.n(S), ev.n(S @ T)
-    rhs = iadd(imax(isq(nT), isq(nS)), nST)
-    return [("", lhs, rhs)]
+def _c11(ch):
+    rhs = iadd(imax(_sq(ch, "n(T)"), _sq(ch, "n(S)")), ch["n(ST)"])
+    return [("", ch["n(TT*+S*S)"], rhs)]
 
 
-def _c12(ev: Evaluator):
-    X, Y = ev.mat("X"), ev.mat("Y")
-    lhs, n_inner, cYX = yield ev.w(_block(X, Y, "antidiagonal")), ev.n(_adj(X) @ X + Y @ _adj(Y)), ev.c(Y @ X)
-    inner = iadd(n_inner, iscale(2.0, cYX))
-    return [("", lhs, iscale(0.5, isqrt(inner)))]
+def _c12(ch):
+    inner = iadd(ch["n(X*X+YY*)"], iscale(2.0, ch["c(YX)"]))
+    return [("", ch["w(antidiagonal(X,Y))"], iscale(0.5, isqrt(inner)))]
 
 
-def _c13(ev: Evaluator):
-    T, S, X, Y = ev.mat("T"), ev.mat("S"), ev.mat("X"), ev.mat("Y")
-    signs = _pm(T @ X, Y @ S)
-    wblock, nT, nS, nST, cYX, *ws = yield (
-        ev.w(_block(X, Y, "antidiagonal")),
-        ev.n(T),
-        ev.n(S),
-        ev.n(S @ T),
-        ev.c(Y @ X),
-        *(ev.w(M) for _v, M in signs),
-    )
-    first = isqrt(iadd(imax(isq(nT), isq(nS)), nST))
-    second = isqrt(isub(isq(wblock), iscale(0.5, cYX)))
+def _c13(ch):
+    nT, nS, wblock = ch["n(T)"], ch["n(S)"], ch["w(antidiagonal(X,Y))"]
+    first = isqrt(iadd(imax(_sq(ch, "n(T)"), _sq(ch, "n(S)")), ch["n(ST)"]))
+    second = isqrt(isub(isq(wblock), iscale(0.5, ch["c(YX)"])))
     mid = iscale(2.0, imul(first, second))
     outer = iscale(_2SQRT2, imul(imax(nT, nS), wblock))
-    notes = {"chain_slack": outer.lo - mid.hi}
-    variants = [(v, w, mid) for (v, _M), w in zip(signs, ws)]
-    variants.append(("chain", mid, outer))
-    return variants, notes
+    variants = [("+", ch["w(TX+YS)"], mid), ("-", ch["w(TX-YS)"], mid), ("chain", mid, outer)]
+    return variants, {"chain_slack": outer.lo - mid.hi}, None
 
 
-def _c14(ev: Evaluator):
-    T, S = ev.mat("T"), ev.mat("S")
-    nt, ns, nST = yield ev.n(T), ev.n(S), ev.n(S @ T)
-    prod = imul(nt, ns)
-    mean = iscale(0.5, iadd(isq(nt), isq(ns)))
-    top = imax(isq(nt), isq(ns))
+def _c14(ch):
+    prod = imul(ch["n(T)"], ch["n(S)"])
+    nT_sq, nS_sq = _sq(ch, "n(T)"), _sq(ch, "n(S)")
+    mean = iscale(0.5, iadd(nT_sq, nS_sq))
     return [
-        ("product", nST, prod),
+        ("product", ch["n(ST)"], prod),
         ("mean", prod, mean),
-        ("max", mean, top),
+        ("max", mean, imax(nT_sq, nS_sq)),
     ]
 
 
-def _c15(ev: Evaluator):
-    if ev.space.rank == 0:
-        raise PreconditionFailed("no unit vectors exist for a rank-zero seed")
-    T = ev.mat("T")
-    (w,) = yield (ev.w(T),)
-    Tn = T / w.hi if w.hi > RADIUS_FLOOR else T
+def _c15(ch):
+    if ch.r == 0:
+        return [], {}, [PreconditionFailed("no unit vectors exist for a rank-zero seed")] * ch.k
+    T, hi = ch.mat("T"), ch["w(T)"].hi[:, None, None]
+    # T over its radius, or T itself where the radius is below the floor.
+    big = hi > RADIUS_FLOOR
+    Tn = np.where(big, T / np.where(big, hi, 1.0), T)
     # Seminorm-one vectors x of the full space, as y = C x in reduced
     # coordinates: |Tn x|_A = |tilde(Tn) y| and |sharp(Tn) x|_A = |tilde(Tn)* y|.
-    X = sample_unit_vectors(ev.space, VECTOR_COUNT, content_seed(ev.space.matrix, ev.ops["T"]))
-    Y = ev.space.coord_map @ X
+    X = [sample_unit_vectors(it.space, VECTOR_COUNT, content_seed(it.space.matrix, it.ops["T"])) for it in ch.items]
+    Y = np.stack([it.space.coord_map @ x for it, x in zip(ch.items, X)])
     V, W = Tn @ Y, _adj(Tn) @ Y
-    vals = np.einsum("ij,ij->j", V.conj(), V) + np.einsum("ij,ij->j", W.conj(), W)
-    worst = float(np.max(np.maximum(vals.real, 0.0)))
+    vals = np.einsum("kij,kij->kj", V.conj(), V) + np.einsum("kij,kij->kj", W.conj(), W)
+    worst = np.max(np.maximum(vals.real, 0.0), axis=1)
     lhs = ipoint(worst, err=1e-10 * (1.0 + worst))
     # Tn depends on a solved radius, so its parts' norms are computed here.
-    n_re, n_im = matrix_norms([_re(Tn), _im(Tn)])
-    rhs = iscale(4.0, isub(ipoint(1.0), iscale(0.5, _part_gap(n_re, n_im))))
+    parts = matrix_norms([*_re(Tn), *_im(Tn)])
+    rhs = iscale(4.0, isub(ipoint(1.0), iscale(0.5, _gap(isq(parts[: ch.k]), isq(parts[ch.k :])))))
     return [("", lhs, rhs)]
 
 
-def _c16(ev: Evaluator):
-    T = ev.mat("T")
-    Ts = _adj(T)
-    lhs, n_re, n_im = yield (ev.n(Ts @ T + T @ Ts), *_parts(ev, T))
-    top = imax(isq(n_re), isq(n_im))
-    rhs = isub(iscale(4.0, top), iscale(2.0, _part_gap(n_re, n_im)))
-    return [("", lhs, rhs)]
+def _c16(ch):
+    top = imax(_sq(ch, "n(re T)"), _sq(ch, "n(im T)"))
+    rhs = isub(iscale(4.0, top), iscale(2.0, _part_gap(ch, "T")))
+    return [("", ch["n(T*T+TT*)"], rhs)]
 
 
-def _c17(ev: Evaluator):
-    X, Y = ev.mat("X"), ev.mat("Y")
-    lhs, n_plus, n_minus = yield ev.n(_adj(X) @ X + _adj(Y) @ Y), ev.n(X + Y), ev.n(X - Y)
-    np_, nm = isq(n_plus), isq(n_minus)
-    rhs = isub(imax(np_, nm), iscale(0.5, iabs(isub(np_, nm))))
-    return [("", lhs, rhs)]
+def _c17(ch):
+    n_plus, n_minus = isq(ch["n(X+Y)"]), isq(ch["n(X-Y)"])
+    rhs = isub(imax(n_plus, n_minus), iscale(0.5, iabs(isub(n_plus, n_minus))))
+    return [("", ch["n(X*X+Y*Y)"], rhs)]
 
 
-def _c18(ev: Evaluator):
-    T = ev.mat("T")
-    Ts = _adj(T)
-    lhs, w, n_re, n_im = yield (ev.n(Ts @ T + T @ Ts), ev.w(T), *_parts(ev, T))
-    rhs = isub(iscale(4.0, isq(w)), iscale(2.0, _part_gap(n_re, n_im)))
-    return [("", lhs, rhs)]
+def _c18(ch):
+    rhs = isub(iscale(4.0, _sq(ch, "w(T)")), iscale(2.0, _part_gap(ch, "T")))
+    return [("", ch["n(T*T+TT*)"], rhs)]
 
 
-def _c19(ev: Evaluator):
-    T = ev.mat("T")
-    w, w_re, w_im = yield ev.w(T), ev.w(_re(T)), ev.w(_im(T))
-    return [
-        ("re", w_re, w),
-        ("im", w_im, w),
-    ]
+def _c19(ch):
+    w = ch["w(T)"]
+    return [("re", ch["w(re T)"], w), ("im", ch["w(im T)"], w)]
 
 
-def _c20(ev: Evaluator):
-    T, S, X, Y = ev.mat("T"), ev.mat("S"), ev.mat("X"), ev.mat("Y")
-    signs = _pm(T @ X @ S, S @ Y @ T)
-    nS, nX, nY, wT, n_re, n_im, *ws = yield (
-        ev.n(S),
-        ev.n(X),
-        ev.n(Y),
-        ev.w(T),
-        *_parts(ev, T),
-        *(ev.w(M) for _v, M in signs),
-    )
-    factor = imul(nS, imax(nX, nY))
-    rhs = iscale(_2SQRT2, imul(factor, _damped_radius_sq(wT, _part_gap(n_re, n_im))))
-    return [(v, w, rhs) for (v, _M), w in zip(signs, ws)]
+def _c20(ch):
+    factor = imul(ch["n(S)"], imax(ch["n(X)"], ch["n(Y)"]))
+    rhs = iscale(_2SQRT2, imul(factor, _damped_radius(ch, "T")))
+    return [("+", ch["w(TXS+SYT)"], rhs), ("-", ch["w(TXS-SYT)"], rhs)]
 
 
-def _c21(ev: Evaluator):
-    T, S = ev.mat("T"), ev.mat("S")
-    signs = _pm(T @ S, S @ T)
-    nT, nS, wT, wS, nT_re, nT_im, nS_re, nS_im, *ws = yield (
-        ev.n(T),
-        ev.n(S),
-        ev.w(T),
-        ev.w(S),
-        *_parts(ev, T),
-        *_parts(ev, S),
-        *(ev.w(M) for _v, M in signs),
-    )
+def _c21(ch):
     # f(X, Y) = seminorm(Y) * sqrt(radius(X)^2 - part_gap(X)/2)
-    f_TS = imul(nS, _damped_radius_sq(wT, _part_gap(nT_re, nT_im)))
-    f_ST = imul(nT, _damped_radius_sq(wS, _part_gap(nS_re, nS_im)))
+    f_TS = imul(ch["n(S)"], _damped_radius(ch, "T"))
+    f_ST = imul(ch["n(T)"], _damped_radius(ch, "S"))
     rhs = iscale(_2SQRT2, imin(f_TS, f_ST))
-    coarse = _coarse_commutator_rhs(nT, nS, wT, wS)
-    notes = {"coarse_rhs_slack": coarse.lo - rhs.hi}
-    return [(v, w, rhs) for (v, _M), w in zip(signs, ws)], notes
+    notes = {"coarse_rhs_slack": _coarse_commutator_rhs(ch).lo - rhs.hi}
+    return [("+", ch["w(TS+ST)"], rhs), ("-", ch["w(TS-ST)"], rhs)], notes, None
 
 
-def _c22(ev: Evaluator):
-    T = ev.mat("T")
-    nT, wT, n_re, n_im, wTT = yield (ev.n(T), ev.w(T), *_parts(ev, T), ev.w(T @ T))
-    rhs = iscale(math.sqrt(2.0), imul(nT, _damped_radius_sq(wT, _part_gap(n_re, n_im))))
-    return [("", wTT, rhs)]
+def _c22(ch):
+    return [("", ch["w(TT)"], iscale(math.sqrt(2.0), imul(ch["n(T)"], _damped_radius(ch, "T"))))]
 
 
-def _c23(ev: Evaluator):
-    T, S = ev.mat("T"), ev.mat("S")
-    signs = _pm(T @ S, S @ T)
-    nT, nS, wT, wS, n_re, n_im, *ws = yield (
-        ev.n(T),
-        ev.n(S),
-        ev.w(T),
-        ev.w(S),
-        *_parts(ev, T),
-        *(ev.w(M) for _v, M in signs),
+def _c23(ch):
+    rhs = _coarse_commutator_rhs(ch)
+    plus, minus = ch["w(TS+ST)"], ch["w(TS-ST)"]
+    # The sign with the larger upper end, the first on a tie.
+    take = minus.hi > plus.hi
+    worst = Enclosures(
+        np.where(take, minus.lo, plus.lo), np.where(take, minus.hi, plus.hi), np.where(take, minus.code, plus.code)
     )
-    if nS.hi <= RADIUS_FLOOR:
-        raise PreconditionFailed("seminorm of S vanishes")
-    rhs = _coarse_commutator_rhs(nT, nS, wT, wS)
-    worst_lhs = None
-    for w in ws:
-        if worst_lhs is None or w.hi > worst_lhs.hi:
-            worst_lhs = w
-    tol = EQUALITY_TOL * (1.0 + abs(rhs.hi))
-    if rhs.lo - worst_lhs.hi >= tol:
-        raise PreconditionFailed("commutator bound is not near equality")
-    gap = _part_gap(n_re, n_im)
-    notes = {"near_equality_gap": gap.hi, "parts_agree": float(gap.hi < tol)}
-    return [("", worst_lhs, rhs)], notes
-
-
-def _entry(check_id, operands, direction, formula, evaluate) -> CheckDefinition:
-    return CheckDefinition(check_id, tuple(operands), direction, formula, evaluate)
+    tol = EQUALITY_TOL * (1.0 + np.abs(rhs.hi))
+    skip = [
+        PreconditionFailed("seminorm of S vanishes")
+        if vanishes
+        else PreconditionFailed("commutator bound is not near equality")
+        if far
+        else None
+        for vanishes, far in zip(ch["n(S)"].hi <= RADIUS_FLOOR, rhs.lo - worst.hi >= tol)
+    ]
+    gap = _part_gap(ch, "T")
+    notes = {"near_equality_gap": gap.hi, "parts_agree": (gap.hi < tol).astype(float)}
+    return [("", worst, rhs)], notes, skip
 
 
 CATALOG: dict[str, CheckDefinition] = {
     d.check_id: d
     for d in (
-        _entry("C1", ("T",), LE, "0.5*norm(T) <= radius(T) <= norm(T)", _c1),
-        _entry("C2", ("Tsa",), EQ, "norm(Tsa) = radius(Tsa) for selfadjoint Tsa", _c2),
-        _entry(
+        CheckDefinition("C1", ("T",), LE, "0.5*norm(T) <= radius(T) <= norm(T)", ("w(T)", "n(T)"), _c1),
+        CheckDefinition("C2", ("Tsa",), EQ, "norm(Tsa) = radius(Tsa) for selfadjoint Tsa", ("n(Tsa)", "w(Tsa)"), _c2),
+        CheckDefinition(
             "C3",
             ("T",),
             EQ,
             "norm(sharp(T)T) = norm(T sharp(T)) = norm(T)^2 = norm(sharp(T))^2",
+            ("n(T*T)", "n(TT*)", "n(T)", "n(T*)"),
             _c3,
         ),
-        _entry(
+        CheckDefinition(
             "C4",
             ("T",),
             LE,
             "norm(sharp(T)T + T sharp(T))/4 <= radius(T)^2 <= norm(...)/2",
+            ("n(T*T+TT*)", "w(T)"),
             _c4,
         ),
-        _entry(
+        CheckDefinition(
             "C5",
             ("T", "S"),
             LE,
             "radius(TS+-ST) <= 2*sqrt(2)*min(norm(T)radius(S), norm(S)radius(T))",
+            ("n(T)", "n(S)", "w(T)", "w(S)", "w(TS+ST)", "w(TS-ST)"),
             _c5,
         ),
-        _entry(
+        CheckDefinition(
             "C6",
             ("T1", "S1", "T2", "S2"),
             LE,
             "radius(T1S1+-S2T2) <= sqrt(norm(T1 sharp(T1) + sharp(T2)T2))"
             " * sqrt(norm(sharp(S1)S1 + S2 sharp(S2)))",
+            ("n(T1T1*+T2*T2)", "n(S1*S1+S2S2*)", "w(T1S1+S2T2)", "w(T1S1-S2T2)"),
             _c6,
         ),
-        _entry(
+        CheckDefinition(
             "C7",
             ("T", "S"),
             EQ,
             "block radii and norms reduce to componentwise max",
+            ("w(diagonal(T,S))", "w(T)", "w(S)", "w(antidiagonal(T,T))")
+            + ("n(diagonal(T,S))", "n(T)", "n(S)", "n(antidiagonal(T,S))"),
             _c7,
         ),
-        _entry(
+        CheckDefinition(
             "C8",
             ("T1", "T2", "S"),
             LE,
             "radius(T1 S +- S T2) <= 4*radius(antidiag(T1,T2))*radius(S)",
+            ("w(antidiagonal(T1,T2))", "w(S)", "w(T1S+ST2)", "w(T1S-ST2)"),
             _c8,
         ),
-        _entry("C9", ("T", "S"), LE, "radius(TS+-ST) <= 4*radius(T)*radius(S)", _c9),
-        _entry(
+        CheckDefinition(
+            "C9",
+            ("T", "S"),
+            LE,
+            "radius(TS+-ST) <= 4*radius(T)*radius(S)",
+            ("w(T)", "w(S)", "w(TS+ST)", "w(TS-ST)"),
+            _c9,
+        ),
+        CheckDefinition(
             "C10",
             ("P", "Q"),
             LE,
             "radius(PQ) <= 2*radius(P)*radius(Q) when PQ = QP",
+            ("w(P)", "w(Q)", "w(PQ)"),
             _c10,
         ),
-        _entry(
+        CheckDefinition(
             "C11",
             ("T", "S"),
             LE,
             "norm(T sharp(T) + sharp(S)S) <= max(norm(T)^2, norm(S)^2) + norm(ST)",
+            ("n(TT*+S*S)", "n(T)", "n(S)", "n(ST)"),
             _c11,
         ),
-        _entry(
+        CheckDefinition(
             "C12",
             ("X", "Y"),
             GE,
             "radius(antidiag(X,Y)) >="
             " sqrt(norm(sharp(X)X + Y sharp(Y)) + 2*crawford(YX))/2",
+            ("w(antidiagonal(X,Y))", "n(X*X+YY*)", "c(YX)"),
             _c12,
         ),
-        _entry(
+        CheckDefinition(
             "C13",
             ("T", "S", "X", "Y"),
             LE,
             "radius(TX+-YS) <= 2*sqrt(max(norm(T)^2,norm(S)^2)+norm(ST))"
             " * sqrt(radius(antidiag(X,Y))^2 - crawford(YX)/2)"
             " <= 2*sqrt(2)*max(norm(T),norm(S))*radius(antidiag(X,Y))",
+            ("w(antidiagonal(X,Y))", "n(T)", "n(S)", "n(ST)", "c(YX)", "w(TX+YS)", "w(TX-YS)"),
             _c13,
         ),
-        _entry(
+        CheckDefinition(
             "C14",
             ("T", "S"),
             LE,
             "norm(ST) <= norm(T)norm(S) <= (norm(T)^2+norm(S)^2)/2"
             " <= max(norm(T)^2, norm(S)^2)",
+            ("n(T)", "n(S)", "n(ST)"),
             _c14,
         ),
-        _entry(
+        CheckDefinition(
             "C15",
             ("T",),
             LE,
             "vecnorm(T'x)^2 + vecnorm(sharp(T')x)^2 <= 4 - 2*partgap(T')"
             " for unit x, T' = T/radius hi",
+            ("w(T)",),
             _c15,
         ),
-        _entry(
+        CheckDefinition(
             "C16",
             ("T",),
             LE,
             "norm(sharp(T)T + T sharp(T)) <= 4*max(norm(re T)^2, norm(im T)^2)"
             " - 2*partgap(T)",
+            ("n(T*T+TT*)", "n(re T)", "n(im T)"),
             _c16,
         ),
-        _entry(
+        CheckDefinition(
             "C17",
             ("X", "Y"),
             LE,
             "norm(sharp(X)X + sharp(Y)Y) <= max(norm(X+Y)^2, norm(X-Y)^2)"
             " - |norm(X+Y)^2 - norm(X-Y)^2|/2",
+            ("n(X*X+Y*Y)", "n(X+Y)", "n(X-Y)"),
             _c17,
         ),
-        _entry(
+        CheckDefinition(
             "C18",
             ("T",),
             LE,
             "norm(sharp(T)T + T sharp(T)) <= 4*radius(T)^2 - 2*partgap(T)",
+            ("n(T*T+TT*)", "w(T)", "n(re T)", "n(im T)"),
             _c18,
         ),
-        _entry(
+        CheckDefinition(
             "C19",
             ("T",),
             LE,
             "radius(re T) <= radius(T) and radius(im T) <= radius(T)",
+            ("w(T)", "w(re T)", "w(im T)"),
             _c19,
         ),
-        _entry(
+        CheckDefinition(
             "C20",
             ("T", "S", "X", "Y"),
             LE,
             "radius(TXS+-SYT) <= 2*sqrt(2)*norm(S)*max(norm(X),norm(Y))"
             " * sqrt(radius(T)^2 - partgap(T)/2)",
+            ("n(S)", "n(X)", "n(Y)", "w(T)", "n(re T)", "n(im T)", "w(TXS+SYT)", "w(TXS-SYT)"),
             _c20,
         ),
-        _entry(
+        CheckDefinition(
             "C21",
             ("T", "S"),
             LE,
             "radius(TS+-ST) <= 2*sqrt(2)*min(f(T,S), f(S,T)),"
             " f(X,Y) = norm(Y)*sqrt(radius(X)^2 - partgap(X)/2)",
+            ("n(T)", "n(S)", "w(T)", "w(S)", "n(re T)", "n(im T)", "n(re S)", "n(im S)", "w(TS+ST)", "w(TS-ST)"),
             _c21,
         ),
-        _entry(
+        CheckDefinition(
             "C22",
             ("T",),
             LE,
             "radius(T^2) <= sqrt(2)*norm(T)*sqrt(radius(T)^2 - partgap(T)/2)",
+            ("n(T)", "w(T)", "n(re T)", "n(im T)", "w(TT)"),
             _c22,
         ),
-        _entry(
+        CheckDefinition(
             "C23",
             ("T", "S"),
             CONDITIONAL,
             "near equality in the commutator bound implies partgap(T) near 0",
+            ("n(T)", "n(S)", "w(T)", "w(S)", "n(re T)", "n(im T)", "w(TS+ST)", "w(TS-ST)"),
             _c23,
         ),
     )
 }
 
 
-def _slack(direction: str, lhs: Enclosure, rhs: Enclosure) -> float:
+def _slack(direction: str, lhs_lo: float, lhs_hi: float, rhs_lo: float, rhs_hi: float) -> float:
     if direction == GE:
-        return lhs.lo - rhs.hi
+        return lhs_lo - rhs_hi
     if direction == EQ:
-        cushion = EQ_TOL * (1.0 + max(abs(lhs.hi), abs(rhs.hi)))
-        gap = max(lhs.lo - rhs.hi, rhs.lo - lhs.hi, 0.0)
+        cushion = EQ_TOL * (1.0 + max(abs(lhs_hi), abs(rhs_hi)))
+        gap = max(lhs_lo - rhs_hi, rhs_lo - lhs_hi, 0.0)
         return cushion - gap
-    return rhs.lo - lhs.hi
+    return rhs_lo - lhs_hi
 
 
 def _verdict(slack: float, rhs: Enclosure) -> str:
@@ -711,107 +703,73 @@ def _verdict(slack: float, rhs: Enclosure) -> str:
     return PASS_UNCERTIFIED
 
 
-def _advance(stages, value, out: list, i: int):
-    """Send value into an entry's generator.  Returns the keys it yields
-    next, or None once its (variants, notes) or skip is stored in out[i]."""
-    try:
-        return stages.send(value)
-    except StopIteration as done:
-        out[i] = done.value if isinstance(done.value, tuple) else (done.value, {})
-    except PreconditionFailed as exc:
-        out[i] = exc
-    return None
-
-
-def _evaluate(jobs, opts: RadiusOptions | None) -> list[list]:
-    """For each (evaluator, entries) job, each entry's (variants, notes) or
-    the skip it raised.
-
-    One pass: every entry yields its requests once, the requests of all
-    jobs are solved together, and every entry then receives its
-    enclosures and finishes.
-    """
-    outcomes = [[None] * len(entries) for _ev, entries in jobs]
-    started = []
-    for (ev, entries), out in zip(jobs, outcomes):
-        for i, entry in enumerate(entries):
-            unsupplied = [name for name in entry.operands if name not in ev.reduced]
-            if unsupplied:
-                raise BadConfig(f"operand {unsupplied[0]!r} not supplied")
-            failing = [name for name in entry.operands if ev.reduced[name] is None]
-            if failing:
-                out[i] = MembershipViolated(f"{entry.check_id}: operand {failing[0]!r} fails the membership tests")
-                continue
-            stages = entry.evaluate(ev)
-            keys = _advance(stages, None, out, i)
-            if keys is not None:
-                started.append((ev, entry, stages, out, i, keys))
-    _solve_together([ev for ev, _entries in jobs], opts if opts is not None else RadiusOptions())
-    for ev, entry, stages, out, i, keys in started:
-        if _advance(stages, ev.resolve(keys), out, i) is not None:
-            raise RuntimeError(f"check {entry.check_id} yielded a second time; a check requests its functionals once")
-    return outcomes
-
-
-def _result(entry: CheckDefinition, instance: str, outcome) -> CheckResult:
-    variants, notes = outcome
+def _result(entry: CheckDefinition, instance: str, variants, i: int, notes: dict) -> CheckResult:
+    """Row i of an entry's (variant, lhs, rhs) stacks: the variant with the
+    worst slack, the first of equal ones."""
+    direction = entry.direction if entry.direction != CONDITIONAL else LE
     best = None
     for variant, lhs, rhs in variants:
-        slack = _slack(entry.direction if entry.direction != CONDITIONAL else LE, lhs, rhs)
+        slack = _slack(direction, lhs.lo.item(i), lhs.hi.item(i), rhs.lo.item(i), rhs.hi.item(i))
         if best is None or slack < best[0]:
             best = (slack, variant, lhs, rhs)
     slack, variant, lhs, rhs = best
+    lhs, rhs = lhs[i], rhs[i]
     verdict = PASS_CERTIFIED if entry.direction == CONDITIONAL else _verdict(slack, rhs)
-    return CheckResult(
-        check_id=entry.check_id,
-        instance=instance,
-        lhs=lhs,
-        rhs=rhs,
-        slack=slack,
-        verdict=verdict,
-        tightness=lhs.hi / max(rhs.lo, TIGHTNESS_EPS),
-        variant=variant,
-        notes=notes,
-    )
+    tightness = lhs.hi / max(rhs.lo, TIGHTNESS_EPS)
+    return CheckResult(entry.check_id, instance, lhs, rhs, slack, verdict, tightness, variant, notes)
+
+
+def _rows(entry: CheckDefinition, ch: _Chunk) -> list:
+    """The entry's CheckResult, or the exception that skips it, for each
+    row of a chunk.  A row skips on the first of the entry's operands that
+    fails the membership tests, then on its preconditions."""
+    outcome = entry.evaluate(ch)
+    variants, notes, skip = outcome if isinstance(outcome, tuple) else (outcome, {}, None)
+    rows = list(skip) if skip is not None else [None] * ch.k
+    for name in reversed(entry.operands):
+        for i in ch.failing.get(name, ()):
+            rows[i] = MembershipViolated(f"{entry.check_id}: operand {name!r} fails the membership tests")
+    for i, it in enumerate(ch.items):
+        if rows[i] is None:
+            row_notes = {key: values.item(i) for key, values in notes.items()}
+            rows[i] = _result(entry, it.instance, variants, i, row_notes)
+    return rows
+
+
+def _evaluate(items, opts: RadiusOptions | None, checks) -> list[list]:
+    """For each (space, operands, instance) item, (check id, CheckResult or
+    the exception that skips it) per check: the items are reduced into
+    chunks, all requests solved at once, and each check run once per chunk."""
+    chunks = _chunks(items, checks)
+    needs = [(ch, dict.fromkeys(key for entry in ch.entries for key in entry.needs)) for ch in chunks]
+    _solve(needs, opts if opts is not None else RadiusOptions())
+    out: list = [None] * len(items)
+    for ch in chunks:
+        columns = [(entry.check_id, _rows(entry, ch)) for entry in ch.entries]
+        for i, it in enumerate(ch.items):
+            out[it.position] = [(cid, rows[i]) for cid, rows in columns]
+    return out
 
 
 def _skip_result(check_id: str, instance: str, reason: str) -> CheckResult:
     zero = ipoint(0.0)
-    return CheckResult(
-        check_id=check_id,
-        instance=instance,
-        lhs=zero,
-        rhs=zero,
-        slack=0.0,
-        verdict=SKIPPED,
-        tightness=0.0,
-        notes={"reason": reason},
-    )
+    return CheckResult(check_id, instance, zero, zero, 0.0, SKIPPED, 0.0, notes={"reason": reason})
 
 
 def run_check(
-    space: SemiHilbertSpace,
-    check_id: str,
-    operands,
-    opts: RadiusOptions | None = None,
-    instance: str = "adhoc",
+    space: SemiHilbertSpace, check_id: str, operands, opts: RadiusOptions | None = None, instance: str = "adhoc"
 ) -> CheckResult:
     """Evaluate one catalog entry; raises instead of skipping."""
-    entry = CATALOG.get(check_id)
-    if entry is None:
+    if check_id not in CATALOG:
         raise UnknownCheck(f"no catalog entry {check_id!r}")
-    ((outcome,),) = _evaluate([(Evaluator(space, operands), [entry])], opts)
+    (((_cid, outcome),),) = _evaluate([(space, operands, instance)], opts, [check_id])
     if isinstance(outcome, Exception):
         raise outcome
-    return _result(entry, instance, outcome)
+    return outcome
 
 
 def run_all(
-    space: SemiHilbertSpace,
-    operands,
-    opts: RadiusOptions | None = None,
-    instance: str = "adhoc",
-    checks=None,
+    space: SemiHilbertSpace, operands, opts: RadiusOptions | None = None, instance: str = "adhoc", checks=None
 ) -> list[CheckResult]:
     """Evaluate the catalog on a shared operand bundle.
 
@@ -824,23 +782,14 @@ def run_all(
 
 
 def run_many(items, opts: RadiusOptions | None = None, checks=None) -> list[list[CheckResult]]:
-    """run_all on each (space, operands, instance) item, solving the
-    requests of all items together; each row equals its run_all row."""
-    if checks is not None:
-        for cid in checks:
-            if cid not in CATALOG:
-                raise UnknownCheck(f"no catalog entry {cid!r}")
-    jobs, labels = [], []
-    for space, operands, instance in items:
-        ids = list(checks) if checks is not None else [cid for cid, d in CATALOG.items() if set(d.operands) <= set(operands)]
-        jobs.append((Evaluator(space, operands), [CATALOG[cid] for cid in ids]))
-        labels.append(instance)
+    """run_all on each (space, operands, instance) item, evaluating the
+    items in chunks; each row equals its run_all row."""
+    unknown = [cid for cid in checks or () if cid not in CATALOG]
+    if unknown:
+        raise UnknownCheck(f"no catalog entry {unknown[0]!r}")
     return [
-        [
-            _skip_result(entry.check_id, instance, str(out)) if isinstance(out, Exception) else _result(entry, instance, out)
-            for entry, out in zip(entries, outcomes)
-        ]
-        for (_ev, entries), instance, outcomes in zip(jobs, labels, _evaluate(jobs, opts))
+        [_skip_result(cid, instance, str(out)) if isinstance(out, Exception) else out for cid, out in outcomes]
+        for (_space, _operands, instance), outcomes in zip(items, _evaluate(items, opts, checks))
     ]
 
 

@@ -55,6 +55,8 @@ __all__ = [
     "DEFAULT_MAX_ROUNDS",
     "DEFAULT_MC_SAMPLES",
     "Enclosure",
+    "Enclosures",
+    "METHODS",
     "RadiusOptions",
     "numerical_radius",
     "crawford_number",
@@ -96,6 +98,10 @@ _MC_CHUNK = 1 << 13
 _CHUNK_BYTES = 1 << 22
 
 
+# Methods by precedence: an interval computed from several takes the last.
+METHODS = ("exact", "oracle", "grid")
+
+
 @dataclass(frozen=True)
 class Enclosure:
     """Closed interval [lo, hi] certified to contain the true value."""
@@ -117,6 +123,30 @@ class Enclosure:
     @property
     def mid(self) -> float:
         return 0.5 * (self.lo + self.hi)
+
+    @property
+    def code(self) -> int:
+        return METHODS.index(self.method)
+
+
+class Enclosures:
+    """Enclosures of many quantities at once: arrays lo and hi, and each
+    method as its index in METHODS.  Indexing with an integer gives one
+    Enclosure, with a slice a stack."""
+
+    __slots__ = ("lo", "hi", "code")
+
+    def __init__(self, lo: np.ndarray, hi: np.ndarray, code: np.ndarray):
+        self.lo, self.hi, self.code = lo, hi, code
+
+    @classmethod
+    def of(cls, encs) -> "Enclosures":
+        return cls(np.array([e.lo for e in encs]), np.array([e.hi for e in encs]), np.array([e.code for e in encs]))
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Enclosures(self.lo[i], self.hi[i], self.code[i])
+        return Enclosure(self.lo.item(i), self.hi.item(i), METHODS[self.code.item(i)])
 
 
 @dataclass(frozen=True)
@@ -148,58 +178,78 @@ class RadiusOptions:
 
 
 # -- interval helpers ------------------------------------------------------
+#
+# The helpers take Enclosure values, Enclosures stacks, or one of each; a
+# stack in gives a stack out, computed elementwise with the same doubles as
+# the scalar case.  _min and _max are Python's min and max of two values,
+# elementwise: those return the first value on a tie, which tells -0.0 from
+# 0.0, while np.minimum and np.maximum return their second argument.
 
 
-def _join_method(*encs: Enclosure) -> str:
-    methods = {e.method for e in encs}
-    for tag in ("grid", "oracle"):
-        if tag in methods:
-            return tag
-    return "exact"
+def _min(a, b):
+    return np.minimum(b, a)
 
 
-def ipoint(value: float, method: str = "exact", err: float = 0.0) -> Enclosure:
+def _max(a, b):
+    return np.maximum(b, a)
+
+
+def _made(lo, hi, a, b=None):
+    """An interval of ends lo and hi whose method joins those of a and b:
+    a stack when either is one."""
+    code = a.code if b is None else np.maximum(a.code, b.code)
+    if isinstance(a, Enclosures) or isinstance(b, Enclosures):
+        return Enclosures(lo, hi, code)
+    return Enclosure(float(lo), float(hi), METHODS[code])
+
+
+def ipoint(value, method: str = "exact", err=0.0):
+    """[value - err, value + err]; a stack for an array of values."""
+    if isinstance(value, np.ndarray):
+        return Enclosures(value - err, value + err, np.full(value.shape, METHODS.index(method)))
     return Enclosure(value - err, value + err, method)
 
 
-def iadd(a: Enclosure, b: Enclosure) -> Enclosure:
-    return Enclosure(a.lo + b.lo, a.hi + b.hi, _join_method(a, b))
+def iadd(a, b):
+    return _made(a.lo + b.lo, a.hi + b.hi, a, b)
 
 
-def isub(a: Enclosure, b: Enclosure) -> Enclosure:
-    return Enclosure(a.lo - b.hi, a.hi - b.lo, _join_method(a, b))
+def isub(a, b):
+    return _made(a.lo - b.hi, a.hi - b.lo, a, b)
 
 
-def imul(a: Enclosure, b: Enclosure) -> Enclosure:
-    ends = (a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi)
-    return Enclosure(min(ends), max(ends), _join_method(a, b))
+def imul(a, b):
+    p, q, s, t = a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi
+    return _made(_min(_min(_min(p, q), s), t), _max(_max(_max(p, q), s), t), a, b)
 
 
-def iscale(c: float, a: Enclosure) -> Enclosure:
-    ends = (c * a.lo, c * a.hi)
-    return Enclosure(min(ends), max(ends), a.method)
+def iscale(c: float, a):
+    lo, hi = c * a.lo, c * a.hi
+    return _made(_min(lo, hi), _max(lo, hi), a)
 
 
-def isq(a: Enclosure) -> Enclosure:
-    return imul(a, a)
+def isq(a):
+    """imul(a, a), whose products lo * hi and hi * lo are equal."""
+    p, q, t = a.lo * a.lo, a.lo * a.hi, a.hi * a.hi
+    return _made(_min(_min(p, q), t), _max(_max(p, q), t), a)
 
 
-def isqrt(a: Enclosure) -> Enclosure:
+def isqrt(a):
     """Square root, clamping negative rounding at zero."""
-    return Enclosure(math.sqrt(max(a.lo, 0.0)), math.sqrt(max(a.hi, 0.0)), a.method)
+    return _made(np.sqrt(_max(a.lo, 0.0)), np.sqrt(_max(a.hi, 0.0)), a)
 
 
-def imax(a: Enclosure, b: Enclosure) -> Enclosure:
-    return Enclosure(max(a.lo, b.lo), max(a.hi, b.hi), _join_method(a, b))
+def imax(a, b):
+    return _made(_max(a.lo, b.lo), _max(a.hi, b.hi), a, b)
 
 
-def imin(a: Enclosure, b: Enclosure) -> Enclosure:
-    return Enclosure(min(a.lo, b.lo), min(a.hi, b.hi), _join_method(a, b))
+def imin(a, b):
+    return _made(_min(a.lo, b.lo), _min(a.hi, b.hi), a, b)
 
 
-def iabs(a: Enclosure) -> Enclosure:
-    lo = 0.0 if a.lo <= 0.0 <= a.hi else min(abs(a.lo), abs(a.hi))
-    return Enclosure(lo, max(abs(a.lo), abs(a.hi)), a.method)
+def iabs(a):
+    lo, hi = abs(a.lo), abs(a.hi)
+    return _made(np.where((a.lo <= 0.0) & (0.0 <= a.hi), 0.0, _min(lo, hi)), _max(lo, hi), a)
 
 
 # -- rotated Hermitian pencil ----------------------------------------------
@@ -594,16 +644,16 @@ def crawford_number(M, opts: RadiusOptions = RadiusOptions()) -> Enclosure:
     return radii_and_crawford_numbers([], [M], opts)[1][0]
 
 
-def matrix_norms(mats) -> list[Enclosure]:
+def matrix_norms(mats) -> Enclosures:
     """Spectral norm of each matrix with its relative rounding pad, one
     singular value call per matrix size."""
-    out: list = [None] * len(mats)
+    values = np.zeros(len(mats))
     for idx, A in _stacks(mats):
-        m = A.shape[1]
-        values = [abs(a) for a in A[:, 0, 0]] if m == 1 else spectral_norms(A)
-        for i, v in zip(idx, values):
-            out[i] = _exact(v)
-    return out
+        # Python's abs of each 1 x 1 entry: np.abs of a complex array can
+        # differ from it in the last bit.
+        values[idx] = [abs(a) for a in A[:, 0, 0]] if A.shape[1] == 1 else spectral_norms(A)
+    err = _EXACT_ERR * values
+    return Enclosures(_max(values - err, 0.0), values + err, np.zeros(len(mats), dtype=np.intp))
 
 
 def op_seminorm(space: SemiHilbertSpace, T) -> Enclosure:

@@ -1,6 +1,5 @@
 """Catalog mechanics: hand-checked slacks, folding, verdicts, reports."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -14,9 +13,8 @@ from semiradius.catalog import (
     PASS_UNCERTIFIED,
     SKIPPED,
     VIOLATION_CANDIDATE,
-    Evaluator,
-    _block,
-    _solve_together,
+    _chunks,
+    _solve,
     run_all,
     run_check,
     run_many,
@@ -126,17 +124,6 @@ class TestErrors:
         sp = build_space(np.eye(2))
         with pytest.raises(DimensionMismatch):
             run_all(sp, {"T": SHIFT, "S": np.eye(3)}, checks=["C1"])
-
-    def test_check_that_yields_twice_is_an_error(self, monkeypatch):
-        def twice(ev):
-            T = ev.mat("T")
-            yield (ev.w(T),)
-            yield (ev.n(T),)
-            return []
-
-        monkeypatch.setitem(CATALOG, "C1", dataclasses.replace(CATALOG["C1"], evaluate=twice))
-        with pytest.raises(RuntimeError, match="C1"):
-            run_all(build_space(np.eye(2)), {"T": SHIFT})
 
 
 class TestPreconditionScreens:
@@ -271,25 +258,17 @@ def overlap(a, b) -> bool:
     return a.lo <= b.hi and b.lo <= a.hi
 
 
-class TestEvaluatorCache:
-    def test_functionals_memoized(self):
-        sp, ops = bundle_for(3, 2, space_seed=6, bundle_seed=2)
-        ev = Evaluator(sp, ops)
-        T, S = ev.mat("T"), ev.mat("S")
-        # Two separately built copies of one derived matrix share a request.
-        first, second = ev.w(T @ S), ev.w(T @ S)
-        assert first == second and len(ev._pending) == 1
-        _solve_together([ev], RadiusOptions())
-        enc_first, enc_second = ev.resolve([first, second])
-        assert enc_first is enc_second
-        assert ev.w(T @ S) == first and not ev._pending
+def solved(sp, ops, *keys):
+    """The enclosures of requests on the one-item chunk of (sp, ops)."""
+    (chunk,) = _chunks([(sp, ops, "x")], checks=())
+    _solve([(chunk, keys)], RadiusOptions())
+    return tuple(chunk[key][0] for key in keys)
 
+
+class TestEvaluatorCache:
     def test_full_space_functionals_match_the_space_route(self):
         sp, ops = bundle_for(4, 3, space_seed=6, bundle_seed=4)
-        ev = Evaluator(sp, ops)
-        keys = ev.w(ev.mat("T")), ev.n(ev.mat("S"))
-        _solve_together([ev], RadiusOptions())
-        radius, norm = ev.resolve(keys)
+        radius, norm = solved(sp, ops, "w(T)", "n(S)")
         assert radius == a_numerical_radius(sp, ops["T"], RadiusOptions())
         assert norm == op_seminorm(sp, ops["S"])
 
@@ -298,15 +277,36 @@ class TestEvaluatorCache:
         # operators on the doubled space (C7, C8, C12 and C13 rely on it).
         for dim, rank, seed in [(3, 2, 5), (4, 4, 6), (5, 1, 7), (2, 2, 8)]:
             sp, ops = bundle_for(dim, rank, space_seed=seed, bundle_seed=seed)
-            ev = Evaluator(sp, ops)
             for layout in ("diagonal", "antidiagonal"):
-                B_reduced = _block(ev.mat("T"), ev.mat("S"), layout)
-                keys = ev.w(B_reduced), ev.n(B_reduced)
-                _solve_together([ev], RadiusOptions())
-                radius, norm = ev.resolve(keys)
+                radius, norm = solved(sp, ops, f"w({layout}(T,S))", f"n({layout}(T,S))")
                 B = sp.block2(ops["T"], ops["S"], layout)
                 assert overlap(radius, a_numerical_radius(sp.double(), B, RadiusOptions())), (dim, layout)
                 assert overlap(norm, op_seminorm(sp.double(), B)), (dim, layout)
+
+    def test_functionals_memoized(self, monkeypatch):
+        # The catalog has 23 distinct radius and 1 Crawford expression; a
+        # chunk of k same-rank instances builds each once, for all k rows.
+        k = 5
+        items = [(*bundle_for(4, 2, space_seed=40 + i, bundle_seed=i), f"i{i}") for i in range(k)]
+        counts = []
+        real_search = catalog_module.radii_and_crawford_numbers
+
+        def search(radius_mats, crawford_mats, opts):
+            counts.append((len(radius_mats), len(crawford_mats)))
+            return real_search(radius_mats, crawford_mats, opts)
+
+        monkeypatch.setattr(catalog_module, "radii_and_crawford_numbers", search)
+        run_many(items, opts=RadiusOptions(grid_count=64))
+        assert counts == [(23 * k, k)]
+
+    def test_each_check_requests_what_it_reads(self):
+        # A check run alone solves only its own requests, so reading an
+        # undeclared one fails.
+        sp, ops = bundle_for(3, 2, space_seed=12, bundle_seed=3)
+        opts = RadiusOptions(grid_count=64)
+        together = {r.check_id: r for r in run_all(sp, ops, opts=opts)}
+        for cid in CATALOG:
+            assert rows_key(run_all(sp, ops, opts=opts, checks=[cid])) == rows_key([together[cid]])
 
 
 def rows_key(rows):
@@ -346,6 +346,31 @@ class TestRunMany:
         run_many(items, opts=opts)
         assert searches == [opts]
         assert reductions == [(id(sp), len(ops)) for sp, ops, _name in items]
+
+    def test_skips_are_per_row(self):
+        # One chunk (rank 1, dim 2) mixes rows that fail membership or a
+        # precondition with rows that pass; a rank-0 chunk skips C15 on
+        # every row.  Each row is still the one its item gets alone.
+        # On the seed A_DEG the members are the lower triangular matrices.
+        lower = {name: T_LOWER + k * SHIFT.T for k, name in enumerate(("T", "S", "Y", "T1", "T2", "S1", "S2"))}
+        failing = dict(lower, X=SHIFT, Tsa=np.diag([1.0j, 1.0]), P=T_LOWER, Q=SHIFT.T)
+        sp, ops = bundle_for(2, 1, space_seed=51, bundle_seed=2)
+        items = [
+            (sp, ops, "pass"),
+            (build_space(A_DEG), {name: failing[name] for name in ops}, "fail"),
+            (*bundle_for(2, 1, space_seed=52, bundle_seed=3), "pass2"),
+            (*bundle_for(3, 0, space_seed=53, bundle_seed=4), "rank0"),
+            (*bundle_for(2, 0, space_seed=54, bundle_seed=5), "rank0b"),
+        ]
+        assert [ch.k for ch in _chunks(items, None)] == [3, 2]
+        opts = RadiusOptions(grid_count=64)
+        together = run_many(items, opts=opts)
+        for (sp, ops, name), rows in zip(items, together):
+            assert rows_key(rows) == rows_key(run_all(sp, ops, opts=opts, instance=name))
+        reasons = {r.check_id: r.notes.get("reason", "") for r in together[1]}
+        assert "fails the membership tests" in reasons["C12"] and not reasons["C1"]
+        assert "commute" in reasons["C10"] and "selfadjoint" in reasons["C2"]
+        assert all(r.verdict == SKIPPED for rows in together[3:] for r in rows if r.check_id == "C15")
 
     def test_checks_subset_and_unknown_ids(self):
         sp, ops = bundle_for(3, 2, space_seed=1, bundle_seed=1)
