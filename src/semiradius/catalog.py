@@ -84,6 +84,7 @@ class CheckDefinition:
     formula: str
     needs: tuple[str, ...]
     evaluate: Callable
+    unmet: Callable | None = None  # per item: why its precondition fails, or None
 
 
 @dataclass(frozen=True)
@@ -114,17 +115,14 @@ class _Chunk:
     """Items of one reduced size r, check list and operand names, evaluated
     together in reduced coordinates.
 
-    The chunk stacks the reduced matrices tilde(T) of its k items per
-    operand name; ``failing`` lists the rows where an operand fails the
-    membership tests.  Since the reduction is an algebra map that turns the
-    A-adjoint into the conjugate transpose, the checks do plain matrix
-    algebra: block operators are 2r x 2r blocks, and the seminorm,
-    A-numerical radius and A-Crawford number of an operator are the
-    spectral norm, numerical radius and Crawford number of its reduced
-    matrix.  Requests are keyed by expression: ``w(M)``, ``c(M)`` and
-    ``n(M)`` ask for the radius, Crawford number and norm of the matrix
-    expression M (see mat); after _solve, ``chunk[key]`` is the
-    Enclosures stack of a request, one row per item.
+    The chunk stacks its k items' reduced matrices tilde(T) per operand;
+    ``failing`` lists the rows where an operand fails the membership tests.
+    The reduction is an algebra map that turns the A-adjoint into the
+    conjugate transpose, so the seminorm, A-numerical radius and A-Crawford
+    number of an operator (or 2r x 2r block) are the spectral norm,
+    numerical radius and Crawford number of its reduced matrix.  Requests
+    ``w(M)``, ``c(M)`` and ``n(M)`` ask for those of a matrix expression M
+    (see mat); after _solve, ``chunk[key]`` is their Enclosures stack.
     """
 
     def __init__(self, entries, items: list[_Item]):
@@ -132,7 +130,10 @@ class _Chunk:
         names = list(items[0].ops)
         bad = ~np.stack([it.member for it in items], axis=1)
         self.failing = {names[j]: np.flatnonzero(bad[j]).tolist() for j in np.flatnonzero(bad.any(axis=1))}
-        self._mats = dict(zip(names, np.stack([it.reduced for it in items], axis=1)))
+        reduced = np.stack([it.reduced for it in items], axis=1)
+        # Rows that fail the membership tests are skipped; zeros keep them finite and cheap.
+        reduced[bad] = 0.0
+        self._mats = dict(zip(names, reduced))
         self.values: dict[str, Enclosures] = {}
 
     def __getitem__(self, key: str) -> Enclosures:
@@ -159,7 +160,7 @@ class _Chunk:
 
     def _build(self, expr: str) -> np.ndarray:
         operation, args = _parse(expr)
-        return _OPERATIONS[operation](*map(self.mat, args))
+        return operation(*map(self.mat, args))
 
 
 # An operand name in a product, with * for its adjoint.
@@ -167,24 +168,24 @@ _FACTOR = re.compile(r"(?:Tsa|[TS][12]?|[XYPQ])\*?")
 
 
 @functools.lru_cache(maxsize=256)
-def _parse(expr: str) -> tuple[str, tuple[str, ...]]:
+def _parse(expr: str) -> tuple[Callable, tuple[str, ...]]:
     """The last operation of a matrix expression and the ones it takes."""
     part, _, name = expr.partition(" ")
     if name:
-        return part, (name,)
+        return (_re if part == "re" else _im), (name,)
     layout, paren, args = expr.partition("(")
     if paren:
-        return layout, tuple(args.rstrip(")").split(","))
-    for sign in "+-":
+        return functools.partial(_block, layout=layout), tuple(args.rstrip(")").split(","))
+    for sign, operation in (("+", np.add), ("-", np.subtract)):
         left, op, right = expr.partition(sign)
         if op:
-            return sign, (left, right)
+            return operation, (left, right)
     factors = _FACTOR.findall(expr)
     if "".join(factors) != expr or factors == [expr] and not expr.endswith("*"):
         raise KeyError(f"no operand or matrix expression {expr!r}")
     if len(factors) > 1:
-        return "@", (expr[: -len(factors[-1])], factors[-1])
-    return "*", (expr[:-1],)
+        return np.matmul, (expr[: -len(factors[-1])], factors[-1])
+    return _adj, (expr[:-1],)
 
 
 def _chunks(items, checks) -> list[_Chunk]:
@@ -250,18 +251,6 @@ def _block(X: np.ndarray, Y: np.ndarray, layout: str) -> np.ndarray:
     return B
 
 
-_OPERATIONS = {
-    "re": _re,
-    "im": _im,
-    "diagonal": lambda X, Y: _block(X, Y, "diagonal"),
-    "antidiagonal": lambda X, Y: _block(X, Y, "antidiagonal"),
-    "+": np.add,
-    "-": np.subtract,
-    "@": np.matmul,
-    "*": _adj,
-}
-
-
 # -- shared composite quantities --------------------------------------------
 
 
@@ -293,9 +282,8 @@ def _coarse_commutator_rhs(ch: _Chunk):
 # -- check evaluators --------------------------------------------------------
 #
 # Each evaluator runs once per chunk, after its entry's requests are solved,
-# and returns its (variant, lhs, rhs) stacks, or those with notes and the
-# rows its preconditions skip: (variants, notes, per-row PreconditionFailed
-# or None).
+# and returns its (variant, lhs, rhs) stacks, or (variants, notes, skip) with
+# per-row notes and per-row PreconditionFailed or None.
 
 
 def _c1(ch):
@@ -304,9 +292,16 @@ def _c1(ch):
 
 
 def _c2(ch):
-    reason = "operand Tsa is not selfadjoint for the seed"
-    skip = [None if it.space.is_a_selfadjoint(it.ops["Tsa"]) else PreconditionFailed(reason) for it in ch.items]
-    return [("", ch["n(Tsa)"], ch["w(Tsa)"])], {}, skip
+    return [("", ch["n(Tsa)"], ch["w(Tsa)"])]
+
+
+# Per-item preconditions: each returns the reason its check does not apply
+# to the item's operands, or None.
+
+
+def _c2_unmet(it: _Item):
+    if not it.space.is_a_selfadjoint(it.ops["Tsa"]):
+        return "operand Tsa is not selfadjoint for the seed"
 
 
 def _c3(ch):
@@ -370,13 +365,13 @@ def _commutator_size(P: np.ndarray, Q: np.ndarray) -> tuple[float, float]:
 
 
 def _c10(ch):
-    skip = []
-    for it in ch.items:
-        comm, scale = _commutator_size(it.ops["P"], it.ops["Q"])
-        fails = comm > FACT_TOL * scale
-        skip.append(PreconditionFailed(f"operands do not commute: deviation {comm:.3e}") if fails else None)
-    rhs = iscale(2.0, imul(ch["w(P)"], ch["w(Q)"]))
-    return [("", ch["w(PQ)"], rhs)], {}, skip
+    return [("", ch["w(PQ)"], iscale(2.0, imul(ch["w(P)"], ch["w(Q)"])))]
+
+
+def _c10_unmet(it: _Item):
+    comm, scale = _commutator_size(it.ops["P"], it.ops["Q"])
+    if comm > FACT_TOL * scale:
+        return f"operands do not commute: deviation {comm:.3e}"
 
 
 def _c11(ch):
@@ -410,9 +405,14 @@ def _c14(ch):
     ]
 
 
+def _c15_unmet(it: _Item):
+    if it.space.rank == 0:
+        return "no unit vectors exist for a rank-zero seed"
+
+
 def _c15(ch):
     if ch.r == 0:
-        return [], {}, [PreconditionFailed("no unit vectors exist for a rank-zero seed")] * ch.k
+        return []
     T, hi = ch.mat("T"), ch["w(T)"].hi[:, None, None]
     # T over its radius, or T itself where the radius is below the floor.
     big = hi > RADIUS_FLOOR
@@ -498,7 +498,9 @@ CATALOG: dict[str, CheckDefinition] = {
     d.check_id: d
     for d in (
         CheckDefinition("C1", ("T",), LE, "0.5*norm(T) <= radius(T) <= norm(T)", ("w(T)", "n(T)"), _c1),
-        CheckDefinition("C2", ("Tsa",), EQ, "norm(Tsa) = radius(Tsa) for selfadjoint Tsa", ("n(Tsa)", "w(Tsa)"), _c2),
+        CheckDefinition(
+            "C2", ("Tsa",), EQ, "norm(Tsa) = radius(Tsa) for selfadjoint Tsa", ("n(Tsa)", "w(Tsa)"), _c2, _c2_unmet
+        ),
         CheckDefinition(
             "C3",
             ("T",),
@@ -564,6 +566,7 @@ CATALOG: dict[str, CheckDefinition] = {
             "radius(PQ) <= 2*radius(P)*radius(Q) when PQ = QP",
             ("w(P)", "w(Q)", "w(PQ)"),
             _c10,
+            _c10_unmet,
         ),
         CheckDefinition(
             "C11",
@@ -609,6 +612,7 @@ CATALOG: dict[str, CheckDefinition] = {
             " for unit x, T' = T/radius hi",
             ("w(T)",),
             _c15,
+            _c15_unmet,
         ),
         CheckDefinition(
             "C16",
@@ -704,8 +708,7 @@ def _verdict(slack: float, rhs: Enclosure) -> str:
 
 
 def _result(entry: CheckDefinition, instance: str, variants, i: int, notes: dict) -> CheckResult:
-    """Row i of an entry's (variant, lhs, rhs) stacks: the variant with the
-    worst slack, the first of equal ones."""
+    """Row i of an entry's variant stacks: the first variant of worst slack."""
     direction = entry.direction if entry.direction != CONDITIONAL else LE
     best = None
     for variant, lhs, rhs in variants:
@@ -722,7 +725,8 @@ def _result(entry: CheckDefinition, instance: str, variants, i: int, notes: dict
 def _rows(entry: CheckDefinition, ch: _Chunk) -> list:
     """The entry's CheckResult, or the exception that skips it, for each
     row of a chunk.  A row skips on the first of the entry's operands that
-    fails the membership tests, then on its preconditions."""
+    fails the membership tests, then on its unmet precondition, then on
+    the rows its evaluation skips."""
     outcome = entry.evaluate(ch)
     variants, notes, skip = outcome if isinstance(outcome, tuple) else (outcome, {}, None)
     rows = list(skip) if skip is not None else [None] * ch.k
@@ -730,6 +734,8 @@ def _rows(entry: CheckDefinition, ch: _Chunk) -> list:
         for i in ch.failing.get(name, ()):
             rows[i] = MembershipViolated(f"{entry.check_id}: operand {name!r} fails the membership tests")
     for i, it in enumerate(ch.items):
+        if rows[i] is None and entry.unmet is not None and (reason := entry.unmet(it)):
+            rows[i] = PreconditionFailed(reason)
         if rows[i] is None:
             row_notes = {key: values.item(i) for key, values in notes.items()}
             rows[i] = _result(entry, it.instance, variants, i, row_notes)
@@ -740,6 +746,9 @@ def _evaluate(items, opts: RadiusOptions | None, checks) -> list[list]:
     """For each (space, operands, instance) item, (check id, CheckResult or
     the exception that skips it) per check: the items are reduced into
     chunks, all requests solved at once, and each check run once per chunk."""
+    unknown = [cid for cid in checks or () if cid not in CATALOG]
+    if unknown:
+        raise UnknownCheck(f"no catalog entry {unknown[0]!r}")
     chunks = _chunks(items, checks)
     needs = [(ch, dict.fromkeys(key for entry in ch.entries for key in entry.needs)) for ch in chunks]
     _solve(needs, opts if opts is not None else RadiusOptions())
@@ -760,8 +769,6 @@ def run_check(
     space: SemiHilbertSpace, check_id: str, operands, opts: RadiusOptions | None = None, instance: str = "adhoc"
 ) -> CheckResult:
     """Evaluate one catalog entry; raises instead of skipping."""
-    if check_id not in CATALOG:
-        raise UnknownCheck(f"no catalog entry {check_id!r}")
     (((_cid, outcome),),) = _evaluate([(space, operands, instance)], opts, [check_id])
     if isinstance(outcome, Exception):
         raise outcome
@@ -784,9 +791,6 @@ def run_all(
 def run_many(items, opts: RadiusOptions | None = None, checks=None) -> list[list[CheckResult]]:
     """run_all on each (space, operands, instance) item, evaluating the
     items in chunks; each row equals its run_all row."""
-    unknown = [cid for cid in checks or () if cid not in CATALOG]
-    if unknown:
-        raise UnknownCheck(f"no catalog entry {unknown[0]!r}")
     return [
         [_skip_result(cid, instance, str(out)) if isinstance(out, Exception) else out for cid, out in outcomes]
         for (_space, _operands, instance), outcomes in zip(items, _evaluate(items, opts, checks))

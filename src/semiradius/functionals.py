@@ -130,9 +130,8 @@ class Enclosure:
 
 
 class Enclosures:
-    """Enclosures of many quantities at once: arrays lo and hi, and each
-    method as its index in METHODS.  Indexing with an integer gives one
-    Enclosure, with a slice a stack."""
+    """Enclosures of many quantities: arrays lo, hi and method indices in
+    METHODS.  An integer index gives one Enclosure, a slice a stack."""
 
     __slots__ = ("lo", "hi", "code")
 
@@ -179,11 +178,10 @@ class RadiusOptions:
 
 # -- interval helpers ------------------------------------------------------
 #
-# The helpers take Enclosure values, Enclosures stacks, or one of each; a
-# stack in gives a stack out, computed elementwise with the same doubles as
-# the scalar case.  _min and _max are Python's min and max of two values,
-# elementwise: those return the first value on a tie, which tells -0.0 from
-# 0.0, while np.minimum and np.maximum return their second argument.
+# The helpers take Enclosure values, Enclosures stacks, or one of each, and
+# compute stacks elementwise with the doubles of the scalar case.  _min and
+# _max keep Python's min and max, which return the first of equal values
+# (-0.0 or 0.0); np.minimum and np.maximum return the second.
 
 
 def _min(a, b):
@@ -229,9 +227,7 @@ def iscale(c: float, a):
 
 
 def isq(a):
-    """imul(a, a), whose products lo * hi and hi * lo are equal."""
-    p, q, t = a.lo * a.lo, a.lo * a.hi, a.hi * a.hi
-    return _made(_min(_min(p, q), t), _max(_max(p, q), t), a)
+    return imul(a, a)
 
 
 def isqrt(a):

@@ -351,9 +351,10 @@ class TestRunMany:
         # One chunk (rank 1, dim 2) mixes rows that fail membership or a
         # precondition with rows that pass; a rank-0 chunk skips C15 on
         # every row.  Each row is still the one its item gets alone.
-        # On the seed A_DEG the members are the lower triangular matrices.
+        # On the seed A_DEG the members are the lower triangular matrices;
+        # a non-finite X fails too and must not reach the solvers.
         lower = {name: T_LOWER + k * SHIFT.T for k, name in enumerate(("T", "S", "Y", "T1", "T2", "S1", "S2"))}
-        failing = dict(lower, X=SHIFT, Tsa=np.diag([1.0j, 1.0]), P=T_LOWER, Q=SHIFT.T)
+        failing = dict(lower, X=np.where(SHIFT > 0, np.nan, 0.0), Tsa=np.diag([1.0j, 1.0]), P=T_LOWER, Q=SHIFT.T)
         sp, ops = bundle_for(2, 1, space_seed=51, bundle_seed=2)
         items = [
             (sp, ops, "pass"),
