@@ -111,7 +111,7 @@ class _Item(NamedTuple):
     reduced: np.ndarray
 
 
-class _Chunk:
+class _Chunk(dict):
     """Items of one reduced size r, check list and operand names, evaluated
     together in reduced coordinates.
 
@@ -122,10 +122,11 @@ class _Chunk:
     number of an operator (or 2r x 2r block) are the spectral norm,
     numerical radius and Crawford number of its reduced matrix.  Requests
     ``w(M)``, ``c(M)`` and ``n(M)`` ask for those of a matrix expression M
-    (see mat); after _solve, ``chunk[key]`` is their Enclosures stack.
+    (see mat); after _solve the chunk maps each to its Enclosures stack.
     """
 
     def __init__(self, entries, items: list[_Item]):
+        super().__init__()
         self.entries, self.items, self.k, self.r = entries, items, len(items), items[0].space.rank
         names = list(items[0].ops)
         bad = ~np.stack([it.member for it in items], axis=1)
@@ -134,16 +135,12 @@ class _Chunk:
         # Rows that fail the membership tests are skipped; zeros keep them finite and cheap.
         reduced[bad] = 0.0
         self._mats = dict(zip(names, reduced))
-        self.values: dict[str, Enclosures] = {}
-
-    def __getitem__(self, key: str) -> Enclosures:
-        return self.values[key]
 
     def once(self, key: str, make):
         """A quantity derived from solved requests, computed once."""
-        if key not in self.values:
-            self.values[key] = make()
-        return self.values[key]
+        if key not in self:
+            self[key] = make()
+        return self[key]
 
     def mat(self, expr: str) -> np.ndarray:
         """The (k, m, m) stack of a matrix expression, built once.
@@ -218,7 +215,7 @@ def _solve(requests, opts: RadiusOptions) -> None:
     radii, crawfords = radii_and_crawford_numbers(mats["w"], mats["c"], opts)
     solved = {"w": Enclosures.of(radii), "c": Enclosures.of(crawfords), "n": matrix_norms(mats["n"])}
     for ch, key, start, stop in slots:
-        ch.values[key] = solved[key[0]][start:stop]
+        ch[key] = solved[key[0]][start:stop]
 
 
 # -- reduced-coordinate algebra on stacks -------------------------------------
@@ -424,7 +421,8 @@ def _c15(ch):
     V, W = Tn @ Y, _adj(Tn) @ Y
     vals = np.einsum("kij,kij->kj", V.conj(), V) + np.einsum("kij,kij->kj", W.conj(), W)
     worst = np.max(np.maximum(vals.real, 0.0), axis=1)
-    lhs = ipoint(worst, err=1e-10 * (1.0 + worst))
+    err = 1e-10 * (1.0 + worst)
+    lhs = Enclosures(worst - err, worst + err, np.zeros(ch.k, dtype=np.intp))
     # Tn depends on a solved radius, so its parts' norms are computed here.
     parts = matrix_norms([*_re(Tn), *_im(Tn)])
     rhs = iscale(4.0, isub(ipoint(1.0), iscale(0.5, _gap(isq(parts[: ch.k]), isq(parts[ch.k :])))))

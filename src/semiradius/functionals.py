@@ -201,10 +201,7 @@ def _made(lo, hi, a, b=None):
     return Enclosure(float(lo), float(hi), METHODS[code])
 
 
-def ipoint(value, method: str = "exact", err=0.0):
-    """[value - err, value + err]; a stack for an array of values."""
-    if isinstance(value, np.ndarray):
-        return Enclosures(value - err, value + err, np.full(value.shape, METHODS.index(method)))
+def ipoint(value: float, method: str = "exact", err: float = 0.0) -> Enclosure:
     return Enclosure(value - err, value + err, method)
 
 
@@ -227,7 +224,9 @@ def iscale(c: float, a):
 
 
 def isq(a):
-    return imul(a, a)
+    """imul(a, a), whose products lo * hi and hi * lo are equal."""
+    p, q, t = a.lo * a.lo, a.lo * a.hi, a.hi * a.hi
+    return _made(_min(_min(p, q), t), _max(_max(p, q), t), a)
 
 
 def isqrt(a):

@@ -132,9 +132,3 @@ def test_rows_are_the_scalar_results():
         assert s[i] == row
         assert isub(one, s)[i] == isub(one, row)
         assert imul(s, s)[i] == imul(row, row)
-
-
-def test_point_stack():
-    p = ipoint(np.array([1.0, -0.0]), method="grid", err=np.array([0.5, 0.0]))
-    assert hexes(p.lo) == hexes([0.5, -0.0]) and hexes(p.hi) == hexes([1.5, 0.0])
-    assert [p[i].method for i in range(2)] == ["grid", "grid"]
