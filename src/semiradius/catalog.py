@@ -409,7 +409,7 @@ def _c15_unmet(it: _Item):
 
 def _c15(ch):
     if ch.r == 0:
-        return []
+        return []  # _c15_unmet skips every row
     T, hi = ch.mat("T"), ch["w(T)"].hi[:, None, None]
     # T over its radius, or T itself where the radius is below the floor.
     big = hi > RADIUS_FLOOR
