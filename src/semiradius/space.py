@@ -231,9 +231,10 @@ class SemiHilbertSpace:
 
 
 def _frobenius(T: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each matrix of a stack."""
+    """Frobenius norm of each matrix of a stack; einsum makes no squared copy
+    of the stack, which at large n had every instance re-fault its heap."""
     x = np.ascontiguousarray(T).reshape(*T.shape[:-2], T.shape[-2] * T.shape[-1]).view(np.float64)
-    return np.sqrt(np.add.reduce(x * x, axis=-1))
+    return np.sqrt(np.einsum("...i,...i->...", x, x))
 
 
 def build_space(A, cutoff: float = DEFAULT_CUTOFF) -> SemiHilbertSpace:
