@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import re
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -99,8 +100,8 @@ class CampaignConfig:
             raise BadConfig(f"trials must be positive, got {self.trials}")
         if self.workers < 1:
             raise BadConfig(f"workers must be positive, got {self.workers}")
-        if self.scale < 0.0:
-            raise BadConfig(f"scale must be nonnegative, got {self.scale}")
+        if not 0.0 <= self.scale < math.inf:
+            raise BadConfig(f"scale must be finite and nonnegative, got {self.scale}")
         if self.checks is not None:
             checks = tuple(self.checks)
             unknown = [c for c in checks if c not in CATALOG]

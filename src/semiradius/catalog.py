@@ -205,17 +205,18 @@ def _chunks(items, checks) -> list[_Chunk]:
 def _solve(requests, opts: RadiusOptions) -> None:
     """Solve (chunk, keys) requests: all radii and Crawford numbers in one
     search, all norms in one singular value call per size."""
-    mats = {"w": [], "c": [], "n": []}
+    stacks = {"w": [], "c": [], "n": []}
+    rows = dict.fromkeys(stacks, 0)
     slots = []
     for ch, keys in requests:
         for key in keys:
-            stack, batch = ch.mat(key[2:-1]), mats[key[0]]
-            slots.append((ch, key, len(batch), len(batch) + len(stack)))
-            batch.extend(stack)
-    radii, crawfords = radii_and_crawford_numbers(mats["w"], mats["c"], opts)
-    solved = {"w": Enclosures.of(radii), "c": Enclosures.of(crawfords), "n": matrix_norms(mats["n"])}
-    for ch, key, start, stop in slots:
-        ch[key] = solved[key[0]][start:stop]
+            stacks[key[0]].append(ch.mat(key[2:-1]))
+            slots.append((ch, key, rows[key[0]]))
+            rows[key[0]] += ch.k
+    radii, crawfords = radii_and_crawford_numbers(stacks["w"], stacks["c"], opts)
+    solved = {"w": radii, "c": crawfords, "n": matrix_norms(stacks["n"])}
+    for ch, key, start in slots:
+        ch[key] = solved[key[0]][start : start + ch.k]
 
 
 # -- reduced-coordinate algebra on stacks -------------------------------------
@@ -424,7 +425,7 @@ def _c15(ch):
     err = 1e-10 * (1.0 + worst)
     lhs = Enclosures(worst - err, worst + err, np.zeros(ch.k, dtype=np.intp))
     # Tn depends on a solved radius, so its parts' norms are computed here.
-    parts = matrix_norms([*_re(Tn), *_im(Tn)])
+    parts = matrix_norms([_re(Tn), _im(Tn)])
     rhs = iscale(4.0, isub(ipoint(1.0), iscale(0.5, _gap(isq(parts[: ch.k]), isq(parts[ch.k :])))))
     return [("", lhs, rhs)]
 
@@ -694,12 +695,16 @@ def _slack(direction: str, lhs_lo: float, lhs_hi: float, rhs_lo: float, rhs_hi: 
     return rhs_lo - lhs_hi
 
 
-def _verdict(slack: float, rhs: Enclosure) -> str:
+def _verdict(direction: str, slack: float, lhs: Enclosure, rhs: Enclosure) -> str:
     # The certification floor absorbs last-place rounding between routes
     # that compute one quantity two ways; it sits four orders of magnitude
     # below the violation threshold, so no near-violation can certify.
     if slack >= -CERT_EPS * (1.0 + abs(rhs.hi)):
         return PASS_CERTIFIED
+    # An inequality is violated only if it fails between the ends most in
+    # its favour (each side's swapped); wide sound enclosures leave it open.
+    if direction != EQ:
+        slack = _slack(direction, lhs.hi, lhs.lo, rhs.hi, rhs.lo)
     if slack < -VIOLATION_TOL * (1.0 + abs(rhs.hi)):
         return VIOLATION_CANDIDATE
     return PASS_UNCERTIFIED
@@ -715,7 +720,7 @@ def _result(entry: CheckDefinition, instance: str, variants, i: int, notes: dict
             best = (slack, variant, lhs, rhs)
     slack, variant, lhs, rhs = best
     lhs, rhs = lhs[i], rhs[i]
-    verdict = PASS_CERTIFIED if entry.direction == CONDITIONAL else _verdict(slack, rhs)
+    verdict = PASS_CERTIFIED if entry.direction == CONDITIONAL else _verdict(direction, slack, lhs, rhs)
     tightness = lhs.hi / max(rhs.lo, TIGHTNESS_EPS)
     return CheckResult(entry.check_id, instance, lhs, rhs, slack, verdict, tightness, variant, notes)
 

@@ -27,11 +27,12 @@ budget runs out.  After the search, Crawford upper ends are further capped
 by a Monte Carlo scan of |y* M y| over random unit vectors, which bounds
 the infimum from above.
 
-radii_and_crawford_numbers runs one search for many matrices: each round
-makes one eigensolve call (per chunk of cells of bounded size) for every
-matrix of one size and functional still refining.  Each matrix keeps its
-own cells, bounds and stopping test, so its enclosure is the one it gets
-alone; numerical_radius and crawford_number are the one-matrix case.
+radii_and_crawford_numbers runs one search for the matrices of lists of
+(k, m, m) stacks: each round makes one eigensolve call (per chunk of
+cells of bounded size) for every matrix of one size and functional still
+refining.  Each matrix keeps its own cells, bounds and stopping test, so
+its enclosure, a row of the Enclosures returned, is the one it gets
+alone; numerical_radius and crawford_number are one-matrix stacks.
 Block-antidiagonal matrices [[0, X], [Y, 0]] are searched through the
 singular values of the corner of H(t), from r x r instead of 2r x 2r
 eigensolves.
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadConfig, NoConvergence
+from .errors import BadConfig, NoConvergence, NonSquare
 from .kernel import as_matrix, spectral_norms
 from .space import SemiHilbertSpace
 
@@ -138,10 +139,6 @@ class Enclosures:
     def __init__(self, lo: np.ndarray, hi: np.ndarray, code: np.ndarray):
         self.lo, self.hi, self.code = lo, hi, code
 
-    @classmethod
-    def of(cls, encs) -> "Enclosures":
-        return cls(np.array([e.lo for e in encs]), np.array([e.hi for e in encs]), np.array([e.code for e in encs]))
-
     def __getitem__(self, i):
         if isinstance(i, slice):
             return Enclosures(self.lo[i], self.hi[i], self.code[i])
@@ -167,8 +164,8 @@ class RadiusOptions:
     def __post_init__(self):
         if self.grid_count < 4:
             raise BadConfig("grid_count must be at least 4")
-        if not self.gap_scale > 0.0:
-            raise BadConfig("gap_scale must be positive")
+        if not 0.0 < self.gap_scale < math.inf:
+            raise BadConfig("gap_scale must be positive and finite")
         if self.oracle_samples < 0:
             raise BadConfig("oracle_samples must be nonnegative")
 
@@ -457,55 +454,52 @@ def _search(groups: list[_Pencils], gap, opts: RadiusOptions):
     return lo, hi
 
 
-def _stacks(mats):
-    """Square matrices grouped by size: (input positions, stack) per size."""
-    arrays = [as_matrix(M) for M in mats]
-    positions: dict[int, list[int]] = {}
-    for i, A in enumerate(arrays):
-        positions.setdefault(A.shape[0], []).append(i)
-    out = []
-    for idx in positions.values():
-        S = np.stack([arrays[i] for i in idx])
-        if not np.isfinite(S).all():
-            raise NoConvergence("matrix has non-finite entries")
-        out.append((idx, S))
-    return out
+def _by_size(stacks, first: int = 0):
+    """The rows of (k, m, m) stacks, numbered from first, grouped by m:
+    the row count and (rows, joined stack) per size."""
+    groups: dict[int, tuple[list, list]] = {}
+    for S in stacks:
+        S = np.asarray(S, dtype=np.complex128)
+        if S.ndim != 3 or S.shape[1] != S.shape[2]:
+            raise NonSquare(f"expected a stack of square matrices, got shape {S.shape}")
+        rows, parts = groups.setdefault(S.shape[1], ([], []))
+        rows.append(np.arange(first, first + len(S)))
+        parts.append(S)
+        first += len(S)
+    out = [(_joined(rows), _joined(parts)) for rows, parts in groups.values()]
+    if not all(np.isfinite(A).all() for _rows, A in out):
+        raise NoConvergence("matrix has non-finite entries")
+    return first, out
 
 
-def _exact(v: float) -> Enclosure:
-    """A directly computed nonnegative value with its relative rounding pad."""
-    v = float(v)
-    err = _EXACT_ERR * v
-    return Enclosure(max(v - err, 0.0), v + err, "exact")
+def _put(out: Enclosures, rows, v, err=None) -> None:
+    """Directly computed nonnegative values v into out at rows (whose method
+    is "exact"), padded by err, by default their relative rounding pad."""
+    err = _EXACT_ERR * v if err is None else err
+    out.lo[rows], out.hi[rows] = _max(v - err, 0.0), v + err
 
 
-def _radius_direct(A: np.ndarray, out: dict) -> tuple:
-    """Radii of a same-size stack that need no search, into out by stack
-    position; returns (positions, P, K, norms) of the others."""
-    k, m = A.shape[0], A.shape[1]
-    none = np.zeros(0, dtype=np.intp)
-    if m == 0:
-        out.update((j, Enclosure(0.0, 0.0, "exact")) for j in range(k))
-        return none, None, None, None
-    if m == 1:
-        out.update((j, _exact(abs(a))) for j, a in enumerate(A[:, 0, 0]))
-        return none, None, None, None
+def _abs_entries(A: np.ndarray) -> np.ndarray:
+    """|a| for each 1 x 1 matrix of a stack, by Python's abs: np.abs of a
+    complex array can differ from it in the last bit."""
+    return np.array([abs(a) for a in A[:, 0, 0]])
+
+
+def _radius_direct(A: np.ndarray, rows: np.ndarray, out: Enclosures) -> tuple:
+    """Radii of a stack of m x m matrices, m >= 2, that need no search, into
+    out at their rows; returns (stack positions, P, K, norms) of the others."""
     d = A.diagonal(axis1=1, axis2=2)
-    diagonal = np.count_nonzero(A, axis=(1, 2)) == np.count_nonzero(d, axis=1)
-    for j in np.flatnonzero(diagonal):
-        # Diagonal matrix: the range is the hull of the entries.
-        out[j] = _exact(np.max(np.abs(d[j])))
-    direct = diagonal
-    if m == 2:
-        ellipse = ~diagonal & ~d.any(axis=1)
-        for j in np.flatnonzero(ellipse):
-            # Zero diagonal: the range is an ellipse centered at zero with
-            # major semi-axis (|b| + |c|) / 2 from the off entries.
-            out[j] = _exact(0.5 * (abs(complex(A[j, 0, 1])) + abs(complex(A[j, 1, 0]))))
-        direct = diagonal | ellipse
+    direct = np.count_nonzero(A, axis=(1, 2)) == np.count_nonzero(d, axis=1)
+    # Diagonal matrix: the range is the hull of the entries.
+    _put(out, rows[direct], np.abs(d[direct]).max(axis=1))
+    if A.shape[1] == 2:
+        # Zero diagonal: the range is an ellipse centered at zero with
+        # major semi-axis (|b| + |c|) / 2 from the off entries.
+        ellipse = ~direct & ~d.any(axis=1)
+        sums = [abs(complex(b)) + abs(complex(c)) for b, c in zip(A[ellipse, 0, 1], A[ellipse, 1, 0])]
+        _put(out, rows[ellipse], 0.5 * np.array(sums))
+        direct |= ellipse
     rest = np.flatnonzero(~direct)
-    if not rest.size:
-        return none, None, None, None
     M = A[rest]
     P, K = _pencil(M)
     L = spectral_norms(M)
@@ -524,9 +518,8 @@ def _radius_direct(A: np.ndarray, out: dict) -> tuple:
     if short.any():
         w = np.linalg.eigvalsh(np.where(use_p[:, None, None], P, K)[short])
         delta = np.where(use_p, normK, normP)[short]
-        for j, v, dj, Lj in zip(rest[short], np.maximum(np.abs(w[:, 0]), np.abs(w[:, -1])), delta, L[short]):
-            err = float(dj + _EVAL_ERR * (1.0 + Lj))
-            out[j] = Enclosure(max(float(v) - err, 0.0), float(v) + err, "exact")
+        v = np.maximum(np.abs(w[:, 0]), np.abs(w[:, -1]))
+        _put(out, rows[rest[short]], v, delta + _EVAL_ERR * (1.0 + L[short]))
     grid = ~short
     return rest[grid], P[grid], K[grid], L[grid]
 
@@ -568,92 +561,92 @@ def _mc_extreme(M: np.ndarray, blocks, reduce_max: bool) -> float:
     return best
 
 
-def radii_and_crawford_numbers(radius_mats, crawford_mats, opts: RadiusOptions = RadiusOptions()):
-    """Radius enclosures of radius_mats and Crawford enclosures of
-    crawford_mats, from one search whose rounds serve both lists; each
-    enclosure equals the one its matrix gets alone."""
-    radii: list = [None] * len(radius_mats)
-    crawfords: list = [Enclosure(0.0, 0.0, "exact")] * len(crawford_mats)
-    groups, norms, caps, targets = [], [], [], []
-    for idx, A in _stacks(radius_mats):
-        direct: dict = {}
-        pos, P, K, L = _radius_direct(A, direct)
-        for j, enc in direct.items():
-            radii[idx[j]] = enc
-        if not pos.size:
+def _checked(out: Enclosures) -> Enclosures:
+    """out, once its ends are finite and ordered."""
+    if not (np.isfinite(out.lo).all() and np.isfinite(out.hi).all()):
+        raise NoConvergence("enclosure ends are not finite")
+    bad = np.flatnonzero(out.lo > out.hi)
+    if bad.size:
+        raise BadConfig(f"enclosure lo {out.lo.item(bad[0])!r} exceeds hi {out.hi.item(bad[0])!r}")
+    return out
+
+
+def radii_and_crawford_numbers(radius_stacks, crawford_stacks, opts: RadiusOptions = RadiusOptions()):
+    """Radius enclosures of the matrices of radius_stacks and Crawford
+    enclosures of those of crawford_stacks, lists of (k, m, m) arrays of
+    any sizes, from one search whose rounds serve both: an Enclosures
+    stack over the joined rows of each list.  Each enclosure equals the
+    one its matrix gets alone."""
+    n_radii, radius_groups = _by_size(radius_stacks)
+    n, crawford_groups = _by_size(crawford_stacks, n_radii)
+    # Rows left alone are exact zeros: empty matrices, and Crawford numbers
+    # of matrices with a zero diagonal, where a basis vector attains zero.
+    out = Enclosures(np.zeros(n), np.zeros(n), np.zeros(n, dtype=np.intp))
+    for rows, A in radius_groups + crawford_groups:
+        if A.shape[1] == 1:
+            # The radius and the Crawford number of a 1 x 1 matrix are |a|.
+            _put(out, rows, _abs_entries(A))
+    searches = []  # (pencils, norms, caps, rows of out) per searched group
+    for rows, A in radius_groups:
+        if A.shape[1] < 2:
             continue
-        m, r = A.shape[1], A.shape[1] // 2
-        searched = A[pos]
-        antidiagonal = np.zeros(pos.size, dtype=bool)
-        if m % 2 == 0:
-            antidiagonal = ~searched[:, :r, :r].any(axis=(1, 2)) & ~searched[:, r:, r:].any(axis=(1, 2))
+        pos, P, K, L = _radius_direct(A, rows, out)
+        # [[0, X], [Y, 0]] with square blocks X and Y.
+        searched, r = A[pos], A.shape[1] // 2
+        diagonal_blocks = searched[:, :r, :r].any(axis=(1, 2)) | searched[:, r:, r:].any(axis=(1, 2))
+        antidiagonal = (A.shape[1] % 2 == 0) & ~diagonal_blocks
         for part, anti in ((~antidiagonal, False), (antidiagonal, True)):
             if part.any():
-                groups.append(_Pencils(P[part], K[part], None, anti))
-                norms.append(L[part])
-                caps.append(np.full(np.count_nonzero(part), np.inf))
-                targets.extend((radii, idx[j]) for j in pos[part])
-    for idx, A in _stacks(crawford_mats):
-        m = A.shape[1]
-        if m == 1:
-            for i, a in zip(idx, A[:, 0, 0]):
-                crawfords[i] = _exact(abs(a))
-        if m <= 1:
-            continue
-        # A zero diagonal entry is attained by a basis vector, so with a
-        # zero diagonal the infimum over the unit sphere is exactly zero.
+                cap = np.full(np.count_nonzero(part), np.inf)
+                searches.append((_Pencils(P[part], K[part], None, anti), L[part], cap, rows[pos[part]]))
+    for rows, A in crawford_groups:
         rest = np.flatnonzero(A.diagonal(axis1=1, axis2=2).any(axis=1))
-        if not rest.size:
+        if A.shape[1] < 2 or not rest.size:
             continue
         M = A[rest]
-        norms.append(spectral_norms(M))
-        if opts.oracle_samples > 0:
-            blocks = _cap_vectors(opts.oracle_samples, m)
-            caps.append(np.array([_mc_extreme(X, blocks, reduce_max=False) for X in M]))
-        else:
-            caps.append(np.full(rest.size, np.inf))
-        groups.append(_Pencils(*_pencil(M), M))
-        targets.extend((crawfords, idx[j]) for j in rest)
-    if groups:
-        L, cap = np.concatenate(norms), np.concatenate(caps)
-        lo, hi = _search(groups, opts.resolve_gap(L), opts)
+        # With no samples the cap is the vacuous +inf.
+        blocks = _cap_vectors(opts.oracle_samples, A.shape[1])
+        cap = np.array([_mc_extreme(X, blocks, reduce_max=False) for X in M])
+        searches.append((_Pencils(*_pencil(M), M), spectral_norms(M), cap, rows[rest]))
+    if searches:
+        groups, norms, caps, targets = zip(*searches)
+        L, cap, rows = np.concatenate(norms), np.concatenate(caps), np.concatenate(targets)
+        lo, hi = _search(list(groups), opts.resolve_gap(L), opts)
         err = _EVAL_ERR * (1.0 + L)
-        for (out, i), lo_i, hi_i, err_i, cap_i in zip(targets, lo, hi, err, cap):
-            lo_c, hi_c = max(float(lo_i - err_i), 0.0), float(max(hi_i, lo_i, 0.0) + err_i)
-            method = "grid"
-            if cap_i + err_i < hi_c:
-                hi_c = max(float(cap_i + err_i), lo_c)
-                method = "oracle"
-            out[i] = Enclosure(lo_c, hi_c, method)
-    return radii, crawfords
+        hi = _max(_max(hi, lo), 0.0) + err
+        lo = _max(lo - err, 0.0)
+        capped = cap + err < hi
+        out.lo[rows], out.hi[rows] = lo, np.where(capped, _max(cap + err, lo), hi)
+        out.code[rows] = np.where(capped, METHODS.index("oracle"), METHODS.index("grid"))
+    _checked(out)
+    return out[:n_radii], out[n_radii:]
 
 
 def numerical_radius(M, opts: RadiusOptions = RadiusOptions()) -> Enclosure:
     """Certified enclosure of the numerical radius of a square matrix."""
-    return radii_and_crawford_numbers([M], [], opts)[0][0]
+    return radii_and_crawford_numbers([as_matrix(M)[None]], [], opts)[0][0]
 
 
 def crawford_number(M, opts: RadiusOptions = RadiusOptions()) -> Enclosure:
     """Certified enclosure of the Crawford number (distance from zero to
     the numerical range, zero when the range contains zero)."""
-    return radii_and_crawford_numbers([], [M], opts)[1][0]
+    return radii_and_crawford_numbers([], [as_matrix(M)[None]], opts)[1][0]
 
 
-def matrix_norms(mats) -> Enclosures:
-    """Spectral norm of each matrix with its relative rounding pad, one
-    singular value call per matrix size."""
-    values = np.zeros(len(mats))
-    for idx, A in _stacks(mats):
-        # Python's abs of each 1 x 1 entry: np.abs of a complex array can
-        # differ from it in the last bit.
-        values[idx] = [abs(a) for a in A[:, 0, 0]] if A.shape[1] == 1 else spectral_norms(A)
-    err = _EXACT_ERR * values
-    return Enclosures(_max(values - err, 0.0), values + err, np.zeros(len(mats), dtype=np.intp))
+def matrix_norms(stacks) -> Enclosures:
+    """Spectral norm enclosures of the matrices of a list of (k, m, m)
+    arrays of any sizes, with their relative rounding pads: an Enclosures
+    stack over the joined rows, from one singular value call per size."""
+    n, groups = _by_size(stacks)
+    out = Enclosures(np.zeros(n), np.zeros(n), np.zeros(n, dtype=np.intp))
+    for rows, A in groups:
+        _put(out, rows, _abs_entries(A) if A.shape[1] == 1 else spectral_norms(A))
+    return _checked(out)
 
 
 def op_seminorm(space: SemiHilbertSpace, T) -> Enclosure:
     """Operator seminorm, the spectral norm of the reduced matrix."""
-    return matrix_norms([space.tilde(T)])[0]
+    return matrix_norms([space.tilde(T)[None]])[0]
 
 
 def a_numerical_radius(space: SemiHilbertSpace, T, opts: RadiusOptions = RadiusOptions()) -> Enclosure:

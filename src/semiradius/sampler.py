@@ -8,6 +8,7 @@ shifts the streams of earlier ones.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,8 +73,8 @@ class SampleConfig:
             raise BadConfig(f"rank must lie in [0, {self.dim}], got {self.rank}")
         if self.law not in SPECTRUM_LAWS:
             raise BadConfig(f"unknown spectrum law {self.law!r}")
-        if self.rank > 0 and not 0.0 < self.lam_min <= self.lam_max:
-            raise BadConfig("spectrum bounds need 0 < lam_min <= lam_max")
+        if self.rank > 0 and not 0.0 < self.lam_min <= self.lam_max < math.inf:
+            raise BadConfig("spectrum bounds need 0 < lam_min <= lam_max < inf")
         if self.master_seed < 0:
             raise BadConfig(f"master_seed must be non-negative, got {self.master_seed}")
 
@@ -112,8 +113,8 @@ def sample_operator_in_BA(space: SemiHilbertSpace, scale: float = 1.0, seed=0) -
     null to range coordinates is zeroed, which makes the operator both
     adjoint-admitting and seminorm-bounded; no membership test runs.
     """
-    if scale < 0.0:
-        raise BadConfig(f"scale must be nonnegative, got {scale}")
+    if not 0.0 <= scale < math.inf:
+        raise BadConfig(f"scale must be finite and nonnegative, got {scale}")
     n, r = space.dim, space.rank
     G = scale * _ginibre(_as_rng(seed), n, n)
     G[n - r :, : n - r] = 0.0

@@ -1,6 +1,7 @@
 """Campaign runner: config validation, determinism, aggregation, replay."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -15,8 +16,9 @@ from semiradius.campaign import (
     write_csv,
     write_report,
 )
-from semiradius.catalog import SKIPPED, run_all, tightness_report
+from semiradius.catalog import PASS_UNCERTIFIED, SKIPPED, run_all, tightness_report
 from semiradius.errors import BadConfig, ParseError
+from semiradius.functionals import a_numerical_radius
 from semiradius.sampler import SampleConfig, derive_seed, sample_bundle, sample_space
 
 SMALL = dict(dims=(2, 3), trials=4, master_seed=7, grid_count=64)
@@ -63,6 +65,10 @@ class TestConfig:
             dict(grid_count=3),
             dict(gap_scale=0.0),
             dict(oracle_samples=-1),
+            dict(scale=math.nan),
+            dict(scale=math.inf),
+            dict(lam_max=math.inf),
+            dict(gap_scale=math.inf),
         ],
     )
     def test_rejects_bad_config(self, kwargs):
@@ -138,6 +144,22 @@ class TestReport:
         for summary in rep["checks"].values():
             assert summary["violations"] == 0
             assert summary["uncertified"] == 0
+
+    def test_wide_sound_enclosures_are_uncertified_not_violations(self):
+        # A loose gap and a four-angle grid stop the search early: on
+        # d4_r2_t0, C1's radius enclosure holds the true radius but reaches
+        # past the norm, which leaves "radius <= norm" undecided.
+        cfg = CampaignConfig(dims=(4,), trials=3, gap_scale=1.0, grid_count=4)
+        rep = run_campaign(cfg)
+        assert rep["totals"]["violations"] == 0 and rep["totals"]["uncertified"] > 0
+        assert report_exit_code(rep) == 2
+        seed = derive_seed(cfg.master_seed, 4, 2, 0)
+        sp = sample_space(SampleConfig(dim=4, rank=2, master_seed=seed))
+        bundle = sample_bundle(sp, seed=derive_seed(seed, 1))
+        (row,) = run_all(sp, bundle, opts=cfg.options(), instance="d4_r2_t0", checks=["C1"])
+        radius = a_numerical_radius(sp, bundle["T"])
+        assert row.variant == "upper" and row.lhs.lo <= radius.lo <= radius.hi <= row.lhs.hi
+        assert row.lhs.hi > row.rhs.hi and row.verdict == PASS_UNCERTIFIED
 
     def test_exit_code_mapping(self, small_report):
         assert report_exit_code(small_report) == 0

@@ -291,13 +291,13 @@ class TestEvaluatorCache:
         counts = []
         real_search = catalog_module.radii_and_crawford_numbers
 
-        def search(radius_mats, crawford_mats, opts):
-            counts.append((len(radius_mats), len(crawford_mats)))
-            return real_search(radius_mats, crawford_mats, opts)
+        def search(radius_stacks, crawford_stacks, opts):
+            counts.append(([len(S) for S in radius_stacks], [len(S) for S in crawford_stacks]))
+            return real_search(radius_stacks, crawford_stacks, opts)
 
         monkeypatch.setattr(catalog_module, "radii_and_crawford_numbers", search)
         run_many(items, opts=RadiusOptions(grid_count=64))
-        assert counts == [(23 * k, k)]
+        assert counts == [([k] * 23, [k])]
 
     def test_each_check_requests_what_it_reads(self):
         # A check run alone solves only its own requests, so reading an
@@ -332,9 +332,9 @@ class TestRunMany:
         searches, reductions = [], []
         real_search, real_reduce = catalog_module.radii_and_crawford_numbers, SemiHilbertSpace.reduce_all
 
-        def search(radius_mats, crawford_mats, opts):
+        def search(radius_stacks, crawford_stacks, opts):
             searches.append(opts)
-            return real_search(radius_mats, crawford_mats, opts)
+            return real_search(radius_stacks, crawford_stacks, opts)
 
         def reduce_all(self, mats):
             reductions.append((id(self), len(mats)))

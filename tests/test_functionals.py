@@ -24,6 +24,7 @@ from semiradius.functionals import (
     iscale,
     isqrt,
     isub,
+    matrix_norms,
     mc_crawford_upper,
     mc_radius_lower,
     numerical_radius,
@@ -125,6 +126,21 @@ def mixed_stack(seed: int) -> list:
     return mats
 
 
+def as_stacks(mats) -> list:
+    """The matrices as (k, m, m) stacks, one per run of equal sizes."""
+    stacks = []
+    for M in mats:
+        if stacks and stacks[-1].shape[1:] == M.shape:
+            stacks[-1] = np.concatenate([stacks[-1], M[None]])
+        else:
+            stacks.append(np.asarray(M, dtype=np.complex128)[None])
+    return stacks
+
+
+def rows(encs) -> list:
+    return [encs[i] for i in range(encs.lo.size)]
+
+
 def same(a: Enclosure, b: Enclosure) -> bool:
     return (a.lo, a.hi, a.method) == (b.lo, b.hi, b.method)
 
@@ -133,19 +149,40 @@ class TestStackedSolves:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_each_enclosure_is_the_one_it_gets_alone(self, seed):
         mats = mixed_stack(seed)
-        radii, crawfords = radii_and_crawford_numbers(mats, mats[::-1])
+        radii, crawfords = map(rows, radii_and_crawford_numbers(as_stacks(mats), as_stacks(mats[::-1])))
         assert all(same(r, numerical_radius(M)) for r, M in zip(radii, mats))
         assert all(same(c, crawford_number(M)) for c, M in zip(crawfords, mats[::-1]))
-        alone = radii_and_crawford_numbers(mats, [])[0] + radii_and_crawford_numbers([], mats[::-1])[1]
-        assert all(same(a, b) for a, b in zip(alone, radii + crawfords))
+        alone = rows(radii_and_crawford_numbers(as_stacks(mats), [])[0])
+        alone += rows(radii_and_crawford_numbers([], as_stacks(mats[::-1]))[1])
+        assert all(same(a, b) for a, b in zip(alone, radii + crawfords, strict=True))
+
+    def test_mixed_size_stacks_equal_each_matrix_alone(self):
+        # Stacks of one size are joined across the list, between stacks of
+        # other sizes; each row keeps its place in the output.
+        stacks = [np.stack([random_matrix(10 * m + j, m) for j in range(3)]) for m in (3, 2, 3, 1, 4, 2)]
+        mats = [M for S in stacks for M in S]
+        radii, crawfords = map(rows, radii_and_crawford_numbers(stacks, stacks[::-1]))
+        assert all(same(r, numerical_radius(M)) for r, M in zip(radii, mats, strict=True))
+        backwards = [M for S in stacks[::-1] for M in S]
+        assert all(same(c, crawford_number(M)) for c, M in zip(crawfords, backwards, strict=True))
+        norms = rows(matrix_norms(stacks))
+        assert all(same(n, matrix_norms([M[None]])[0]) for n, M in zip(norms, mats, strict=True))
+
+    def test_non_finite_matrix_in_a_stack_raises(self):
+        stack = np.stack([random_matrix(0, 3), np.full((3, 3), np.nan), random_matrix(1, 3)])
+        for radius_stacks, crawford_stacks in (([stack], []), ([], [stack])):
+            with pytest.raises(NoConvergence):
+                radii_and_crawford_numbers(radius_stacks, crawford_stacks)
+        with pytest.raises(NoConvergence):
+            matrix_norms([random_matrix(2, 2)[None], stack])
 
     def test_cells_evaluated_in_chunks_give_the_same_enclosures(self, monkeypatch):
         # A flat objective keeps every cell, so the chunks split matrices.
-        mats = [JORDAN + 0.3 * np.eye(2), random_matrix(4, 4), np.diag(np.ones(2), 1) + 0j]
-        whole = radii_and_crawford_numbers(mats, mats)
+        stacks = as_stacks([JORDAN + 0.3 * np.eye(2), random_matrix(4, 4), np.diag(np.ones(2), 1) + 0j])
+        whole = radii_and_crawford_numbers(stacks, stacks)
         monkeypatch.setattr(functionals, "_CHUNK_BYTES", 512)
-        chunked = radii_and_crawford_numbers(mats, mats)
-        for a, b in zip(whole[0] + whole[1], chunked[0] + chunked[1]):
+        chunked = radii_and_crawford_numbers(stacks, stacks)
+        for a, b in zip(rows(whole[0]) + rows(whole[1]), rows(chunked[0]) + rows(chunked[1]), strict=True):
             assert same(a, b)
 
     @pytest.mark.parametrize("seed", [0, 1])
@@ -155,7 +192,7 @@ class TestStackedSolves:
         X, Y = random_matrix(seed, 3), random_matrix(seed + 10, 3)
         B = np.block([[np.zeros((3, 3)), X], [Y, np.zeros((3, 3))]])
         U = np.linalg.qr(random_matrix(seed + 20, 6))[0]
-        block, hidden = radii_and_crawford_numbers([B, U @ B @ U.conj().T], [])[0]
+        block, hidden = rows(radii_and_crawford_numbers([np.stack([B, U @ B @ U.conj().T])], [])[0])
         assert block.lo <= hidden.hi and hidden.lo <= block.hi
         # antidiag(X, X) is unitarily similar to diag(X, -X).
         same_radius = numerical_radius(np.block([[np.zeros((3, 3)), X], [X, np.zeros((3, 3))]]))
@@ -168,7 +205,9 @@ class TestStackedSolves:
         assert same(crawford_number(M.T), crawford_number(np.ascontiguousarray(M.T)))
 
     def test_empty_request_lists(self):
-        assert radii_and_crawford_numbers([], []) == ([], [])
+        radii, crawfords = radii_and_crawford_numbers([], [])
+        assert rows(radii) == [] and rows(crawfords) == []
+        assert rows(matrix_norms([])) == []
 
 
 def shifted_jordan(seed: int, n: int, c: float, phi: float = 0.0) -> np.ndarray:
@@ -184,9 +223,9 @@ class TestHalfCircleSearch:
         # Rotations move the extremes to angles of either half turn.
         cases = [(n, c, phi) for n in (2, 3, 5, 8) for c in (0.7, 2.5) for phi in (0.0, 1.0, 2.5, -2.0)]
         cases.append((3, 0.0, 0.0))
-        mats = [shifted_jordan(7 * n + i, n, c, phi) for i, (n, c, phi) in enumerate(cases)]
-        radii, crawfords = radii_and_crawford_numbers(mats, mats, RadiusOptions(grid_count=grid))
-        for (n, c, _), w, cr in zip(cases, radii, crawfords):
+        stacks = as_stacks([shifted_jordan(7 * n + i, n, c, phi) for i, (n, c, phi) in enumerate(cases)])
+        radii, crawfords = map(rows, radii_and_crawford_numbers(stacks, stacks, RadiusOptions(grid_count=grid)))
+        for (n, c, _), w, cr in zip(cases, radii, crawfords, strict=True):
             r = math.cos(math.pi / (n + 1))
             assert w.lo <= c + r <= w.hi
             assert cr.lo <= max(c - r, 0.0) <= cr.hi
@@ -231,6 +270,10 @@ class TestCrawfordNumber:
         # Numerical range is the disk of radius 1/2 around 1.
         enc = crawford_number(JORDAN)
         assert enc.lo <= 0.5 <= enc.hi and enc.width <= 1e-8
+
+    def test_without_oracle_samples_the_search_decides(self):
+        enc = crawford_number(JORDAN, RadiusOptions(oracle_samples=0))
+        assert enc.method == "grid" and enc.lo <= 0.5 <= enc.hi and enc.width <= 1e-8
 
     def test_scalar(self):
         enc = crawford_number(np.array([[2.0j]]))
@@ -362,8 +405,9 @@ class TestRadiusOptions:
     def test_validation(self):
         with pytest.raises(BadConfig):
             RadiusOptions(grid_count=3)
-        with pytest.raises(BadConfig):
-            RadiusOptions(gap_scale=-1.0)
+        for gap_scale in (-1.0, math.inf, math.nan):
+            with pytest.raises(BadConfig):
+                RadiusOptions(gap_scale=gap_scale)
         with pytest.raises(BadConfig):
             RadiusOptions(oracle_samples=-5)
 

@@ -1,6 +1,7 @@
 """Sampling determinism, membership guarantees, and spectrum laws."""
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -47,6 +48,10 @@ class TestSampleConfig:
             SampleConfig(dim=2, rank=1, law="cauchy")
         with pytest.raises(BadConfig):
             SampleConfig(dim=2, rank=1, lam_min=0.0)
+        with pytest.raises(BadConfig):
+            SampleConfig(dim=2, rank=1, lam_max=math.inf)
+        with pytest.raises(BadConfig):
+            SampleConfig(dim=2, rank=1, lam_min=math.inf, lam_max=math.inf)
         with pytest.raises(BadConfig):
             SampleConfig(dim=2, rank=1, master_seed=-1)
 
@@ -107,8 +112,9 @@ class TestSampleOperators:
 
     def test_scale_validation(self):
         sp = build_space(np.eye(2))
-        with pytest.raises(BadConfig):
-            sample_operator_in_BA(sp, scale=-0.5)
+        for scale in (-0.5, math.nan, math.inf):
+            with pytest.raises(BadConfig):
+                sample_operator_in_BA(sp, scale=scale)
 
     def test_zero_scale_gives_zero_operator(self):
         sp = build_space(np.eye(2))
