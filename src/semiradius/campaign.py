@@ -187,7 +187,8 @@ def run_campaign(config: CampaignConfig) -> dict:
     cells = config.cells()
     jobs = [(config, dim, rank) for dim, rank in cells]
     if config.workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        # A pool forks all its workers up front: no more than there are jobs.
+        with ProcessPoolExecutor(max_workers=min(config.workers, len(jobs))) as pool:
             partials = list(pool.map(_run_cell, jobs))
     else:
         partials = [_run_cell(job) for job in jobs]

@@ -19,7 +19,16 @@ max(0, maximum of max(lambda_min, -lambda_max)).
   lambda_min(H(s)) and touches it at t; the top eigenvector gives one
   touching at t + pi.  The larger of their exact maxima caps the cell;
 * the Lipschitz cap value + |M| * w is implied: with at least four grid
-  angles w is about pi/4 at most, where no rotation cap exceeds it.
+  angles w is about pi/4 at most, where no rotation cap exceeds it;
+* a radius matrix whose objective is flat on the initial grid, so that
+  every round-0 cell survives pruning (disk-shaped ranges about 0, such as
+  weighted shifts and U J_n U*), is also capped by Ando's dual certificate
+  (T. Ando, "Structure of operators with numerical radius one", Acta Sci.
+  Math. (Szeged) 34, 1973): omega(M) = min over Hermitian Z of
+  lambda_max([[Z, M], [M*, -Z]]), and every Hermitian Z gives an upper
+  bound.  Z is fitted to the round-0 eigenvectors, and a flat matrix
+  whose certificate meets its gap leaves the search at round 0; the
+  others refine as before.
 
 Cells whose cap cannot beat the running lower bound are pruned; surviving
 cells are subdivided until the enclosure gap meets the target or the round
@@ -94,6 +103,9 @@ _SHORTCUT_TOL = 1e-13
 # eps * norm, so attained values are only lower bounds up to that much.
 _EVAL_ERR = 1e-13
 _MC_CHUNK = 1 << 13
+# Relative distance from the top within which eigenvalues of a dual
+# certificate's block matrix count as one cluster.
+_CLUSTER = 1e-6
 # Bytes of per-cell matrices (rotated matrices for one eigensolve call,
 # Crawford operands for y* M y) a search builds at once.
 _CHUNK_BYTES = 1 << 22
@@ -365,6 +377,51 @@ class _Pencils:
         A = self.A[0] if self.A.shape[0] == 1 else np.take(self.A, seg, axis=0)
         return np.add.reduce(Y.conj() * np.add.reduce(A * Y[:, None, :], axis=2), axis=1)
 
+    def dual(self, which: np.ndarray, ts: np.ndarray, lower: np.ndarray, gap: np.ndarray) -> np.ndarray:
+        """Ando's dual upper bound for the radius of the matrices which, from
+        the attaining eigenvectors at the angles ts, their lower bounds and
+        their target gaps.
+
+        omega(M) = min over Hermitian Z of lambda_max([[Z, M], [M*, -Z]]),
+        and every Hermitian Z bounds it from above: v = [x; exp(it) x] / sqrt 2
+        gives v* B v = Re(exp(it) x* M x).  Z is fitted to the complementary
+        slackness equations Z x_t = lower x_t - exp(it) M x_t by least
+        squares over the attaining vectors x_t and made Hermitian.  At the
+        optimum the top eigenvalue of B is multiple, which the fit misses
+        when the x_t are ill-conditioned; so where its bound misses the gap,
+        one first-order step moves the top eigenvalues of B towards one
+        common value, and the smaller bound of the two is kept.
+        """
+        per = max(1, self.step // ts.size)
+        return _joined(
+            [
+                self._dual(which[a : a + per], ts, lower[a : a + per], gap[a : a + per])
+                for a in range(0, which.size, per)
+            ]
+        )
+
+    def _dual(self, which: np.ndarray, ts: np.ndarray, lower: np.ndarray, gap: np.ndarray) -> np.ndarray:
+        k, n, m = which.size, ts.size, self.m
+        Pv, Kv = self.Pv[which], self.Kv[which]
+        wmin, wmax, vmin, vmax = _extremes(_rotated(Pv, Kv, np.arange(k).repeat(n), np.tile(ts, k)), vectors=True)
+        # Where -lambda_min attains, the bottom vector is the top one at t + pi.
+        bottom = -wmin > wmax
+        X = np.swapaxes(np.where(bottom[:, None], vmin, vmax).reshape(k, n, m), 1, 2)
+        phase = (np.exp(1j * np.tile(ts, k)) * np.where(bottom, -1.0, 1.0)).reshape(k, 1, n)
+        M = Pv.view(np.complex128) - 1j * Kv.view(np.complex128)
+        try:
+            Z = (lower[:, None, None] * X - phase * (M @ X)) @ np.linalg.pinv(X)
+            Z = 0.5 * (Z + np.swapaxes(Z.conj(), 1, 2))
+            w, V = np.linalg.eigh(_ando(Z, M))
+            cap = _top(w)
+            loose = np.flatnonzero(cap - np.maximum(lower, 0.0) > gap)
+            if loose.size:
+                Z = Z[loose] + np.stack([_equalizing_step(w[j], V[j], m) for j in loose])
+                cap[loose] = np.minimum(cap[loose], _top(np.linalg.eigvalsh(_ando(Z, M[loose]))))
+            return cap
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergence(f"dual bound failed: {exc}") from exc
+
     def bound(self, vals: np.ndarray, qs, centers: np.ndarray, hw: float) -> np.ndarray:
         """The rotation certificate of cells of half-width hw."""
         if self.A is None:
@@ -377,6 +434,35 @@ class _Pencils:
             dist = np.abs(_wrap_angle(-np.angle(q) - centers))
             bounds.append(np.abs(q) * np.cos(np.maximum(dist - hw, 0.0)))
         return np.maximum(*bounds)
+
+
+def _ando(Z: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """The stack of Hermitian matrices [[Z, M], [M*, -Z]]."""
+    return np.block([[Z, M], [np.swapaxes(M.conj(), 1, 2), -Z]])
+
+
+def _top(w: np.ndarray) -> np.ndarray:
+    """Top eigenvalues of a stack from its eigenvalues w, padded by their
+    rounding error."""
+    return w[:, -1] + _EVAL_ERR * (1.0 + np.maximum(w[:, -1], -w[:, 0]))
+
+
+def _equalizing_step(w: np.ndarray, V: np.ndarray, m: int) -> np.ndarray:
+    """The Hermitian dZ that moves, to first order, the top eigenvalues of
+    B = [[Z, M], [M*, -Z]] (eigenpairs w, V) to one common value: least
+    squares on V1* dZ V1 - V2* dZ V2 - mu I = diag(w_max - w_i) over the
+    eigenvectors [V1; V2] within _CLUSTER of the top, as in Overton's
+    method for the maximum eigenvalue (SIAM J. Matrix Anal. Appl. 9,
+    1988).  Zero when that system would exceed _CHUNK_BYTES."""
+    top = w >= w[-1] - _CLUSTER * (1.0 + max(w[-1], -w[0]))
+    V1, V2 = V[:m, top], V[m:, top]
+    c = V1.shape[1]
+    if 16 * c * c * (m * m + 1) > _CHUNK_BYTES:
+        return np.zeros((m, m), dtype=np.complex128)
+    L = np.einsum("ja,kb->abjk", V1.conj(), V1) - np.einsum("ja,kb->abjk", V2.conj(), V2)
+    A = np.concatenate([L.reshape(c * c, m * m), -np.eye(c).reshape(c * c, 1)], axis=1)
+    dZ = np.linalg.lstsq(A, np.diag(w[-1] - w[top]).reshape(-1), rcond=None)[0][:-1].reshape(m, m)
+    return 0.5 * (dZ + dZ.conj().T)
 
 
 def _search(groups: list[_Pencils], gap, opts: RadiusOptions):
@@ -392,6 +478,11 @@ def _search(groups: list[_Pencils], gap, opts: RadiusOptions):
     the other matrices.  Cells are kept grouped by matrix and matrices by
     group; per round, one eigensolve call per group (per chunk of cells)
     serves every matrix of the group still refining.
+
+    An unfinished radius matrix all of whose round-0 cells survive pruning
+    (a flat objective) has its upper end capped for the rest of the search
+    by Ando's dual certificate (_Pencils.dual).  Antidiagonal pencils and
+    Crawford matrices take none.
     """
     half = (opts.grid_count + 1) // 2
     h = np.pi / half
@@ -402,7 +493,7 @@ def _search(groups: list[_Pencils], gap, opts: RadiusOptions):
     kept = np.full(k, half)
     lo, hi = np.full(k, -np.inf), np.empty(k)
     # Per-matrix state of the matrices still refining, in group order.
-    live, lo_l, gap_l = np.arange(k), lo.copy(), gap
+    live, lo_l, gap_l, cap_l = np.arange(k), lo.copy(), gap, np.full(k, np.inf)
     hw = 0.5 * h * (1.0 + 1e-12)
     halves = (2.0 * np.arange(_SUBDIV) + 1.0 - _SUBDIV) / _SUBDIV
     for round_no in range(DEFAULT_MAX_ROUNDS + 1):
@@ -418,7 +509,7 @@ def _search(groups: list[_Pencils], gap, opts: RadiusOptions):
             first += n
         vals, ub = _joined(vals), _joined(ubs)
         lo_l = np.maximum(lo_l, np.maximum.reduceat(vals, starts))
-        hi_l = np.maximum(lo_l, np.maximum.reduceat(ub, starts))
+        hi_l = np.maximum(lo_l, np.minimum(np.maximum.reduceat(ub, starts), cap_l))
         floor = np.maximum(lo_l, 0.0)
         done = np.maximum(hi_l, 0.0) - floor <= gap_l
         if round_no == DEFAULT_MAX_ROUNDS:
@@ -427,6 +518,13 @@ def _search(groups: list[_Pencils], gap, opts: RadiusOptions):
         # Cells that can beat the running lower bound of an unfinished matrix.
         keep = ub > np.where(done, np.inf, floor)[seg]
         kept = np.add.reduceat(keep, starts)
+        if round_no == 0 and _dual_caps(groups, sizes, kept == half, lo_l, gap_l, centers[:half], cap_l):
+            # Matrices no rotation cap could prune got dual caps, which may
+            # meet their gaps.
+            hi_l = np.maximum(lo_l, np.minimum(hi_l, cap_l))
+            done = np.maximum(hi_l, 0.0) - floor <= gap_l
+            keep &= ~done[seg]
+            kept = np.add.reduceat(keep, starts)
         if np.count_nonzero(kept) < kept.size:
             # A met gap keeps hi; no surviving cell means the running lower
             # bound is the maximum.
@@ -444,7 +542,7 @@ def _search(groups: list[_Pencils], gap, opts: RadiusOptions):
                     g.keep(mask)
                     kept_groups.append(g)
             groups, sizes = kept_groups, [g.Pv.shape[0] for g in kept_groups]
-            live, lo_l, gap_l = live[refine], lo_l[refine], gap_l[refine]
+            live, lo_l, gap_l, cap_l = live[refine], lo_l[refine], gap_l[refine], cap_l[refine]
             seg = (refine.cumsum() - 1)[seg]
             kept = kept[refine]
         centers = (centers[keep][:, None] + hw * halves).reshape(-1)
@@ -452,6 +550,23 @@ def _search(groups: list[_Pencils], gap, opts: RadiusOptions):
         kept *= _SUBDIV
         hw /= _SUBDIV
     return lo, hi
+
+
+def _dual_caps(groups, sizes, flat, lower, gap, ts, caps) -> bool:
+    """Dual caps, into caps, for the radius matrices whose objective is flat
+    on the initial grid of angles ts: the unfinished ones all of whose
+    cells survive pruning, where the rotation caps cannot narrow the
+    enclosure.  Whether any matrix got one."""
+    if not flat.any():
+        return False
+    first, capped = 0, False
+    for g, n in zip(groups, sizes):
+        which = np.flatnonzero(flat[first : first + n])
+        if which.size and g.A is None and not g.antidiagonal:
+            caps[first + which] = g.dual(which, ts, lower[first + which], gap[first + which])
+            capped = True
+        first += n
+    return capped
 
 
 def _by_size(stacks, first: int = 0):

@@ -110,6 +110,34 @@ class TestReport:
         two = run_campaign(CampaignConfig(**SMALL, workers=2))
         assert payload(two) == payload(small_report)
 
+    def test_pool_has_no_more_workers_than_jobs(self, small_report, monkeypatch):
+        sizes = []
+
+        class InProcessPool:
+            """Records its size and runs the jobs here: starts no process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(campaign, "ProcessPoolExecutor", InProcessPool)
+        report = run_campaign(CampaignConfig(**SMALL, workers=5000))
+        assert sizes == [len(CampaignConfig(**SMALL).cells())]
+        assert payload(report) == payload(small_report)
+
+    def test_campaign_solves_take_no_dual_certificate(self, dual_attempts):
+        # Random reduced operands never have a flat radius objective.
+        run_campaign(CampaignConfig(dims=(2, 3, 4, 5, 6), trials=2, master_seed=42, grid_count=64))
+        assert dual_attempts[0] == 0
+
     def test_trial_chunks_do_not_change_payload(self, small_report, monkeypatch):
         monkeypatch.setattr(campaign, "_TRIAL_CHUNK", 3)
         assert payload(run_campaign(CampaignConfig(**SMALL))) == payload(small_report)

@@ -123,6 +123,8 @@ def mixed_stack(seed: int) -> list:
     mats = [random_matrix(seed + n, n) for n in (1, 2, 3, 4, 6, 3, 4)]
     H = rng.standard_normal((3, 3))
     mats += [H + H.T, 1j * (H + H.T), np.diag([1.0, -2.0j]), SHIFT, JORDAN, np.zeros((0, 0))]
+    # Flat radius objectives, closed by the dual certificate.
+    mats += [shifted_jordan(seed, 4, 0.0), shifted_jordan(seed, 3, 0.0)]
     return mats
 
 
@@ -178,7 +180,8 @@ class TestStackedSolves:
 
     def test_cells_evaluated_in_chunks_give_the_same_enclosures(self, monkeypatch):
         # A flat objective keeps every cell, so the chunks split matrices.
-        stacks = as_stacks([JORDAN + 0.3 * np.eye(2), random_matrix(4, 4), np.diag(np.ones(2), 1) + 0j])
+        mats = [JORDAN + 0.3 * np.eye(2), random_matrix(4, 4), shifted_jordan(4, 4, 0.0), np.diag(np.ones(2), 1) + 0j]
+        stacks = as_stacks(mats)
         whole = radii_and_crawford_numbers(stacks, stacks)
         monkeypatch.setattr(functionals, "_CHUNK_BYTES", 512)
         chunked = radii_and_crawford_numbers(stacks, stacks)
@@ -217,6 +220,52 @@ def shifted_jordan(seed: int, n: int, c: float, phi: float = 0.0) -> np.ndarray:
     return np.exp(1j * phi) * (U @ (np.diag(np.ones(n - 1), 1) + c * np.eye(n)) @ U.conj().T)
 
 
+def hidden(seed: int, M: np.ndarray) -> np.ndarray:
+    """U M U* for a random unitary U, which hides the structure of M."""
+    U = np.linalg.qr(random_matrix(seed, M.shape[0]))[0]
+    return U @ M @ U.conj().T
+
+
+def jordan(n: int) -> np.ndarray:
+    return np.diag(np.ones(n - 1), 1).astype(np.complex128)
+
+
+def weighted_shift(seed: int, weights) -> np.ndarray:
+    """The weighted shift W with the given weights, hidden.  The range of W
+    is a disk about 0, so its radius is the top eigenvalue of Re W."""
+    return hidden(seed, np.diag(np.asarray(weights, dtype=np.complex128), 1))
+
+
+def disk_radius(weights) -> float:
+    W = np.diag(np.asarray(weights, dtype=np.float64), 1)
+    return float(np.linalg.eigvalsh(0.5 * (W + W.T))[-1])
+
+
+def count_eigensolves(monkeypatch) -> list:
+    """A one-element list counting the matrices eigvalsh and eigh solve."""
+    counted = [0]
+
+    def counting(solver):
+        def solve(H, *args, **kwargs):
+            counted[0] += H.shape[0] if H.ndim == 3 else 1
+            return solver(H, *args, **kwargs)
+
+        return solve
+
+    for name in ("eigvalsh", "eigh"):
+        monkeypatch.setattr(functionals.np.linalg, name, counting(getattr(functionals.np.linalg, name)))
+    return counted
+
+
+def block_diagonal(*blocks) -> np.ndarray:
+    n = sum(b.shape[0] for b in blocks)
+    out, i = np.zeros((n, n), dtype=np.complex128), 0
+    for b in blocks:
+        out[i : i + b.shape[0], i : i + b.shape[0]] = b
+        i += b.shape[0]
+    return out
+
+
 class TestHalfCircleSearch:
     @pytest.mark.parametrize("grid", [4, 5])
     def test_coarse_grids_enclose_the_disk_values(self, grid):
@@ -232,21 +281,81 @@ class TestHalfCircleSearch:
 
     def test_one_eigensolve_serves_both_half_turns(self, monkeypatch):
         # The range of U J_4 U* is a disk about 0: every angle is a
-        # maximizer, so the search refines the whole (half) circle.
-        counted = [0]
-
-        def counting(solver):
-            def solve(H, *args, **kwargs):
-                counted[0] += H.shape[0] if H.ndim == 3 else 1
-                return solver(H, *args, **kwargs)
-
-            return solve
-
-        for name in ("eigvalsh", "eigh"):
-            monkeypatch.setattr(functionals.np.linalg, name, counting(getattr(functionals.np.linalg, name)))
+        # maximizer, so no rotation cap prunes a cell and the dual
+        # certificate closes the search at round 0.
+        counted = count_eigensolves(monkeypatch)
         enc = numerical_radius(shifted_jordan(0, 4, 0.0))
         assert enc.lo <= math.cos(math.pi / 5) <= enc.hi
-        assert counted[0] <= 44_000
+        assert counted[0] <= 1_000
+
+
+FLAT = {
+    "J6": (shifted_jordan(1, 6, 0.0), math.cos(math.pi / 7), 1e-9),
+    "J8": (shifted_jordan(2, 8, 0.0), math.cos(math.pi / 9), 1e-9),
+    "J12": (shifted_jordan(3, 12, 0.0), math.cos(math.pi / 13), 1e-9),
+    "shift5": (weighted_shift(4, [1.0, 2.0, 0.5, 3.0]), disk_radius([1.0, 2.0, 0.5, 3.0]), 1e-9),
+    "shift12-gap1e-12": (
+        weighted_shift(5, np.linspace(0.3, 2.0, 11)),
+        disk_radius(np.linspace(0.3, 2.0, 11)),
+        1e-12,
+    ),
+}
+
+
+class TestDualCertificate:
+    @pytest.mark.parametrize("name", list(FLAT))
+    def test_flat_ranges_close_at_round_zero(self, name, monkeypatch):
+        M, value, gap_scale = FLAT[name]
+        opts = RadiusOptions(gap_scale=gap_scale)
+        counted = count_eigensolves(monkeypatch)
+        enc = numerical_radius(M, opts)
+        assert enc.lo <= value <= enc.hi
+        assert enc.width <= opts.resolve_gap(spectral_norm(M))
+        assert counted[0] <= 1_000
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6))
+    @settings(max_examples=40)
+    def test_every_hermitian_z_bounds_the_radius(self, seed, n):
+        rng = np.random.default_rng(seed)
+        M = random_matrix(seed, n) * 10.0 ** rng.uniform(-3, 3)
+        Z = random_matrix(seed + 1, n) * 10.0 ** rng.uniform(-3, 3)
+        Z = Z + Z.conj().T
+        bound = functionals._top(np.linalg.eigvalsh(functionals._ando(Z[None], M[None])))[0]
+        X = rng.standard_normal((n, 512)) + 1j * rng.standard_normal((n, 512))
+        X /= np.linalg.norm(X, axis=0)
+        assert bound >= np.abs(np.einsum("ia,ij,ja->a", X.conj(), M, X)).max()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_fit_from_any_lower_bound_is_an_upper_bound(self, seed):
+        # The fit's right-hand side uses the running lower bound; a wrong
+        # one only loosens the certificate.
+        M = random_matrix(seed, 4)
+        P, K = functionals._pencil(M[None])
+        pencils = functionals._Pencils(P, K, None)
+        ts = np.pi / 8 * np.arange(8)
+        radius = numerical_radius(M)
+        for lower in (0.0, 0.5 * radius.lo, radius.lo, 2.0 * radius.hi):
+            cap = pencils.dual(np.array([0]), ts, np.array([lower]), np.array([0.0]))
+            assert cap[0] >= radius.lo
+
+    @pytest.mark.parametrize(
+        "name, M, value, gate",
+        [
+            ("J4+J3", hidden(6, block_diagonal(jordan(4), jordan(3))), math.cos(math.pi / 5), True),
+            ("J6+1e-4G", hidden(7, jordan(6) + 1e-4 * random_matrix(8, 6)), None, False),
+            ("J6+1e-6G", hidden(7, jordan(6) + 1e-6 * random_matrix(8, 6)), None, True),
+        ],
+    )
+    def test_loose_certificates_fall_back_to_the_search(self, name, M, value, gate, dual_attempts, monkeypatch):
+        opts = RadiusOptions()
+        enc = numerical_radius(M, opts)
+        assert dual_attempts[0] == (1 if gate else 0)
+        assert enc.width <= opts.resolve_gap(spectral_norm(M))
+        if value is not None:
+            assert enc.lo <= value <= enc.hi
+        monkeypatch.setattr(functionals, "_dual_caps", lambda *args: False)
+        alone = numerical_radius(M, opts)
+        assert enc.lo <= alone.hi and alone.lo <= enc.hi
 
 
 class TestCrawfordNumber:
