@@ -1,10 +1,11 @@
 """Reproducible campaigns of catalog checks over sampled spaces.
 
 A campaign walks a (dim, rank) grid, draws independent operand bundles per
-cell from per-trial derived seeds, runs every requested check, and folds
-the outcomes into per-check aggregates.  Seeds depend only on the master
-seed and the cell coordinates, so any instance can be regenerated in
-isolation and the report is identical for every worker count.
+cell from per-trial derived seeds, runs every requested check, and
+summarizes the check-by-instance table of their rows per check.  Seeds
+depend only on the master seed and the cell coordinates, so any instance
+can be regenerated in isolation and the report is identical for every
+worker count.
 """
 
 from __future__ import annotations
@@ -18,14 +19,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-from .catalog import (
-    CATALOG,
-    CheckResult,
-    _Aggregate,
-    _summaries,
-    run_all,
-    run_many,
-)
+from .catalog import CATALOG, CheckResult, CheckTable, run_all, run_tables, summarize
 from .errors import BadConfig, ParseError
 from .functionals import DEFAULT_GAP_SCALE, DEFAULT_GRID, DEFAULT_MC_SAMPLES, RadiusOptions
 from .instances import read_instance, write_instance
@@ -44,23 +38,16 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-_CSV_FIELDS = (
-    "check",
-    "trials",
-    "skipped",
-    "certified",
-    "uncertified",
-    "violations",
-    "min_slack",
-    "median_slack",
-    "max_tightness",
-    "argmin_instance",
-)
+# The row counts of each check's summary, which the report's totals add up.
+_COUNTS = ("trials", "skipped", "certified", "uncertified", "violations")
+_CSV_FIELDS = ("check", *_COUNTS, "min_slack", "median_slack", "max_tightness", "argmin_instance")
 
 _INSTANCE_ID = re.compile(r"^d(\d+)_r(\d+)_t(\d+)$")
 
-# Trials of a cell run together: run_many stacks them and evaluates each
-# check once for all.  Rows do not depend on it; larger chunks spread the
+# Trials of a cell run together: run_tables stacks them, evaluates each
+# check once for all and returns their rows as one check-by-instance
+# table; the report summarizes the tables of all cells joined in cell
+# order.  Rows do not depend on the chunk size; larger chunks spread the
 # per-round cost of the search and of each check over more instances, up
 # to _TRIAL_CHUNK, while their n x n matrices (about 16 per trial) stay
 # within _CHUNK_MATRIX_BYTES.
@@ -104,6 +91,8 @@ class CampaignConfig:
             raise BadConfig(f"scale must be finite and nonnegative, got {self.scale}")
         if self.checks is not None:
             checks = tuple(self.checks)
+            if not checks:
+                raise BadConfig("checks must name at least one catalog entry")
             unknown = [c for c in checks if c not in CATALOG]
             if unknown:
                 raise BadConfig(f"unknown checks: {', '.join(unknown)}")
@@ -165,20 +154,20 @@ def _regenerate(config: CampaignConfig, dim: int, rank: int, trial: int):
     return space, bundle
 
 
-def _run_cell(args) -> dict[str, _Aggregate]:
+def _run_cell(args) -> CheckTable:
     config, dim, rank = args
     opts = config.options()
-    folded: dict[str, _Aggregate] = {}
     chunk = max(1, min(_TRIAL_CHUNK, _CHUNK_MATRIX_BYTES // (16 * 16 * dim * dim)))
+    tables = []
     for first in range(0, config.trials, chunk):
         items = []
         for trial in range(first, min(first + chunk, config.trials)):
             space, bundle = _regenerate(config, dim, rank, trial)
             items.append((space, bundle, f"d{dim}_r{rank}_t{trial}"))
-        for rows in run_many(items, opts=opts, checks=config.checks):
-            for r in rows:
-                folded.setdefault(r.check_id, _Aggregate()).fold(r)
-    return folded
+        # The trials of a cell share their rank, checks and operand names: one chunk.
+        ((_positions, table),) = run_tables(items, opts=opts, checks=config.checks)
+        tables.append(table)
+    return CheckTable.concat(tables)
 
 
 def run_campaign(config: CampaignConfig) -> dict:
@@ -189,26 +178,12 @@ def run_campaign(config: CampaignConfig) -> dict:
     if config.workers > 1 and len(jobs) > 1:
         # A pool forks all its workers up front: no more than there are jobs.
         with ProcessPoolExecutor(max_workers=min(config.workers, len(jobs))) as pool:
-            partials = list(pool.map(_run_cell, jobs))
+            tables = list(pool.map(_run_cell, jobs))
     else:
-        partials = [_run_cell(job) for job in jobs]
+        tables = [_run_cell(job) for job in jobs]
 
-    merged: dict[str, _Aggregate] = {}
-    for part in partials:
-        for cid, agg in part.items():
-            if cid in merged:
-                merged[cid].merge(agg)
-            else:
-                merged[cid] = agg
-
-    checks = _summaries(merged)
-    totals = {
-        "trials": sum(s["trials"] for s in checks.values()),
-        "skipped": sum(s["skipped"] for s in checks.values()),
-        "certified": sum(s["certified"] for s in checks.values()),
-        "uncertified": sum(s["uncertified"] for s in checks.values()),
-        "violations": sum(s["violations"] for s in checks.values()),
-    }
+    checks = summarize(CheckTable.concat(tables))
+    totals = {key: sum(s[key] for s in checks.values()) for key in _COUNTS}
     return {
         "schema_version": SCHEMA_VERSION,
         "tool": _tool_block(),

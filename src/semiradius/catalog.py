@@ -10,13 +10,14 @@ with the worse slack.
 
 Checks work on the reduced matrices of their operands and run once per
 chunk: the items of a run that share a reduced size, a check list and
-operand names, whose operands are stacked (see _Chunk).  An entry names the functionals
-it needs as expressions such as ``w(TS+ST)`` or ``n(re T)``.  Each
-expression's matrix is built once per chunk; the radii and Crawford
-numbers of all chunks are solved in one stacked search and the norms in
-one singular value call per size; every entry then evaluates on interval
-stacks with one row per item, and the rows split into the results each
-item gets alone.
+operand names, whose operands are stacked (see _Chunk).  An entry names
+the functionals it needs as expressions such as ``w(TS+ST)`` or
+``n(re T)``.  Each expression's matrix is built once per chunk; the radii
+and Crawford numbers of all chunks are solved in one stacked search and
+the norms in one singular value call per size; every entry then
+evaluates on interval stacks with one row per item.  The rows stay one
+check-by-item table of arrays (see CheckTable), which reports fold and
+out of which run_all reads each item's CheckResults.
 """
 
 from __future__ import annotations
@@ -685,97 +686,148 @@ CATALOG: dict[str, CheckDefinition] = {
 }
 
 
-def _slack(direction: str, lhs_lo: float, lhs_hi: float, rhs_lo: float, rhs_hi: float) -> float:
-    if direction == GE:
-        return lhs_lo - rhs_hi
-    if direction == EQ:
-        cushion = EQ_TOL * (1.0 + max(abs(lhs_hi), abs(rhs_hi)))
-        gap = max(lhs_lo - rhs_hi, rhs_lo - lhs_hi, 0.0)
-        return cushion - gap
-    return rhs_lo - lhs_hi
+# -- rows as arrays ----------------------------------------------------------
+
+VERDICTS = (PASS_CERTIFIED, PASS_UNCERTIFIED, VIOLATION_CANDIDATE, SKIPPED)
+_CERTIFIED, _UNCERTIFIED, _VIOLATION, _SKIPPED = range(len(VERDICTS))
 
 
-def _verdict(direction: str, slack: float, lhs: Enclosure, rhs: Enclosure) -> str:
+class CheckTable(NamedTuple):
+    """Rows of checks (axis 0) on instances (axis 1), held as arrays.
+
+    ``verdict`` holds indices into VERDICTS; ``slack`` and ``tightness``
+    are those of each row's first variant of worst slack, and ``notes``
+    maps a check id to its notes' values per instance.  A chunk's table
+    also keeps what its CheckResults need (see result): each entry's
+    (variant, lhs, rhs) stacks, the index of each row's variant, and the
+    exception that skips a row, or None.  Joined tables (see concat) keep
+    only what summarize reads.
+    """
+
+    checks: tuple[str, ...]
+    instances: list[str]
+    verdict: np.ndarray
+    slack: np.ndarray
+    tightness: np.ndarray
+    notes: dict[str, dict[str, np.ndarray]]
+    variants: list | None = None
+    variant: np.ndarray | None = None
+    skips: list[list] | None = None
+
+    def result(self, c: int, n: int) -> CheckResult:
+        """Row (c, n) as a CheckResult; a skipped row notes its reason."""
+        check_id, instance, skip = self.checks[c], self.instances[n], self.skips[c][n]
+        if skip is not None:
+            zero = ipoint(0.0)
+            return CheckResult(check_id, instance, zero, zero, 0.0, SKIPPED, 0.0, notes={"reason": str(skip)})
+        variant, lhs, rhs = self.variants[c][self.variant.item(c, n)]
+        notes = {key: values.item(n) for key, values in self.notes.get(check_id, {}).items()}
+        slack, verdict, tightness = self.slack.item(c, n), VERDICTS[self.verdict.item(c, n)], self.tightness.item(c, n)
+        return CheckResult(check_id, instance, lhs[n], rhs[n], slack, verdict, tightness, variant, notes)
+
+    @staticmethod
+    def concat(tables) -> "CheckTable":
+        """The tables side by side, without the row detail; they must share
+        their checks."""
+
+        def join(arrays):
+            return np.concatenate(list(arrays), axis=-1)
+
+        first = tables[0]
+        return CheckTable(
+            first.checks,
+            [name for t in tables for name in t.instances],
+            join(t.verdict for t in tables),
+            join(t.slack for t in tables),
+            join(t.tightness for t in tables),
+            {cid: {key: join(t.notes[cid][key] for t in tables) for key in keys} for cid, keys in first.notes.items()},
+        )
+
+
+def _table(ch: _Chunk) -> CheckTable:
+    """Every entry's rows on a chunk, in one pass over (entry, variant,
+    row) stacks of ends: each row takes its first variant of worst slack.
+
+    A row skips on the first of the entry's operands that fails the
+    membership tests, then on its unmet precondition, then on the rows its
+    evaluation skips."""
+    outcomes = [entry.evaluate(ch) for entry in ch.entries]
+    outcomes = [outcome if isinstance(outcome, tuple) else (outcome, {}, None) for outcome in outcomes]
+    counts = np.array([len(variants) for variants, _notes, _skip in outcomes], dtype=np.intp)
+    width = max(1, counts.max(initial=0))
+    # The (lhs lo, lhs hi, rhs lo, rhs hi) ends of every variant after a
+    # row of zeros, which pads the entries with fewer variants.
+    ends = [np.zeros(ch.k)] * 4
+    for variants, _notes, _skip in outcomes:
+        ends += (end for _variant, lhs, rhs in variants for end in (lhs.lo, lhs.hi, rhs.lo, rhs.hi))
+    ends = np.concatenate(ends).reshape(-1, 4, ch.k)
+    padded = np.arange(width) >= counts[:, None]
+    index = np.where(padded, 0, (np.cumsum(counts) - counts + 1)[:, None] + np.arange(width))
+    lhs_lo, lhs_hi, rhs_lo, rhs_hi = ends[index].transpose(2, 0, 1, 3)
+
+    # Slack by direction, per entry; a conditional entry compares as LE.
+    direction = np.array([entry.direction for entry in ch.entries], dtype=str)[:, None]
+    is_ge, is_eq = direction == GE, direction == EQ
+    le, ge = rhs_lo - lhs_hi, lhs_lo - rhs_hi
+    cushion = EQ_TOL * (1.0 + np.maximum(np.abs(lhs_hi), np.abs(rhs_hi)))
+    eq = cushion - np.maximum(np.maximum(ge, le), 0.0)
+    slack = np.where(is_ge[..., None], ge, np.where(is_eq[..., None], eq, le))
+    slack[padded] = np.inf
+    best = slack.argmin(axis=1)
+    entries, rows = np.arange(len(outcomes))[:, None], np.arange(ch.k)
+    slack = slack[entries, best, rows]
+    lhs_lo, lhs_hi, rhs_lo, rhs_hi = ends[index[entries, best], :, rows].transpose(2, 0, 1)
+
     # The certification floor absorbs last-place rounding between routes
     # that compute one quantity two ways; it sits four orders of magnitude
     # below the violation threshold, so no near-violation can certify.
-    if slack >= -CERT_EPS * (1.0 + abs(rhs.hi)):
-        return PASS_CERTIFIED
     # An inequality is violated only if it fails between the ends most in
     # its favour (each side's swapped); wide sound enclosures leave it open.
-    if direction != EQ:
-        slack = _slack(direction, lhs.hi, lhs.lo, rhs.hi, rhs.lo)
-    if slack < -VIOLATION_TOL * (1.0 + abs(rhs.hi)):
-        return VIOLATION_CANDIDATE
-    return PASS_UNCERTIFIED
+    scale = 1.0 + np.abs(rhs_hi)
+    favoured = np.where(is_eq, slack, np.where(is_ge, lhs_hi - rhs_lo, rhs_hi - lhs_lo))
+    violated = np.where(favoured < -VIOLATION_TOL * scale, _VIOLATION, _UNCERTIFIED)
+    verdict = np.where((slack >= -CERT_EPS * scale) | (direction == CONDITIONAL), _CERTIFIED, violated)
+
+    skips = []
+    for entry, (_variants, _notes, skip) in zip(ch.entries, outcomes):
+        row = list(skip) if skip is not None else [None] * ch.k
+        for name in reversed(entry.operands):
+            for i in ch.failing.get(name, ()):
+                row[i] = MembershipViolated(f"{entry.check_id}: operand {name!r} fails the membership tests")
+        if entry.unmet is not None:
+            for i, it in enumerate(ch.items):
+                if row[i] is None and (reason := entry.unmet(it)):
+                    row[i] = PreconditionFailed(reason)
+        skips.append(row)
+    verdict[np.array([x is not None for row in skips for x in row], dtype=bool).reshape(verdict.shape)] = _SKIPPED
+
+    checks, variants = tuple(entry.check_id for entry in ch.entries), [outcome[0] for outcome in outcomes]
+    notes = {cid: entry_notes for cid, (_variants, entry_notes, _skip) in zip(checks, outcomes) if entry_notes}
+    tightness = lhs_hi / np.maximum(rhs_lo, TIGHTNESS_EPS)
+    return CheckTable(checks, [it.instance for it in ch.items], verdict, slack, tightness, notes, variants, best, skips)
 
 
-def _result(entry: CheckDefinition, instance: str, variants, i: int, notes: dict) -> CheckResult:
-    """Row i of an entry's variant stacks: the first variant of worst slack."""
-    direction = entry.direction if entry.direction != CONDITIONAL else LE
-    best = None
-    for variant, lhs, rhs in variants:
-        slack = _slack(direction, lhs.lo.item(i), lhs.hi.item(i), rhs.lo.item(i), rhs.hi.item(i))
-        if best is None or slack < best[0]:
-            best = (slack, variant, lhs, rhs)
-    slack, variant, lhs, rhs = best
-    lhs, rhs = lhs[i], rhs[i]
-    verdict = PASS_CERTIFIED if entry.direction == CONDITIONAL else _verdict(direction, slack, lhs, rhs)
-    tightness = lhs.hi / max(rhs.lo, TIGHTNESS_EPS)
-    return CheckResult(entry.check_id, instance, lhs, rhs, slack, verdict, tightness, variant, notes)
-
-
-def _rows(entry: CheckDefinition, ch: _Chunk) -> list:
-    """The entry's CheckResult, or the exception that skips it, for each
-    row of a chunk.  A row skips on the first of the entry's operands that
-    fails the membership tests, then on its unmet precondition, then on
-    the rows its evaluation skips."""
-    outcome = entry.evaluate(ch)
-    variants, notes, skip = outcome if isinstance(outcome, tuple) else (outcome, {}, None)
-    rows = list(skip) if skip is not None else [None] * ch.k
-    for name in reversed(entry.operands):
-        for i in ch.failing.get(name, ()):
-            rows[i] = MembershipViolated(f"{entry.check_id}: operand {name!r} fails the membership tests")
-    for i, it in enumerate(ch.items):
-        if rows[i] is None and entry.unmet is not None and (reason := entry.unmet(it)):
-            rows[i] = PreconditionFailed(reason)
-        if rows[i] is None:
-            row_notes = {key: values.item(i) for key, values in notes.items()}
-            rows[i] = _result(entry, it.instance, variants, i, row_notes)
-    return rows
-
-
-def _evaluate(items, opts: RadiusOptions | None, checks) -> list[list]:
-    """For each (space, operands, instance) item, (check id, CheckResult or
-    the exception that skips it) per check: the items are reduced into
-    chunks, all requests solved at once, and each check run once per chunk."""
+def run_tables(items, opts: RadiusOptions | None = None, checks=None) -> list[tuple[list[int], CheckTable]]:
+    """The items' positions and table per chunk: the (space, operands,
+    instance) items are reduced into chunks, all requests solved at once,
+    and each check run once per chunk."""
     unknown = [cid for cid in checks or () if cid not in CATALOG]
     if unknown:
         raise UnknownCheck(f"no catalog entry {unknown[0]!r}")
     chunks = _chunks(items, checks)
     needs = [(ch, dict.fromkeys(key for entry in ch.entries for key in entry.needs)) for ch in chunks]
     _solve(needs, opts if opts is not None else RadiusOptions())
-    out: list = [None] * len(items)
-    for ch in chunks:
-        columns = [(entry.check_id, _rows(entry, ch)) for entry in ch.entries]
-        for i, it in enumerate(ch.items):
-            out[it.position] = [(cid, rows[i]) for cid, rows in columns]
-    return out
-
-
-def _skip_result(check_id: str, instance: str, reason: str) -> CheckResult:
-    zero = ipoint(0.0)
-    return CheckResult(check_id, instance, zero, zero, 0.0, SKIPPED, 0.0, notes={"reason": reason})
+    return [([it.position for it in ch.items], _table(ch)) for ch in chunks]
 
 
 def run_check(
     space: SemiHilbertSpace, check_id: str, operands, opts: RadiusOptions | None = None, instance: str = "adhoc"
 ) -> CheckResult:
     """Evaluate one catalog entry; raises instead of skipping."""
-    (((_cid, outcome),),) = _evaluate([(space, operands, instance)], opts, [check_id])
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
+    ((_positions, table),) = run_tables([(space, operands, instance)], opts, [check_id])
+    if table.skips[0][0] is not None:
+        raise table.skips[0][0]
+    return table.result(0, 0)
 
 
 def run_all(
@@ -794,81 +846,42 @@ def run_all(
 def run_many(items, opts: RadiusOptions | None = None, checks=None) -> list[list[CheckResult]]:
     """run_all on each (space, operands, instance) item, evaluating the
     items in chunks; each row equals its run_all row."""
-    return [
-        [_skip_result(cid, instance, str(out)) if isinstance(out, Exception) else out for cid, out in outcomes]
-        for (_space, _operands, instance), outcomes in zip(items, _evaluate(items, opts, checks))
-    ]
+    out: list = [None] * len(items)
+    for positions, table in run_tables(items, opts, checks):
+        for n, position in enumerate(positions):
+            out[position] = [table.result(c, n) for c in range(len(table.checks))]
+    return out
 
 
-class _Aggregate:
-    """Streaming per-check summary; merge order is fixed by the caller."""
+def summarize(table: CheckTable) -> dict[str, dict]:
+    """Each check's summary over its row of the table, in catalog order.
 
-    def __init__(self):
-        self.trials = 0
-        self.skipped = 0
-        self.certified = 0
-        self.uncertified = 0
-        self.violations = 0
-        self.slacks: list[float] = []
-        self.min_slack = math.inf
-        self.argmin_instance = ""
-        self.max_tightness = -math.inf
-        self.note_mins: dict[str, float] = {}
-
-    def fold(self, r: CheckResult):
-        self.trials += 1
-        if r.verdict == SKIPPED:
-            self.skipped += 1
-            return
-        self.certified += r.verdict == PASS_CERTIFIED
-        self.uncertified += r.verdict == PASS_UNCERTIFIED
-        self.violations += r.verdict == VIOLATION_CANDIDATE
-        self.slacks.append(r.slack)
-        if r.slack < self.min_slack:
-            self.min_slack = r.slack
-            self.argmin_instance = r.instance
-        self.max_tightness = max(self.max_tightness, r.tightness)
-        for key, val in r.notes.items():
-            if isinstance(val, (int, float)):
-                cur = self.note_mins.get(key, math.inf)
-                self.note_mins[key] = min(cur, float(val))
-
-    def merge(self, other: "_Aggregate"):
-        self.trials += other.trials
-        self.skipped += other.skipped
-        self.certified += other.certified
-        self.uncertified += other.uncertified
-        self.violations += other.violations
-        self.slacks.extend(other.slacks)
-        if other.min_slack < self.min_slack:
-            self.min_slack = other.min_slack
-            self.argmin_instance = other.argmin_instance
-        self.max_tightness = max(self.max_tightness, other.max_tightness)
-        for key, val in other.note_mins.items():
-            self.note_mins[key] = min(self.note_mins.get(key, math.inf), val)
-
-    def summary(self) -> dict:
-        out = {
-            "trials": self.trials,
-            "skipped": self.skipped,
-            "certified": self.certified,
-            "uncertified": self.uncertified,
-            "violations": self.violations,
-        }
-        if self.slacks:
-            ordered = sorted(self.slacks)
-            out["min_slack"] = ordered[0]
-            out["median_slack"] = ordered[len(ordered) // 2]
-            out["max_tightness"] = self.max_tightness
-            out["argmin_instance"] = self.argmin_instance
-            if self.note_mins:
-                out["note_mins"] = self.note_mins
-        return out
-
-
-def _summaries(folded: dict[str, _Aggregate]) -> dict[str, dict]:
-    """Each check's summary, in catalog order."""
-    return {cid: folded[cid].summary() for cid in sorted(folded, key=_check_order)}
+    The counts come from the verdict codes.  Over the rows that did not
+    skip, it gives the least slack and the first instance that has it,
+    the median of a stable sort of the slacks, the largest tightness and
+    each note's least value; equal values resolve to the first row, as a
+    fold over the rows in order would.
+    """
+    n, live = len(table.instances), table.verdict != _SKIPPED
+    counts = (table.verdict[..., None] == np.arange(len(VERDICTS))).sum(axis=1).tolist()
+    slack = np.where(live, table.slack, np.inf)
+    least, top = slack.argmin(axis=1), np.where(live, table.tightness, -np.inf).argmax(axis=1)
+    rows = np.arange(len(table.checks))
+    median = np.sort(slack, axis=1, kind="stable")[rows, live.sum(axis=1) // 2].tolist()
+    least_slack, tightness = slack[rows, least].tolist(), table.tightness[rows, top].tolist()
+    out = {}
+    for c in sorted(rows.tolist(), key=lambda c: _check_order(table.checks[c])):
+        certified, uncertified, violations, skipped = counts[c]
+        summary = out[table.checks[c]] = dict(
+            trials=n, skipped=skipped, certified=certified, uncertified=uncertified, violations=violations
+        )
+        if skipped < n:
+            summary["min_slack"], summary["median_slack"] = least_slack[c], median[c]
+            summary["max_tightness"], summary["argmin_instance"] = tightness[c], table.instances[least.item(c)]
+            notes = [(key, values[live[c]]) for key, values in table.notes.get(table.checks[c], {}).items()]
+            if notes:
+                summary["note_mins"] = {key: values.item(values.argmin()) for key, values in notes}
+    return out
 
 
 def _check_order(cid: str):
@@ -876,10 +889,20 @@ def _check_order(cid: str):
 
 
 def tightness_report(results) -> dict[str, dict]:
-    """Per-check slack and tightness aggregation over many results."""
-    folded: dict[str, _Aggregate] = {}
+    """Per-check slack and tightness aggregation over many results: the
+    summary of a table of each check's rows, in their order."""
+    by_check: dict[str, list] = {}
     for r in results:
-        folded.setdefault(r.check_id, _Aggregate()).fold(r)
-    if not folded:
+        by_check.setdefault(r.check_id, []).append(r)
+    if not by_check:
         raise EmptyInput("no results to aggregate")
-    return _summaries(folded)
+    out = {}
+    for cid in sorted(by_check, key=_check_order):
+        rows = by_check[cid]
+        live_notes = [r.notes if r.verdict != SKIPPED else {} for r in rows]
+        keys = dict.fromkeys(key for notes in live_notes for key in notes)
+        notes = {key: np.array([row.get(key, math.inf) for row in live_notes], dtype=float) for key in keys}
+        verdict = np.array([[VERDICTS.index(r.verdict) for r in rows]])
+        slack, tightness = np.array([[[r.slack for r in rows]], [[r.tightness for r in rows]]], dtype=float)
+        out |= summarize(CheckTable((cid,), [r.instance for r in rows], verdict, slack, tightness, {cid: notes}))
+    return out

@@ -69,6 +69,7 @@ class TestConfig:
             dict(scale=math.inf),
             dict(lam_max=math.inf),
             dict(gap_scale=math.inf),
+            dict(checks=()),
         ],
     )
     def test_rejects_bad_config(self, kwargs):

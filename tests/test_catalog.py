@@ -13,6 +13,7 @@ from semiradius.catalog import (
     PASS_UNCERTIFIED,
     SKIPPED,
     VIOLATION_CANDIDATE,
+    CheckResult,
     _chunks,
     _solve,
     run_all,
@@ -28,7 +29,7 @@ from semiradius.errors import (
     PreconditionFailed,
     UnknownCheck,
 )
-from semiradius.functionals import RadiusOptions, a_numerical_radius, op_seminorm
+from semiradius.functionals import RadiusOptions, a_numerical_radius, ipoint, op_seminorm
 from semiradius.sampler import SampleConfig, sample_bundle, sample_space
 from semiradius.space import FACT_TOL, SemiHilbertSpace, build_space
 
@@ -401,6 +402,36 @@ class TestTightnessReport:
         assert c1["median_slack"] == max(slack_by_inst.values())
         assert c1["max_tightness"] == max(r.tightness for r in rows if r.check_id == "C1")
         assert "note_mins" in rep["C13"]
+
+    def test_ties_keep_the_first_row(self):
+        # Fabricated rows: the first of equal slacks names the argmin, and
+        # -0.0 against 0.0 keeps whichever came first in slack, tightness
+        # and notes; the median is taken from a stable sort.
+        def row(check_id, instance, slack, tightness=0.0, verdict=PASS_CERTIFIED, notes=None):
+            zero = ipoint(0.0)
+            return CheckResult(check_id, instance, zero, zero, slack, verdict, tightness, notes=notes or {})
+
+        rows = [
+            row("C1", "a", 0.5),
+            row("C1", "b", -1.0),
+            row("C1", "c", -1.0),
+            row("C2", "a", -0.0, tightness=0.0, notes={"gap": -0.0}),
+            row("C2", "b", 0.0, tightness=-0.0, notes={"gap": 0.0}),
+            row("C3", "a", 0.0, tightness=-0.0, notes={"gap": 0.0}),
+            row("C3", "b", -0.0, tightness=0.0, notes={"gap": -0.0}),
+            row("C4", "a", 0.0, verdict=SKIPPED, notes={"reason": "skipped"}),
+            row("C4", "b", 0.0, verdict=SKIPPED, notes={"reason": "skipped"}),
+        ]
+        rep = tightness_report(rows)
+        assert rep["C1"]["argmin_instance"] == "b" and rep["C1"]["min_slack"] == -1.0
+        signs = {
+            cid: [math.copysign(1.0, rep[cid][key]) for key in ("min_slack", "median_slack", "max_tightness")]
+            + [math.copysign(1.0, rep[cid]["note_mins"]["gap"])]
+            for cid in ("C2", "C3")
+        }
+        assert signs == {"C2": [-1.0, 1.0, 1.0, -1.0], "C3": [1.0, -1.0, -1.0, 1.0]}
+        assert rep["C2"]["argmin_instance"] == rep["C3"]["argmin_instance"] == "a"
+        assert rep["C4"] == {"trials": 2, "skipped": 2, "certified": 0, "uncertified": 0, "violations": 0}
 
     def test_catalog_formula_and_operand_consistency(self):
         assert len(CATALOG) == 23

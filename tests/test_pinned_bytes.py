@@ -1,16 +1,19 @@
 """Report and row bytes are pinned.
 
-A small campaign's report (without its wall time) and the exact doubles
+Two campaigns' reports (without their wall time) and the exact doubles
 of every row of four run_all calls are hashed and compared with digests
 recorded once.  Any change to the evaluation order of the catalog that
 moves a last bit, a signed zero, a verdict, a variant, a note or a skip
-reason shows here.
+reason shows here.  The second campaign runs two trial chunks per cell
+and rank-zero cells, so the order in which chunks and jobs are joined
+shows too.
 """
 
 import hashlib
 import json
 
 import numpy as np
+import pytest
 
 from semiradius.campaign import CampaignConfig, run_campaign
 from semiradius.catalog import run_all
@@ -19,6 +22,7 @@ from semiradius.sampler import SampleConfig, sample_bundle, sample_space
 from semiradius.space import build_space
 
 REPORT_SHA256 = "96ae9cce3b1aa00f79c3819cb761b1f22fdf4e6781da306e8c84bf17343e5849"
+MULTI_CHUNK_SHA256 = "cf149da6a2b2abd2e1e194f72f418917a1a7e17d937e5356c9a1fb3968333d7c"
 ROWS_SHA256 = "41ead9f0de57cfdd2e7ff53b9aca0e80427a678ed8893e8bb7e4bb574bf093d3"
 
 
@@ -31,6 +35,17 @@ def test_campaign_report_bytes_are_pinned():
     report = run_campaign(config)
     report.pop("wall_time_s")
     assert digest(json.dumps(report, sort_keys=True)) == REPORT_SHA256
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_multi_chunk_campaign_bytes_are_pinned(workers):
+    config = CampaignConfig(
+        dims=(2, 40), ranks=(0, 1, 2), trials=40, master_seed=7, grid_count=64, workers=workers
+    )
+    report = run_campaign(config)
+    report.pop("wall_time_s")
+    assert report["totals"]["trials"] == 5520
+    assert digest(json.dumps(report, sort_keys=True)) == MULTI_CHUNK_SHA256
 
 
 def row_record(r) -> list:
