@@ -46,8 +46,8 @@ _INSTANCE_ID = re.compile(r"^d(\d+)_r(\d+)_t(\d+)$")
 
 # Trials of a cell run together: run_tables stacks them, evaluates each
 # check once for all and returns their rows as one check-by-instance
-# table; the report summarizes the tables of all cells joined in cell
-# order.  Rows do not depend on the chunk size; larger chunks spread the
+# table, whose row detail the report does not use; the report summarizes
+# the tables of all chunks joined in cell and trial order.  Rows do not depend on the chunk size; larger chunks spread the
 # per-round cost of the search and of each check over more instances, up
 # to _TRIAL_CHUNK, while their n x n matrices (about 16 per trial) stay
 # within _CHUNK_MATRIX_BYTES.
@@ -154,7 +154,7 @@ def _regenerate(config: CampaignConfig, dim: int, rank: int, trial: int):
     return space, bundle
 
 
-def _run_cell(args) -> CheckTable:
+def _run_cell(args) -> list[CheckTable]:
     config, dim, rank = args
     opts = config.options()
     chunk = max(1, min(_TRIAL_CHUNK, _CHUNK_MATRIX_BYTES // (16 * 16 * dim * dim)))
@@ -166,8 +166,8 @@ def _run_cell(args) -> CheckTable:
             items.append((space, bundle, f"d{dim}_r{rank}_t{trial}"))
         # The trials of a cell share their rank, checks and operand names: one chunk.
         ((_positions, table),) = run_tables(items, opts=opts, checks=config.checks)
-        tables.append(table)
-    return CheckTable.concat(tables)
+        tables.append(table._replace(variants=None, variant=None, skips=None))
+    return tables
 
 
 def run_campaign(config: CampaignConfig) -> dict:
@@ -178,11 +178,11 @@ def run_campaign(config: CampaignConfig) -> dict:
     if config.workers > 1 and len(jobs) > 1:
         # A pool forks all its workers up front: no more than there are jobs.
         with ProcessPoolExecutor(max_workers=min(config.workers, len(jobs))) as pool:
-            tables = list(pool.map(_run_cell, jobs))
+            cells = list(pool.map(_run_cell, jobs))
     else:
-        tables = [_run_cell(job) for job in jobs]
+        cells = [_run_cell(job) for job in jobs]
 
-    checks = summarize(CheckTable.concat(tables))
+    checks = summarize(CheckTable.concat([table for tables in cells for table in tables]))
     totals = {key: sum(s[key] for s in checks.values()) for key in _COUNTS}
     return {
         "schema_version": SCHEMA_VERSION,
