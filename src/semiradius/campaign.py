@@ -47,10 +47,11 @@ _INSTANCE_ID = re.compile(r"^d(\d+)_r(\d+)_t(\d+)$")
 # Trials of a cell run together: run_tables stacks them, evaluates each
 # check once for all and returns their rows as one check-by-instance
 # table, whose row detail the report does not use; the report summarizes
-# the tables of all chunks joined in cell and trial order.  Rows do not depend on the chunk size; larger chunks spread the
-# per-round cost of the search and of each check over more instances, up
-# to _TRIAL_CHUNK, while their n x n matrices (about 16 per trial) stay
-# within _CHUNK_MATRIX_BYTES.
+# the tables of all chunks joined in cell and trial order.  Rows do not
+# depend on the chunk size; larger chunks spread the per-round cost of
+# the search and of each check over more instances, up to _TRIAL_CHUNK,
+# while their n x n matrices (about 16 per trial) stay within
+# _CHUNK_MATRIX_BYTES.
 _TRIAL_CHUNK = 32
 _CHUNK_MATRIX_BYTES = 1 << 26
 

@@ -862,25 +862,25 @@ def summarize(table: CheckTable) -> dict[str, dict]:
     each note's least value; equal values resolve to the first row, as a
     fold over the rows in order would.
     """
-    n, live = len(table.instances), table.verdict != _SKIPPED
-    counts = (table.verdict[..., None] == np.arange(len(VERDICTS))).sum(axis=1).tolist()
+    checks, instances, notes, n = table.checks, table.instances, table.notes, len(table.instances)
+    live = table.verdict != _SKIPPED
+    counts = (table.verdict[..., None] == np.arange(len(VERDICTS))).sum(axis=1, dtype=np.intp).tolist()
+    # Skipped rows sort last and never give the least slack or the largest tightness.
     slack = np.where(live, table.slack, np.inf)
-    least, top = slack.argmin(axis=1), np.where(live, table.tightness, -np.inf).argmax(axis=1)
-    rows = np.arange(len(table.checks))
-    median = np.sort(slack, axis=1, kind="stable")[rows, live.sum(axis=1) // 2].tolist()
-    least_slack, tightness = slack[rows, least].tolist(), table.tightness[rows, top].tolist()
+    ordered = np.sort(slack, axis=1, kind="stable")
+    least, top = slack.argmin(axis=1).tolist(), np.where(live, table.tightness, -np.inf).argmax(axis=1).tolist()
     out = {}
-    for c in sorted(rows.tolist(), key=lambda c: _check_order(table.checks[c])):
+    for c in sorted(range(len(checks)), key=lambda c: _check_order(checks[c])):
         certified, uncertified, violations, skipped = counts[c]
-        summary = out[table.checks[c]] = dict(
+        summary = out[checks[c]] = dict(
             trials=n, skipped=skipped, certified=certified, uncertified=uncertified, violations=violations
         )
         if skipped < n:
-            summary["min_slack"], summary["median_slack"] = least_slack[c], median[c]
-            summary["max_tightness"], summary["argmin_instance"] = tightness[c], table.instances[least.item(c)]
-            notes = [(key, values[live[c]]) for key, values in table.notes.get(table.checks[c], {}).items()]
-            if notes:
-                summary["note_mins"] = {key: values.item(values.argmin()) for key, values in notes}
+            summary["min_slack"], summary["median_slack"] = slack.item(c, least[c]), ordered.item(c, (n - skipped) // 2)
+            summary["max_tightness"], summary["argmin_instance"] = table.tightness.item(c, top[c]), instances[least[c]]
+            if notes.get(checks[c]):
+                mins = {key: values[live[c]] for key, values in notes[checks[c]].items()}
+                summary["note_mins"] = {key: values.item(values.argmin()) for key, values in mins.items()}
     return out
 
 
