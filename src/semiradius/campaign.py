@@ -97,6 +97,9 @@ class CampaignConfig:
             unknown = [c for c in checks if c not in CATALOG]
             if unknown:
                 raise BadConfig(f"unknown checks: {', '.join(unknown)}")
+            repeated = sorted({c for c in checks if checks.count(c) > 1})
+            if repeated:
+                raise BadConfig(f"checks listed more than once: {', '.join(repeated)}")
             object.__setattr__(self, "checks", checks)
         if not self.cells():
             raise BadConfig("no (dim, rank) cell matches the requested grid")

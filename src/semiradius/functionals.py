@@ -17,7 +17,12 @@ max(0, maximum of max(lambda_min, -lambda_max)).
   the Crawford number, the bottom eigenvector y of H at the cell center t
   gives the cosine curve s -> Re(exp(is) y* M y), which lies above
   lambda_min(H(s)) and touches it at t; the top eigenvector gives one
-  touching at t + pi.  The larger of their exact maxima caps the cell;
+  touching at t + pi.  The larger of their exact maxima caps the cell.
+  Both curves have amplitude at most |M| and pass at or below the cell
+  value v, so v cos(w) + |M| sin(w) caps the cell from its eigenvalues
+  alone: a cell whose such cap cannot beat its matrix's floor is pruned
+  with it, and only the other cells are eigensolved again for their
+  eigenvectors;
 * the Lipschitz cap value + |M| * w is implied: with at least four grid
   angles w is about pi/4 at most, where no rotation cap exceeds it;
 * a radius matrix whose objective is flat on the initial grid, so that
@@ -32,9 +37,10 @@ max(0, maximum of max(lambda_min, -lambda_max)).
 
 Cells whose cap cannot beat the running lower bound are pruned; surviving
 cells are subdivided until the enclosure gap meets the target or the round
-budget runs out.  After the search, Crawford upper ends are further capped
-by a Monte Carlo scan of |y* M y| over random unit vectors, which bounds
-the infimum from above.
+budget runs out.  After the search, Crawford upper ends above 0 are
+further capped by a Monte Carlo scan of |y* M y| over random unit vectors,
+which bounds the infimum from above; an upper end at 0 cannot be trimmed,
+so its matrix is not scanned.
 
 radii_and_crawford_numbers runs one search for the matrices of lists of
 (k, m, m) stacks: each round makes one eigensolve call (per chunk of
@@ -102,6 +108,24 @@ _SHORTCUT_TOL = 1e-13
 # Evaluated eigenvalues carry backward-stable rounding error of order
 # eps * norm, so attained values are only lower bounds up to that much.
 _EVAL_ERR = 1e-13
+# Relative margin, times 1 + |M|, by which a Crawford cell's eigenvalue-only
+# cap must fall below its matrix's floor to be pruned without eigenvectors.
+# With computed eigenvalues within E = _EVAL_ERR (1 + |M|) of the exact
+# ones, a cell's eigvalsh and eigh values differ by at most 2E, and the
+# curves of its eigh vectors (Rayleigh quotients within E of the exact
+# value, |q| within m eps |M| of |M|) pass at most 2E above its eigvalsh
+# value, so its vector cap exceeds its eigenvalue-only cap by at most 2E.
+# The cell setting the eigvalsh floor is always eigensolved (its cap is at
+# least its value), so that floor exceeds the eigh floor by at most 2E.
+# Hence a pruned cell's vector cap lies at least margin - 4E below the eigh
+# floor, and its eigh value at least margin - 4E below the floor's cell's:
+# above 4E plus the rounding of q, cos and sin, the margin prunes only cells
+# the vector caps would prune and whose values could not raise the lower
+# bound, so enclosures keep their bits.  8E doubles that; measured
+# eigvalsh/eigh gaps stay below 0.03E (m = 2 to 48: Ginibre, shifted, flat
+# and 1e+-8-scaled Jordan matrices), and no vector cap was measured above
+# its eigenvalue-only cap.
+_PRUNE_MARGIN = 8 * _EVAL_ERR
 _MC_CHUNK = 1 << 13
 # Relative distance from the top within which eigenvalues of a dual
 # certificate's block matrix count as one cluster.
@@ -165,8 +189,9 @@ class RadiusOptions:
     ceil(grid_count / 2) cells on the half circle, and refines for at most
     DEFAULT_MAX_ROUNDS rounds towards the enclosure gap
     gap_scale * (1 + |M|) per matrix.  oracle_samples drives the Monte
-    Carlo cap applied to Crawford enclosures after the search, whose
-    vectors come from stream 0.
+    Carlo cap applied after the search to the Crawford enclosures whose
+    upper ends lie above 0 (no other can be trimmed); its vectors come
+    from stream 0.
     """
 
     grid_count: int = DEFAULT_GRID
@@ -315,7 +340,7 @@ def _joined(parts: list):
 class _Pencils:
     """The matrices of one size and one functional in a search: float
     views of their parts P and K, and for the Crawford search the matrices
-    themselves.
+    themselves and their spectral norms.
 
     Radius matrices [[0, X], [Y, 0]] may be marked antidiagonal: then H(t)
     is [[0, Z(t)], [Z(t)*, 0]], whose eigenvalues are +-sigma(Z(t)), so
@@ -323,13 +348,13 @@ class _Pencils:
     from the r x r matrices Z* Z instead of 2r x 2r eigensolves.
     """
 
-    def __init__(self, P: np.ndarray, K: np.ndarray, A: np.ndarray | None, antidiagonal: bool = False):
+    def __init__(self, P: np.ndarray, K: np.ndarray, A=None, norms=None, antidiagonal: bool = False):
         if antidiagonal:
             r = P.shape[1] // 2
             P, K = np.ascontiguousarray(P[:, :r, r:]), np.ascontiguousarray(K[:, :r, r:])
         self.antidiagonal = antidiagonal
         self.m = P.shape[1]
-        self.Pv, self.Kv, self.A = P.view(np.float64), K.view(np.float64), A
+        self.Pv, self.Kv, self.A, self.L = P.view(np.float64), K.view(np.float64), A, norms
         # Cells per eigensolve call or quadratic-form batch, so that the
         # per-cell matrices built at once stay within _CHUNK_BYTES.
         self.step = max(1, _CHUNK_BYTES // (16 * self.m * self.m))
@@ -337,40 +362,59 @@ class _Pencils:
     def keep(self, mask: np.ndarray) -> None:
         self.Pv, self.Kv = self.Pv[mask], self.Kv[mask]
         if self.A is not None:
-            self.A = self.A[mask]
+            self.A, self.L = self.A[mask], self.L[mask]
 
-    def extremes(self, seg: np.ndarray, ts: np.ndarray) -> list:
+    def extremes(self, seg: np.ndarray, ts: np.ndarray, vectors: bool = False) -> list:
         """Extremes of H at the cells (seg, ts): bottom and top eigenvalues,
-        and for the Crawford search their eigenvectors."""
+        and with vectors their eigenvectors."""
         if ts.size <= self.step:
-            return self._extremes(_rotated(self.Pv, self.Kv, seg, ts))
+            return self._extremes(_rotated(self.Pv, self.Kv, seg, ts), vectors)
         parts = [
-            self._extremes(_rotated(self.Pv, self.Kv, seg[a : a + self.step], ts[a : a + self.step]))
+            self._extremes(_rotated(self.Pv, self.Kv, seg[a : a + self.step], ts[a : a + self.step]), vectors)
             for a in range(0, ts.size, self.step)
         ]
         return [np.concatenate(p) for p in zip(*parts)]
 
-    def _extremes(self, H: np.ndarray):
+    def _extremes(self, H: np.ndarray, vectors: bool):
         if not self.antidiagonal:
-            return _extremes(H, vectors=self.A is not None)
+            return _extremes(H, vectors)
         # sigma_max(Z)^2 = lambda_max(Z* Z), to within eps |Z|^2.
         s = np.sqrt(np.maximum(_extremes(np.swapaxes(H.conj(), -1, -2) @ H)[1], 0.0))
         return -s, s
 
-    def values(self, ext, seg: np.ndarray):
-        """Objective values of cells from the extremes of H at their
-        centers, and for the Crawford search y* M y at the bottom and the
-        top eigenvectors y."""
+    def evaluate(self, seg: np.ndarray, ts: np.ndarray, hw: float, starts: np.ndarray, lower: np.ndarray):
+        """Objective values and caps of the cells (seg, ts) of half-width hw.
+
+        starts holds the first cell of each matrix and lower its running
+        lower bound.  A Crawford cell whose cap cannot beat its matrix's
+        floor is pruned with a cap from its eigenvalues alone: its value is
+        -inf, so it sets no lower bound."""
+        wmin, wmax = self.extremes(seg, ts)
         if self.A is None:
-            wmin, wmax = ext
-            return np.maximum(wmax, -wmin), None
-        wmin, wmax, vmin, vmax = ext
+            vals = np.maximum(wmax, -wmin)
+            return vals, vals / np.cos(hw)
+        # Every curve of bound() has amplitude |y* M y| <= |M| and passes at
+        # or below v at the cell center, so v cos(d) + |M| sin(|d|) lies
+        # above it at distance d; as |v| <= |M| and hw <= pi/4, that grows
+        # with |d| up to hw (the 1e-12 widening of hw moves it by far less
+        # than the margin).
+        v = np.maximum(wmin, -wmax)
+        L = self.L[seg]
+        caps = v * np.cos(hw) + L * np.sin(hw)
+        floor = np.maximum(np.maximum(lower, np.maximum.reduceat(v, starts)), 0.0)
+        cand = np.flatnonzero(caps + _PRUNE_MARGIN * (1.0 + L) > floor[seg])
+        vals = np.full(v.size, -np.inf)
+        if cand.size:
+            seg, ts = seg[cand], ts[cand]
+            wmin, wmax, ymin, ymax = self.extremes(seg, ts, vectors=True)
+            vals[cand] = np.maximum(wmin, -wmax)
+            caps[cand] = self.bound(self.forms(seg, ymin), self.forms(seg, ymax), ts, hw)
+        return vals, caps
+
+    def forms(self, seg: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        """y* M y for each cell's vector y and matrix M, in chunks."""
         step = self.step
-        qs = [
-            _joined([self._forms(seg[a : a + step], Y[a : a + step]) for a in range(0, Y.shape[0], step)])
-            for Y in (vmin, vmax)
-        ]
-        return np.maximum(wmin, -wmax), qs
+        return _joined([self._forms(seg[a : a + step], Y[a : a + step]) for a in range(0, Y.shape[0], step)])
 
     def _forms(self, seg: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """y* M y for each cell's vector y and matrix M."""
@@ -422,15 +466,15 @@ class _Pencils:
         except np.linalg.LinAlgError as exc:
             raise NoConvergence(f"dual bound failed: {exc}") from exc
 
-    def bound(self, vals: np.ndarray, qs, centers: np.ndarray, hw: float) -> np.ndarray:
-        """The rotation certificate of cells of half-width hw."""
-        if self.A is None:
-            return vals / np.cos(hw)
+    @staticmethod
+    def bound(qmin: np.ndarray, qmax: np.ndarray, centers: np.ndarray, hw: float) -> np.ndarray:
+        """The Crawford rotation certificate of cells of half-width hw from
+        q = y* M y at the bottom and the top eigenvectors y."""
         # y* H(s) y = Re(exp(is) q) lies above lambda_min(H(s)) for every s;
         # the top eigenvector's curve, taken at s = t + pi, is
         # Re(exp(it) (-q)).  Each curve's exact maximum over the cell.
         bounds = []
-        for q in (qs[0], -qs[1]):
+        for q in (qmin, -qmax):
             dist = np.abs(_wrap_angle(-np.angle(q) - centers))
             bounds.append(np.abs(q) * np.cos(np.maximum(dist - hw, 0.0)))
         return np.maximum(*bounds)
@@ -482,7 +526,10 @@ def _search(groups: list[_Pencils], gap, opts: RadiusOptions):
     An unfinished radius matrix all of whose round-0 cells survive pruning
     (a flat objective) has its upper end capped for the rest of the search
     by Ando's dual certificate (_Pencils.dual).  Antidiagonal pencils and
-    Crawford matrices take none.
+    Crawford matrices take none.  Crawford cells pruned from their
+    eigenvalues alone (_Pencils.evaluate) set no lower bound, so a matrix
+    all of whose cells are so pruned leaves with lo = -inf, which the
+    caller clamps at 0.
     """
     half = (opts.grid_count + 1) // 2
     h = np.pi / half
@@ -502,10 +549,10 @@ def _search(groups: list[_Pencils], gap, opts: RadiusOptions):
         vals, ubs, first = [], [], 0
         for g, n in zip(groups, sizes):
             a, b = starts[first], ends[first + n - 1]
-            sg = seg[a:b] - first
-            v, qs = g.values(g.extremes(sg, centers[a:b]), sg)
+            mats = slice(first, first + n)
+            v, ub = g.evaluate(seg[a:b] - first, centers[a:b], hw, starts[mats] - a, lo_l[mats])
             vals.append(v)
-            ubs.append(g.bound(v, qs, centers[a:b], hw))
+            ubs.append(ub)
             first += n
         vals, ub = _joined(vals), _joined(ubs)
         lo_l = np.maximum(lo_l, np.maximum.reduceat(vals, starts))
@@ -701,7 +748,7 @@ def radii_and_crawford_numbers(radius_stacks, crawford_stacks, opts: RadiusOptio
         if A.shape[1] == 1:
             # The radius and the Crawford number of a 1 x 1 matrix are |a|.
             _put(out, rows, _abs_entries(A))
-    searches = []  # (pencils, norms, caps, rows of out) per searched group
+    searches = []  # (pencils, norms, Crawford matrices or None, rows of out) per searched group
     for rows, A in radius_groups:
         if A.shape[1] < 2:
             continue
@@ -712,21 +759,28 @@ def radii_and_crawford_numbers(radius_stacks, crawford_stacks, opts: RadiusOptio
         antidiagonal = (A.shape[1] % 2 == 0) & ~diagonal_blocks
         for part, anti in ((~antidiagonal, False), (antidiagonal, True)):
             if part.any():
-                cap = np.full(np.count_nonzero(part), np.inf)
-                searches.append((_Pencils(P[part], K[part], None, anti), L[part], cap, rows[pos[part]]))
+                searches.append((_Pencils(P[part], K[part], antidiagonal=anti), L[part], None, rows[pos[part]]))
     for rows, A in crawford_groups:
         rest = np.flatnonzero(A.diagonal(axis1=1, axis2=2).any(axis=1))
         if A.shape[1] < 2 or not rest.size:
             continue
         M = A[rest]
-        # With no samples the cap is the vacuous +inf.
-        blocks = _cap_vectors(opts.oracle_samples, A.shape[1])
-        cap = np.array([_mc_extreme(X, blocks, reduce_max=False) for X in M])
-        searches.append((_Pencils(*_pencil(M), M), spectral_norms(M), cap, rows[rest]))
+        L = spectral_norms(M)
+        searches.append((_Pencils(*_pencil(M), M, L), L, M, rows[rest]))
     if searches:
-        groups, norms, caps, targets = zip(*searches)
-        L, cap, rows = np.concatenate(norms), np.concatenate(caps), np.concatenate(targets)
+        groups, norms, crawfords, targets = zip(*searches)
+        L, rows = np.concatenate(norms), np.concatenate(targets)
         lo, hi = _search(list(groups), opts.resolve_gap(L), opts)
+        # The Monte Carlo cap, >= 0, can trim only upper ends above 0; with
+        # no samples it is the vacuous +inf.
+        cap, above, first = np.full(L.size, np.inf), np.maximum(hi, lo) > 0.0, 0
+        for M, target in zip(crawfords, targets):
+            if M is not None:
+                for i in np.flatnonzero(above[first : first + len(M)]):
+                    # Drawn once per size, on first need.
+                    blocks = _cap_vectors(opts.oracle_samples, M.shape[1])
+                    cap[first + i] = _mc_extreme(M[i], blocks, reduce_max=False)
+            first += target.size
         err = _EVAL_ERR * (1.0 + L)
         hi = _max(_max(hi, lo), 0.0) + err
         lo = _max(lo - err, 0.0)

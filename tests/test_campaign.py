@@ -70,6 +70,7 @@ class TestConfig:
             dict(lam_max=math.inf),
             dict(gap_scale=math.inf),
             dict(checks=()),
+            dict(checks=("C1", "C1")),
         ],
     )
     def test_rejects_bad_config(self, kwargs):

@@ -242,12 +242,16 @@ def disk_radius(weights) -> float:
 
 
 def count_eigensolves(monkeypatch) -> list:
-    """A one-element list counting the matrices eigvalsh and eigh solve."""
-    counted = [0]
+    """A two-element list counting the matrices eigvalsh and eigh solve
+    together, then those eigh solves alone (with eigenvectors)."""
+    counted = [0, 0]
 
     def counting(solver):
         def solve(H, *args, **kwargs):
-            counted[0] += H.shape[0] if H.ndim == 3 else 1
+            matrices = H.shape[0] if H.ndim == 3 else 1
+            counted[0] += matrices
+            if solver.__name__ == "eigh":
+                counted[1] += matrices
             return solver(H, *args, **kwargs)
 
         return solve
@@ -356,6 +360,47 @@ class TestDualCertificate:
         monkeypatch.setattr(functionals, "_dual_caps", lambda *args: False)
         alone = numerical_radius(M, opts)
         assert enc.lo <= alone.hi and alone.lo <= enc.hi
+
+
+def count_cap_scans(monkeypatch) -> list:
+    """A one-element list counting the Monte Carlo cap scans."""
+    scans = [0]
+    scan = functionals._mc_extreme
+
+    def counting(*args, **kwargs):
+        scans[0] += 1
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(functionals, "_mc_extreme", counting)
+    return scans
+
+
+class TestCrawfordWork:
+    def test_range_containing_zero_solves_no_eigenvectors(self, monkeypatch):
+        # Every cell's eigenvalue-only cap stays below the floor 0.
+        counted = count_eigensolves(monkeypatch)
+        scans = count_cap_scans(monkeypatch)
+        enc = crawford_number(random_matrix(16, 16))
+        assert enc.lo == 0.0 and enc.hi <= 1e-11
+        assert counted[0] > 0 and counted[1] == 0
+        assert scans[0] == 0
+
+    @pytest.mark.parametrize("c", [1.3, 2.0, 4.0])
+    def test_eigenvectors_only_near_the_maximizer(self, c, monkeypatch):
+        n = 16
+        M, value = shifted_jordan(9, n, c, phi=0.4321), c - math.cos(math.pi / (n + 1))
+        opts = RadiusOptions()
+        full = crawford_number(M, opts)
+        assert full.lo <= value <= full.hi
+        # Round 0 alone: the cells pruned without eigenvectors still cap the
+        # enclosure soundly.
+        monkeypatch.setattr(functionals, "DEFAULT_MAX_ROUNDS", 0)
+        counted = count_eigensolves(monkeypatch)
+        enc = crawford_number(M, opts)
+        cells = (opts.grid_count + 1) // 2
+        assert counted[0] - counted[1] == cells
+        assert counted[1] < cells / 4
+        assert enc.lo <= value <= enc.hi
 
 
 class TestCrawfordNumber:
