@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .catalog import CATALOG, CheckResult, CheckTable, run_all, run_tables, summarize
-from .errors import BadConfig, ParseError
+from .errors import BadConfig, ParseError, integral
 from .functionals import DEFAULT_GAP_SCALE, DEFAULT_GRID, DEFAULT_MC_SAMPLES, RadiusOptions
 from .instances import read_instance, write_instance
 from .sampler import SampleConfig, derive_seed, sample_bundle, sample_space
@@ -84,9 +84,9 @@ class CampaignConfig:
             if not ranks or ranks[0] < 0:
                 raise BadConfig("ranks must be nonnegative integers")
             object.__setattr__(self, "ranks", ranks)
-        if self.trials < 1:
+        if integral("trials", self.trials) < 1:
             raise BadConfig(f"trials must be positive, got {self.trials}")
-        if self.workers < 1:
+        if integral("workers", self.workers) < 1:
             raise BadConfig(f"workers must be positive, got {self.workers}")
         if not 0.0 <= self.scale < math.inf:
             raise BadConfig(f"scale must be finite and nonnegative, got {self.scale}")

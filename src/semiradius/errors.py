@@ -1,4 +1,7 @@
-"""Exception types raised by the semiradius package."""
+"""Exception types raised by the semiradius package, and the integer check
+of configuration counts."""
+
+import operator
 
 __all__ = [
     "SemiradiusError",
@@ -16,6 +19,7 @@ __all__ = [
     "EmptyInput",
     "BadConfig",
     "ParseError",
+    "integral",
 ]
 
 
@@ -77,3 +81,12 @@ class BadConfig(SemiradiusError):
 
 class ParseError(SemiradiusError):
     """An instance document is malformed; the message names the bad field."""
+
+
+def integral(name: str, value) -> int:
+    """value as an int, for a configuration count: BadConfig unless it is an
+    integer (numpy integers pass, floats such as 64.5 or 64.0 do not)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise BadConfig(f"{name} must be an integer, got {value!r}") from None

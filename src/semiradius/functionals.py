@@ -44,10 +44,11 @@ so its matrix is not scanned.
 
 radii_and_crawford_numbers runs one search for the matrices of lists of
 (k, m, m) stacks: each round makes one eigensolve call (per chunk of
-cells of bounded size) for every matrix of one size and functional still
-refining.  Each matrix keeps its own cells, bounds and stopping test, so
-its enclosure, a row of the Enclosures returned, is the one it gets
-alone; numerical_radius and crawford_number are one-matrix stacks.
+cells of bounded size) for the cells of the matrices of one size and
+functional; a finished matrix owns no cells.  Each matrix keeps its own
+cells, bounds and stopping test, so its enclosure, a row of the
+Enclosures returned, is the one it gets alone; numerical_radius and
+crawford_number are one-matrix stacks.
 Block-antidiagonal matrices [[0, X], [Y, 0]] are searched through the
 singular values of the corner of H(t), from r x r instead of 2r x 2r
 eigensolves.
@@ -61,7 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadConfig, NoConvergence, NonSquare
+from .errors import BadConfig, NoConvergence, NonSquare, integral
 from .kernel import as_matrix, spectral_norms
 from .space import SemiHilbertSpace
 
@@ -199,11 +200,11 @@ class RadiusOptions:
     oracle_samples: int = DEFAULT_MC_SAMPLES
 
     def __post_init__(self):
-        if self.grid_count < 4:
+        if integral("grid_count", self.grid_count) < 4:
             raise BadConfig("grid_count must be at least 4")
         if not 0.0 < self.gap_scale < math.inf:
             raise BadConfig("gap_scale must be positive and finite")
-        if self.oracle_samples < 0:
+        if integral("oracle_samples", self.oracle_samples) < 0:
             raise BadConfig("oracle_samples must be nonnegative")
 
     def resolve_gap(self, norm: float) -> float:
@@ -337,10 +338,25 @@ def _joined(parts: list):
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
+def _in_chunks(step: int, f, *arrays):
+    """f of the arrays, sliced along their first axis into chunks of at
+    most step rows, its results (arrays or tuples of arrays) joined."""
+    if len(arrays[0]) <= step:
+        return f(*arrays)
+    parts = [f(*(x[a : a + step] for x in arrays)) for a in range(0, len(arrays[0]), step)]
+    return tuple(map(_joined, zip(*parts))) if isinstance(parts[0], tuple) else _joined(parts)
+
+
+def _runs(seg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first cell of each run of the nondecreasing seg, and its matrix."""
+    starts = np.concatenate(([True], seg[1:] != seg[:-1])).nonzero()[0]
+    return starts, seg[starts]
+
+
 class _Pencils:
     """The matrices of one size and one functional in a search: float
-    views of their parts P and K, and for the Crawford search the matrices
-    themselves and their spectral norms.
+    views of their parts P and K, their spectral norms, and for the
+    Crawford search the matrices themselves.
 
     Radius matrices [[0, X], [Y, 0]] may be marked antidiagonal: then H(t)
     is [[0, Z(t)], [Z(t)*, 0]], whose eigenvalues are +-sigma(Z(t)), so
@@ -348,7 +364,7 @@ class _Pencils:
     from the r x r matrices Z* Z instead of 2r x 2r eigensolves.
     """
 
-    def __init__(self, P: np.ndarray, K: np.ndarray, A=None, norms=None, antidiagonal: bool = False):
+    def __init__(self, P: np.ndarray, K: np.ndarray, norms, A=None, antidiagonal: bool = False):
         if antidiagonal:
             r = P.shape[1] // 2
             P, K = np.ascontiguousarray(P[:, :r, r:]), np.ascontiguousarray(K[:, :r, r:])
@@ -359,36 +375,26 @@ class _Pencils:
         # per-cell matrices built at once stay within _CHUNK_BYTES.
         self.step = max(1, _CHUNK_BYTES // (16 * self.m * self.m))
 
-    def keep(self, mask: np.ndarray) -> None:
-        self.Pv, self.Kv = self.Pv[mask], self.Kv[mask]
-        if self.A is not None:
-            self.A, self.L = self.A[mask], self.L[mask]
-
-    def extremes(self, seg: np.ndarray, ts: np.ndarray, vectors: bool = False) -> list:
+    def extremes(self, seg: np.ndarray, ts: np.ndarray, vectors: bool = False) -> tuple:
         """Extremes of H at the cells (seg, ts): bottom and top eigenvalues,
         and with vectors their eigenvectors."""
-        if ts.size <= self.step:
-            return self._extremes(_rotated(self.Pv, self.Kv, seg, ts), vectors)
-        parts = [
-            self._extremes(_rotated(self.Pv, self.Kv, seg[a : a + self.step], ts[a : a + self.step]), vectors)
-            for a in range(0, ts.size, self.step)
-        ]
-        return [np.concatenate(p) for p in zip(*parts)]
+        return _in_chunks(self.step, functools.partial(self._extremes, vectors=vectors), seg, ts)
 
-    def _extremes(self, H: np.ndarray, vectors: bool):
+    def _extremes(self, seg: np.ndarray, ts: np.ndarray, vectors: bool):
+        H = _rotated(self.Pv, self.Kv, seg, ts)
         if not self.antidiagonal:
             return _extremes(H, vectors)
         # sigma_max(Z)^2 = lambda_max(Z* Z), to within eps |Z|^2.
         s = np.sqrt(np.maximum(_extremes(np.swapaxes(H.conj(), -1, -2) @ H)[1], 0.0))
         return -s, s
 
-    def evaluate(self, seg: np.ndarray, ts: np.ndarray, hw: float, starts: np.ndarray, lower: np.ndarray):
+    def evaluate(self, seg: np.ndarray, ts: np.ndarray, hw: float, lower: np.ndarray):
         """Objective values and caps of the cells (seg, ts) of half-width hw.
 
-        starts holds the first cell of each matrix and lower its running
-        lower bound.  A Crawford cell whose cap cannot beat its matrix's
-        floor is pruned with a cap from its eigenvalues alone: its value is
-        -inf, so it sets no lower bound."""
+        lower holds the running lower bound of each matrix.  A Crawford
+        cell whose cap cannot beat its matrix's floor is pruned with a cap
+        from its eigenvalues alone: its value is -inf, so it sets no lower
+        bound."""
         wmin, wmax = self.extremes(seg, ts)
         if self.A is None:
             vals = np.maximum(wmax, -wmin)
@@ -401,25 +407,22 @@ class _Pencils:
         v = np.maximum(wmin, -wmax)
         L = self.L[seg]
         caps = v * np.cos(hw) + L * np.sin(hw)
-        floor = np.maximum(np.maximum(lower, np.maximum.reduceat(v, starts)), 0.0)
+        starts, mats = _runs(seg)
+        floor = np.maximum(lower, 0.0)
+        floor[mats] = np.maximum(floor[mats], np.maximum.reduceat(v, starts))
         cand = np.flatnonzero(caps + _PRUNE_MARGIN * (1.0 + L) > floor[seg])
         vals = np.full(v.size, -np.inf)
         if cand.size:
             seg, ts = seg[cand], ts[cand]
             wmin, wmax, ymin, ymax = self.extremes(seg, ts, vectors=True)
             vals[cand] = np.maximum(wmin, -wmax)
-            caps[cand] = self.bound(self.forms(seg, ymin), self.forms(seg, ymax), ts, hw)
+            caps[cand] = self.bound(*_in_chunks(self.step, self._forms, seg, ymin, ymax), ts, hw)
         return vals, caps
 
-    def forms(self, seg: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        """y* M y for each cell's vector y and matrix M, in chunks."""
-        step = self.step
-        return _joined([self._forms(seg[a : a + step], Y[a : a + step]) for a in range(0, Y.shape[0], step)])
-
-    def _forms(self, seg: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        """y* M y for each cell's vector y and matrix M."""
+    def _forms(self, seg: np.ndarray, *Ys: np.ndarray) -> tuple:
+        """y* M y for each cell's matrix M and its vector y in each of Ys."""
         A = self.A[0] if self.A.shape[0] == 1 else np.take(self.A, seg, axis=0)
-        return np.add.reduce(Y.conj() * np.add.reduce(A * Y[:, None, :], axis=2), axis=1)
+        return tuple(np.add.reduce(Y.conj() * np.add.reduce(A * Y[:, None, :], axis=2), axis=1) for Y in Ys)
 
     def dual(self, which: np.ndarray, ts: np.ndarray, lower: np.ndarray, gap: np.ndarray) -> np.ndarray:
         """Ando's dual upper bound for the radius of the matrices which, from
@@ -437,14 +440,9 @@ class _Pencils:
         common value, and the smaller bound of the two is kept.
         """
         per = max(1, self.step // ts.size)
-        return _joined(
-            [
-                self._dual(which[a : a + per], ts, lower[a : a + per], gap[a : a + per])
-                for a in range(0, which.size, per)
-            ]
-        )
+        return _in_chunks(per, functools.partial(self._dual, ts), which, lower, gap)
 
-    def _dual(self, which: np.ndarray, ts: np.ndarray, lower: np.ndarray, gap: np.ndarray) -> np.ndarray:
+    def _dual(self, ts: np.ndarray, which: np.ndarray, lower: np.ndarray, gap: np.ndarray) -> np.ndarray:
         k, n, m = which.size, ts.size, self.m
         Pv, Kv = self.Pv[which], self.Kv[which]
         wmin, wmax, vmin, vmax = _extremes(_rotated(Pv, Kv, np.arange(k).repeat(n), np.tile(ts, k)), vectors=True)
@@ -517,103 +515,78 @@ def _search(groups: list[_Pencils], gap, opts: RadiusOptions):
     the per-matrix targets in group order.  Returns per-matrix arrays
     (lo, hi) before the evaluation pad.
 
-    Every matrix owns its cells, bounds and stopping test, and leaves the
-    loop as soon as its own gap is met, so its result does not depend on
-    the other matrices.  Cells are kept grouped by matrix and matrices by
-    group; per round, one eigensolve call per group (per chunk of cells)
-    serves every matrix of the group still refining.
+    Every matrix owns its cells, bounds and stopping test, and finishes as
+    soon as its own gap is met, so its result does not depend on the other
+    matrices.  The cells are the only state that shrinks: seg holds the
+    matrix of each cell, nondecreasing, so cells stay grouped by matrix
+    and matrices by group, and a finished matrix owns no cells.  Per
+    round, one eigensolve call per group (per chunk of cells) serves
+    every matrix of the group that owns cells.
 
     An unfinished radius matrix all of whose round-0 cells survive pruning
     (a flat objective) has its upper end capped for the rest of the search
     by Ando's dual certificate (_Pencils.dual).  Antidiagonal pencils and
     Crawford matrices take none.  Crawford cells pruned from their
     eigenvalues alone (_Pencils.evaluate) set no lower bound, so a matrix
-    all of whose cells are so pruned leaves with lo = -inf, which the
+    all of whose cells are so pruned finishes with lo = -inf, which the
     caller clamps at 0.
     """
     half = (opts.grid_count + 1) // 2
     h = np.pi / half
     k = gap.size
-    sizes = [g.Pv.shape[0] for g in groups]
-    seg = np.arange(k).repeat(half)  # position in live of each cell's matrix
+    first = np.cumsum([0] + [g.Pv.shape[0] for g in groups]).tolist()  # first matrix of each group, then k
+    seg = np.arange(k).repeat(half)
     centers = np.tile(h * np.arange(half), k)
-    kept = np.full(k, half)
-    lo, hi = np.full(k, -np.inf), np.empty(k)
-    # Per-matrix state of the matrices still refining, in group order.
-    live, lo_l, gap_l, cap_l = np.arange(k), lo.copy(), gap, np.full(k, np.inf)
+    lo, hi, cap = np.full(k, -np.inf), np.empty(k), np.full(k, np.inf)
     hw = 0.5 * h * (1.0 + 1e-12)
     halves = (2.0 * np.arange(_SUBDIV) + 1.0 - _SUBDIV) / _SUBDIV
     for round_no in range(DEFAULT_MAX_ROUNDS + 1):
-        ends = kept.cumsum()
-        starts = ends - kept
-        vals, ubs, first = [], [], 0
-        for g, n in zip(groups, sizes):
-            a, b = starts[first], ends[first + n - 1]
-            mats = slice(first, first + n)
-            v, ub = g.evaluate(seg[a:b] - first, centers[a:b], hw, starts[mats] - a, lo_l[mats])
-            vals.append(v)
-            ubs.append(ub)
-            first += n
-        vals, ub = _joined(vals), _joined(ubs)
-        lo_l = np.maximum(lo_l, np.maximum.reduceat(vals, starts))
-        hi_l = np.maximum(lo_l, np.minimum(np.maximum.reduceat(ub, starts), cap_l))
-        floor = np.maximum(lo_l, 0.0)
-        done = np.maximum(hi_l, 0.0) - floor <= gap_l
+        cells = np.searchsorted(seg, first).tolist()
+        parts = [
+            g.evaluate(seg[c:d] - f, centers[c:d], hw, lo[f:e])
+            for g, f, e, c, d in zip(groups, first, first[1:], cells, cells[1:])
+            if c < d
+        ]
+        vals, ub = map(_joined, zip(*parts))
+        starts, mats = _runs(seg)
+        lo[mats] = lo_m = np.maximum(lo[mats], np.maximum.reduceat(vals, starts))
+        hi[mats] = np.maximum(lo_m, np.minimum(np.maximum.reduceat(ub, starts), cap[mats]))
         if round_no == DEFAULT_MAX_ROUNDS:
-            lo[live], hi[live] = lo_l, hi_l
             break
+        floor = np.maximum(lo, 0.0)
+        done = np.maximum(hi, 0.0) - floor <= gap
         # Cells that can beat the running lower bound of an unfinished matrix.
         keep = ub > np.where(done, np.inf, floor)[seg]
-        kept = np.add.reduceat(keep, starts)
-        if round_no == 0 and _dual_caps(groups, sizes, kept == half, lo_l, gap_l, centers[:half], cap_l):
-            # Matrices no rotation cap could prune got dual caps, which may
+        if round_no == 0:
+            # Matrices no rotation cap could prune get dual caps, which may
             # meet their gaps.
-            hi_l = np.maximum(lo_l, np.minimum(hi_l, cap_l))
-            done = np.maximum(hi_l, 0.0) - floor <= gap_l
+            _dual_caps(groups, first, np.bincount(seg[keep], minlength=k) == half, lo, gap, centers[:half], cap)
+            hi = np.maximum(lo, np.minimum(hi, cap))
+            done = np.maximum(hi, 0.0) - floor <= gap
             keep &= ~done[seg]
-            kept = np.add.reduceat(keep, starts)
-        if np.count_nonzero(kept) < kept.size:
-            # A met gap keeps hi; no surviving cell means the running lower
-            # bound is the maximum.
-            refine = kept > 0
-            out = ~refine
-            lo[live[out]] = lo_l[out]
-            hi[live[out]] = np.where(done, hi_l, lo_l)[out]
-            if not refine.any():
-                break
-            first, kept_groups = 0, []
-            for g, n in zip(groups, sizes):
-                mask = refine[first : first + n]
-                first += n
-                if mask.any():
-                    g.keep(mask)
-                    kept_groups.append(g)
-            groups, sizes = kept_groups, [g.Pv.shape[0] for g in kept_groups]
-            live, lo_l, gap_l, cap_l = live[refine], lo_l[refine], gap_l[refine], cap_l[refine]
-            seg = (refine.cumsum() - 1)[seg]
-            kept = kept[refine]
         centers = (centers[keep][:, None] + hw * halves).reshape(-1)
         seg = seg[keep].repeat(_SUBDIV)
-        kept *= _SUBDIV
+        if not seg.size:
+            break
         hw /= _SUBDIV
+    # A met gap keeps hi, and so does a matrix still owning cells when the
+    # rounds run out; no surviving cell means the running lower bound is
+    # the maximum.
+    out = np.maximum(hi, 0.0) - np.maximum(lo, 0.0) > gap
+    out[seg] = False
+    hi[out] = lo[out]
     return lo, hi
 
 
-def _dual_caps(groups, sizes, flat, lower, gap, ts, caps) -> bool:
+def _dual_caps(groups, first, flat, lower, gap, ts, caps) -> None:
     """Dual caps, into caps, for the radius matrices whose objective is flat
     on the initial grid of angles ts: the unfinished ones all of whose
     cells survive pruning, where the rotation caps cannot narrow the
-    enclosure.  Whether any matrix got one."""
-    if not flat.any():
-        return False
-    first, capped = 0, False
-    for g, n in zip(groups, sizes):
-        which = np.flatnonzero(flat[first : first + n])
+    enclosure.  first holds the first matrix of each group."""
+    for g, f, e in zip(groups, first, first[1:]):
+        which = np.flatnonzero(flat[f:e])
         if which.size and g.A is None and not g.antidiagonal:
-            caps[first + which] = g.dual(which, ts, lower[first + which], gap[first + which])
-            capped = True
-        first += n
-    return capped
+            caps[f + which] = g.dual(which, ts, lower[f + which], gap[f + which])
 
 
 def _by_size(stacks, first: int = 0):
@@ -748,7 +721,7 @@ def radii_and_crawford_numbers(radius_stacks, crawford_stacks, opts: RadiusOptio
         if A.shape[1] == 1:
             # The radius and the Crawford number of a 1 x 1 matrix are |a|.
             _put(out, rows, _abs_entries(A))
-    searches = []  # (pencils, norms, Crawford matrices or None, rows of out) per searched group
+    searches = []  # (pencils, rows of out) per searched group
     for rows, A in radius_groups:
         if A.shape[1] < 2:
             continue
@@ -759,28 +732,27 @@ def radii_and_crawford_numbers(radius_stacks, crawford_stacks, opts: RadiusOptio
         antidiagonal = (A.shape[1] % 2 == 0) & ~diagonal_blocks
         for part, anti in ((~antidiagonal, False), (antidiagonal, True)):
             if part.any():
-                searches.append((_Pencils(P[part], K[part], antidiagonal=anti), L[part], None, rows[pos[part]]))
+                searches.append((_Pencils(P[part], K[part], L[part], antidiagonal=anti), rows[pos[part]]))
     for rows, A in crawford_groups:
         rest = np.flatnonzero(A.diagonal(axis1=1, axis2=2).any(axis=1))
         if A.shape[1] < 2 or not rest.size:
             continue
         M = A[rest]
-        L = spectral_norms(M)
-        searches.append((_Pencils(*_pencil(M), M, L), L, M, rows[rest]))
+        searches.append((_Pencils(*_pencil(M), spectral_norms(M), M), rows[rest]))
     if searches:
-        groups, norms, crawfords, targets = zip(*searches)
-        L, rows = np.concatenate(norms), np.concatenate(targets)
+        groups, targets = zip(*searches)
+        L, rows = np.concatenate([g.L for g in groups]), np.concatenate(targets)
         lo, hi = _search(list(groups), opts.resolve_gap(L), opts)
         # The Monte Carlo cap, >= 0, can trim only upper ends above 0; with
         # no samples it is the vacuous +inf.
         cap, above, first = np.full(L.size, np.inf), np.maximum(hi, lo) > 0.0, 0
-        for M, target in zip(crawfords, targets):
-            if M is not None:
-                for i in np.flatnonzero(above[first : first + len(M)]):
+        for g in groups:
+            if g.A is not None:
+                for i in np.flatnonzero(above[first : first + g.L.size]):
                     # Drawn once per size, on first need.
-                    blocks = _cap_vectors(opts.oracle_samples, M.shape[1])
-                    cap[first + i] = _mc_extreme(M[i], blocks, reduce_max=False)
-            first += target.size
+                    blocks = _cap_vectors(opts.oracle_samples, g.m)
+                    cap[first + i] = _mc_extreme(g.A[i], blocks, reduce_max=False)
+            first += g.L.size
         err = _EVAL_ERR * (1.0 + L)
         hi = _max(_max(hi, lo), 0.0) + err
         lo = _max(lo - err, 0.0)

@@ -71,6 +71,11 @@ class TestConfig:
             dict(gap_scale=math.inf),
             dict(checks=()),
             dict(checks=("C1", "C1")),
+            # Non-integral counts fail here, not with a TypeError mid-run.
+            dict(trials=1.5),
+            dict(workers=2.0),
+            dict(grid_count=64.5),
+            dict(oracle_samples=100.5),
         ],
     )
     def test_rejects_bad_config(self, kwargs):

@@ -170,6 +170,16 @@ class TestStackedSolves:
         norms = rows(matrix_norms(stacks))
         assert all(same(n, matrix_norms([M[None]])[0]) for n, M in zip(norms, mats, strict=True))
 
+    @pytest.mark.parametrize("rounds", [1, 3])
+    def test_round_budget_ends_each_matrix_as_alone(self, rounds, monkeypatch):
+        # Matrices that run out of rounds keep their last bounds, next to
+        # matrices that finished earlier in the same search.
+        monkeypatch.setattr(functionals, "DEFAULT_MAX_ROUNDS", rounds)
+        mats = mixed_stack(0)
+        radii, crawfords = map(rows, radii_and_crawford_numbers(as_stacks(mats), as_stacks(mats)))
+        assert all(same(r, numerical_radius(M)) for r, M in zip(radii, mats, strict=True))
+        assert all(same(c, crawford_number(M)) for c, M in zip(crawfords, mats, strict=True))
+
     def test_non_finite_matrix_in_a_stack_raises(self):
         stack = np.stack([random_matrix(0, 3), np.full((3, 3), np.nan), random_matrix(1, 3)])
         for radius_stacks, crawford_stacks in (([stack], []), ([], [stack])):
@@ -180,7 +190,9 @@ class TestStackedSolves:
 
     def test_cells_evaluated_in_chunks_give_the_same_enclosures(self, monkeypatch):
         # A flat objective keeps every cell, so the chunks split matrices.
-        mats = [JORDAN + 0.3 * np.eye(2), random_matrix(4, 4), shifted_jordan(4, 4, 0.0), np.diag(np.ones(2), 1) + 0j]
+        # Two flat 4 x 4 radius matrices also split the dual certificate.
+        mats = [JORDAN + 0.3 * np.eye(2), random_matrix(4, 4), shifted_jordan(4, 4, 0.0), shifted_jordan(5, 4, 0.0)]
+        mats.append(np.diag(np.ones(2), 1) + 0j)
         stacks = as_stacks(mats)
         whole = radii_and_crawford_numbers(stacks, stacks)
         monkeypatch.setattr(functionals, "_CHUNK_BYTES", 512)
@@ -565,6 +577,10 @@ class TestRadiusOptions:
                 RadiusOptions(gap_scale=gap_scale)
         with pytest.raises(BadConfig):
             RadiusOptions(oracle_samples=-5)
+        for counts in (dict(grid_count=64.5), dict(grid_count=64.0), dict(oracle_samples=100.5)):
+            with pytest.raises(BadConfig):
+                RadiusOptions(**counts)
+        assert RadiusOptions(grid_count=np.int64(64), oracle_samples=np.int32(8)).grid_count == 64
 
     def test_gap_resolution(self):
         assert RadiusOptions(gap_scale=1e-9).resolve_gap(9.0) == pytest.approx(1e-8)
