@@ -75,18 +75,21 @@ class CampaignConfig:
     workers: int = 1
 
     def __post_init__(self):
-        dims = tuple(sorted(set(int(d) for d in self.dims)))
+        dims = tuple(sorted(set(integral("dims", d) for d in self.dims)))
         if not dims or dims[0] < 1:
             raise BadConfig("dims must be a nonempty set of positive integers")
         object.__setattr__(self, "dims", dims)
         if self.ranks is not None:
-            ranks = tuple(sorted(set(int(r) for r in self.ranks)))
+            ranks = tuple(sorted(set(integral("ranks", r) for r in self.ranks)))
             if not ranks or ranks[0] < 0:
                 raise BadConfig("ranks must be nonnegative integers")
             object.__setattr__(self, "ranks", ranks)
-        if integral("trials", self.trials) < 1:
+        # Counts are kept as Python ints, which the report's echo can write.
+        for name in ("trials", "workers", "grid_count", "oracle_samples", "master_seed"):
+            object.__setattr__(self, name, integral(name, getattr(self, name)))
+        if self.trials < 1:
             raise BadConfig(f"trials must be positive, got {self.trials}")
-        if integral("workers", self.workers) < 1:
+        if self.workers < 1:
             raise BadConfig(f"workers must be positive, got {self.workers}")
         if not 0.0 <= self.scale < math.inf:
             raise BadConfig(f"scale must be finite and nonnegative, got {self.scale}")

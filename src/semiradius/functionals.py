@@ -33,7 +33,16 @@ max(0, maximum of max(lambda_min, -lambda_max)).
   lambda_max([[Z, M], [M*, -Z]]), and every Hermitian Z gives an upper
   bound.  Z is fitted to the round-0 eigenvectors, and a flat matrix
   whose certificate meets its gap leaves the search at round 0; the
-  others refine as before.
+  others refine as before;
+* a Crawford matrix whose range provably holds a disk about 0 so wide that
+  round 0 would prune every cell by its eigenvalue-only cap never enters
+  the search (_crawford_direct).  The bottom and top eigenvectors y of H(t)
+  at t = k pi / 4 give eight attained points y* M y, whose polygon the
+  convex range holds; when 0 lies further than
+  (|M| sin(w) + margin (1 + |M|)) / cos(w) + E, plus pads for rounding that
+  grow with m, to the left of each of its edges (w the round-0 half-width,
+  E the evaluation pad), the matrix gets the enclosure [0, E] the search
+  would give it, from 4 eigensolves instead of the round-0 grid.
 
 Cells whose cap cannot beat the running lower bound are pruned; surviving
 cells are subdivided until the enclosure gap meets the target or the round
@@ -109,6 +118,7 @@ _SHORTCUT_TOL = 1e-13
 # Evaluated eigenvalues carry backward-stable rounding error of order
 # eps * norm, so attained values are only lower bounds up to that much.
 _EVAL_ERR = 1e-13
+_EPS = float(np.finfo(np.float64).eps)
 # Relative margin, times 1 + |M|, by which a Crawford cell's eigenvalue-only
 # cap must fall below its matrix's floor to be pruned without eigenvectors.
 # With computed eigenvalues within E = _EVAL_ERR (1 + |M|) of the exact
@@ -507,6 +517,15 @@ def _equalizing_step(w: np.ndarray, V: np.ndarray, m: int) -> np.ndarray:
     return 0.5 * (dZ + dZ.conj().T)
 
 
+def _first_cells(opts: RadiusOptions) -> tuple[int, float, float]:
+    """The round-0 cells of a search: their count on the half circle, the
+    spacing of their centers and their half-width, widened against
+    rounding."""
+    half = (opts.grid_count + 1) // 2
+    h = np.pi / half
+    return half, h, 0.5 * h * (1.0 + 1e-12)
+
+
 def _search(groups: list[_Pencils], gap, opts: RadiusOptions):
     """Half-circle branch and bound over stacks of pencils.
 
@@ -531,14 +550,12 @@ def _search(groups: list[_Pencils], gap, opts: RadiusOptions):
     all of whose cells are so pruned finishes with lo = -inf, which the
     caller clamps at 0.
     """
-    half = (opts.grid_count + 1) // 2
-    h = np.pi / half
+    half, h, hw = _first_cells(opts)
     k = gap.size
     first = np.cumsum([0] + [g.Pv.shape[0] for g in groups]).tolist()  # first matrix of each group, then k
     seg = np.arange(k).repeat(half)
     centers = np.tile(h * np.arange(half), k)
     lo, hi, cap = np.full(k, -np.inf), np.empty(k), np.full(k, np.inf)
-    hw = 0.5 * h * (1.0 + 1e-12)
     halves = (2.0 * np.arange(_SUBDIV) + 1.0 - _SUBDIV) / _SUBDIV
     for round_no in range(DEFAULT_MAX_ROUNDS + 1):
         cells = np.searchsorted(seg, first).tolist()
@@ -659,6 +676,85 @@ def _radius_direct(A: np.ndarray, rows: np.ndarray, out: Enclosures) -> tuple:
     return rest[grid], P[grid], K[grid], L[grid]
 
 
+def _crawford_direct(M: np.ndarray, rows: np.ndarray, out: Enclosures, hw: float) -> tuple:
+    """Crawford numbers of a stack of m x m matrices, m >= 2, whose range
+    provably holds a disk about 0 so wide that round 0 of a search of
+    half-width hw would prune every cell, into out at their rows; returns
+    (stack positions, P, K, norms) of the others.
+
+    Such a search prunes every cell by its eigenvalue-only cap
+    (_Pencils.evaluate), so it ends with lo = -inf and hi < 0, scans no
+    Monte Carlo cap, and writes [0, E] with E = _EVAL_ERR (1 + |M|), method
+    "grid", whatever the eigenvalues: that is written here.
+    """
+    m = M.shape[1]
+    P, K = _pencil(M)
+    L = spectral_norms(M)
+    one = 1.0 + L
+    E = _EVAL_ERR * one
+    # A range holding the disk of radius d about 0 has lambda_min(H(t)) <= -d
+    # and lambda_max(H(t)) >= d at every t, so every computed cell value
+    # v = max(lambda_min, -lambda_max) is at most -d + E (the eigenvalue
+    # error that _PRUNE_MARGIN assumes), the floor stays 0 once d > E, and
+    # every cell is pruned once (-d + E) cos(hw) + L sin(hw) + margin (1 + L)
+    # falls below 0, that is once
+    #     d > (L sin(hw) + margin (1 + L)) / cos(hw) + E,
+    # beyond pads for the rounding of that cap and of its test (about
+    # 6 eps (1 + L) / cos(hw), at most 9 eps (1 + L) as hw <= pi/4) and of
+    # this threshold (a few eps (1 + L)).  _holds_disk bounds d from below
+    # by its polygon's inradius estimate, less the rounding of its forms q
+    # (each within about 2 m eps (1 + L) of the Rayleigh quotient of its
+    # vector, a point of the range: m eps |M| in the sums, as much from
+    # |y|^2 - 1; a disk of radius r inside the hull of points each within
+    # rho of the range leaves one of radius r - rho inside the range) and
+    # of its edge distances (about 6 eps |M|).  Those pads add up to about
+    # (2m + 20) eps (1 + L); (4m + 40) eps (1 + L) doubles them.
+    threshold = math.tan(hw) * L + (_PRUNE_MARGIN / math.cos(hw) + _EVAL_ERR + (4 * m + 40) * _EPS) * one
+    inside = _in_chunks(max(1, _CHUNK_BYTES // (64 * m * m)), _holds_disk, M, P, K, threshold)
+    fired = rows[inside]
+    out.lo[fired], out.hi[fired], out.code[fired] = 0.0, E[inside], METHODS.index("grid")
+    rest = ~inside
+    return np.flatnonzero(rest), P[rest], K[rest], L[rest]
+
+
+# _holds_disk's vectors come as bottom t0, top t0, bottom t1, ..., top t3
+# (t = k pi / 4); this takes them in polygon order, top t0, bottom t3..t0,
+# top t3..t1, and repeats top t0 to close the polygon.
+_POLYGON = np.array([1, 6, 4, 2, 0, 7, 5, 3, 1])
+
+
+def _holds_disk(M, P, K, threshold) -> np.ndarray:
+    """Whether the range of each matrix of a stack provably holds the disk
+    of its threshold's radius about 0, from eight attained points.
+
+    The top eigenvector y of H(t) attains the support point q = y* M y of
+    the range whose outward normal is -t, the bottom one the point whose
+    normal is pi - t.  At t = k pi / 4 (H scaled by sqrt 2 at the odd k,
+    which keeps its eigenvectors), taken by increasing normal, these are
+    the vertices top t0, bottom t3..t0, top t3..t1 of a closed polygon,
+    convex up to rounding.  If 0 lies further than d to the left of the
+    line of every edge of nonzero length, every z with |z| < d has positive
+    winding number (each edge turns about z by an angle in (0, pi)), so it
+    lies in the hull of the vertices, which the convex range holds
+    (Toeplitz-Hausdorff).  That holds even where rounding breaks the
+    polygon's convexity.  No edge of nonzero length (a point) gives no
+    disk.
+    """
+    k, m = M.shape[:2]
+    H = np.concatenate([P, P + K, K, K - P], axis=1).reshape(4 * k, m, m)
+    _, _, ymin, ymax = _extremes(H, vectors=True)
+    Y = np.concatenate([ymin, ymax], axis=1).reshape(k, 8, m)[:, _POLYGON]
+    q = np.add.reduce(Y.conj() * (Y @ np.swapaxes(M, 1, 2)), axis=2)
+    # Im(conj(a) e) is the signed distance from 0 to the line of the edge
+    # from a along e, positive on its left, times |e|: within a few
+    # eps |a| |e| of it, however short the edge.
+    a = q[:, :-1]
+    e = q[:, 1:] - a
+    length = np.abs(e)
+    cross = (a.conj() * e).imag
+    return ((cross > threshold[:, None] * length) | (length == 0.0)).all(axis=1) & length.any(axis=1)
+
+
 def _mc_unit_rows(rng, count: int, dim: int) -> np.ndarray:
     Y = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
     norms = np.linalg.norm(Y, axis=1)
@@ -733,12 +829,15 @@ def radii_and_crawford_numbers(radius_stacks, crawford_stacks, opts: RadiusOptio
         for part, anti in ((~antidiagonal, False), (antidiagonal, True)):
             if part.any():
                 searches.append((_Pencils(P[part], K[part], L[part], antidiagonal=anti), rows[pos[part]]))
+    hw = _first_cells(opts)[2]
     for rows, A in crawford_groups:
         rest = np.flatnonzero(A.diagonal(axis1=1, axis2=2).any(axis=1))
         if A.shape[1] < 2 or not rest.size:
             continue
         M = A[rest]
-        searches.append((_Pencils(*_pencil(M), spectral_norms(M), M), rows[rest]))
+        pos, P, K, L = _crawford_direct(M, rows[rest], out, hw)
+        if pos.size:
+            searches.append((_Pencils(P, K, L, M[pos]), rows[rest[pos]]))
     if searches:
         groups, targets = zip(*searches)
         L, rows = np.concatenate([g.L for g in groups]), np.concatenate(targets)

@@ -76,11 +76,28 @@ class TestConfig:
             dict(workers=2.0),
             dict(grid_count=64.5),
             dict(oracle_samples=100.5),
+            dict(master_seed=1.5),
+            # Non-integral dims and ranks fail rather than truncate.
+            dict(dims=(2.5,)),
+            dict(dims=(2, 3.0)),
+            dict(ranks=(1.5,)),
         ],
     )
     def test_rejects_bad_config(self, kwargs):
         with pytest.raises(BadConfig):
             CampaignConfig(**{**dict(dims=(2,)), **kwargs})
+
+    def test_numpy_integer_counts_echo_plain_ints(self, tmp_path):
+        counts = dict(trials=np.int64(1), workers=np.int32(1), grid_count=np.int64(64), oracle_samples=np.int64(8))
+        cfg = CampaignConfig(dims=(np.int64(2),), ranks=(np.int32(1),), master_seed=np.uint8(3), **counts)
+        echo = cfg.echo()
+        for key in ("trials", "grid_count", "oracle_samples", "master_seed"):
+            assert type(echo[key]) is int
+        assert all(type(v) is int for v in echo["dims"] + echo["ranks"])
+        assert type(cfg.workers) is int
+        path = tmp_path / "report.json"
+        write_report(run_campaign(cfg), path)
+        assert json.loads(path.read_text())["config"]["grid_count"] == 64
 
     def test_echo_omits_worker_count(self):
         cfg = CampaignConfig(dims=(2,), workers=3)

@@ -388,13 +388,30 @@ def count_cap_scans(monkeypatch) -> list:
 
 
 class TestCrawfordWork:
-    def test_range_containing_zero_solves_no_eigenvectors(self, monkeypatch):
-        # Every cell's eigenvalue-only cap stays below the floor 0.
+    @pytest.mark.parametrize("seed, n", [(16, 16), (0, 32)])
+    def test_wide_disk_about_zero_takes_four_eigensolves(self, seed, n, monkeypatch):
+        # Eight attained points show that the range holds a disk about 0
+        # too wide for any round-0 cell to survive: no grid is solved.
         counted = count_eigensolves(monkeypatch)
         scans = count_cap_scans(monkeypatch)
-        enc = crawford_number(random_matrix(16, 16))
+        enc = crawford_number(random_matrix(seed, n))
+        assert enc.lo == 0.0 and enc.hi <= 1e-11 and enc.method == "grid"
+        assert counted[0] == counted[1] == 4
+        assert scans[0] == 0
+
+    def test_narrow_disk_about_zero_prunes_without_eigenvectors(self, monkeypatch):
+        # The range, the disk of radius r about 0.95 r exp(i pi / 8), holds
+        # 0, but 0 lies outside the probe's octagon, whose edge facing it is
+        # r cos(pi / 8) from the center: the search runs, and every cell's
+        # eigenvalue-only cap stays below the floor 0.
+        n, opts = 16, RadiusOptions()
+        r = math.cos(math.pi / (n + 1))
+        counted = count_eigensolves(monkeypatch)
+        scans = count_cap_scans(monkeypatch)
+        enc = crawford_number(shifted_jordan(11, n, 0.95 * r, phi=math.pi / 8), opts)
         assert enc.lo == 0.0 and enc.hi <= 1e-11
-        assert counted[0] > 0 and counted[1] == 0
+        assert counted[0] - counted[1] == (opts.grid_count + 1) // 2
+        assert counted[1] == 4
         assert scans[0] == 0
 
     @pytest.mark.parametrize("c", [1.3, 2.0, 4.0])
@@ -414,6 +431,69 @@ class TestCrawfordWork:
         assert enc.lo <= value <= enc.hi
         full = crawford_number(M, opts)
         assert full.lo <= value <= full.hi
+
+
+def probe_results(monkeypatch) -> list:
+    """The probe's verdicts, one array per call."""
+    verdicts = []
+    probe = functionals._holds_disk
+
+    def recording(*args):
+        inside = probe(*args)
+        verdicts.append(inside)
+        return inside
+
+    monkeypatch.setattr(functionals, "_holds_disk", recording)
+    return verdicts
+
+
+def probe_sweep() -> list:
+    """Crawford matrices on both sides of the probe's threshold."""
+    mats = []
+    for n in (2, 3, 5, 16, 32):
+        r = math.cos(math.pi / (n + 1))
+        fractions = np.linspace(0.0, 1.1, 12 if n < 16 else 6)
+        for i, f in enumerate(fractions):
+            for phi in (0.0, math.pi / 8, 2.2):
+                mats.append(shifted_jordan(100 * n + i, n, f * r, phi))
+    mats += [random_matrix(50 + n, n) for n in range(2, 33, 3)]
+    mats += [scale * M for scale in (1e-8, 1e8) for M in mats[::9]]
+    return mats
+
+
+class TestCrawfordProbe:
+    @pytest.mark.parametrize("grid", [4, 5, 8, 64, 256])
+    @pytest.mark.parametrize("gap_scale", [1e-9, 0.3])
+    def test_enclosures_keep_their_bits(self, grid, gap_scale, monkeypatch):
+        # Rows the probe takes out of the search get the bits the search
+        # gives them; mixed sizes share one call.
+        opts = RadiusOptions(grid_count=grid, gap_scale=gap_scale)
+        stacks = as_stacks(probe_sweep())
+        verdicts = probe_results(monkeypatch)
+        probed = rows(radii_and_crawford_numbers([], stacks, opts)[1])
+        fired = np.concatenate(verdicts)
+        if grid > 4:
+            assert fired.any()
+        assert not fired.all()
+        # A probe that fires on nothing leaves every matrix to the search.
+        monkeypatch.setattr(functionals, "_holds_disk", lambda M, *args: np.zeros(len(M), dtype=bool))
+        searched = rows(radii_and_crawford_numbers([], stacks, opts)[1])
+        for a, b in zip(probed, searched, strict=True):
+            assert (a.lo.hex(), a.hi.hex(), a.method) == (b.lo.hex(), b.hi.hex(), b.method)
+
+    def test_never_fires_without_a_disk_about_zero(self, monkeypatch):
+        # Ranges that miss 0, segments (Hermitian and skew-Hermitian
+        # matrices, sign-split or not) and points (scalar matrices).
+        mats = [shifted_jordan(n, n, c * math.cos(math.pi / (n + 1)), 0.7) for n in (2, 5, 16) for c in (1.05, 2.0)]
+        for n in (2, 4, 16):
+            H = random_matrix(n, n)
+            H = H + H.conj().T
+            mats += [H, 1j * H, 1e8 * H, np.diag(np.linspace(-1.0, 1.0, n))]
+            mats += [(2.0 - 1.0j) * np.eye(n), 1e-8j * np.eye(n)]
+        verdicts = probe_results(monkeypatch)
+        radii_and_crawford_numbers([], as_stacks(mats), RadiusOptions(grid_count=64))
+        assert sum(v.size for v in verdicts) == len(mats)
+        assert not np.concatenate(verdicts).any()
 
 
 class TestCrawfordNumber:
