@@ -388,6 +388,17 @@ def count_cap_scans(monkeypatch) -> list:
 
 
 class TestCrawfordWork:
+    def test_range_containing_zero_solves_no_eigenvectors(self, monkeypatch):
+        # With the probe off, the search itself: every cell's eigenvalue-only
+        # cap stays below the floor 0.
+        monkeypatch.setattr(functionals, "_holds_disk", lambda M, *args: np.zeros(len(M), dtype=bool))
+        counted = count_eigensolves(monkeypatch)
+        scans = count_cap_scans(monkeypatch)
+        enc = crawford_number(random_matrix(16, 16))
+        assert enc.lo == 0.0 and enc.hi <= 1e-11
+        assert counted[0] > 0 and counted[1] == 0
+        assert scans[0] == 0
+
     @pytest.mark.parametrize("seed, n", [(16, 16), (0, 32)])
     def test_wide_disk_about_zero_takes_four_eigensolves(self, seed, n, monkeypatch):
         # Eight attained points show that the range holds a disk about 0
