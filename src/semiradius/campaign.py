@@ -16,12 +16,12 @@ import math
 import re
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .catalog import CATALOG, CheckResult, CheckTable, run_all, run_tables, summarize
 from .errors import BadConfig, ParseError, integral
-from .functionals import DEFAULT_GAP_SCALE, DEFAULT_GRID, DEFAULT_MC_SAMPLES, RadiusOptions
+from .functionals import RadiusOptions
 from .instances import read_instance, write_instance
 from .sampler import SampleConfig, derive_seed, sample_bundle, sample_space
 
@@ -58,19 +58,21 @@ _CHUNK_MATRIX_BYTES = 1 << 26
 
 @dataclass(frozen=True)
 class CampaignConfig:
-    """Declarative description of one campaign run."""
+    """Declarative description of one campaign run.  The spectrum law and
+    bounds default as in SampleConfig, the solver settings as in
+    RadiusOptions."""
 
     dims: tuple[int, ...] = (2, 3, 4, 5, 6)
     ranks: tuple[int, ...] | None = None
     trials: int = 100
     master_seed: int = 0
-    law: str = "uniform"
-    lam_min: float = 0.1
-    lam_max: float = 2.0
+    law: str = SampleConfig.law
+    lam_min: float = SampleConfig.lam_min
+    lam_max: float = SampleConfig.lam_max
     scale: float = 1.0
-    grid_count: int = DEFAULT_GRID
-    gap_scale: float = DEFAULT_GAP_SCALE
-    oracle_samples: int = DEFAULT_MC_SAMPLES
+    grid_count: int = RadiusOptions.grid_count
+    gap_scale: float = RadiusOptions.gap_scale
+    oracle_samples: int = RadiusOptions.oracle_samples
     checks: tuple[str, ...] | None = None
     workers: int = 1
 
@@ -138,20 +140,11 @@ class CampaignConfig:
     def echo(self) -> dict:
         # Worker count is scheduling, not configuration: reports from the
         # same experiment must agree byte for byte whatever ran them.
-        return {
-            "dims": list(self.dims),
-            "ranks": "all" if self.ranks is None else list(self.ranks),
-            "trials": self.trials,
-            "master_seed": self.master_seed,
-            "law": self.law,
-            "lam_min": self.lam_min,
-            "lam_max": self.lam_max,
-            "scale": self.scale,
-            "grid_count": self.grid_count,
-            "gap_scale": self.gap_scale,
-            "oracle_samples": self.oracle_samples,
-            "checks": "all" if self.checks is None else list(self.checks),
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "workers"}
+        out["dims"] = list(self.dims)
+        out["ranks"] = "all" if self.ranks is None else list(self.ranks)
+        out["checks"] = "all" if self.checks is None else list(self.checks)
+        return out
 
 
 def _regenerate(config: CampaignConfig, dim: int, rank: int, trial: int):

@@ -9,6 +9,7 @@ verdict outcomes.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -33,8 +34,9 @@ from .catalog import (
     VIOLATION_TOL,
 )
 from .errors import BadConfig, SemiradiusError
-from .functionals import DEFAULT_GAP_SCALE, DEFAULT_GRID, DEFAULT_MC_SAMPLES, RadiusOptions
+from .functionals import RadiusOptions
 from .kernel import DEFAULT_CUTOFF, HERMITIAN_TOL, PSD_TOL
+from .sampler import SPECTRUM_LAWS
 from .space import FACT_TOL
 
 WORKERS_ENV = "SEMIRADIUS_WORKERS"
@@ -99,15 +101,17 @@ def _default_workers() -> int:
         return 1
 
 
+def _given(args, config_type) -> dict:
+    """The flags set on the command line, by the config_type fields they
+    name; a flag left out keeps that field's default."""
+    values = ((f.name, getattr(args, f.name, None)) for f in dataclasses.fields(config_type))
+    return {name: value for name, value in values if value is not None}
+
+
 def _add_solver_flags(parser) -> None:
-    parser.add_argument("--grid", type=int, default=DEFAULT_GRID, help="initial angle grid count")
-    parser.add_argument("--gap", type=float, default=DEFAULT_GAP_SCALE, help="relative enclosure gap target")
-    parser.add_argument("--oracle-samples", type=int, default=DEFAULT_MC_SAMPLES, help="Monte Carlo cap samples")
-
-
-def _solver_settings(args) -> dict:
-    """The solver flags as RadiusOptions (and CampaignConfig) fields."""
-    return {"grid_count": args.grid, "gap_scale": args.gap, "oracle_samples": args.oracle_samples}
+    parser.add_argument("--grid", dest="grid_count", type=int, help="initial angle grid count")
+    parser.add_argument("--gap", dest="gap_scale", type=float, help="relative enclosure gap target")
+    parser.add_argument("--oracle-samples", type=int, help="Monte Carlo cap samples")
 
 
 def _build_parser() -> _Parser:
@@ -116,22 +120,20 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     camp = sub.add_parser("campaign", help="run a check campaign over sampled spaces")
-    camp.add_argument("--dims", default="2,3,4,5,6", help="comma list of dimensions")
-    camp.add_argument("--ranks", default="all", help="comma list of ranks, or 'all'")
-    camp.add_argument("--trials", type=int, default=100, help="trials per (dim, rank) cell")
-    camp.add_argument("--seed", type=int, default=0, help="master seed")
-    camp.add_argument("--law", default="uniform", choices=("uniform", "equal", "geometric"))
-    camp.add_argument("--lam-min", type=float, default=0.1, help="smallest positive eigenvalue")
-    camp.add_argument("--lam-max", type=float, default=2.0, help="largest eigenvalue")
-    camp.add_argument("--scale", type=float, default=1.0, help="operator entry scale")
+    camp.add_argument("--dims", help="comma list of dimensions")
+    camp.add_argument("--ranks", help="comma list of ranks, or 'all'")
+    camp.add_argument("--trials", type=int, help="trials per (dim, rank) cell")
+    camp.add_argument("--seed", dest="master_seed", type=int, help="master seed")
+    camp.add_argument("--law", choices=SPECTRUM_LAWS)
+    camp.add_argument("--lam-min", type=float, help="smallest positive eigenvalue")
+    camp.add_argument("--lam-max", type=float, help="largest eigenvalue")
+    camp.add_argument("--scale", type=float, help="operator entry scale")
     _add_solver_flags(camp)
-    camp.add_argument("--checks", default="all", help="subset such as C1..C5,C12, or 'all'")
-    camp.add_argument("--out", default=None, help="write the JSON report here")
-    camp.add_argument("--csv", default=None, help="write per-check aggregate CSV here")
-    camp.add_argument("--save-extremes", default=None, metavar="DIR",
-                      help="regenerate each check's argmin instance into DIR")
-    camp.add_argument("--workers", type=int, default=None,
-                      help=f"worker processes (default ${WORKERS_ENV} or 1)")
+    camp.add_argument("--checks", help="subset such as C1..C5,C12, or 'all'")
+    camp.add_argument("--out", help="write the JSON report here")
+    camp.add_argument("--csv", help="write per-check aggregate CSV here")
+    camp.add_argument("--save-extremes", metavar="DIR", help="regenerate each check's argmin instance into DIR")
+    camp.add_argument("--workers", type=int, help=f"worker processes (default ${WORKERS_ENV} or 1)")
 
     ver = sub.add_parser("verify", help="replay all applicable checks on an instance file")
     ver.add_argument("file", help="instance JSON written by this tool")
@@ -142,19 +144,13 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_campaign(args) -> int:
-    config = CampaignConfig(
-        dims=_parse_ints(args.dims),
-        ranks=_parse_ranks(args.ranks),
-        trials=args.trials,
-        master_seed=args.seed,
-        law=args.law,
-        lam_min=args.lam_min,
-        lam_max=args.lam_max,
-        scale=args.scale,
-        checks=_parse_checks(args.checks),
-        workers=args.workers if args.workers is not None else _default_workers(),
-        **_solver_settings(args),
-    )
+    settings = _given(args, CampaignConfig)
+    # Parsed here, not by argparse, so that their BadConfig exits 1 with a message.
+    for name, parse in (("dims", _parse_ints), ("ranks", _parse_ranks), ("checks", _parse_checks)):
+        if name in settings:
+            settings[name] = parse(settings[name])
+    settings.setdefault("workers", _default_workers())
+    config = CampaignConfig(**settings)
     report = run_campaign(config)
     if args.out:
         write_report(report, args.out)
@@ -172,7 +168,7 @@ def _cmd_campaign(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    rows = verify_instance(args.file, opts=RadiusOptions(**_solver_settings(args)))
+    rows = verify_instance(args.file, opts=RadiusOptions(**_given(args, RadiusOptions)))
     for r in rows:
         print(f"{r.check_id:4s} {r.verdict:19s} slack={r.slack: .6e}")
     totals = {

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from semiradius import cli
+from semiradius.campaign import CampaignConfig
 from semiradius.catalog import PASS_CERTIFIED, PASS_UNCERTIFIED, VIOLATION_CANDIDATE, CheckResult
 from semiradius.cli import (
     WORKERS_ENV,
@@ -15,7 +16,7 @@ from semiradius.cli import (
     main,
 )
 from semiradius.errors import BadConfig
-from semiradius.functionals import ipoint
+from semiradius.functionals import RadiusOptions, ipoint
 
 
 def verdict_row(check_id, verdict, slack):
@@ -92,6 +93,19 @@ class TestCommands:
         out = capsys.readouterr().out
         assert code == 0
         assert "C1" in out and "slack=" in out
+
+    def test_campaign_flags_left_out_take_config_defaults(self, tmp_path):
+        out = tmp_path / "rep.json"
+        assert main(["campaign", "--dims", "2", "--trials", "1", "--grid", "64", "--out", str(out)]) == 0
+        echo = json.loads(out.read_text())["config"]
+        assert echo == CampaignConfig(dims=(2,), trials=1, grid_count=64).echo()
+
+    def test_verify_without_solver_flags_uses_default_options(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "verify_instance", lambda path, opts: seen.append(opts) or [])
+        assert main(["verify", "fake.json"]) == 0
+        assert main(["verify", "fake.json", "--gap", "1e-6"]) == 0
+        assert seen == [RadiusOptions(), RadiusOptions(gap_scale=1e-6)]
 
     def test_verify_exit_codes_follow_verdicts(self, monkeypatch, capsys):
         uncertified = [verdict_row("C1", PASS_CERTIFIED, 0.0), verdict_row("C2", PASS_UNCERTIFIED, -1e-9)]
