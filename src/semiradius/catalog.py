@@ -124,6 +124,9 @@ class _Chunk(dict):
     numerical radius and Crawford number of its reduced matrix.  Requests
     ``w(M)``, ``c(M)`` and ``n(M)`` ask for those of a matrix expression M
     (see mat); after _solve the chunk maps each to its Enclosures stack.
+    The chunk is the one memo: it maps operand names and matrix
+    expressions to their stacks, and request and composite keys (none of
+    which is a matrix expression) to their values.
     """
 
     def __init__(self, entries, items: list[_Item]):
@@ -135,10 +138,10 @@ class _Chunk(dict):
         reduced = np.stack([it.reduced for it in items], axis=1)
         # Rows that fail the membership tests are skipped; zeros keep them finite and cheap.
         reduced[bad] = 0.0
-        self._mats = dict(zip(names, reduced))
+        self.update(zip(names, reduced))
 
     def once(self, key: str, make):
-        """A quantity derived from solved requests, computed once."""
+        """The value under key, computed once."""
         if key not in self:
             self[key] = make()
         return self[key]
@@ -151,10 +154,7 @@ class _Chunk(dict):
         left); a sum ``A+B`` or difference ``A-B`` of two products; or a
         product of operands, left to right, where ``X*`` is the adjoint.
         """
-        M = self._mats.get(expr)
-        if M is None:
-            M = self._mats[expr] = self._build(expr)
-        return M
+        return self.once(expr, lambda: self._build(expr))
 
     def _build(self, expr: str) -> np.ndarray:
         operation, args = _parse(expr)
