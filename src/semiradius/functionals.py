@@ -905,7 +905,7 @@ def mc_radius_lower(space: SemiHilbertSpace, T, samples: int, seed: int = 0) -> 
     Always <= the true radius; 0.0 when no samples are drawn or the
     reduced space is trivial.
     """
-    if samples < 0:
+    if integral("samples", samples) < 0:
         raise BadConfig("samples must be nonnegative")
     red = space.tilde(T)
     if samples == 0 or red.shape[0] == 0:
@@ -919,7 +919,7 @@ def mc_crawford_upper(space: SemiHilbertSpace, T, samples: int, seed: int = 0) -
     Always >= the true Crawford number.  With no samples the vacuous bound
     is +inf; a trivial reduced space gives 0.0.
     """
-    if samples < 0:
+    if integral("samples", samples) < 0:
         raise BadConfig("samples must be nonnegative")
     red = space.tilde(T)
     if red.shape[0] == 0:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadConfig, DegenerateSpace
+from .errors import BadConfig, DegenerateSpace, integral
 from .space import SemiHilbertSpace, build_space
 
 SPECTRUM_LAWS = ("uniform", "equal", "geometric")
@@ -67,6 +67,8 @@ class SampleConfig:
     master_seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("dim", "rank", "master_seed"):
+            object.__setattr__(self, name, integral(name, getattr(self, name)))
         if self.dim < 1:
             raise BadConfig(f"dim must be positive, got {self.dim}")
         if not 0 <= self.rank <= self.dim:

@@ -76,6 +76,8 @@ class TestNumericalRadius:
     def test_rejects_non_square(self):
         with pytest.raises(NonSquare):
             numerical_radius(np.ones((2, 3)))
+        with pytest.raises(NonSquare):
+            radii_and_crawford_numbers([np.ones((1, 2, 3))], [])
 
     def test_rejects_non_finite(self):
         with pytest.raises(NoConvergence):
@@ -616,6 +618,10 @@ class TestMonteCarloOracles:
         sp = build_space(np.eye(2))
         with pytest.raises(BadConfig):
             mc_radius_lower(sp, SHIFT, samples=-1)
+        # Non-integral counts fail here, not with a TypeError from range.
+        for oracle in (mc_radius_lower, mc_crawford_upper):
+            with pytest.raises(BadConfig):
+                oracle(sp, SHIFT, samples=2.5)
 
     def test_seed_determinism(self):
         sp = build_space(np.eye(3))

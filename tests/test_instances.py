@@ -85,6 +85,7 @@ def test_read_valid_document(tmp_path):
         (lambda d: d.pop("dim"), "dim"),
         (lambda d: d.update(dim=0), "dim"),
         (lambda d: d.update(cutoff=2.0), "cutoff"),
+        pytest.param(lambda d: d.update(cutoff=-1.0), "cutoff", id="negative-cutoff"),
         (lambda d: d.pop("A"), "A"),
         (lambda d: d["A"].pop("im"), "A.im"),
         (lambda d: d["A"]["re"].pop(), "A.re"),

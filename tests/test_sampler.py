@@ -54,6 +54,12 @@ class TestSampleConfig:
             SampleConfig(dim=2, rank=1, lam_min=math.inf, lam_max=math.inf)
         with pytest.raises(BadConfig):
             SampleConfig(dim=2, rank=1, master_seed=-1)
+        # Non-integral counts fail here, not with a TypeError in sample_space.
+        for bad in (dict(dim=3.0, rank=1), dict(dim=3, rank=1.5), dict(dim=3, rank=1, master_seed=1.5)):
+            with pytest.raises(BadConfig):
+                SampleConfig(**bad)
+        cfg = SampleConfig(dim=np.int64(3), rank=np.int32(1), master_seed=np.uint8(4))
+        assert all(type(v) is int for v in (cfg.dim, cfg.rank, cfg.master_seed))
 
     def test_rank_zero_ignores_spectrum_bounds(self):
         SampleConfig(dim=2, rank=0, lam_min=-1.0, lam_max=-1.0)
@@ -63,6 +69,10 @@ class TestSampleSpace:
     def test_equal_full_rank_is_exactly_scalar(self):
         sp = sample_space(SampleConfig(dim=2, rank=2, law="equal", lam_max=1.0))
         assert np.array_equal(sp.matrix, np.eye(2))
+
+    def test_equal_law_below_full_rank(self):
+        sp = sample_space(SampleConfig(dim=4, rank=2, law="equal", lam_max=1.5, master_seed=5))
+        assert np.allclose(sp.eigen.values, [0.0, 0.0, 1.5, 1.5], atol=1e-12) and sp.rank == 2
 
     def test_rank_zero_is_zero_matrix(self):
         sp = sample_space(SampleConfig(dim=3, rank=0))

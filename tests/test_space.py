@@ -1,5 +1,6 @@
 """Semi-inner product, membership tests, adjoint and reduction maps."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 import semiradius.space as space_module
 from semiradius.catalog import PASS_CERTIFIED, run_all
-from semiradius.errors import DimensionMismatch, NotABounded, NotHermitian, NotInBA, NotPSD
+from semiradius.errors import BadConfig, DimensionMismatch, NotABounded, NotHermitian, NotInBA, NotPSD
 from semiradius.kernel import PSD_TOL, spectral_norm
 from semiradius.sampler import sample_bundle
 from semiradius.space import FACT_TOL, build_space
@@ -80,6 +81,11 @@ class TestBuildSpace:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitian):
             build_space([[0.0, 1.0], [0.0, 0.0]])
+
+    @pytest.mark.parametrize("cutoff", [math.nan, -1.0, 1.0])
+    def test_rejects_cutoff_outside_unit_interval(self, cutoff):
+        with pytest.raises(BadConfig):
+            build_space(np.eye(3), cutoff=cutoff)
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.data())
     @settings(max_examples=30)
