@@ -81,6 +81,7 @@ class TestConfig:
             dict(dims=(2.5,)),
             dict(dims=(2, 3.0)),
             dict(ranks=(1.5,)),
+            dict(ranks=(-1,)),
         ],
     )
     def test_rejects_bad_config(self, kwargs):

@@ -267,6 +267,10 @@ def solved(sp, ops, *keys):
 
 
 class TestEvaluatorCache:
+    def test_unknown_expression_raises_key_error(self):
+        with pytest.raises(KeyError):
+            catalog_module._parse("TZ")
+
     def test_full_space_functionals_match_the_space_route(self):
         sp, ops = bundle_for(4, 3, space_seed=6, bundle_seed=4)
         radius, norm = solved(sp, ops, "w(T)", "n(S)")

@@ -79,6 +79,7 @@ class TestPsdRank:
     def test_zero_matrix(self):
         eig = hermitian_eigendecomposition(np.zeros((3, 3)))
         assert psd_rank(eig.values) == 0
+        assert psd_rank(np.array([])) == 0
 
     def test_relative_cutoff_drops_tiny_eigenvalue(self):
         eig = hermitian_eigendecomposition(np.diag([1.0, 5e-11]))
