@@ -23,6 +23,16 @@ max(0, maximum of max(lambda_min, -lambda_max)).
   alone: a cell whose such cap cannot beat its matrix's floor is pruned
   with it, and only the other cells are eigensolved again for their
   eigenvectors;
+* round 0 of a radius search eigensolves _SUBGRID of its angles per half
+  turn first.  Their eigenvalues give the support function h of the range
+  at those angles and at those plus pi, and between two such angles the
+  convex range keeps h below the vertex of their support lines (C. R.
+  Johnson, "Numerical determination of the field of values of a general
+  complex matrix", SIAM J. Numer. Anal. 15, 1978).  A cell whose value
+  bound, padded for rounding, gives a cap below the subgrid's largest
+  value would be pruned, so it is left unsolved; the others are
+  eigensolved, and the bounds and surviving cells after round 0 are those
+  of solving every cell;
 * the Lipschitz cap value + |M| * w is implied: with at least four grid
   angles w is about pi/4 at most, where no rotation cap exceeds it;
 * a radius matrix whose objective is flat on the initial grid, so that
@@ -111,6 +121,10 @@ DEFAULT_MAX_ROUNDS = 20
 DEFAULT_MC_SAMPLES = 4096
 # Each refinement round splits every surviving cell in four.
 _SUBDIV = 4
+# Round 0 of a radius search eigensolves this many of its angles per half
+# turn first, evenly spread, and the other cells only where the support
+# lines through those angles cannot prune them (_Pencils._sifted).
+_SUBGRID = 8
 # Relative half-width assigned to directly computed (non-grid) values.
 _EXACT_ERR = 1e-13
 # Anti-Hermitian deviation below which the eigenvalue shortcut applies.
@@ -137,6 +151,26 @@ _EPS = float(np.finfo(np.float64).eps)
 # and 1e+-8-scaled Jordan matrices), and no vector cap was measured above
 # its eigenvalue-only cap.
 _PRUNE_MARGIN = 8 * _EVAL_ERR
+# Pad, in units of a matrix's evaluation error E, by which the support-line
+# bound of a round-0 radius cell must fall below its matrix's subgrid floor
+# (times cos(hw)) for the cell to be left unsolved.  E = _EVAL_ERR (1 + |M|)
+# bounds the error of each computed support value (sqrt(_EVAL_ERR) (1 + |M|)
+# for antidiagonal pencils, whose values are square roots of eigenvalues of
+# Z* Z, each within _EVAL_ERR (1 + |M|)^2: |s' - s|^2 <= |s'^2 - s^2|).  The
+# exact support value at t is at most the exact bound, whose weights sum to
+# cos((s1 + s2) / 2 - t) / cos(D / 2) <= 1 / cos(D / 2) (D = s2 - s1 <= 2 pi / 9,
+# so at most 1.07), so the computed value at t exceeds the bound from
+# computed values by at most E + 1.07 E.  The weights come from angles h p
+# for integer p, each within about 7 eps of the difference of the true
+# directions (fl(h j), plus pi for the other half turn), and sin(D) >=
+# sin(pi / 15), so each weight is within about 70 eps and the bound within
+# 140 eps (1 + |M|) = 0.31 E of its exact value; the rest of its arithmetic
+# and the rounding of bound + pad and of the division by cos(hw) add a few
+# eps (1 + |M|).  That is below 2.5 E; 8 E leaves three times that.  A cell
+# so left then has a computed cap below the floor and a computed value
+# below the largest, so lo, hi, the kept cells and the flat gate after
+# round 0 are those of solving every cell: enclosures keep their bits.
+_SUPPORT_PAD = 8.0
 _MC_CHUNK = 1 << 13
 # Relative distance from the top within which eigenvalues of a dual
 # certificate's block matrix count as one cluster.
@@ -398,17 +432,17 @@ class _Pencils:
         s = np.sqrt(np.maximum(_extremes(np.swapaxes(H.conj(), -1, -2) @ H)[1], 0.0))
         return -s, s
 
-    def evaluate(self, seg: np.ndarray, ts: np.ndarray, hw: float, lower: np.ndarray):
+    def evaluate(self, seg: np.ndarray, ts: np.ndarray, hw: float, lower: np.ndarray, first: bool = False):
         """Objective values and caps of the cells (seg, ts) of half-width hw.
 
         lower holds the running lower bound of each matrix.  A Crawford
         cell whose cap cannot beat its matrix's floor is pruned with a cap
         from its eigenvalues alone: its value is -inf, so it sets no lower
-        bound."""
-        wmin, wmax = self.extremes(seg, ts)
+        bound.  At round 0 (first), radius cells go through _sifted."""
         if self.A is None:
-            vals = np.maximum(wmax, -wmin)
+            vals = self._sifted(seg, ts, hw) if first else self._values(seg, ts)
             return vals, vals / np.cos(hw)
+        wmin, wmax = self.extremes(seg, ts)
         # Every curve of bound() has amplitude |y* M y| <= |M| and passes at
         # or below v at the cell center, so v cos(d) + |M| sin(|d|) lies
         # above it at distance d; as |v| <= |M| and hw <= pi/4, that grows
@@ -428,6 +462,56 @@ class _Pencils:
             vals[cand] = np.maximum(wmin, -wmax)
             caps[cand] = self.bound(*_in_chunks(self.step, self._forms, seg, ymin, ymax), ts, hw)
         return vals, caps
+
+    def _values(self, seg: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        """Radius values max(lambda_max, -lambda_min) of H at the cells."""
+        wmin, wmax = self.extremes(seg, ts)
+        return np.maximum(wmax, -wmin)
+
+    def _sifted(self, seg: np.ndarray, ts: np.ndarray, hw: float) -> np.ndarray:
+        """Radius values of the round-0 cells (seg, ts) of half-width hw:
+        every matrix's cells, in order, at the same angles h j.  Cells
+        that their support-line bound proves pruned are not solved and get
+        -inf, so they set no lower bound and survive no pruning.
+
+        lambda_max(H(s)) is the support function h(s) of the range W(M), and
+        -lambda_min(H(s)) = h(s + pi).  The subgrid's eigenvalues give h at
+        its angles and at those plus pi: the known directions of the doubled
+        circle.  For t between known s1 < s2 (s2 - s1 < pi), convexity of W
+        puts its support line at t below the vertex of those at s1 and s2
+        (C. R. Johnson, "Numerical determination of the field of values of
+        a general complex matrix", SIAM J. Numer. Anal. 15, 1978):
+            h(t) <= (h(s1) sin(s2 - t) + h(s2) sin(t - s1)) / sin(s2 - s1),
+        which bounds the value max(h(t), h(t + pi)) of the cell at t.  A
+        cell whose bound, padded (_SUPPORT_PAD), over cos(hw) stays below
+        the subgrid's largest value is left unsolved."""
+        k = self.L.size
+        half = ts.size // k
+        known = _subgrid(half)
+        if known.size == half:
+            return self._values(seg, ts)
+        ts = ts[:half]
+        wmin, wmax = (w.reshape(k, -1) for w in self.extremes(seg.reshape(k, half)[:, known].ravel(), np.tile(ts[known], k)))
+        # Positions p, of angle h p, of the known directions on the doubled
+        # circle, the first repeated after a full turn.
+        pos = np.concatenate([known, known + half, [2 * half]])
+        support = np.concatenate([wmax, -wmin, wmax[:, :1]], axis=1)
+        other = np.setdiff1d(np.arange(half), known)
+        p = np.concatenate([other, other + half])
+        right = np.searchsorted(pos, p)
+        p1, p2 = pos[right - 1], pos[right]
+        h = np.pi / half
+        span = np.sin(h * (p2 - p1))
+        bound = (support[:, right - 1] * np.sin(h * (p2 - p)) + support[:, right] * np.sin(h * (p - p1))) / span
+        bound = np.maximum(bound[:, : other.size], bound[:, other.size :])
+        scale = math.sqrt(_EVAL_ERR) if self.antidiagonal else _EVAL_ERR
+        pad = _SUPPORT_PAD * scale * (1.0 + self.L)
+        vals = np.full((k, half), -np.inf)
+        vals[:, known] = np.maximum(wmax, -wmin)
+        mats, cols = np.nonzero((bound + pad[:, None]) / np.cos(hw) >= vals[:, known].max(axis=1)[:, None])
+        if mats.size:
+            vals[mats, other[cols]] = self._values(mats, ts[other[cols]])
+        return vals.ravel()
 
     def _forms(self, seg: np.ndarray, *Ys: np.ndarray) -> tuple:
         """y* M y for each cell's matrix M and its vector y in each of Ys."""
@@ -517,6 +601,12 @@ def _equalizing_step(w: np.ndarray, V: np.ndarray, m: int) -> np.ndarray:
     return 0.5 * (dZ + dZ.conj().T)
 
 
+def _subgrid(half: int) -> np.ndarray:
+    """The _SUBGRID round-0 cells, of half on the half circle, solved first:
+    all of them when there are no more."""
+    return np.arange(_SUBGRID) * half // _SUBGRID if half > _SUBGRID else np.arange(half)
+
+
 def _first_cells(opts: RadiusOptions) -> tuple[int, float, float]:
     """The round-0 cells of a search: their count on the half circle, the
     spacing of their centers and their half-width, widened against
@@ -560,7 +650,7 @@ def _search(groups: list[_Pencils], gap, opts: RadiusOptions):
     for round_no in range(DEFAULT_MAX_ROUNDS + 1):
         cells = np.searchsorted(seg, first).tolist()
         parts = [
-            g.evaluate(seg[c:d] - f, centers[c:d], hw, lo[f:e])
+            g.evaluate(seg[c:d] - f, centers[c:d], hw, lo[f:e], round_no == 0)
             for g, f, e, c, d in zip(groups, first, first[1:], cells, cells[1:])
             if c < d
         ]

@@ -306,6 +306,40 @@ class TestHalfCircleSearch:
         assert enc.lo <= math.cos(math.pi / 5) <= enc.hi
         assert counted[0] <= 1_000
 
+    @pytest.mark.parametrize(
+        "M, value",
+        [
+            (random_matrix(0, 32), None),
+            (shifted_jordan(9, 16, 1.3, phi=0.4321), 1.3 + math.cos(math.pi / 17)),
+        ],
+        ids=["ginibre32", "J16+cI"],
+    )
+    def test_support_lines_prune_most_round_zero_cells(self, M, value, monkeypatch):
+        # Round 0 alone has 128 cells at the default grid; the support lines
+        # through 8 of its angles per half turn leave most of them unsolved.
+        counted = count_eigensolves(monkeypatch)
+        enc = numerical_radius(M)
+        assert 0 < counted[0] <= 80 and counted[1] == 0
+        if value is not None:
+            assert enc.lo <= value <= enc.hi
+
+    @pytest.mark.parametrize("grid", [18, 33, 64])
+    def test_unsolved_round_zero_cells_keep_the_bits(self, grid, monkeypatch):
+        # Grids whose half circles (9, 17, 32 cells) the subgrid of 8 does
+        # and does not divide, against every round-0 cell solved.
+        X, Y = random_matrix(40, 4), random_matrix(41, 4)
+        antidiagonal = np.block([[np.zeros((4, 4)), X], [Y, np.zeros((4, 4))]])
+        mats = [random_matrix(30 + n, n) for n in (3, 5, 8, 16)]
+        mats += [shifted_jordan(n, n, 0.8, phi=0.1 * n) for n in (4, 6, 12)] + [antidiagonal, 1e8 * random_matrix(42, 6)]
+        stacks, opts = as_stacks(mats), RadiusOptions(grid_count=grid)
+        counted = count_eigensolves(monkeypatch)
+        sifted = rows(radii_and_crawford_numbers(stacks, [], opts)[0])
+        solved, counted[0] = counted[0], 0
+        monkeypatch.setattr(functionals, "_SUBGRID", grid)
+        whole = rows(radii_and_crawford_numbers(stacks, [], opts)[0])
+        assert all(same(a, b) for a, b in zip(sifted, whole, strict=True))
+        assert solved < counted[0]
+
 
 FLAT = {
     "J6": (shifted_jordan(1, 6, 0.0), math.cos(math.pi / 7), 1e-9),
