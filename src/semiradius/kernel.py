@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence, NonSquare, NotHermitian, NotPSD
+from .errors import BadConfig, NoConvergence, NonSquare, NotHermitian, NotPSD
 
 __all__ = [
     "DEFAULT_CUTOFF",
@@ -77,9 +77,12 @@ def hermitian_eigendecomposition(M) -> EigenData:
 def psd_rank(values: np.ndarray, cutoff: float = DEFAULT_CUTOFF) -> int:
     """Numerical rank of a PSD spectrum under a relative cutoff.
 
-    Eigenvalues <= cutoff * lambda_max count as zero.  Eigenvalues below
-    -PSD_TOL * max(1, lambda_max) are a hard failure, not rounding noise.
+    Eigenvalues <= cutoff * lambda_max count as zero; the cutoff must lie
+    in [0, 1).  Eigenvalues below -PSD_TOL * max(1, lambda_max) are a hard
+    failure, not rounding noise.
     """
+    if not 0.0 <= cutoff < 1.0:
+        raise BadConfig(f"cutoff must lie in [0, 1), got {cutoff!r}")
     if values.size == 0:
         return 0
     lam_max = float(values[-1])

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BadConfig, DimensionMismatch, NotABounded, NotInBA
+from .errors import DimensionMismatch, NotABounded, NotInBA
 from .kernel import (
     DEFAULT_CUTOFF,
     EigenData,
@@ -239,8 +239,6 @@ def _frobenius(T: np.ndarray) -> np.ndarray:
 
 def build_space(A, cutoff: float = DEFAULT_CUTOFF) -> SemiHilbertSpace:
     """Validate a PSD seed matrix and derive all factors from one eigensystem."""
-    if not 0.0 <= cutoff < 1.0:
-        raise BadConfig(f"cutoff must lie in [0, 1), got {cutoff!r}")
     M = as_matrix(A)
     eigen = hermitian_eigendecomposition(M)
     return SemiHilbertSpace(0.5 * (M + M.conj().T), eigen, cutoff)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semiradius.errors import NonSquare, NotHermitian, NotPSD
+from semiradius.errors import BadConfig, NonSquare, NotHermitian, NotPSD
 from semiradius.kernel import (
     hermitian_eigendecomposition,
     psd_rank,
@@ -88,6 +88,14 @@ class TestPsdRank:
     def test_relative_cutoff_keeps_small_eigenvalue(self):
         eig = hermitian_eigendecomposition(np.diag([1.0, 2e-10]))
         assert psd_rank(eig.values, cutoff=1e-10) == 2
+
+    @pytest.mark.parametrize("values, cutoff", [([0.5, 1.0], float("nan")), ([1e-20, 1.0], -1.0), ([0.5, 1.0], 1.0)])
+    def test_rejects_cutoff_outside_unit_interval(self, values, cutoff):
+        # nan once counted no eigenvalue and -1.0 every one.
+        with pytest.raises(BadConfig):
+            psd_rank(np.array(values), cutoff=cutoff)
+        with pytest.raises(BadConfig):
+            psd_rank(np.array([]), cutoff=cutoff)
 
     def test_rejects_indefinite(self):
         eig = hermitian_eigendecomposition(np.diag([1.0, -1e-3]))

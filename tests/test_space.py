@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import semiradius.space as space_module
 from semiradius.catalog import PASS_CERTIFIED, run_all
 from semiradius.errors import BadConfig, DimensionMismatch, NotABounded, NotHermitian, NotInBA, NotPSD
-from semiradius.kernel import PSD_TOL, spectral_norm
+from semiradius.kernel import PSD_TOL, hermitian_eigendecomposition, spectral_norm
 from semiradius.sampler import sample_bundle
 from semiradius.space import FACT_TOL, build_space
 
@@ -86,6 +86,9 @@ class TestBuildSpace:
     def test_rejects_cutoff_outside_unit_interval(self, cutoff):
         with pytest.raises(BadConfig):
             build_space(np.eye(3), cutoff=cutoff)
+        # The constructor, which build_space calls, checks it too.
+        with pytest.raises(BadConfig):
+            space_module.SemiHilbertSpace(np.eye(3), hermitian_eigendecomposition(np.eye(3)), cutoff)
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.data())
     @settings(max_examples=30)
