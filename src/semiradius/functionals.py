@@ -479,30 +479,25 @@ class _Pencils:
         its angles and at those plus pi: the known directions of the doubled
         circle.  For t between known s1 < s2 (s2 - s1 < pi), convexity of W
         puts its support line at t below the vertex of those at s1 and s2
-        (C. R. Johnson, "Numerical determination of the field of values of
-        a general complex matrix", SIAM J. Numer. Anal. 15, 1978):
+        (Johnson 1978):
             h(t) <= (h(s1) sin(s2 - t) + h(s2) sin(t - s1)) / sin(s2 - s1),
         which bounds the value max(h(t), h(t + pi)) of the cell at t.  A
         cell whose bound, padded (_SUPPORT_PAD), over cos(hw) stays below
-        the subgrid's largest value is left unsolved."""
+        the subgrid's largest value is left unsolved.
+
+        Only round 0 is sifted: there each matrix's subgrid is solved.  A
+        later round's matrix whose cells were all left unsolved would get
+        hi = lo from their -inf caps."""
         k = self.L.size
         half = ts.size // k
-        known = _subgrid(half)
-        if known.size == half:
+        if half <= _SUBGRID or self.m == 2:
+            # 2 x 2 extremes come in closed form, cheaper than the bound.
             return self._values(seg, ts)
+        known, other, left, right, wl, wr = _sift_plan(half, _SUBGRID)
         ts = ts[:half]
-        wmin, wmax = (w.reshape(k, -1) for w in self.extremes(seg.reshape(k, half)[:, known].ravel(), np.tile(ts[known], k)))
-        # Positions p, of angle h p, of the known directions on the doubled
-        # circle, the first repeated after a full turn.
-        pos = np.concatenate([known, known + half, [2 * half]])
+        wmin, wmax = (w.reshape(k, -1) for w in self.extremes(np.arange(k).repeat(known.size), np.tile(ts[known], k)))
         support = np.concatenate([wmax, -wmin, wmax[:, :1]], axis=1)
-        other = np.setdiff1d(np.arange(half), known)
-        p = np.concatenate([other, other + half])
-        right = np.searchsorted(pos, p)
-        p1, p2 = pos[right - 1], pos[right]
-        h = np.pi / half
-        span = np.sin(h * (p2 - p1))
-        bound = (support[:, right - 1] * np.sin(h * (p2 - p)) + support[:, right] * np.sin(h * (p - p1))) / span
+        bound = support[:, left] * wl + support[:, right] * wr
         bound = np.maximum(bound[:, : other.size], bound[:, other.size :])
         scale = math.sqrt(_EVAL_ERR) if self.antidiagonal else _EVAL_ERR
         pad = _SUPPORT_PAD * scale * (1.0 + self.L)
@@ -601,10 +596,28 @@ def _equalizing_step(w: np.ndarray, V: np.ndarray, m: int) -> np.ndarray:
     return 0.5 * (dZ + dZ.conj().T)
 
 
-def _subgrid(half: int) -> np.ndarray:
-    """The _SUBGRID round-0 cells, of half on the half circle, solved first:
-    all of them when there are no more."""
-    return np.arange(_SUBGRID) * half // _SUBGRID if half > _SUBGRID else np.arange(half)
+@functools.lru_cache(maxsize=16)
+def _sift_plan(half: int, count: int) -> tuple:
+    """What round 0 of half cells sifts with count subgrid angles (count <
+    half): the subgrid's cells, the other cells, and for each of the other
+    cells' directions t, then t + pi, its known neighbours s1 < t < s2 (as
+    columns of the support values at the subgrid, at the subgrid plus pi,
+    then at the first again a full turn on) and their weights
+    sin(s2 - t) / sin(s2 - s1) and sin(t - s1) / sin(s2 - s1)."""
+    known = np.arange(count) * half // count
+    other = np.delete(np.arange(half), known)
+    # Positions p, of angle h p, of the known directions on the doubled
+    # circle.
+    pos = np.concatenate([known, known + half, [2 * half]])
+    p = np.concatenate([other, other + half])
+    right = np.searchsorted(pos, p)
+    p1, p2 = pos[right - 1], pos[right]
+    h = np.pi / half
+    span = np.sin(h * (p2 - p1))
+    plan = (known, other, right - 1, right, np.sin(h * (p2 - p)) / span, np.sin(h * (p - p1)) / span)
+    for a in plan:
+        a.flags.writeable = False
+    return plan
 
 
 def _first_cells(opts: RadiusOptions) -> tuple[int, float, float]:
