@@ -432,7 +432,7 @@ class _Pencils:
         s = np.sqrt(np.maximum(_extremes(np.swapaxes(H.conj(), -1, -2) @ H)[1], 0.0))
         return -s, s
 
-    def evaluate(self, seg: np.ndarray, ts: np.ndarray, hw: float, lower: np.ndarray, first: bool = False):
+    def evaluate(self, seg: np.ndarray, ts: np.ndarray, hw: float, lower: np.ndarray, first: bool):
         """Objective values and caps of the cells (seg, ts) of half-width hw.
 
         lower holds the running lower bound of each matrix.  A Crawford
@@ -644,6 +644,11 @@ def _search(groups: list[_Pencils], gap, opts: RadiusOptions):
     and matrices by group, and a finished matrix owns no cells.  Per
     round, one eigensolve call per group (per chunk of cells) serves
     every matrix of the group that owns cells.
+
+    Round 0 of a radius group eigensolves its subgrid, then, in a second
+    call, only the cells that the subgrid's support lines cannot prune
+    (_Pencils._sifted); the bounds and surviving cells after it are those
+    of solving every cell.
 
     An unfinished radius matrix all of whose round-0 cells survive pruning
     (a flat objective) has its upper end capped for the rest of the search

@@ -330,7 +330,8 @@ class TestHalfCircleSearch:
         X, Y = random_matrix(40, 4), random_matrix(41, 4)
         antidiagonal = np.block([[np.zeros((4, 4)), X], [Y, np.zeros((4, 4))]])
         mats = [random_matrix(30 + n, n) for n in (3, 5, 8, 16)]
-        mats += [shifted_jordan(n, n, 0.8, phi=0.1 * n) for n in (4, 6, 12)] + [antidiagonal, 1e8 * random_matrix(42, 6)]
+        mats += [shifted_jordan(n, n, 0.8, phi=0.1 * n) for n in (4, 6, 12)]
+        mats += [antidiagonal, 1e8 * random_matrix(42, 6)]
         stacks, opts = as_stacks(mats), RadiusOptions(grid_count=grid)
         counted = count_eigensolves(monkeypatch)
         sifted = rows(radii_and_crawford_numbers(stacks, [], opts)[0])
