@@ -5,9 +5,9 @@ enclosures are hashed and compared with a digest recorded once.  The
 inputs cover ranges containing 0 (Ginibre matrices and flat U J_n U*),
 hidden shifted Jordan blocks whose Crawford number c - cos(pi / (n + 1))
 is positive, zero or within 1e-9 relative of zero, diagonal matrices
-and extreme scales, at coarse and fine grids, with and without the Monte
-Carlo cap, and at a gap wide enough for the cap to trim some upper
-ends.  Any change to which cells the search prunes, refines or evaluates
+and extreme scales, at coarse, fine and uneven grids (18 and 33 have 9
+and 17 cells on the half circle), with and without the Monte Carlo cap,
+and at a gap wide enough for the cap to trim some upper ends.  Any change to which cells the search prunes, refines or evaluates
 that moves a last bit shows here.
 """
 
@@ -24,6 +24,8 @@ from semiradius.functionals import DEFAULT_MC_SAMPLES, RadiusOptions, radii_and_
 CRAWFORD_SHA256 = {
     4: "74fcaae636bbaa6539e0eeb1878267ea4725c21efdc7e3942b9e32bc14a20922",
     5: "2d97ca3150555e232e9ca725b5d92e373e5c70727fd22969818849bac9369fe6",
+    18: "32dc358dcdc920e6c0b0b314efd1fcf522add52273abcaa57bdf96fcc95cf93d",
+    33: "dad5cee42eadbc3ad9ac8e20abdd952cd9d8923be3da1cf667f5824b94e906ef",
     64: "0ebefa8bd8a730b1b6059fd2b0f0f6f8709dd8fc356f4c8e0ea830b7e8a1f5e6",
     256: "32f7add88fa57de6a4bc6d846a6abc6ceafe7a0dca7de2a3b977c21a392c6423",
 }
@@ -59,7 +61,7 @@ def digest(records) -> str:
     return hashlib.sha256(json.dumps(records).encode()).hexdigest()
 
 
-@pytest.mark.parametrize("grid", [4, 5, 64, 256])
+@pytest.mark.parametrize("grid", [4, 5, 18, 33, 64, 256])
 def test_crawford_enclosure_bytes_are_pinned(grid):
     records = []
     for samples, gap_scale in ((0, 1e-9), (DEFAULT_MC_SAMPLES, 1e-9), (DEFAULT_MC_SAMPLES, 0.3)):
