@@ -23,16 +23,23 @@ max(0, maximum of max(lambda_min, -lambda_max)).
   alone: a cell whose such cap cannot beat its matrix's floor is pruned
   with it, and only the other cells are eigensolved again for their
   eigenvectors;
-* round 0 of a radius search eigensolves _SUBGRID of its angles per half
-  turn first.  Their eigenvalues give the support function h of the range
-  at those angles and at those plus pi, and between two such angles the
-  convex range keeps h below the vertex of their support lines (C. R.
-  Johnson, "Numerical determination of the field of values of a general
-  complex matrix", SIAM J. Numer. Anal. 15, 1978).  A cell whose value
-  bound, padded for rounding, gives a cap below the subgrid's largest
-  value would be pruned, so it is left unsolved; the others are
-  eigensolved, and the bounds and surviving cells after round 0 are those
-  of solving every cell;
+* round 0 of a search eigensolves _SUBGRID of its angles per half turn
+  first and bounds the value of every other cell from above; a cell whose
+  bound, padded for rounding, gives a cap that round 0 would prune is left
+  unsolved, the others are eigensolved, and the bounds and surviving cells
+  after round 0 are those of solving every cell.  For the radius, the
+  subgrid's eigenvalues give the support function h of the range at its
+  angles and at those plus pi, and between two such angles the convex
+  range keeps h below the vertex of their support lines (C. R. Johnson,
+  "Numerical determination of the field of values of a general complex
+  matrix", SIAM J. Numer. Anal. 15, 1978).  Pencils of at least _FINE_M
+  rows then solve the cells of a subgrid twice as fine that those bounds
+  leave alive and bound the rest again from them; a matrix whose subgrid
+  support values show that no bound could leave a cell (a flat objective)
+  solves every cell without the bounds.  For the Crawford number, the
+  probe's eight attained points q_j (below) bound lambda_min(H(t)) from
+  above by min_j Re(exp(it) q_j) and lambda_max(H(t)) from below by
+  max_j Re(exp(it) q_j), and with them the cell's value;
 * the Lipschitz cap value + |M| * w is implied: with at least four grid
   angles w is about pi/4 at most, where no rotation cap exceeds it;
 * a radius matrix whose objective is flat on the initial grid, so that
@@ -52,7 +59,8 @@ max(0, maximum of max(lambda_min, -lambda_max)).
   (|M| sin(w) + margin (1 + |M|)) / cos(w) + E, plus pads for rounding that
   grow with m, to the left of each of its edges (w the round-0 half-width,
   E the evaluation pad), the matrix gets the enclosure [0, E] the search
-  would give it, from 4 eigensolves instead of the round-0 grid.
+  would give it, from 4 eigensolves instead of the round-0 grid.  The
+  other matrices take their points into the search's round 0.
 
 Cells whose cap cannot beat the running lower bound are pruned; surviving
 cells are subdivided until the enclosure gap meets the target or the round
@@ -121,10 +129,16 @@ DEFAULT_MAX_ROUNDS = 20
 DEFAULT_MC_SAMPLES = 4096
 # Each refinement round splits every surviving cell in four.
 _SUBDIV = 4
-# Round 0 of a radius search eigensolves this many of its angles per half
-# turn first, evenly spread, and the other cells only where the support
-# lines through those angles cannot prune them (_Pencils._sifted).
+# Round 0 of a search eigensolves this many of its angles per half turn
+# first, evenly spread, and the other cells only where a bound from them
+# cannot prune them (_Pencils._sifted): the support lines through them for
+# the radius, the probe's attained points for the Crawford number.
 _SUBGRID = 8
+# Radius pencils of at least this size sift in two levels: they also solve
+# the cells of the subgrid of 2 _SUBGRID angles, which holds the first,
+# that the first level's bounds leave alive, before bounding the rest
+# (_Pencils._support_sift).  Campaign pencils (m <= 12) take one level.
+_FINE_M = 16
 # Relative half-width assigned to directly computed (non-grid) values.
 _EXACT_ERR = 1e-13
 # Anti-Hermitian deviation below which the eigenvalue shortcut applies.
@@ -166,11 +180,44 @@ _PRUNE_MARGIN = 8 * _EVAL_ERR
 # sin(pi / 15), so each weight is within about 70 eps and the bound within
 # 140 eps (1 + |M|) = 0.31 E of its exact value; the rest of its arithmetic
 # and the rounding of bound + pad and of the division by cos(hw) add a few
-# eps (1 + |M|).  That is below 2.5 E; 8 E leaves three times that.  A cell
-# so left then has a computed cap below the floor and a computed value
-# below the largest, so lo, hi, the kept cells and the flat gate after
-# round 0 are those of solving every cell: enclosures keep their bits.
+# eps (1 + |M|).  That is below 2.5 E; 8 E leaves three times that.  The
+# second level (_FINE_M) takes first-level bounds for h at the finer
+# subgrid's unsolved directions, which h exceeds by at most 1.07 E + 0.31 E
+# and a few eps (1 + |M|), below 1.4 E.  There D <= pi / 16 + pi / 17, so
+# the weights sum to at most 1.02, and D >= pi / 32, so each weight is
+# within about 150 eps and the bound within 0.9 E of its exact value: the
+# computed value at t exceeds the second-level bound by at most
+# E + 1.02 * 1.4 E + 0.9 E and a few eps (1 + |M|), below 3.4 E, and 8 E
+# leaves twice that.  A cell so left then has a computed cap below the
+# floor and a computed value below the largest, so lo, hi, the kept cells
+# and the flat gate after round 0 are those of solving every cell:
+# enclosures keep their bits.
 _SUPPORT_PAD = 8.0
+# Pad, in units of a matrix's evaluation error E = _EVAL_ERR (1 + |M|), by
+# which the points bound of a round-0 Crawford cell (_Pencils._point_sift)
+# is raised, with (4m + 16) eps (1 + |M|) more for the points, before its
+# eigenvalue-only cap is tested against the subgrid's floor.  Each point
+# q = y* M y is within about 2m eps (1 + |M|) of the Rayleigh quotient of
+# its computed vector y, a point of the range (m eps |M| in the sums, as
+# much from |y|^2 - 1).  At a cell's angle, the computed cos and sin c, s
+# are, to an ulp, those that built H, and y* (c P + s K) y = c Re q - s Im q,
+# so the bound holds for the computed pencil up to the rounding of P, K and
+# H (in E, as for _PRUNE_MARGIN), of q and of c Re q - s Im q (3 eps |q|,
+# with the ulp of c and s); the
+# computed value exceeds the exact one by at most E.  The computed value
+# is thus at most the computed bound plus E + (2m + 4) eps (1 + |M|), and
+# the sum with the pad rounds by an eps more; 2 E + (4m + 16) eps (1 + |M|)
+# doubles that.  The cap and test of _Pencils.evaluate, computed from a
+# value no smaller than the cell's, are no smaller than the cell's own, as
+# rounding is monotone; so a cell left unsolved would be pruned against
+# the floor, which is at least the subgrid's.  Its value is below that
+# floor F >= 0 too: a value v > F would give a cap v cos(hw) + |M| sin(hw)
+# >= v - E sin(hw) (|M| >= v - E, cos + sin >= 1), above F - margin.  So
+# the floor, the candidates and lo after round 0 are those of solving
+# every cell, and the cell's cap (-inf, not a value below the floor by the
+# margin) changes only upper ends below 0, which the caller clamps at 0:
+# enclosures keep their bits.
+_POINT_PAD = 2.0
 _MC_CHUNK = 1 << 13
 # Relative distance from the top within which eigenvalues of a dual
 # certificate's block matrix count as one cluster.
@@ -408,13 +455,16 @@ class _Pencils:
     from the r x r matrices Z* Z instead of 2r x 2r eigensolves.
     """
 
-    def __init__(self, P: np.ndarray, K: np.ndarray, norms, A=None, antidiagonal: bool = False):
+    def __init__(self, P: np.ndarray, K: np.ndarray, norms, A=None, antidiagonal: bool = False, points=None):
         if antidiagonal:
             r = P.shape[1] // 2
             P, K = np.ascontiguousarray(P[:, :r, r:]), np.ascontiguousarray(K[:, :r, r:])
         self.antidiagonal = antidiagonal
         self.m = P.shape[1]
         self.Pv, self.Kv, self.A, self.L = P.view(np.float64), K.view(np.float64), A, norms
+        # Crawford matrices: the probe's attained points y* M y (_holds_disk),
+        # NaN where it computed none.
+        self.points = points
         # Cells per eigensolve call or quadratic-form batch, so that the
         # per-cell matrices built at once stay within _CHUNK_BYTES.
         self.step = max(1, _CHUNK_BYTES // (16 * self.m * self.m))
@@ -438,17 +488,16 @@ class _Pencils:
         lower holds the running lower bound of each matrix.  A Crawford
         cell whose cap cannot beat its matrix's floor is pruned with a cap
         from its eigenvalues alone: its value is -inf, so it sets no lower
-        bound.  At round 0 (first), radius cells go through _sifted."""
+        bound.  At round 0 (first), the cells go through _sifted, whose
+        unsolved cells get value -inf and cap -inf."""
+        v = self._sifted(seg, ts, hw, lower) if first else self._values(seg, ts)
         if self.A is None:
-            vals = self._sifted(seg, ts, hw) if first else self._values(seg, ts)
-            return vals, vals / np.cos(hw)
-        wmin, wmax = self.extremes(seg, ts)
+            return v, v / np.cos(hw)
         # Every curve of bound() has amplitude |y* M y| <= |M| and passes at
         # or below v at the cell center, so v cos(d) + |M| sin(|d|) lies
         # above it at distance d; as |v| <= |M| and hw <= pi/4, that grows
         # with |d| up to hw (the 1e-12 widening of hw moves it by far less
         # than the margin).
-        v = np.maximum(wmin, -wmax)
         L = self.L[seg]
         caps = v * np.cos(hw) + L * np.sin(hw)
         starts, mats = _runs(seg)
@@ -464,15 +513,47 @@ class _Pencils:
         return vals, caps
 
     def _values(self, seg: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        """Radius values max(lambda_max, -lambda_min) of H at the cells."""
+        """Values of H at the cells: max(lambda_max, -lambda_min) for the
+        radius, max(lambda_min, -lambda_max) for the Crawford number."""
         wmin, wmax = self.extremes(seg, ts)
-        return np.maximum(wmax, -wmin)
+        return np.maximum(wmax, -wmin) if self.A is None else np.maximum(wmin, -wmax)
 
-    def _sifted(self, seg: np.ndarray, ts: np.ndarray, hw: float) -> np.ndarray:
-        """Radius values of the round-0 cells (seg, ts) of half-width hw:
-        every matrix's cells, in order, at the same angles h j.  Cells
-        that their support-line bound proves pruned are not solved and get
-        -inf, so they set no lower bound and survive no pruning.
+    def _sifted(self, seg: np.ndarray, ts: np.ndarray, hw: float, lower: np.ndarray) -> np.ndarray:
+        """Values of the round-0 cells (seg, ts) of half-width hw: every
+        matrix's cells, in order, at the same angles h j.  The _SUBGRID
+        cells are solved first; every other cell's value is bounded from
+        above (_support_sift, _point_sift), and a cell whose bound proves it
+        pruned is not solved and gets -inf, so it sets no lower bound and
+        survives no pruning.
+
+        Only round 0 is sifted: there each matrix's subgrid is solved.  A
+        later round's matrix whose cells were all left unsolved would get
+        hi = lo from their -inf caps."""
+        k = self.L.size
+        half = ts.size // k
+        if half <= _SUBGRID or self.m == 2:
+            # 2 x 2 extremes come in closed form, cheaper than the bounds.
+            return self._values(seg, ts)
+        known, other, *lines = _sift_plan(half, _SUBGRID)
+        ts = ts[:half]
+        wmin, wmax = (w.reshape(k, -1) for w in self.extremes(np.arange(k).repeat(known.size), np.tile(ts[known], k)))
+        vals = np.full((k, half), -np.inf)
+        if self.A is None:
+            vals[:, known] = np.maximum(wmax, -wmin)
+            alive = self._support_sift(ts, hw, vals, wmin, wmax, other, lines)
+        else:
+            vals[:, known] = np.maximum(wmin, -wmax)
+            alive = self._point_sift(ts[other], hw, vals, lower)
+        mats, cols = np.nonzero(alive)
+        if mats.size:
+            vals[mats, other[cols]] = self._values(mats, ts[other[cols]])
+        return vals.ravel()
+
+    def _support_sift(self, ts, hw, vals, wmin, wmax, other, lines) -> np.ndarray:
+        """Which round-0 radius cells other to solve, a (k, cells) mask,
+        from the subgrid's extremes wmin, wmax and values in vals.
+        Pencils of at least _FINE_M rows first solve, into vals, the cells
+        of the subgrid of 2 _SUBGRID angles left alive.
 
         lambda_max(H(s)) is the support function h(s) of the range W(M), and
         -lambda_min(H(s)) = h(s + pi).  The subgrid's eigenvalues give h at
@@ -483,30 +564,80 @@ class _Pencils:
             h(t) <= (h(s1) sin(s2 - t) + h(s2) sin(t - s1)) / sin(s2 - s1),
         which bounds the value max(h(t), h(t + pi)) of the cell at t.  A
         cell whose bound, padded (_SUPPORT_PAD), over cos(hw) stays below
-        the subgrid's largest value is left unsolved.
+        the largest value solved is left unsolved.  The weights are >= 0, so
+        upper bounds of h(s1) and h(s2) in place of the values bound h(t)
+        too: the finer subgrid's directions left unsolved enter its vertex
+        bounds with their first-level bounds.
 
-        Only round 0 is sifted: there each matrix's subgrid is solved.  A
-        later round's matrix whose cells were all left unsolved would get
-        hi = lo from their -inf caps."""
-        k = self.L.size
-        half = ts.size // k
-        if half <= _SUBGRID or self.m == 2:
-            # 2 x 2 extremes come in closed form, cheaper than the bound.
-            return self._values(seg, ts)
-        known, other, left, right, wl, wr = _sift_plan(half, _SUBGRID)
-        ts = ts[:half]
-        wmin, wmax = (w.reshape(k, -1) for w in self.extremes(np.arange(k).repeat(known.size), np.tile(ts[known], k)))
-        support = np.concatenate([wmax, -wmin, wmax[:, :1]], axis=1)
-        bound = support[:, left] * wl + support[:, right] * wr
-        bound = np.maximum(bound[:, : other.size], bound[:, other.size :])
+        A matrix whose smallest subgrid support value is >= 0 and, padded,
+        over cos(hw) reaches the largest value solves every cell without
+        the bounds: the weights sum to cos((s1 + s2) / 2 - t) / cos(D / 2)
+        >= 1 (D = s2 - s1), so every bound would leave its cell alive, up to
+        rounding, and solving a cell a bound would leave keeps the bits.
+        Matrices with flat objectives (disk-shaped ranges about 0) are
+        such."""
         scale = math.sqrt(_EVAL_ERR) if self.antidiagonal else _EVAL_ERR
-        pad = _SUPPORT_PAD * scale * (1.0 + self.L)
-        vals = np.full((k, half), -np.inf)
-        vals[:, known] = np.maximum(wmax, -wmin)
-        mats, cols = np.nonzero((bound + pad[:, None]) / np.cos(hw) >= vals[:, known].max(axis=1)[:, None])
+        pad = _SUPPORT_PAD * scale * (1.0 + self.L)[:, None]
+        cos = np.cos(hw)
+        top = vals.max(axis=1)[:, None]
+        support = np.concatenate([wmax, -wmin, wmax[:, :1]], axis=1)
+        low = support.min(axis=1)[:, None]
+        flat = (low >= 0.0) & ((low + pad) / cos >= top)
+        left, right, wl, wr = lines
+        n = left.size // 2
+        if flat.all():
+            return np.ones((flat.size, n), dtype=bool)
+        bound = support[:, left] * wl + support[:, right] * wr
+        alive = flat | ((np.maximum(bound[:, :n], bound[:, n:]) + pad) / cos >= top)
+        if self.m < _FINE_M or vals.shape[1] <= 2 * _SUBGRID:
+            return alive
+        new, rest, left, right, wl, wr = _fine_plan(vals.shape[1])
+        # Bounds of h at the finer subgrid, at it plus pi, then at its first
+        # direction again: the subgrid's support values at the even columns,
+        # the first level's bounds, or the values solved, at the odd ones.
+        c = wmax.shape[1]
+        fine = np.empty((flat.size, 4 * c + 1))
+        fine[:, 0 : 2 * c : 2], fine[:, 2 * c : 4 * c : 2] = wmax, -wmin
+        fine[:, 1 : 2 * c : 2], fine[:, 2 * c + 1 : 4 * c : 2] = bound[:, new], bound[:, n + new]
+        mats, cols = np.nonzero(alive[:, new])
         if mats.size:
-            vals[mats, other[cols]] = self._values(mats, ts[other[cols]])
-        return vals.ravel()
+            cells = other[new[cols]]
+            wmin, wmax = self.extremes(mats, ts[cells])
+            vals[mats, cells] = np.maximum(wmax, -wmin)
+            alive[mats, new[cols]] = False
+            fine[mats, 2 * cols + 1], fine[mats, 2 * c + 2 * cols + 1] = wmax, -wmin
+            top = vals.max(axis=1)[:, None]
+        fine[:, 4 * c] = fine[:, 0]
+        bound = fine[:, left] * wl + fine[:, right] * wr
+        n = rest.size
+        alive[:, rest] &= flat | ((np.maximum(bound[:, :n], bound[:, n:]) + pad) / cos >= top)
+        return alive
+
+    def _point_sift(self, ts: np.ndarray, hw: float, vals: np.ndarray, lower: np.ndarray) -> np.ndarray:
+        """Which round-0 Crawford cells at the angles ts to solve, a (k,
+        cells) mask, from the subgrid's values in vals and the running
+        lower bounds: those whose eigenvalue-only cap from the bound of
+        _point_bounds could reach the subgrid's floor."""
+        L = self.L[:, None]
+        floor = np.maximum(np.maximum(lower, 0.0), vals.max(axis=1))[:, None]
+        # The cap and pruning test of evaluate, from a value no smaller than
+        # the cell's.
+        return ~(self._point_bounds(ts) * np.cos(hw) + L * np.sin(hw) + _PRUNE_MARGIN * (1.0 + L) <= floor)
+
+    def _point_bounds(self, ts: np.ndarray) -> np.ndarray:
+        """Upper bounds of the Crawford values of H at the angles ts, a (k,
+        cells) array, from the probe's attained points, padded (_POINT_PAD);
+        NaN for NaN points.
+
+        A point q = y* M y of the range, y a unit vector, has
+        y* H(t) y = Re(exp(it) q), so lambda_min(H(t)) <= min_j Re(exp(it) q_j)
+        and lambda_max(H(t)) >= max_j Re(exp(it) q_j): the value
+        max(lambda_min, -lambda_max) is at most the larger of the first and
+        minus the second."""
+        q = self.points[:, None, :]
+        forms = q.real * np.cos(ts)[:, None] - q.imag * np.sin(ts)[:, None]
+        pad = (_POINT_PAD * _EVAL_ERR + (4 * self.m + 16) * _EPS) * (1.0 + self.L)
+        return np.maximum(forms.min(axis=2), -forms.max(axis=2)) + pad[:, None]
 
     def _forms(self, seg: np.ndarray, *Ys: np.ndarray) -> tuple:
         """y* M y for each cell's matrix M and its vector y in each of Ys."""
@@ -620,6 +751,22 @@ def _sift_plan(half: int, count: int) -> tuple:
     return plan
 
 
+@functools.lru_cache(maxsize=16)
+def _fine_plan(half: int) -> tuple:
+    """The second level of a round-0 radius sift of half > 2 _SUBGRID cells:
+    the positions, among the first level's other cells, of the directions
+    that the subgrid of 2 _SUBGRID angles adds to the first (its odd ones;
+    its even ones, 2 i half // (2 _SUBGRID), are i half // _SUBGRID) and of
+    the cells off it, then _sift_plan's neighbours and weights for the
+    latter."""
+    other = _sift_plan(half, _SUBGRID)[1]
+    fine, rest, *lines = _sift_plan(half, 2 * _SUBGRID)
+    plan = (np.searchsorted(other, fine[1::2]), np.searchsorted(other, rest), *lines)
+    for a in plan:
+        a.flags.writeable = False
+    return plan
+
+
 def _first_cells(opts: RadiusOptions) -> tuple[int, float, float]:
     """The round-0 cells of a search: their count on the half circle, the
     spacing of their centers and their half-width, widened against
@@ -645,10 +792,12 @@ def _search(groups: list[_Pencils], gap, opts: RadiusOptions):
     round, one eigensolve call per group (per chunk of cells) serves
     every matrix of the group that owns cells.
 
-    Round 0 of a radius group eigensolves its subgrid, then, in a second
-    call, only the cells that the subgrid's support lines cannot prune
-    (_Pencils._sifted); the bounds and surviving cells after it are those
-    of solving every cell.
+    Round 0 of a group eigensolves its subgrid, then, in a second call,
+    only the cells that a bound from it cannot prune (_Pencils._sifted):
+    support lines for the radius, in two levels for pencils of at least
+    _FINE_M rows (a third call), and the probe's attained points for the
+    Crawford number.  The bounds and surviving cells after round 0 are
+    those of solving every cell.
 
     An unfinished radius matrix all of whose round-0 cells survive pruning
     (a flat objective) has its upper end capped for the rest of the search
@@ -788,7 +937,7 @@ def _crawford_direct(M: np.ndarray, rows: np.ndarray, out: Enclosures, hw: float
     """Crawford numbers of a stack of m x m matrices, m >= 2, whose range
     provably holds a disk about 0 so wide that round 0 of a search of
     half-width hw would prune every cell, into out at their rows; returns
-    (stack positions, P, K, norms) of the others.
+    (stack positions, P, K, norms, the probe's eight points) of the others.
 
     Such a search prunes every cell by its eigenvalue-only cap
     (_Pencils.evaluate), so it ends with lo = -inf and hi < 0, scans no
@@ -818,11 +967,12 @@ def _crawford_direct(M: np.ndarray, rows: np.ndarray, out: Enclosures, hw: float
     # of its edge distances (about 6 eps |M|).  Those pads add up to about
     # (2m + 20) eps (1 + L); (4m + 40) eps (1 + L) doubles them.
     threshold = math.tan(hw) * L + (_PRUNE_MARGIN / math.cos(hw) + _EVAL_ERR + (4 * m + 40) * _EPS) * one
-    inside = _in_chunks(max(1, _CHUNK_BYTES // (64 * m * m)), _holds_disk, M, P, K, threshold)
+    points = np.full((M.shape[0], 8), np.nan, dtype=np.complex128)
+    inside = _in_chunks(max(1, _CHUNK_BYTES // (64 * m * m)), _holds_disk, M, P, K, threshold, points)
     fired = rows[inside]
     out.lo[fired], out.hi[fired], out.code[fired] = 0.0, E[inside], METHODS.index("grid")
     rest = ~inside
-    return np.flatnonzero(rest), P[rest], K[rest], L[rest]
+    return np.flatnonzero(rest), P[rest], K[rest], L[rest], points[rest]
 
 
 # _holds_disk's vectors come as bottom t0, top t0, bottom t1, ..., top t3
@@ -831,9 +981,10 @@ def _crawford_direct(M: np.ndarray, rows: np.ndarray, out: Enclosures, hw: float
 _POLYGON = np.array([1, 6, 4, 2, 0, 7, 5, 3, 1])
 
 
-def _holds_disk(M, P, K, threshold) -> np.ndarray:
+def _holds_disk(M, P, K, threshold, points) -> np.ndarray:
     """Whether the range of each matrix of a stack provably holds the disk
-    of its threshold's radius about 0, from eight attained points.
+    of its threshold's radius about 0, from eight attained points, which
+    it writes into the rows of points.
 
     The top eigenvector y of H(t) attains the support point q = y* M y of
     the range whose outward normal is -t, the bottom one the point whose
@@ -853,6 +1004,7 @@ def _holds_disk(M, P, K, threshold) -> np.ndarray:
     _, _, ymin, ymax = _extremes(H, vectors=True)
     Y = np.concatenate([ymin, ymax], axis=1).reshape(k, 8, m)[:, _POLYGON]
     q = np.add.reduce(Y.conj() * (Y @ np.swapaxes(M, 1, 2)), axis=2)
+    points[...] = q[:, :-1]
     # Im(conj(a) e) is the signed distance from 0 to the line of the edge
     # from a along e, positive on its left, times |e|: within a few
     # eps |a| |e| of it, however short the edge.
@@ -943,9 +1095,9 @@ def radii_and_crawford_numbers(radius_stacks, crawford_stacks, opts: RadiusOptio
         if A.shape[1] < 2 or not rest.size:
             continue
         M = A[rest]
-        pos, P, K, L = _crawford_direct(M, rows[rest], out, hw)
+        pos, P, K, L, points = _crawford_direct(M, rows[rest], out, hw)
         if pos.size:
-            searches.append((_Pencils(P, K, L, M[pos]), rows[rest[pos]]))
+            searches.append((_Pencils(P, K, L, M[pos], points=points), rows[rest[pos]]))
     if searches:
         groups, targets = zip(*searches)
         L, rows = np.concatenate([g.L for g in groups]), np.concatenate(targets)

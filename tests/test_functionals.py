@@ -341,6 +341,38 @@ class TestHalfCircleSearch:
         assert all(same(a, b) for a, b in zip(sifted, whole, strict=True))
         assert solved < counted[0]
 
+    def test_second_level_solves_fewer_ginibre_cells(self, monkeypatch):
+        # 69 eigensolved matrices with one level of support lines.
+        counted = count_eigensolves(monkeypatch)
+        numerical_radius(random_matrix(0, 32))
+        assert 0 < counted[0] <= 60 and counted[1] == 0
+
+    @pytest.mark.parametrize("grid", [33, 64, 256])
+    def test_second_level_keeps_the_bits(self, grid, monkeypatch):
+        # Pencils of at least 16 rows, alone and in stacks with a flat
+        # range, against one level and against every round-0 cell solved;
+        # at grid 33 the finer subgrid leaves one of 17 cells.  Ranges far
+        # from 0 make h(t) and h(t + pi) differ widely.
+        X, Y = random_matrix(43, 16), random_matrix(44, 16)
+        antidiagonal = np.block([[np.zeros((16, 16)), X], [Y, np.zeros((16, 16))]])
+        mats = [random_matrix(50, 16), shifted_jordan(60, 16, 0.0), shifted_jordan(16, 16, 0.8, phi=1.3)]
+        mats += [shifted_jordan(i, 16, c, phi=0.05 + 0.31 * i) for i, c in ((5, 2.0), (11, 5.0), (14, 20.0))]
+        mats += [random_matrix(304, 16) + (3 + 4j) * np.eye(16), 1e8 * random_matrix(45, 16)]
+        mats += [random_matrix(51, 24), shifted_jordan(25, 24, 5.0, phi=7.8), 1e-8 * shifted_jordan(20, 20, 2.5, phi=0.7)]
+        mats += [random_matrix(52, 32), shifted_jordan(32, 32, 0.1, phi=2.0), shifted_jordan(44, 32, 20.0, phi=13.69)]
+        mats += [antidiagonal]
+        stacks, opts = as_stacks(mats), RadiusOptions(grid_count=grid)
+        counted = count_eigensolves(monkeypatch)
+        two = rows(radii_and_crawford_numbers(stacks, [], opts)[0])
+        solved = [counted[0]]
+        for name, value in (("_FINE_M", 10**9), ("_SUBGRID", grid)):
+            counted[0] = 0
+            monkeypatch.setattr(functionals, name, value)
+            other = rows(radii_and_crawford_numbers(stacks, [], opts)[0])
+            assert all(same(a, b) for a, b in zip(two, other, strict=True))
+            solved.append(counted[0])
+        assert solved[0] < solved[1] < solved[2]
+
 
 FLAT = {
     "J6": (shifted_jordan(1, 6, 0.0), math.cos(math.pi / 7), 1e-9),
@@ -447,38 +479,112 @@ class TestCrawfordWork:
         assert counted[0] == counted[1] == 4
         assert scans[0] == 0
 
-    def test_narrow_disk_about_zero_prunes_without_eigenvectors(self, monkeypatch):
+    def test_narrow_disk_about_zero_prunes_without_eigenvectors_sifted_or_not(self, monkeypatch):
         # The range, the disk of radius r about 0.95 r exp(i pi / 8), holds
         # 0, but 0 lies outside the probe's octagon, whose edge facing it is
         # r cos(pi / 8) from the center: the search runs, and every cell's
-        # eigenvalue-only cap stays below the floor 0.
+        # eigenvalue-only cap stays below the floor 0.  With the round-0
+        # sift off (its subgrid the whole grid) every cell is eigvalsh-solved;
+        # with it on the probe's points leave most cells unsolved, and the
+        # enclosure keeps its bits.
         n, opts = 16, RadiusOptions()
         r = math.cos(math.pi / (n + 1))
-        counted = count_eigensolves(monkeypatch)
-        scans = count_cap_scans(monkeypatch)
-        enc = crawford_number(shifted_jordan(11, n, 0.95 * r, phi=math.pi / 8), opts)
-        assert enc.lo == 0.0 and enc.hi <= 1e-11
-        assert counted[0] - counted[1] == (opts.grid_count + 1) // 2
-        assert counted[1] == 4
-        assert scans[0] == 0
+        M = shifted_jordan(11, n, 0.95 * r, phi=math.pi / 8)
+        cells = (opts.grid_count + 1) // 2
+        encs, solved = [], []
+        for subgrid in (cells, functionals._SUBGRID):
+            with monkeypatch.context() as patch:
+                patch.setattr(functionals, "_SUBGRID", subgrid)
+                counted = count_eigensolves(patch)
+                scans = count_cap_scans(patch)
+                encs.append(crawford_number(M, opts))
+            assert encs[-1].lo == 0.0 and encs[-1].hi <= 1e-11
+            assert counted[1] == 4
+            assert scans[0] == 0
+            solved.append(counted[0] - counted[1])
+        assert same(*encs)
+        assert solved[0] == cells
+        assert solved[1] <= cells / 4
 
     @pytest.mark.parametrize("c", [1.3, 2.0, 4.0])
-    def test_eigenvectors_only_near_the_maximizer(self, c, monkeypatch):
+    def test_eigenvectors_only_near_the_maximizer_sifted_or_not(self, c, monkeypatch):
         n = 16
         M, value = shifted_jordan(9, n, c, phi=0.4321), c - math.cos(math.pi / (n + 1))
         opts = RadiusOptions()
-        # Round 0 alone: the cells pruned without eigenvectors still cap the
-        # enclosure soundly.
-        with monkeypatch.context() as patch:
-            patch.setattr(functionals, "DEFAULT_MAX_ROUNDS", 0)
-            counted = count_eigensolves(patch)
-            enc = crawford_number(M, opts)
         cells = (opts.grid_count + 1) // 2
-        assert counted[0] - counted[1] == cells
-        assert counted[1] < cells / 4
-        assert enc.lo <= value <= enc.hi
+        # Round 0 alone: the cells pruned without eigenvectors still cap the
+        # enclosure soundly.  With the round-0 sift off (its subgrid the
+        # whole grid) every cell is eigvalsh-solved; with it on the probe's
+        # points leave most cells unsolved, and the enclosure keeps its bits.
+        encs, solved = [], []
+        for subgrid in (cells, functionals._SUBGRID):
+            with monkeypatch.context() as patch:
+                patch.setattr(functionals, "DEFAULT_MAX_ROUNDS", 0)
+                patch.setattr(functionals, "_SUBGRID", subgrid)
+                counted = count_eigensolves(patch)
+                encs.append(crawford_number(M, opts))
+            assert counted[1] < cells / 4
+            assert encs[-1].lo <= value <= encs[-1].hi
+            solved.append(counted[0] - counted[1])
+        assert same(*encs)
+        assert solved[0] == cells
+        assert solved[1] < cells / 4
         full = crawford_number(M, opts)
         assert full.lo <= value <= full.hi
+
+
+class TestCrawfordSift:
+    @pytest.mark.parametrize("grid", [18, 33, 64, 256])
+    def test_sifted_rows_keep_their_bits(self, grid, monkeypatch):
+        # Against every round-0 cell solved: ranges holding 0 widely or
+        # barely, missing it barely or widely, shifted Ginibre matrices and
+        # extreme scales, in stacks of several sizes.
+        mats = []
+        for n in (3, 5, 8, 16):
+            r = math.cos(math.pi / (n + 1))
+            for k, c in enumerate((0.5 * r, r * (1 - 1e-9), r * (1 + 1e-9), 1.3 * r, 3.0)):
+                mats.append(shifted_jordan(10 * n + k, n, c, phi=0.2345 + 0.9 * k))
+        mats += [random_matrix(70 + n, n) / math.sqrt(2 * n) + (2.5 + 1j) * np.eye(n) for n in (3, 6, 12)]
+        mats += [random_matrix(80, 4) + (2.5 + 1j) * np.eye(4)]
+        mats += [scale * M for scale in (1e-8, 1e8) for M in mats[3::6]]
+        stacks, opts = as_stacks(mats), RadiusOptions(grid_count=grid)
+        counted = count_eigensolves(monkeypatch)
+        sifted = rows(radii_and_crawford_numbers([], stacks, opts)[1])
+        solved, counted[0] = counted[0], 0
+        monkeypatch.setattr(functionals, "_SUBGRID", grid)
+        whole = rows(radii_and_crawford_numbers([], stacks, opts)[1])
+        assert all(same(a, b) for a, b in zip(sifted, whole, strict=True))
+        assert solved < counted[0]
+
+    def test_hidden_jordan_solves_few_cells(self, monkeypatch):
+        # 64 round-0 cells at grid 128, every one eigvalsh-solved without
+        # the sift; the probe's eight points leave most of them.
+        n, c = 16, 1.5
+        counted = count_eigensolves(monkeypatch)
+        enc = crawford_number(shifted_jordan(12, n, c), RadiusOptions(grid_count=128))
+        assert counted[0] - counted[1] <= 24
+        assert enc.lo <= c - math.cos(math.pi / (n + 1)) <= enc.hi
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_point_bounds_cover_the_computed_values(self, seed):
+        # Normal matrices: the bottom eigenvector of H(t) is one eigenvector
+        # of M over whole arcs of t, so there the points bound equals the
+        # value but for rounding, which its pad covers.
+        rng = np.random.default_rng(seed)
+        ts = np.pi / 512 * np.arange(512)
+        for n in (3, 8, 16):
+            D = np.diag(rng.standard_normal(n) + 1j * rng.standard_normal(n) + 3.0)
+            for scale in (1.0, 1e-8, 1e8):
+                A = scale * hidden(seed + n, D)[None]
+                P, K = functionals._pencil(A)
+                L = np.array([spectral_norm(A[0])])
+                points = np.full((1, 8), np.nan, dtype=np.complex128)
+                functionals._holds_disk(A, P, K, np.zeros(1), points)
+                pencils = functionals._Pencils(P, K, L, A, points=points)
+                values = pencils._values(np.zeros(ts.size, dtype=np.intp), ts)
+                bounds = pencils._point_bounds(ts)[0]
+                assert (bounds >= values).all()
+                assert np.mean(bounds - values <= 1e-12 * (1.0 + L[0])) > 0.25
 
 
 def probe_results(monkeypatch) -> list:

@@ -3,10 +3,13 @@
 The runtime depends on numpy alone and the test extra adds pytest and
 hypothesis; anything else that happens to be installed (scipy, say) must
 not creep in through an import.  Modules of the package share only public
-names: none imports an underscore-named name from a sibling.
+names: none imports an underscore-named name from a sibling.  A radius
+call, a Crawford call and a catalog run leave numpy.ma unimported.
 """
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -47,3 +50,28 @@ def test_modules_import_no_private_names_from_siblings():
         if alias.name.startswith("_") and not alias.name.startswith("__")
     ]
     assert not private
+
+
+# Run in a fresh interpreter: numpy.ma costs about 10 ms and 2 MB to import.
+NO_MASKED_ARRAYS = """
+import sys
+import numpy as np
+import semiradius
+from semiradius.catalog import run_all
+from semiradius.sampler import SampleConfig, sample_bundle, sample_space
+
+rng = np.random.default_rng(0)
+for n in (8, 32):
+    semiradius.numerical_radius(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+U = np.linalg.qr(rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)))[0]
+semiradius.crawford_number(U @ (np.diag(np.ones(15), 1) + 1.5 * np.eye(16)) @ U.conj().T)
+space = sample_space(SampleConfig(dim=4, rank=3, master_seed=1))
+run_all(space, sample_bundle(space, seed=2))
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_solvers_and_catalog_leave_masked_arrays_unimported():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", NO_MASKED_ARRAYS], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.split() == ["False"]
