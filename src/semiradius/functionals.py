@@ -137,7 +137,11 @@ _SUBGRID = 8
 # Radius pencils of at least this size sift in two levels: they also solve
 # the cells of the subgrid of 2 _SUBGRID angles, which holds the first,
 # that the first level's bounds leave alive, before bounding the rest
-# (_Pencils._support_sift).  Campaign pencils (m <= 12) take one level.
+# (_Pencils._support_sift).  Measured on hidden Ginibre and shifted Jordan
+# matrices at the default grid, two levels take 0.96-0.98 of one level's
+# time at m = 16 and 0.81-0.88 at m = 20 to 32 (shifted Jordan blocks
+# alone: 1.00 at m = 20), and 0.98-1.01 at m = 8 and 12, where one more
+# eigensolve call costs about what it saves.
 _FINE_M = 16
 # Relative half-width assigned to directly computed (non-grid) values.
 _EXACT_ERR = 1e-13
@@ -967,6 +971,7 @@ def _crawford_direct(M: np.ndarray, rows: np.ndarray, out: Enclosures, hw: float
     # of its edge distances (about 6 eps |M|).  Those pads add up to about
     # (2m + 20) eps (1 + L); (4m + 40) eps (1 + L) doubles them.
     threshold = math.tan(hw) * L + (_PRUNE_MARGIN / math.cos(hw) + _EVAL_ERR + (4 * m + 40) * _EPS) * one
+    # Filled by _holds_disk through the views _in_chunks passes it.
     points = np.full((M.shape[0], 8), np.nan, dtype=np.complex128)
     inside = _in_chunks(max(1, _CHUNK_BYTES // (64 * m * m)), _holds_disk, M, P, K, threshold, points)
     fired = rows[inside]
