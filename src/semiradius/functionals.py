@@ -139,9 +139,9 @@ _SUBGRID = 8
 # that the first level's bounds leave alive, before bounding the rest
 # (_Pencils._support_sift).  Measured on hidden Ginibre and shifted Jordan
 # matrices at the default grid, two levels take 0.96-0.98 of one level's
-# time at m = 16 and 0.81-0.88 at m = 20 to 32 (shifted Jordan blocks
-# alone: 1.00 at m = 20), and 0.98-1.01 at m = 8 and 12, where one more
-# eigensolve call costs about what it saves.
+# time at m = 16 in five runs of six (1.035 in one), 0.81-0.93 at m = 20
+# to 32 (shifted Jordan blocks alone: 1.00 at m = 20), and 0.98-1.04 at
+# m = 8 and 12, where one more eigensolve call costs about what it saves.
 _FINE_M = 16
 # Relative half-width assigned to directly computed (non-grid) values.
 _EXACT_ERR = 1e-13
