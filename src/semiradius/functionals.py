@@ -588,7 +588,7 @@ class _Pencils:
         low = support.min(axis=1)[:, None]
         flat = (low >= 0.0) & ((low + pad) / cos >= top)
         left, right, wl, wr = lines
-        n = left.size // 2
+        n = other.size
         if flat.all():
             return np.ones((flat.size, n), dtype=bool)
         bound = support[:, left] * wl + support[:, right] * wr
