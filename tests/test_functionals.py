@@ -479,7 +479,7 @@ class TestCrawfordWork:
         assert counted[0] == counted[1] == 4
         assert scans[0] == 0
 
-    def test_narrow_disk_about_zero_prunes_without_eigenvectors_sifted_or_not(self, monkeypatch):
+    def test_narrow_disk_either_way_prunes_without_eigenvectors(self, monkeypatch):
         # The range, the disk of radius r about 0.95 r exp(i pi / 8), holds
         # 0, but 0 lies outside the probe's octagon, whose edge facing it is
         # r cos(pi / 8) from the center: the search runs, and every cell's
@@ -507,7 +507,7 @@ class TestCrawfordWork:
         assert solved[1] <= cells / 4
 
     @pytest.mark.parametrize("c", [1.3, 2.0, 4.0])
-    def test_eigenvectors_only_near_the_maximizer_sifted_or_not(self, c, monkeypatch):
+    def test_eigenvectors_only_near_the_maximizer_either_way(self, c, monkeypatch):
         n = 16
         M, value = shifted_jordan(9, n, c, phi=0.4321), c - math.cos(math.pi / (n + 1))
         opts = RadiusOptions()
