@@ -34,12 +34,11 @@ max(0, maximum of max(lambda_min, -lambda_max)).
   "Numerical determination of the field of values of a general complex
   matrix", SIAM J. Numer. Anal. 15, 1978).  Pencils of at least _FINE_M
   rows then solve the cells of a subgrid twice as fine that those bounds
-  leave alive and bound the rest again from them; a matrix whose subgrid
-  support values show that no bound could leave a cell (a flat objective)
-  solves every cell without the bounds.  For the Crawford number, the
-  probe's eight attained points q_j (below) bound lambda_min(H(t)) from
-  above by min_j Re(exp(it) q_j) and lambda_max(H(t)) from below by
-  max_j Re(exp(it) q_j), and with them the cell's value;
+  leave alive and bound the rest again from them.  For the Crawford
+  number, the probe's eight attained points q_j (below) bound
+  lambda_min(H(t)) from above by min_j Re(exp(it) q_j) and
+  lambda_max(H(t)) from below by max_j Re(exp(it) q_j), and with them the
+  cell's value;
 * the Lipschitz cap value + |M| * w is implied: with at least four grid
   angles w is about pi/4 at most, where no rotation cap exceeds it;
 * a radius matrix whose objective is flat on the initial grid, so that
@@ -451,7 +450,8 @@ def _runs(seg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class _Pencils:
     """The matrices of one size and one functional in a search: float
     views of their parts P and K, their spectral norms, and for the
-    Crawford search the matrices themselves.
+    Crawford search (crawford) the matrices themselves and the probe's
+    eight attained points y* M y of each (_holds_disk).
 
     Radius matrices [[0, X], [Y, 0]] may be marked antidiagonal: then H(t)
     is [[0, Z(t)], [Z(t)*, 0]], whose eigenvalues are +-sigma(Z(t)), so
@@ -459,16 +459,14 @@ class _Pencils:
     from the r x r matrices Z* Z instead of 2r x 2r eigensolves.
     """
 
-    def __init__(self, P: np.ndarray, K: np.ndarray, norms, A=None, antidiagonal: bool = False, points=None):
+    def __init__(self, P: np.ndarray, K: np.ndarray, norms, crawford=None, antidiagonal: bool = False):
         if antidiagonal:
             r = P.shape[1] // 2
             P, K = np.ascontiguousarray(P[:, :r, r:]), np.ascontiguousarray(K[:, :r, r:])
         self.antidiagonal = antidiagonal
         self.m = P.shape[1]
-        self.Pv, self.Kv, self.A, self.L = P.view(np.float64), K.view(np.float64), A, norms
-        # Crawford matrices: the probe's attained points y* M y (_holds_disk),
-        # NaN where it computed none.
-        self.points = points
+        self.Pv, self.Kv, self.L = P.view(np.float64), K.view(np.float64), norms
+        self.A, self.points = (None, None) if crawford is None else crawford
         # Cells per eigensolve call or quadratic-form batch, so that the
         # per-cell matrices built at once stay within _CHUNK_BYTES.
         self.step = max(1, _CHUNK_BYTES // (16 * self.m * self.m))
@@ -494,7 +492,7 @@ class _Pencils:
         from its eigenvalues alone: its value is -inf, so it sets no lower
         bound.  At round 0 (first), the cells go through _sifted, whose
         unsolved cells get value -inf and cap -inf."""
-        v = self._sifted(seg, ts, hw, lower) if first else self._values(seg, ts)
+        v = self._sifted(seg, ts, hw) if first else self._values(seg, ts)
         if self.A is None:
             return v, v / np.cos(hw)
         # Every curve of bound() has amplitude |y* M y| <= |M| and passes at
@@ -522,7 +520,7 @@ class _Pencils:
         wmin, wmax = self.extremes(seg, ts)
         return np.maximum(wmax, -wmin) if self.A is None else np.maximum(wmin, -wmax)
 
-    def _sifted(self, seg: np.ndarray, ts: np.ndarray, hw: float, lower: np.ndarray) -> np.ndarray:
+    def _sifted(self, seg: np.ndarray, ts: np.ndarray, hw: float) -> np.ndarray:
         """Values of the round-0 cells (seg, ts) of half-width hw: every
         matrix's cells, in order, at the same angles h j.  The _SUBGRID
         cells are solved first; every other cell's value is bounded from
@@ -547,7 +545,7 @@ class _Pencils:
             alive = self._support_sift(ts, hw, vals, wmin, wmax, other, lines)
         else:
             vals[:, known] = np.maximum(wmin, -wmax)
-            alive = self._point_sift(ts[other], hw, vals, lower)
+            alive = self._point_sift(ts[other], hw, vals)
         mats, cols = np.nonzero(alive)
         if mats.size:
             vals[mats, other[cols]] = self._values(mats, ts[other[cols]])
@@ -571,28 +569,16 @@ class _Pencils:
         the largest value solved is left unsolved.  The weights are >= 0, so
         upper bounds of h(s1) and h(s2) in place of the values bound h(t)
         too: the finer subgrid's directions left unsolved enter its vertex
-        bounds with their first-level bounds.
-
-        A matrix whose smallest subgrid support value is >= 0 and, padded,
-        over cos(hw) reaches the largest value solves every cell without
-        the bounds: the weights sum to cos((s1 + s2) / 2 - t) / cos(D / 2)
-        >= 1 (D = s2 - s1), so every bound would leave its cell alive, up to
-        rounding, and solving a cell a bound would leave keeps the bits.
-        Matrices with flat objectives (disk-shaped ranges about 0) are
-        such."""
+        bounds with their first-level bounds."""
         scale = math.sqrt(_EVAL_ERR) if self.antidiagonal else _EVAL_ERR
         pad = _SUPPORT_PAD * scale * (1.0 + self.L)[:, None]
         cos = np.cos(hw)
         top = vals.max(axis=1)[:, None]
         support = np.concatenate([wmax, -wmin, wmax[:, :1]], axis=1)
-        low = support.min(axis=1)[:, None]
-        flat = (low >= 0.0) & ((low + pad) / cos >= top)
         left, right, wl, wr = lines
         n = other.size
-        if flat.all():
-            return np.ones((flat.size, n), dtype=bool)
         bound = support[:, left] * wl + support[:, right] * wr
-        alive = flat | ((np.maximum(bound[:, :n], bound[:, n:]) + pad) / cos >= top)
+        alive = (np.maximum(bound[:, :n], bound[:, n:]) + pad) / cos >= top
         if self.m < _FINE_M or vals.shape[1] <= 2 * _SUBGRID:
             return alive
         new, rest, left, right, wl, wr = _fine_plan(vals.shape[1])
@@ -600,7 +586,7 @@ class _Pencils:
         # direction again: the subgrid's support values at the even columns,
         # the first level's bounds, or the values solved, at the odd ones.
         c = wmax.shape[1]
-        fine = np.empty((flat.size, 4 * c + 1))
+        fine = np.empty((vals.shape[0], 4 * c + 1))
         fine[:, 0 : 2 * c : 2], fine[:, 2 * c : 4 * c : 2] = wmax, -wmin
         fine[:, 1 : 2 * c : 2], fine[:, 2 * c + 1 : 4 * c : 2] = bound[:, new], bound[:, n + new]
         mats, cols = np.nonzero(alive[:, new])
@@ -614,24 +600,23 @@ class _Pencils:
         fine[:, 4 * c] = fine[:, 0]
         bound = fine[:, left] * wl + fine[:, right] * wr
         n = rest.size
-        alive[:, rest] &= flat | ((np.maximum(bound[:, :n], bound[:, n:]) + pad) / cos >= top)
+        alive[:, rest] &= (np.maximum(bound[:, :n], bound[:, n:]) + pad) / cos >= top
         return alive
 
-    def _point_sift(self, ts: np.ndarray, hw: float, vals: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    def _point_sift(self, ts: np.ndarray, hw: float, vals: np.ndarray) -> np.ndarray:
         """Which round-0 Crawford cells at the angles ts to solve, a (k,
-        cells) mask, from the subgrid's values in vals and the running
-        lower bounds: those whose eigenvalue-only cap from the bound of
-        _point_bounds could reach the subgrid's floor."""
+        cells) mask, from the subgrid's values in vals: those whose
+        eigenvalue-only cap from the bound of _point_bounds could reach the
+        subgrid's floor (round 0 starts from no lower bound)."""
         L = self.L[:, None]
-        floor = np.maximum(np.maximum(lower, 0.0), vals.max(axis=1))[:, None]
+        floor = np.maximum(vals.max(axis=1), 0.0)[:, None]
         # The cap and pruning test of evaluate, from a value no smaller than
         # the cell's.
-        return ~(self._point_bounds(ts) * np.cos(hw) + L * np.sin(hw) + _PRUNE_MARGIN * (1.0 + L) <= floor)
+        return self._point_bounds(ts) * np.cos(hw) + L * np.sin(hw) + _PRUNE_MARGIN * (1.0 + L) > floor
 
     def _point_bounds(self, ts: np.ndarray) -> np.ndarray:
         """Upper bounds of the Crawford values of H at the angles ts, a (k,
-        cells) array, from the probe's attained points, padded (_POINT_PAD);
-        NaN for NaN points.
+        cells) array, from the probe's attained points, padded (_POINT_PAD).
 
         A point q = y* M y of the range, y a unit vector, has
         y* H(t) y = Re(exp(it) q), so lambda_min(H(t)) <= min_j Re(exp(it) q_j)
@@ -971,9 +956,7 @@ def _crawford_direct(M: np.ndarray, rows: np.ndarray, out: Enclosures, hw: float
     # of its edge distances (about 6 eps |M|).  Those pads add up to about
     # (2m + 20) eps (1 + L); (4m + 40) eps (1 + L) doubles them.
     threshold = math.tan(hw) * L + (_PRUNE_MARGIN / math.cos(hw) + _EVAL_ERR + (4 * m + 40) * _EPS) * one
-    # Filled by _holds_disk through the views _in_chunks passes it.
-    points = np.full((M.shape[0], 8), np.nan, dtype=np.complex128)
-    inside = _in_chunks(max(1, _CHUNK_BYTES // (64 * m * m)), _holds_disk, M, P, K, threshold, points)
+    inside, points = _in_chunks(max(1, _CHUNK_BYTES // (64 * m * m)), _holds_disk, M, P, K, threshold)
     fired = rows[inside]
     out.lo[fired], out.hi[fired], out.code[fired] = 0.0, E[inside], METHODS.index("grid")
     rest = ~inside
@@ -986,10 +969,10 @@ def _crawford_direct(M: np.ndarray, rows: np.ndarray, out: Enclosures, hw: float
 _POLYGON = np.array([1, 6, 4, 2, 0, 7, 5, 3, 1])
 
 
-def _holds_disk(M, P, K, threshold, points) -> np.ndarray:
+def _holds_disk(M, P, K, threshold) -> tuple[np.ndarray, np.ndarray]:
     """Whether the range of each matrix of a stack provably holds the disk
-    of its threshold's radius about 0, from eight attained points, which
-    it writes into the rows of points.
+    of its threshold's radius about 0, from eight attained points, and
+    those points, a (k, 8) array.
 
     The top eigenvector y of H(t) attains the support point q = y* M y of
     the range whose outward normal is -t, the bottom one the point whose
@@ -1009,7 +992,6 @@ def _holds_disk(M, P, K, threshold, points) -> np.ndarray:
     _, _, ymin, ymax = _extremes(H, vectors=True)
     Y = np.concatenate([ymin, ymax], axis=1).reshape(k, 8, m)[:, _POLYGON]
     q = np.add.reduce(Y.conj() * (Y @ np.swapaxes(M, 1, 2)), axis=2)
-    points[...] = q[:, :-1]
     # Im(conj(a) e) is the signed distance from 0 to the line of the edge
     # from a along e, positive on its left, times |e|: within a few
     # eps |a| |e| of it, however short the edge.
@@ -1017,7 +999,8 @@ def _holds_disk(M, P, K, threshold, points) -> np.ndarray:
     e = q[:, 1:] - a
     length = np.abs(e)
     cross = (a.conj() * e).imag
-    return ((cross > threshold[:, None] * length) | (length == 0.0)).all(axis=1) & length.any(axis=1)
+    inside = ((cross > threshold[:, None] * length) | (length == 0.0)).all(axis=1) & length.any(axis=1)
+    return inside, a
 
 
 def _mc_unit_rows(rng, count: int, dim: int) -> np.ndarray:
@@ -1102,7 +1085,7 @@ def radii_and_crawford_numbers(radius_stacks, crawford_stacks, opts: RadiusOptio
         M = A[rest]
         pos, P, K, L, points = _crawford_direct(M, rows[rest], out, hw)
         if pos.size:
-            searches.append((_Pencils(P, K, L, M[pos], points=points), rows[rest[pos]]))
+            searches.append((_Pencils(P, K, L, (M[pos], points)), rows[rest[pos]]))
     if searches:
         groups, targets = zip(*searches)
         L, rows = np.concatenate([g.L for g in groups]), np.concatenate(targets)

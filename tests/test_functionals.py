@@ -456,11 +456,22 @@ def count_cap_scans(monkeypatch) -> list:
     return scans
 
 
+def probe_off(monkeypatch) -> None:
+    """Patch the Crawford probe to fire on no matrix and solve nothing, and
+    the round-0 sift, which would read its points (NaN), off."""
+
+    def firing_on_none(M, *args):
+        return np.zeros(len(M), dtype=bool), np.full((len(M), 8), np.nan)
+
+    monkeypatch.setattr(functionals, "_holds_disk", firing_on_none)
+    monkeypatch.setattr(functionals, "_SUBGRID", 1 << 30)
+
+
 class TestCrawfordWork:
     def test_range_containing_zero_solves_no_eigenvectors(self, monkeypatch):
         # With the probe off, the search itself: every cell's eigenvalue-only
         # cap stays below the floor 0.
-        monkeypatch.setattr(functionals, "_holds_disk", lambda M, *args: np.zeros(len(M), dtype=bool))
+        probe_off(monkeypatch)
         counted = count_eigensolves(monkeypatch)
         scans = count_cap_scans(monkeypatch)
         enc = crawford_number(random_matrix(16, 16))
@@ -578,9 +589,8 @@ class TestCrawfordSift:
                 A = scale * hidden(seed + n, D)[None]
                 P, K = functionals._pencil(A)
                 L = np.array([spectral_norm(A[0])])
-                points = np.full((1, 8), np.nan, dtype=np.complex128)
-                functionals._holds_disk(A, P, K, np.zeros(1), points)
-                pencils = functionals._Pencils(P, K, L, A, points=points)
+                _, points = functionals._holds_disk(A, P, K, np.zeros(1))
+                pencils = functionals._Pencils(P, K, L, (A, points))
                 values = pencils._values(np.zeros(ts.size, dtype=np.intp), ts)
                 bounds = pencils._point_bounds(ts)[0]
                 assert (bounds >= values).all()
@@ -593,9 +603,9 @@ def probe_results(monkeypatch) -> list:
     probe = functionals._holds_disk
 
     def recording(*args):
-        inside = probe(*args)
+        inside, points = probe(*args)
         verdicts.append(inside)
-        return inside
+        return inside, points
 
     monkeypatch.setattr(functionals, "_holds_disk", recording)
     return verdicts
@@ -630,7 +640,7 @@ class TestCrawfordProbe:
             assert fired.any()
         assert not fired.all()
         # A probe that fires on nothing leaves every matrix to the search.
-        monkeypatch.setattr(functionals, "_holds_disk", lambda M, *args: np.zeros(len(M), dtype=bool))
+        probe_off(monkeypatch)
         searched = rows(radii_and_crawford_numbers([], stacks, opts)[1])
         for a, b in zip(probed, searched, strict=True):
             assert (a.lo.hex(), a.hi.hex(), a.method) == (b.lo.hex(), b.hi.hex(), b.method)
