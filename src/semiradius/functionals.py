@@ -32,13 +32,15 @@ max(0, maximum of max(lambda_min, -lambda_max)).
   angles and at those plus pi, and between two such angles the convex
   range keeps h below the vertex of their support lines (C. R. Johnson,
   "Numerical determination of the field of values of a general complex
-  matrix", SIAM J. Numer. Anal. 15, 1978).  Pencils of at least _FINE_M
-  rows then solve the cells of a subgrid twice as fine that those bounds
-  leave alive and bound the rest again from them.  For the Crawford
+  matrix", SIAM J. Numer. Anal. 15, 1978).  The bound holds for upper
+  bounds of h in place of its values, so its levels run as one loop:
+  pencils of at least _FINE_M rows also solve the cells of a subgrid twice
+  as fine that the first level leaves alive, and bound the rest again
+  from the values solved and the first level's bounds.  For the Crawford
   number, the probe's eight attained points q_j (below) bound
   lambda_min(H(t)) from above by min_j Re(exp(it) q_j) and
   lambda_max(H(t)) from below by max_j Re(exp(it) q_j), and with them the
-  cell's value;
+  cell's value and its eigenvalue-only cap;
 * the Lipschitz cap value + |M| * w is implied: with at least four grid
   angles w is about pi/4 at most, where no rotation cap exceeds it;
 * a radius matrix whose objective is flat on the initial grid, so that
@@ -50,16 +52,16 @@ max(0, maximum of max(lambda_min, -lambda_max)).
   bound.  Z is fitted to the round-0 eigenvectors, and a flat matrix
   whose certificate meets its gap leaves the search at round 0; the
   others refine as before;
-* a Crawford matrix whose range provably holds a disk about 0 so wide that
-  round 0 would prune every cell by its eigenvalue-only cap never enters
-  the search (_crawford_direct).  The bottom and top eigenvectors y of H(t)
-  at t = k pi / 4 give eight attained points y* M y, whose polygon the
-  convex range holds; when 0 lies further than
-  (|M| sin(w) + margin (1 + |M|)) / cos(w) + E, plus pads for rounding that
-  grow with m, to the left of each of its edges (w the round-0 half-width,
-  E the evaluation pad), the matrix gets the enclosure [0, E] the search
-  would give it, from 4 eigensolves instead of the round-0 grid.  The
-  other matrices take their points into the search's round 0.
+* a Crawford matrix whose round 0 would prune every cell by its
+  eigenvalue-only cap never enters the search (_crawford_direct).  The
+  bottom and top eigenvectors y of H(t) at t = k pi / 4 give eight
+  attained points y* M y, and their bound (above), padded for rounding,
+  caps every round-0 cell with the margin the search prunes by; when no
+  such cap exceeds 0, the matrix gets the enclosure [0, E] the search
+  would give it (E the evaluation pad), from 4 eigensolves instead of the
+  round-0 grid.  The other matrices take their caps into the search's
+  round 0, which solves only the cells whose cap exceeds the subgrid's
+  floor.
 
 Cells whose cap cannot beat the running lower bound are pruned; surviving
 cells are subdivided until the enclosure gap meets the target or the round
@@ -197,9 +199,9 @@ _PRUNE_MARGIN = 8 * _EVAL_ERR
 # enclosures keep their bits.
 _SUPPORT_PAD = 8.0
 # Pad, in units of a matrix's evaluation error E = _EVAL_ERR (1 + |M|), by
-# which the points bound of a round-0 Crawford cell (_Pencils._point_sift)
-# is raised, with (4m + 16) eps (1 + |M|) more for the points, before its
-# eigenvalue-only cap is tested against the subgrid's floor.  Each point
+# which the points bound of a round-0 Crawford cell (_point_bounds) is
+# raised, with (4m + 16) eps (1 + |M|) more for the points, before its
+# eigenvalue-only cap is taken from it (_crawford_direct).  Each point
 # q = y* M y is within about 2m eps (1 + |M|) of the Rayleigh quotient of
 # its computed vector y, a point of the range (m eps |M| in the sums, as
 # much from |y|^2 - 1).  At a cell's angle, the computed cos and sin c, s
@@ -212,14 +214,18 @@ _SUPPORT_PAD = 8.0
 # the sum with the pad rounds by an eps more; 2 E + (4m + 16) eps (1 + |M|)
 # doubles that.  The cap and test of _Pencils.evaluate, computed from a
 # value no smaller than the cell's, are no smaller than the cell's own, as
-# rounding is monotone; so a cell left unsolved would be pruned against
-# the floor, which is at least the subgrid's.  Its value is below that
-# floor F >= 0 too: a value v > F would give a cap v cos(hw) + |M| sin(hw)
-# >= v - E sin(hw) (|M| >= v - E, cos + sin >= 1), above F - margin.  So
-# the floor, the candidates and lo after round 0 are those of solving
-# every cell, and the cell's cap (-inf, not a value below the floor by the
-# margin) changes only upper ends below 0, which the caller clamps at 0:
-# enclosures keep their bits.
+# rounding is monotone; so a cell whose such cap does not exceed a floor
+# would be pruned against it.  Every floor is at least 0: a matrix none of
+# whose caps exceeds 0 has every cell pruned, and _crawford_direct writes
+# the enclosure its search would.  In the round-0 sift a cell whose cap
+# does not exceed the subgrid's floor F = max(subgrid values, 0) is left
+# unsolved: it would be pruned against the floor, which is at least F, and
+# its value is below F too, as a value v > F would give a cap
+# v cos(hw) + |M| sin(hw) >= v - E sin(hw) (|M| >= v - E, cos + sin >= 1),
+# above F - margin.  So the floor, the candidates and lo after round 0 are
+# those of solving every cell, and the cell's cap (-inf, not a value below
+# the floor by the margin) changes only upper ends below 0, which the
+# caller clamps at 0: enclosures keep their bits.
 _POINT_PAD = 2.0
 _MC_CHUNK = 1 << 13
 # Relative distance from the top within which eigenvalues of a dual
@@ -450,8 +456,8 @@ def _runs(seg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class _Pencils:
     """The matrices of one size and one functional in a search: float
     views of their parts P and K, their spectral norms, and for the
-    Crawford search (crawford) the matrices themselves and the probe's
-    eight attained points y* M y of each (_holds_disk).
+    Crawford search (crawford) the matrices themselves and the caps of
+    their round-0 cells from the probe's points (_crawford_direct).
 
     Radius matrices [[0, X], [Y, 0]] may be marked antidiagonal: then H(t)
     is [[0, Z(t)], [Z(t)*, 0]], whose eigenvalues are +-sigma(Z(t)), so
@@ -466,7 +472,7 @@ class _Pencils:
         self.antidiagonal = antidiagonal
         self.m = P.shape[1]
         self.Pv, self.Kv, self.L = P.view(np.float64), K.view(np.float64), norms
-        self.A, self.points = (None, None) if crawford is None else crawford
+        self.A, self.caps = (None, None) if crawford is None else crawford
         # Cells per eigensolve call or quadratic-form batch, so that the
         # per-cell matrices built at once stay within _CHUNK_BYTES.
         self.step = max(1, _CHUNK_BYTES // (16 * self.m * self.m))
@@ -523,9 +529,10 @@ class _Pencils:
     def _sifted(self, seg: np.ndarray, ts: np.ndarray, hw: float) -> np.ndarray:
         """Values of the round-0 cells (seg, ts) of half-width hw: every
         matrix's cells, in order, at the same angles h j.  The _SUBGRID
-        cells are solved first; every other cell's value is bounded from
-        above (_support_sift, _point_sift), and a cell whose bound proves it
-        pruned is not solved and gets -inf, so it sets no lower bound and
+        cells are solved first; a cell that a bound from them proves pruned
+        (_support_sift for the radius; for the Crawford number, a cap from
+        the probe's points, in caps, that does not exceed the subgrid's
+        floor) is not solved and gets -inf, so it sets no lower bound and
         survives no pruning.
 
         Only round 0 is sifted: there each matrix's subgrid is solved.  A
@@ -536,97 +543,59 @@ class _Pencils:
         if half <= _SUBGRID or self.m == 2:
             # 2 x 2 extremes come in closed form, cheaper than the bounds.
             return self._values(seg, ts)
-        known, other, *lines = _sift_plan(half, _SUBGRID)
         ts = ts[:half]
-        wmin, wmax = (w.reshape(k, -1) for w in self.extremes(np.arange(k).repeat(known.size), np.tile(ts[known], k)))
         vals = np.full((k, half), -np.inf)
         if self.A is None:
-            vals[:, known] = np.maximum(wmax, -wmin)
-            alive = self._support_sift(ts, hw, vals, wmin, wmax, other, lines)
+            alive = self._support_sift(ts, hw, vals)
         else:
-            vals[:, known] = np.maximum(wmin, -wmax)
-            alive = self._point_sift(ts[other], hw, vals)
-        mats, cols = np.nonzero(alive)
+            known = _sift_plan(half, _SUBGRID)[0]
+            vals[:, known] = self._values(np.arange(k).repeat(known.size), np.tile(ts[known], k)).reshape(k, -1)
+            # Round 0 starts from no lower bound.
+            alive = self.caps > np.maximum(vals.max(axis=1), 0.0)[:, None]
+            alive[:, known] = False
+        mats, cells = np.nonzero(alive)
         if mats.size:
-            vals[mats, other[cols]] = self._values(mats, ts[other[cols]])
+            vals[mats, cells] = self._values(mats, ts[cells])
         return vals.ravel()
 
-    def _support_sift(self, ts, hw, vals, wmin, wmax, other, lines) -> np.ndarray:
-        """Which round-0 radius cells other to solve, a (k, cells) mask,
-        from the subgrid's extremes wmin, wmax and values in vals.
-        Pencils of at least _FINE_M rows first solve, into vals, the cells
-        of the subgrid of 2 _SUBGRID angles left alive.
+    def _support_sift(self, ts: np.ndarray, hw: float, vals: np.ndarray) -> np.ndarray:
+        """Which round-0 radius cells at the angles ts to solve, a (k, half)
+        mask, once the cells of the subgrid of _SUBGRID angles, and for
+        pencils of at least _FINE_M rows those of the subgrid of 2 _SUBGRID
+        angles that the first level leaves alive, are solved into vals.
 
         lambda_max(H(s)) is the support function h(s) of the range W(M), and
-        -lambda_min(H(s)) = h(s + pi).  The subgrid's eigenvalues give h at
-        its angles and at those plus pi: the known directions of the doubled
-        circle.  For t between known s1 < s2 (s2 - s1 < pi), convexity of W
-        puts its support line at t below the vertex of those at s1 and s2
-        (Johnson 1978):
+        -lambda_min(H(s)) = h(s + pi): each solved cell gives h at two
+        directions of the doubled circle.  For t between known s1 < s2
+        (s2 - s1 < pi), convexity of W puts its support line at t below the
+        vertex of those at s1 and s2 (Johnson 1978):
             h(t) <= (h(s1) sin(s2 - t) + h(s2) sin(t - s1)) / sin(s2 - s1),
         which bounds the value max(h(t), h(t + pi)) of the cell at t.  A
         cell whose bound, padded (_SUPPORT_PAD), over cos(hw) stays below
         the largest value solved is left unsolved.  The weights are >= 0, so
         upper bounds of h(s1) and h(s2) in place of the values bound h(t)
-        too: the finer subgrid's directions left unsolved enter its vertex
-        bounds with their first-level bounds."""
-        scale = math.sqrt(_EVAL_ERR) if self.antidiagonal else _EVAL_ERR
-        pad = _SUPPORT_PAD * scale * (1.0 + self.L)[:, None]
+        too: support holds, at the directions h p, p = 0 .. 2 half (the
+        last the first a full turn on), the values solved or the bounds of
+        the level before."""
+        k, half = vals.shape
+        pad = _SUPPORT_PAD * (math.sqrt(_EVAL_ERR) if self.antidiagonal else _EVAL_ERR) * (1.0 + self.L)[:, None]
         cos = np.cos(hw)
-        top = vals.max(axis=1)[:, None]
-        support = np.concatenate([wmax, -wmin, wmax[:, :1]], axis=1)
-        left, right, wl, wr = lines
-        n = other.size
-        bound = support[:, left] * wl + support[:, right] * wr
-        alive = (np.maximum(bound[:, :n], bound[:, n:]) + pad) / cos >= top
-        if self.m < _FINE_M or vals.shape[1] <= 2 * _SUBGRID:
-            return alive
-        new, rest, left, right, wl, wr = _fine_plan(vals.shape[1])
-        # Bounds of h at the finer subgrid, at it plus pi, then at its first
-        # direction again: the subgrid's support values at the even columns,
-        # the first level's bounds, or the values solved, at the odd ones.
-        c = wmax.shape[1]
-        fine = np.empty((vals.shape[0], 4 * c + 1))
-        fine[:, 0 : 2 * c : 2], fine[:, 2 * c : 4 * c : 2] = wmax, -wmin
-        fine[:, 1 : 2 * c : 2], fine[:, 2 * c + 1 : 4 * c : 2] = bound[:, new], bound[:, n + new]
-        mats, cols = np.nonzero(alive[:, new])
-        if mats.size:
-            cells = other[new[cols]]
-            wmin, wmax = self.extremes(mats, ts[cells])
-            vals[mats, cells] = np.maximum(wmax, -wmin)
-            alive[mats, new[cols]] = False
-            fine[mats, 2 * cols + 1], fine[mats, 2 * c + 2 * cols + 1] = wmax, -wmin
-            top = vals.max(axis=1)[:, None]
-        fine[:, 4 * c] = fine[:, 0]
-        bound = fine[:, left] * wl + fine[:, right] * wr
-        n = rest.size
-        alive[:, rest] &= (np.maximum(bound[:, :n], bound[:, n:]) + pad) / cos >= top
+        support = np.empty((k, 2 * half + 1))
+        alive = np.ones((k, half), dtype=bool)
+        for count in (_SUBGRID, 2 * _SUBGRID) if self.m >= _FINE_M and half > 2 * _SUBGRID else (_SUBGRID,):
+            known, other, p, p1, p2, w1, w2 = _sift_plan(half, count)
+            mats, cols = np.nonzero(alive[:, known])
+            if mats.size:
+                cells = known[cols]
+                wmin, wmax = self.extremes(mats, ts[cells])
+                vals[mats, cells] = np.maximum(wmax, -wmin)
+                support[mats, cells], support[mats, cells + half] = wmax, -wmin
+            alive[:, known] = False
+            support[:, -1] = support[:, 0]
+            support[:, p] = bound = support[:, p1] * w1 + support[:, p2] * w2
+            n = other.size
+            alive[:, other] &= (np.maximum(bound[:, :n], bound[:, n:]) + pad) / cos >= vals.max(axis=1)[:, None]
         return alive
-
-    def _point_sift(self, ts: np.ndarray, hw: float, vals: np.ndarray) -> np.ndarray:
-        """Which round-0 Crawford cells at the angles ts to solve, a (k,
-        cells) mask, from the subgrid's values in vals: those whose
-        eigenvalue-only cap from the bound of _point_bounds could reach the
-        subgrid's floor (round 0 starts from no lower bound)."""
-        L = self.L[:, None]
-        floor = np.maximum(vals.max(axis=1), 0.0)[:, None]
-        # The cap and pruning test of evaluate, from a value no smaller than
-        # the cell's.
-        return self._point_bounds(ts) * np.cos(hw) + L * np.sin(hw) + _PRUNE_MARGIN * (1.0 + L) > floor
-
-    def _point_bounds(self, ts: np.ndarray) -> np.ndarray:
-        """Upper bounds of the Crawford values of H at the angles ts, a (k,
-        cells) array, from the probe's attained points, padded (_POINT_PAD).
-
-        A point q = y* M y of the range, y a unit vector, has
-        y* H(t) y = Re(exp(it) q), so lambda_min(H(t)) <= min_j Re(exp(it) q_j)
-        and lambda_max(H(t)) >= max_j Re(exp(it) q_j): the value
-        max(lambda_min, -lambda_max) is at most the larger of the first and
-        minus the second."""
-        q = self.points[:, None, :]
-        forms = q.real * np.cos(ts)[:, None] - q.imag * np.sin(ts)[:, None]
-        pad = (_POINT_PAD * _EVAL_ERR + (4 * self.m + 16) * _EPS) * (1.0 + self.L)
-        return np.maximum(forms.min(axis=2), -forms.max(axis=2)) + pad[:, None]
 
     def _forms(self, seg: np.ndarray, *Ys: np.ndarray) -> tuple:
         """y* M y for each cell's matrix M and its vector y in each of Ys."""
@@ -720,37 +689,20 @@ def _equalizing_step(w: np.ndarray, V: np.ndarray, m: int) -> np.ndarray:
 def _sift_plan(half: int, count: int) -> tuple:
     """What round 0 of half cells sifts with count subgrid angles (count <
     half): the subgrid's cells, the other cells, and for each of the other
-    cells' directions t, then t + pi, its known neighbours s1 < t < s2 (as
-    columns of the support values at the subgrid, at the subgrid plus pi,
-    then at the first again a full turn on) and their weights
-    sin(s2 - t) / sin(s2 - s1) and sin(t - s1) / sin(s2 - s1)."""
+    cells' directions t, then t + pi, its position and those of its known
+    neighbours s1 < t < s2 (p of angle h p on the doubled circle, 0 to
+    2 half) and their weights sin(s2 - t) / sin(s2 - s1) and
+    sin(t - s1) / sin(s2 - s1)."""
     known = np.arange(count) * half // count
     other = np.delete(np.arange(half), known)
-    # Positions p, of angle h p, of the known directions on the doubled
-    # circle.
+    # The known directions, then the first again a full turn on.
     pos = np.concatenate([known, known + half, [2 * half]])
     p = np.concatenate([other, other + half])
     right = np.searchsorted(pos, p)
     p1, p2 = pos[right - 1], pos[right]
     h = np.pi / half
     span = np.sin(h * (p2 - p1))
-    plan = (known, other, right - 1, right, np.sin(h * (p2 - p)) / span, np.sin(h * (p - p1)) / span)
-    for a in plan:
-        a.flags.writeable = False
-    return plan
-
-
-@functools.lru_cache(maxsize=16)
-def _fine_plan(half: int) -> tuple:
-    """The second level of a round-0 radius sift of half > 2 _SUBGRID cells:
-    the positions, among the first level's other cells, of the directions
-    that the subgrid of 2 _SUBGRID angles adds to the first (its odd ones;
-    its even ones, 2 i half // (2 _SUBGRID), are i half // _SUBGRID) and of
-    the cells off it, then _sift_plan's neighbours and weights for the
-    latter."""
-    other = _sift_plan(half, _SUBGRID)[1]
-    fine, rest, *lines = _sift_plan(half, 2 * _SUBGRID)
-    plan = (np.searchsorted(other, fine[1::2]), np.searchsorted(other, rest), *lines)
+    plan = (known, other, p, p1, p2, np.sin(h * (p2 - p)) / span, np.sin(h * (p - p1)) / span)
     for a in plan:
         a.flags.writeable = False
     return plan
@@ -784,8 +736,9 @@ def _search(groups: list[_Pencils], gap, opts: RadiusOptions):
     Round 0 of a group eigensolves its subgrid, then, in a second call,
     only the cells that a bound from it cannot prune (_Pencils._sifted):
     support lines for the radius, in two levels for pencils of at least
-    _FINE_M rows (a third call), and the probe's attained points for the
-    Crawford number.  The bounds and surviving cells after round 0 are
+    _FINE_M rows (a third call), and for the Crawford number the caps
+    from the probe's attained points (_crawford_direct) against the
+    subgrid's floor.  The bounds and surviving cells after round 0 are
     those of solving every cell.
 
     An unfinished radius matrix all of whose round-0 cells survive pruning
@@ -922,85 +875,55 @@ def _radius_direct(A: np.ndarray, rows: np.ndarray, out: Enclosures) -> tuple:
     return rest[grid], P[grid], K[grid], L[grid]
 
 
-def _crawford_direct(M: np.ndarray, rows: np.ndarray, out: Enclosures, hw: float) -> tuple:
-    """Crawford numbers of a stack of m x m matrices, m >= 2, whose range
-    provably holds a disk about 0 so wide that round 0 of a search of
-    half-width hw would prune every cell, into out at their rows; returns
-    (stack positions, P, K, norms, the probe's eight points) of the others.
+def _crawford_direct(M: np.ndarray, rows: np.ndarray, out: Enclosures, opts: RadiusOptions) -> tuple:
+    """Crawford numbers of a stack of m x m matrices, m >= 2, whose round-0
+    search would prune every cell, into out at their rows; returns (stack
+    positions, P, K, norms, caps of the round-0 cells) of the others.
 
-    Such a search prunes every cell by its eigenvalue-only cap
-    (_Pencils.evaluate), so it ends with lo = -inf and hi < 0, scans no
-    Monte Carlo cap, and writes [0, E] with E = _EVAL_ERR (1 + |M|), method
+    A cell's cap here is the eigenvalue-only cap and pruning margin of
+    _Pencils.evaluate taken from the bound of _point_bounds, which is no
+    smaller than the cell's computed value: as rounding is monotone, it is
+    no smaller than the cell's own padded cap.  Every floor of the search
+    is at least 0, so a matrix none of whose caps exceeds 0 has every cell
+    pruned; its search ends with lo = -inf and hi <= 0, scans no Monte
+    Carlo cap, and writes [0, E] with E = _EVAL_ERR (1 + |M|), method
     "grid", whatever the eigenvalues: that is written here.
     """
-    m = M.shape[1]
+    half, h, hw = _first_cells(opts)
     P, K = _pencil(M)
     L = spectral_norms(M)
-    one = 1.0 + L
-    E = _EVAL_ERR * one
-    # A range holding the disk of radius d about 0 has lambda_min(H(t)) <= -d
-    # and lambda_max(H(t)) >= d at every t, so every computed cell value
-    # v = max(lambda_min, -lambda_max) is at most -d + E (the eigenvalue
-    # error that _PRUNE_MARGIN assumes), the floor stays 0 once d > E, and
-    # every cell is pruned once (-d + E) cos(hw) + L sin(hw) + margin (1 + L)
-    # falls below 0, that is once
-    #     d > (L sin(hw) + margin (1 + L)) / cos(hw) + E,
-    # beyond pads for the rounding of that cap and of its test (about
-    # 6 eps (1 + L) / cos(hw), at most 9 eps (1 + L) as hw <= pi/4) and of
-    # this threshold (a few eps (1 + L)).  _holds_disk bounds d from below
-    # by its polygon's inradius estimate, less the rounding of its forms q
-    # (each within about 2 m eps (1 + L) of the Rayleigh quotient of its
-    # vector, a point of the range: m eps |M| in the sums, as much from
-    # |y|^2 - 1; a disk of radius r inside the hull of points each within
-    # rho of the range leaves one of radius r - rho inside the range) and
-    # of its edge distances (about 6 eps |M|).  Those pads add up to about
-    # (2m + 20) eps (1 + L); (4m + 40) eps (1 + L) doubles them.
-    threshold = math.tan(hw) * L + (_PRUNE_MARGIN / math.cos(hw) + _EVAL_ERR + (4 * m + 40) * _EPS) * one
-    inside, points = _in_chunks(max(1, _CHUNK_BYTES // (64 * m * m)), _holds_disk, M, P, K, threshold)
-    fired = rows[inside]
-    out.lo[fired], out.hi[fired], out.code[fired] = 0.0, E[inside], METHODS.index("grid")
-    rest = ~inside
-    return np.flatnonzero(rest), P[rest], K[rest], L[rest], points[rest]
+    # Probe matrices (4 per matrix) and forms (8 per cell) built at once
+    # stay within _CHUNK_BYTES.
+    step = max(1, _CHUNK_BYTES // (64 * (M.shape[1] ** 2 + half)))
+    bounds = _in_chunks(step, functools.partial(_point_bounds, h * np.arange(half)), M, P, K, L)
+    caps = bounds * np.cos(hw) + L[:, None] * np.sin(hw) + _PRUNE_MARGIN * (1.0 + L[:, None])
+    fired = ~(caps > 0.0).any(axis=1)
+    done = rows[fired]
+    out.lo[done], out.hi[done], out.code[done] = 0.0, _EVAL_ERR * (1.0 + L[fired]), METHODS.index("grid")
+    rest = ~fired
+    return np.flatnonzero(rest), P[rest], K[rest], L[rest], caps[rest]
 
 
-# _holds_disk's vectors come as bottom t0, top t0, bottom t1, ..., top t3
-# (t = k pi / 4); this takes them in polygon order, top t0, bottom t3..t0,
-# top t3..t1, and repeats top t0 to close the polygon.
-_POLYGON = np.array([1, 6, 4, 2, 0, 7, 5, 3, 1])
+def _point_bounds(ts: np.ndarray, M, P, K, L) -> np.ndarray:
+    """Upper bounds of the Crawford values of H at the angles ts for each
+    matrix of a stack (parts P, K, norms L), a (k, cells) array, from
+    eight attained points of its range, padded (_POINT_PAD).
 
-
-def _holds_disk(M, P, K, threshold) -> tuple[np.ndarray, np.ndarray]:
-    """Whether the range of each matrix of a stack provably holds the disk
-    of its threshold's radius about 0, from eight attained points, and
-    those points, a (k, 8) array.
-
-    The top eigenvector y of H(t) attains the support point q = y* M y of
-    the range whose outward normal is -t, the bottom one the point whose
-    normal is pi - t.  At t = k pi / 4 (H scaled by sqrt 2 at the odd k,
-    which keeps its eigenvectors), taken by increasing normal, these are
-    the vertices top t0, bottom t3..t0, top t3..t1 of a closed polygon,
-    convex up to rounding.  If 0 lies further than d to the left of the
-    line of every edge of nonzero length, every z with |z| < d has positive
-    winding number (each edge turns about z by an angle in (0, pi)), so it
-    lies in the hull of the vertices, which the convex range holds
-    (Toeplitz-Hausdorff).  That holds even where rounding breaks the
-    polygon's convexity.  No edge of nonzero length (a point) gives no
-    disk.
-    """
+    The bottom and top eigenvectors y of H(t) at t = j pi / 4 (H scaled by
+    sqrt 2 at the odd j, which keeps its eigenvectors) give the points
+    q = y* M y.  A point of the range, y a unit vector, has
+    y* H(t) y = Re(exp(it) q), so lambda_min(H(t)) <= min_j Re(exp(it) q_j)
+    and lambda_max(H(t)) >= max_j Re(exp(it) q_j): the value
+    max(lambda_min, -lambda_max) is at most the larger of the first and
+    minus the second."""
     k, m = M.shape[:2]
     H = np.concatenate([P, P + K, K, K - P], axis=1).reshape(4 * k, m, m)
     _, _, ymin, ymax = _extremes(H, vectors=True)
-    Y = np.concatenate([ymin, ymax], axis=1).reshape(k, 8, m)[:, _POLYGON]
-    q = np.add.reduce(Y.conj() * (Y @ np.swapaxes(M, 1, 2)), axis=2)
-    # Im(conj(a) e) is the signed distance from 0 to the line of the edge
-    # from a along e, positive on its left, times |e|: within a few
-    # eps |a| |e| of it, however short the edge.
-    a = q[:, :-1]
-    e = q[:, 1:] - a
-    length = np.abs(e)
-    cross = (a.conj() * e).imag
-    inside = ((cross > threshold[:, None] * length) | (length == 0.0)).all(axis=1) & length.any(axis=1)
-    return inside, a
+    Y = np.concatenate([ymin, ymax], axis=1).reshape(k, 8, m)
+    q = np.add.reduce(Y.conj() * (Y @ np.swapaxes(M, 1, 2)), axis=2)[:, :, None]
+    forms = q.real * np.cos(ts) - q.imag * np.sin(ts)
+    pad = (_POINT_PAD * _EVAL_ERR + (4 * m + 16) * _EPS) * (1.0 + L)
+    return np.maximum(forms.min(axis=1), -forms.max(axis=1)) + pad[:, None]
 
 
 def _mc_unit_rows(rng, count: int, dim: int) -> np.ndarray:
@@ -1077,15 +1000,14 @@ def radii_and_crawford_numbers(radius_stacks, crawford_stacks, opts: RadiusOptio
         for part, anti in ((~antidiagonal, False), (antidiagonal, True)):
             if part.any():
                 searches.append((_Pencils(P[part], K[part], L[part], antidiagonal=anti), rows[pos[part]]))
-    hw = _first_cells(opts)[2]
     for rows, A in crawford_groups:
         rest = np.flatnonzero(A.diagonal(axis1=1, axis2=2).any(axis=1))
         if A.shape[1] < 2 or not rest.size:
             continue
         M = A[rest]
-        pos, P, K, L, points = _crawford_direct(M, rows[rest], out, hw)
+        pos, P, K, L, caps = _crawford_direct(M, rows[rest], out, opts)
         if pos.size:
-            searches.append((_Pencils(P, K, L, (M[pos], points)), rows[rest[pos]]))
+            searches.append((_Pencils(P, K, L, (M[pos], caps)), rows[rest[pos]]))
     if searches:
         groups, targets = zip(*searches)
         L, rows = np.concatenate([g.L for g in groups]), np.concatenate(targets)

@@ -457,14 +457,13 @@ def count_cap_scans(monkeypatch) -> list:
 
 
 def probe_off(monkeypatch) -> None:
-    """Patch the Crawford probe to fire on no matrix and solve nothing, and
-    the round-0 sift, which would read its points (NaN), off."""
+    """Patch the Crawford probe's point caps to +inf, with no eigensolve:
+    the direct step fires on no matrix, and round 0 solves every cell."""
 
-    def firing_on_none(M, *args):
-        return np.zeros(len(M), dtype=bool), np.full((len(M), 8), np.nan)
+    def no_bound(ts, M, *args):
+        return np.full((len(M), ts.size), np.inf)
 
-    monkeypatch.setattr(functionals, "_holds_disk", firing_on_none)
-    monkeypatch.setattr(functionals, "_SUBGRID", 1 << 30)
+    monkeypatch.setattr(functionals, "_point_bounds", no_bound)
 
 
 class TestCrawfordWork:
@@ -479,13 +478,18 @@ class TestCrawfordWork:
         assert counted[0] > 0 and counted[1] == 0
         assert scans[0] == 0
 
-    @pytest.mark.parametrize("seed, n", [(16, 16), (0, 32)])
-    def test_wide_disk_about_zero_takes_four_eigensolves(self, seed, n, monkeypatch):
+    @pytest.mark.parametrize(
+        "seed, n, grid",
+        [(16, 16, 256), (0, 32, 256), (0, 2, 256), (5, 2, 16), (16, 16, 16), (0, 32, 8)],
+        ids=["16-16", "0-32", "0-2", "5-2-grid16", "16-16-grid16", "0-32-grid8"],
+    )
+    def test_wide_disk_about_zero_takes_four_eigensolves(self, seed, n, grid, monkeypatch):
         # Eight attained points show that the range holds a disk about 0
-        # too wide for any round-0 cell to survive: no grid is solved.
+        # too wide for any round-0 cell to survive: no grid is solved, also
+        # where round 0 is not sifted (2 x 2 matrices, grids of at most 16).
         counted = count_eigensolves(monkeypatch)
         scans = count_cap_scans(monkeypatch)
-        enc = crawford_number(random_matrix(seed, n))
+        enc = crawford_number(random_matrix(seed, n), RadiusOptions(grid_count=grid))
         assert enc.lo == 0.0 and enc.hi <= 1e-11 and enc.method == "grid"
         assert counted[0] == counted[1] == 4
         assert scans[0] == 0
@@ -589,25 +593,27 @@ class TestCrawfordSift:
                 A = scale * hidden(seed + n, D)[None]
                 P, K = functionals._pencil(A)
                 L = np.array([spectral_norm(A[0])])
-                _, points = functionals._holds_disk(A, P, K, np.zeros(1))
-                pencils = functionals._Pencils(P, K, L, (A, points))
+                pencils = functionals._Pencils(P, K, L, (A, None))
                 values = pencils._values(np.zeros(ts.size, dtype=np.intp), ts)
-                bounds = pencils._point_bounds(ts)[0]
+                bounds = functionals._point_bounds(ts, A, P, K, L)[0]
                 assert (bounds >= values).all()
                 assert np.mean(bounds - values <= 1e-12 * (1.0 + L[0])) > 0.25
 
 
 def probe_results(monkeypatch) -> list:
-    """The probe's verdicts, one array per call."""
+    """The direct step's verdicts, one array per call: whether it took
+    each matrix out of the search."""
     verdicts = []
-    probe = functionals._holds_disk
+    direct = functionals._crawford_direct
 
-    def recording(*args):
-        inside, points = probe(*args)
-        verdicts.append(inside)
-        return inside, points
+    def recording(M, *args):
+        result = direct(M, *args)
+        fired = np.ones(len(M), dtype=bool)
+        fired[result[0]] = False
+        verdicts.append(fired)
+        return result
 
-    monkeypatch.setattr(functionals, "_holds_disk", recording)
+    monkeypatch.setattr(functionals, "_crawford_direct", recording)
     return verdicts
 
 

@@ -3,7 +3,8 @@
 The runtime depends on numpy alone and the test extra adds pytest and
 hypothesis; anything else that happens to be installed (scipy, say) must
 not creep in through an import.  Modules of the package share only public
-names: none imports an underscore-named name from a sibling.  A radius
+names: none imports an underscore-named name from a sibling, and every
+underscore-named name a module defines is used by the package.  A radius
 call, a Crawford call and a catalog run leave numpy.ma unimported.
 """
 
@@ -50,6 +51,38 @@ def test_modules_import_no_private_names_from_siblings():
         if alias.name.startswith("_") and not alias.name.startswith("__")
     ]
     assert not private
+
+
+def module_private_names(tree: ast.Module):
+    """The underscore-named, non-dunder names a module defines at its top
+    level: functions, classes and assigned names."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        yield from (name for name in names if name.startswith("_") and not name.endswith("__"))
+
+
+def test_every_private_name_is_used_by_the_package():
+    # A private helper that only the tests call is dead code: each one must
+    # be read (a Name or an Attribute) or imported by the package itself.
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in sorted((ROOT / "src").rglob("*.py"))}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                used.update(alias.name.rpartition(".")[2] for alias in node.names)
+    defined = [(str(path.relative_to(ROOT)), name) for path, tree in trees.items() for name in module_private_names(tree)]
+    assert len(defined) > 20
+    assert [(path, name) for path, name in defined if name not in used] == []
 
 
 # Run in a fresh interpreter: numpy.ma costs about 10 ms and 2 MB to import.
