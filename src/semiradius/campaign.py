@@ -15,7 +15,6 @@ import json
 import math
 import re
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -168,6 +167,15 @@ def _run_cell(args) -> list[CheckTable]:
         ((_positions, table),) = run_tables(items, opts=opts, checks=config.checks)
         tables.append(table._replace(variants=None, variant=None, skips=None))
     return tables
+
+
+def ProcessPoolExecutor(max_workers: int):
+    """A concurrent.futures process pool, imported on first use: its modules
+    (multiprocessing among them) take about as long to import as the
+    package, and only campaigns with more than one worker start a pool."""
+    from concurrent.futures import ProcessPoolExecutor as Pool
+
+    return Pool(max_workers=max_workers)
 
 
 def run_campaign(config: CampaignConfig) -> dict:

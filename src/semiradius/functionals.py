@@ -68,7 +68,12 @@ cells are subdivided until the enclosure gap meets the target or the round
 budget runs out.  After the search, Crawford upper ends above 0 are
 further capped by a Monte Carlo scan of |y* M y| over random unit vectors,
 which bounds the infimum from above; an upper end at 0 cannot be trimmed,
-so its matrix is not scanned.
+so its matrix is not scanned.  Nor is a matrix whose search proves that
+the scan cannot trim it: the eigenpair of +-H(t) that set its lower end,
+with the next eigenvalue, bounds |y* M y| from below through the largest
+overlap of the scan's vectors with that eigenvector (Davis and Kahan,
+SIAM J. Numer. Anal. 7, 1970), and where that bound, padded, reaches the
+upper end the matrix keeps the enclosure the scan would leave it.
 
 radii_and_crawford_numbers runs one search for the matrices of lists of
 (k, m, m) stacks: each round makes one eigensolve call (per chunk of
@@ -227,6 +232,29 @@ _SUPPORT_PAD = 8.0
 # the floor by the margin) changes only upper ends below 0, which the
 # caller clamps at 0: enclosures keep their bits.
 _POINT_PAD = 2.0
+# Pad, in units of a matrix's evaluation error E = _EVAL_ERR (1 + |M|), by
+# which the eigenpair bound of _Pencils.untrimmable is lowered, with
+# (32m + 64) eps (1 + |M|) more, before it is set against the upper end.
+# mu1, mu2 and u come from eigh of the computed H at one cell.  eigh
+# is backward stable: its eigenvalues are exactly those of a Hermitian G'
+# within E of the exact +-H(t) at the computed cos and sin (E covers the
+# eigensolver and the rounding of P, K and H, as for _PRUNE_MARGIN), and
+# u is within m eps of a unit eigenvector u' of G' for mu1.  Every other
+# eigenvalue of G' is at least mu2, so y* G' y >= mu2 |y|^2 - (mu2 - mu1)
+# |u'* y|^2 (the Rayleigh quotient off an eigenvector: Davis and Kahan,
+# "The rotation of eigenvectors by a perturbation. III", SIAM J. Numer.
+# Anal. 7, 1970), and |y* M y| >= y* (+-H(t)) y >= y* G' y - E |y|^2, up
+# to an eps of |cos + i sin| (y* H(t) y = Re(exp(it) y* M y)).  A scan
+# vector has |y|^2 within (m + 3) eps of 1; |u'* y|^2 exceeds the computed
+# overlap by at most (6m + 4) eps (m eps for u, 2m eps for the rounding of
+# u* y, 3 eps for abs and the square), which mu2 - mu1 <= 2 |M| + 2 E
+# doubles; the bound's own arithmetic adds 12 eps (1 + |M|), and the
+# scan's computed |q| may lie (2m + 4) eps (1 + |M|) below the exact one.
+# So every |q| the scan computes is at least the computed bound less
+# E + (15m + 29) eps (1 + |M|), which the pad more than doubles.  A padded
+# bound no smaller than max(hi, lo, 0) leaves the scan's minimum no
+# smaller, so cap + err < hi cannot hold: the enclosure is the scan's.
+_PAIR_PAD = 2.0
 _MC_CHUNK = 1 << 13
 # Relative distance from the top within which eigenvalues of a dual
 # certificate's block matrix count as one cluster.
@@ -292,7 +320,9 @@ class RadiusOptions:
     gap_scale * (1 + |M|) per matrix.  oracle_samples drives the Monte
     Carlo cap applied after the search to the Crawford enclosures whose
     upper ends lie above 0 (no other can be trimmed); its vectors come
-    from stream 0.
+    from stream 0.  Such an enclosure is scanned only where the search's
+    own eigenpair does not prove that the cap cannot trim it; either way it
+    is the enclosure the scan gives.
     """
 
     grid_count: int = DEFAULT_GRID
@@ -391,25 +421,27 @@ def _pencil(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (M + Mh), 0.5j * (M - Mh)
 
 
-def _rotated(Pv, Kv, seg, ts):
+def _rotated(Pv, Kv, seg, ts, H, S):
     """H(t) = cos(t) P + sin(t) K for each cell, with the pencil of its
-    matrix; Pv and Kv are the float views of the stacked pencils."""
+    matrix; Pv and Kv are the float views of the stacked pencils.  H is
+    built in the float array H, with S for scratch, both of ts.size
+    matrices."""
     c, s = np.cos(ts)[:, None, None], np.sin(ts)[:, None, None]
     if Pv.shape[0] == 1:
         # One matrix: broadcasting saves gathering a copy per cell.
-        H = c * Pv[0]
-        H += s * Kv[0]
+        np.multiply(c, Pv[0], out=H)
+        np.multiply(s, Kv[0], out=S)
     else:
-        H = np.take(Pv, seg, axis=0)
-        H *= c
-        S = np.take(Kv, seg, axis=0)
-        S *= s
-        H += S
+        # seg holds valid rows: "clip" spares take's buffered "raise" mode.
+        np.multiply(np.take(Pv, seg, axis=0, out=H, mode="clip"), c, out=H)
+        np.multiply(np.take(Kv, seg, axis=0, out=S, mode="clip"), s, out=S)
+    H += S
     return H.view(np.complex128)
 
 
 def _extremes(H, vectors: bool = False):
-    """Bottom and top eigenvalues (and vectors) of each matrix of a stack."""
+    """Bottom and top eigenvalues of each matrix of a stack; with vectors,
+    also their eigenvectors and the next eigenvalues in from each end."""
     if H.shape[-1] == 2 and not vectors:
         a, d, b = H[:, 0, 0].real, H[:, 1, 1].real, H[:, 0, 1]
         mean = 0.5 * (a + d)
@@ -418,16 +450,18 @@ def _extremes(H, vectors: bool = False):
     try:
         if vectors:
             w, V = np.linalg.eigh(H)
-            return w[:, 0], w[:, -1], V[:, :, 0], V[:, :, -1]
+            return w[:, 0], w[:, -1], V[:, :, 0], V[:, :, -1], w[:, 1], w[:, -2]
         w = np.linalg.eigvalsh(H)
         return w[:, 0], w[:, -1]
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"batched eigendecomposition failed: {exc}") from exc
 
 
-def _quad_forms(M: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """y* M y for every column y of Y."""
-    return np.add.reduce(Y.conj() * (M @ Y), axis=0)
+def _quad_forms(M: np.ndarray, Y: np.ndarray, Yc: np.ndarray) -> np.ndarray:
+    """y* M y for every column y of Y, Yc its conjugate; the products are
+    formed in the buffer of M @ Y."""
+    MY = M @ Y
+    return np.add.reduce(np.multiply(Yc, MY, out=MY), axis=0)
 
 
 def _wrap_angle(x: np.ndarray) -> np.ndarray:
@@ -473,17 +507,31 @@ class _Pencils:
         self.m = P.shape[1]
         self.Pv, self.Kv, self.L = P.view(np.float64), K.view(np.float64), norms
         self.A, self.caps = (None, None) if crawford is None else crawford
+        # Per round, the Crawford cells eigensolved with their vectors: their
+        # matrices, values mu1 = max(lambda_min, -lambda_max) and, for G = H
+        # or -H, whichever has mu1 at its bottom, the next eigenvalue mu2 of
+        # G and the eigenvector u of mu1 (untrimmable).
+        self.pairs = []
         # Cells per eigensolve call or quadratic-form batch, so that the
         # per-cell matrices built at once stay within _CHUNK_BYTES.
         self.step = max(1, _CHUNK_BYTES // (16 * self.m * self.m))
+        self.bufs = (np.empty(0), np.empty(0))  # see _buffers
 
     def extremes(self, seg: np.ndarray, ts: np.ndarray, vectors: bool = False) -> tuple:
         """Extremes of H at the cells (seg, ts): bottom and top eigenvalues,
-        and with vectors their eigenvectors."""
+        and with vectors their eigenvectors and the next eigenvalues."""
         return _in_chunks(self.step, functools.partial(self._extremes, vectors=vectors), seg, ts)
 
+    def _buffers(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Two float arrays of n matrices of the pencils' shape, for
+        _rotated: views of arrays grown on demand and reused by every
+        eigensolve call of the search."""
+        if len(self.bufs[0]) < n:
+            self.bufs = tuple(np.empty((n,) + self.Pv.shape[1:]) for _ in range(2))
+        return self.bufs[0][:n], self.bufs[1][:n]
+
     def _extremes(self, seg: np.ndarray, ts: np.ndarray, vectors: bool):
-        H = _rotated(self.Pv, self.Kv, seg, ts)
+        H = _rotated(self.Pv, self.Kv, seg, ts, *self._buffers(ts.size))
         if not self.antidiagonal:
             return _extremes(H, vectors)
         # sigma_max(Z)^2 = lambda_max(Z* Z), to within eps |Z|^2.
@@ -497,7 +545,8 @@ class _Pencils:
         cell whose cap cannot beat its matrix's floor is pruned with a cap
         from its eigenvalues alone: its value is -inf, so it sets no lower
         bound.  At round 0 (first), the cells go through _sifted, whose
-        unsolved cells get value -inf and cap -inf."""
+        unsolved cells get value -inf and cap -inf.  The eigenpairs of the
+        Crawford cells solved with vectors are kept in pairs."""
         v = self._sifted(seg, ts, hw) if first else self._values(seg, ts)
         if self.A is None:
             return v, v / np.cos(hw)
@@ -515,9 +564,12 @@ class _Pencils:
         vals = np.full(v.size, -np.inf)
         if cand.size:
             seg, ts = seg[cand], ts[cand]
-            wmin, wmax, ymin, ymax = self.extremes(seg, ts, vectors=True)
-            vals[cand] = np.maximum(wmin, -wmax)
+            wmin, wmax, ymin, ymax, wnext, wprev = self.extremes(seg, ts, vectors=True)
+            neg = -wmax
+            vals[cand] = mu1 = np.maximum(wmin, neg)
             caps[cand] = self.bound(*_in_chunks(self.step, self._forms, seg, ymin, ymax), ts, hw)
+            bottom = wmin >= neg
+            self.pairs.append((seg, mu1, np.where(bottom, wnext, -wprev), np.where(bottom[:, None], ymin, ymax)))
         return vals, caps
 
     def _values(self, seg: np.ndarray, ts: np.ndarray) -> np.ndarray:
@@ -597,6 +649,31 @@ class _Pencils:
             alive[:, other] &= (np.maximum(bound[:, :n], bound[:, n:]) + pad) / cos >= vals.max(axis=1)[:, None]
         return alive
 
+    def untrimmable(self, which: np.ndarray, top: np.ndarray, blocks) -> np.ndarray:
+        """Which Crawford matrices which, of upper ends top > 0 after the
+        search, the Monte Carlo cap of the vector blocks could not trim: a
+        (which.size,) mask, from one product u* Y per block and no
+        eigensolve.
+
+        Each matrix takes the pair (mu1, mu2, u) of its first cell of
+        largest value in pairs, the cell that set its lower end: an upper
+        end above 0 needs an eigensolved cell, as a search whose cells are
+        all pruned from their eigenvalues ends below 0.  For unit y,
+        |y* M y| >= y* G y >= mu1 + (mu2 - mu1) (1 - |u* y|^2): G = +-H(t)
+        at that cell has every eigenvalue but mu1 at least mu2.  A bound
+        from the largest overlap |u* y|^2, padded (_PAIR_PAD), that
+        reaches top caps no scanned |y* M y| below it."""
+        seg, mu1, mu2, u = map(_joined, zip(*self.pairs))
+        order = np.lexsort((-mu1, seg))
+        cell = order[np.searchsorted(seg[order], which)]
+        U = u[cell].conj()
+        overlap = np.zeros(which.size)
+        for Y, _Yc in blocks:
+            np.maximum(overlap, np.abs(U @ Y).max(axis=1), out=overlap)
+        pad = (_PAIR_PAD * _EVAL_ERR + (32 * self.m + 64) * _EPS) * (1.0 + self.L[which])
+        mu1 = mu1[cell]
+        return mu1 + (mu2[cell] - mu1) * (1.0 - overlap * overlap) - pad >= top
+
     def _forms(self, seg: np.ndarray, *Ys: np.ndarray) -> tuple:
         """y* M y for each cell's matrix M and its vector y in each of Ys."""
         A = self.A[0] if self.A.shape[0] == 1 else np.take(self.A, seg, axis=0)
@@ -623,7 +700,8 @@ class _Pencils:
     def _dual(self, ts: np.ndarray, which: np.ndarray, lower: np.ndarray, gap: np.ndarray) -> np.ndarray:
         k, n, m = which.size, ts.size, self.m
         Pv, Kv = self.Pv[which], self.Kv[which]
-        wmin, wmax, vmin, vmax = _extremes(_rotated(Pv, Kv, np.arange(k).repeat(n), np.tile(ts, k)), vectors=True)
+        H = _rotated(Pv, Kv, np.arange(k).repeat(n), np.tile(ts, k), *self._buffers(k * n))
+        wmin, wmax, vmin, vmax = _extremes(H, vectors=True)[:4]
         # Where -lambda_min attains, the bottom vector is the top one at t + pi.
         bottom = -wmin > wmax
         X = np.swapaxes(np.where(bottom[:, None], vmin, vmax).reshape(k, n, m), 1, 2)
@@ -918,7 +996,7 @@ def _point_bounds(ts: np.ndarray, M, P, K, L) -> np.ndarray:
     minus the second."""
     k, m = M.shape[:2]
     H = np.concatenate([P, P + K, K, K - P], axis=1).reshape(4 * k, m, m)
-    _, _, ymin, ymax = _extremes(H, vectors=True)
+    ymin, ymax = _extremes(H, vectors=True)[2:4]
     Y = np.concatenate([ymin, ymax], axis=1).reshape(k, 8, m)
     q = np.add.reduce(Y.conj() * (Y @ np.swapaxes(M, 1, 2)), axis=2)[:, :, None]
     forms = q.real * np.cos(ts) - q.imag * np.sin(ts)
@@ -936,29 +1014,32 @@ def _mc_unit_rows(rng, count: int, dim: int) -> np.ndarray:
 
 def _mc_vectors(samples: int, seed: int, dim: int):
     """Seeded random unit vectors, samples of them in all, as the columns
-    of dim x chunk blocks."""
+    of dim x chunk blocks Y, each given with its conjugate."""
     rng = np.random.default_rng(seed)
     for done in range(0, samples, _MC_CHUNK):
-        yield np.ascontiguousarray(_mc_unit_rows(rng, min(_MC_CHUNK, samples - done), dim).T)
+        Y = np.ascontiguousarray(_mc_unit_rows(rng, min(_MC_CHUNK, samples - done), dim).T)
+        yield Y, Y.conj()
 
 
 @functools.lru_cache(maxsize=16)
-def _cap_vectors(samples: int, dim: int) -> tuple[np.ndarray, ...]:
-    """The vectors of the Crawford cap scan, read-only and drawn once.
+def _cap_vectors(samples: int, dim: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The vector blocks of the Crawford cap scan with their conjugates,
+    read-only and drawn once.
 
     Every cap of one size scans the same vectors (stream 0), so the draw,
     which costs more than the scan, is shared by all Crawford calls.
     """
     blocks = tuple(_mc_vectors(samples, 0, dim))
-    for Y in blocks:
-        Y.flags.writeable = False
+    for pair in blocks:
+        for Y in pair:
+            Y.flags.writeable = False
     return blocks
 
 
 def _mc_extreme(M: np.ndarray, blocks, reduce_max: bool) -> float:
     best = -np.inf if reduce_max else np.inf
-    for Y in blocks:
-        vals = np.abs(_quad_forms(M, Y))
+    for Y, Yc in blocks:
+        vals = np.abs(_quad_forms(M, Y, Yc))
         best = max(best, float(np.max(vals))) if reduce_max else min(best, float(np.min(vals)))
     return best
 
@@ -1012,14 +1093,17 @@ def radii_and_crawford_numbers(radius_stacks, crawford_stacks, opts: RadiusOptio
         groups, targets = zip(*searches)
         L, rows = np.concatenate([g.L for g in groups]), np.concatenate(targets)
         lo, hi = _search(list(groups), opts.resolve_gap(L), opts)
-        # The Monte Carlo cap, >= 0, can trim only upper ends above 0; with
-        # no samples it is the vacuous +inf.
-        cap, above, first = np.full(L.size, np.inf), np.maximum(hi, lo) > 0.0, 0
+        # The Monte Carlo cap, >= 0, can trim only upper ends above 0, and
+        # is scanned only where the search's eigenpair does not prove that
+        # it cannot trim them; with no samples it is the vacuous +inf.
+        cap, top, first = np.full(L.size, np.inf), np.maximum(hi, lo), 0
         for g in groups:
-            if g.A is not None:
-                for i in np.flatnonzero(above[first : first + g.L.size]):
-                    # Drawn once per size, on first need.
-                    blocks = _cap_vectors(opts.oracle_samples, g.m)
+            which = np.flatnonzero(top[first : first + g.L.size] > 0.0)
+            if g.A is not None and which.size:
+                # Drawn once per size, on first need.
+                blocks = _cap_vectors(opts.oracle_samples, g.m)
+                spared = g.untrimmable(which, top[first + which], blocks)
+                for i in which[~spared]:
                     cap[first + i] = _mc_extreme(g.A[i], blocks, reduce_max=False)
             first += g.L.size
         err = _EVAL_ERR * (1.0 + L)

@@ -666,6 +666,128 @@ class TestCrawfordProbe:
         assert not np.concatenate(verdicts).any()
 
 
+def certificate_sweep() -> list:
+    """The inputs of tests/test_crawford_bytes.py, then hidden J_n + cI
+    missing 0 and Ginibre + 3I for n = 2..16."""
+    mats = [random_matrix(100 + n, n) for n in range(2, 33)]
+    for n in (2, 3, 5, 8, 16, 32):
+        r = math.cos(math.pi / (n + 1))
+        for k, c in enumerate((0.5 * r, r * (1 - 1e-9), r * (1 + 1e-9), 1.3 * r, 3.0)):
+            mats.append(shifted_jordan(n + k, n, c, 0.1234 + 0.777 * k))
+        mats.append(shifted_jordan(200 + n, n, 0.0, 0.0))
+    mats += [np.diag([1.0, 2.0j, -0.5 + 3.0j]), np.diag([2.0, 3.0 + 1.0j, 2.5 - 0.5j, 4.0]), np.diag([1.0, -1.0])]
+    for scale in (1e-8, 1e8):
+        mats += [scale * random_matrix(300, 4), scale * shifted_jordan(301, 6, 2.0, 0.5)]
+    for n in range(2, 17):
+        mats.append(shifted_jordan(400 + n, n, 1.2 * math.cos(math.pi / (n + 1)), 0.37 * n))
+        mats.append(random_matrix(500 + n, n) / math.sqrt(2 * n) + 3.0 * np.eye(n))
+    return mats
+
+
+def jordan_rows() -> list:
+    """Hidden J_n + cI whose ranges miss 0, attained at either half turn."""
+    mats = []
+    for n in range(2, 17):
+        r = math.cos(math.pi / (n + 1))
+        for k, (c, phi) in enumerate(((1.2 * r, 0.3), (r + 0.5, 2.5), (2.0, 4.0), (3.0, 5.5))):
+            mats.append(shifted_jordan(600 + 4 * n + k, n, c, phi))
+    return mats
+
+
+def certificates(monkeypatch) -> list:
+    """The Crawford certificate's verdicts, one (pencils, matrices, upper
+    ends, untrimmable mask) per call."""
+    calls = []
+    untrimmable = functionals._Pencils.untrimmable
+
+    def recording(self, which, top, blocks):
+        mask = untrimmable(self, which, top, blocks)
+        calls.append((self, which, top, mask))
+        return mask
+
+    monkeypatch.setattr(functionals._Pencils, "untrimmable", recording)
+    return calls
+
+
+def certificate_off(monkeypatch) -> None:
+    """Patch the Crawford certificate to decline every matrix: each upper
+    end above 0 is scanned, as it was before the certificate."""
+    monkeypatch.setattr(functionals._Pencils, "untrimmable", lambda self, which, *args: np.zeros(which.size, dtype=bool))
+
+
+def in_scan(seed: int, m: int, a: float, spread: float, phi: float) -> np.ndarray:
+    """exp(i phi) Q diag(a, a + spread, .., a + (m - 1) spread) Q*, a > 0,
+    with Q e1 a vector of the Crawford cap's scan: its range, a segment,
+    misses 0, and a scanned vector attains its Crawford number a."""
+    y = functionals._cap_vectors(functionals.DEFAULT_MC_SAMPLES, m)[0][0][:, seed]
+    Q = np.linalg.qr(np.column_stack([y, random_matrix(seed, m)[:, 1:]]))[0]
+    Q[:, 0] = y
+    return np.exp(1j * phi) * (Q @ np.diag(a + spread * np.arange(m)) @ Q.conj().T)
+
+
+class TestCrawfordCertificate:
+    @pytest.mark.parametrize("grid", [18, 256])
+    @pytest.mark.parametrize("gap_scale", [1e-9, 0.3])
+    def test_skipped_scans_keep_the_enclosures(self, grid, gap_scale, monkeypatch):
+        # Against every upper end above 0 scanned; each row the certificate
+        # spares has a scan minimum no smaller than its upper end.
+        opts = RadiusOptions(grid_count=grid, gap_scale=gap_scale)
+        stacks = as_stacks(certificate_sweep())
+        calls = certificates(monkeypatch)
+        spared = rows(radii_and_crawford_numbers([], stacks, opts)[1])
+        skipped = 0
+        for pencils, which, top, mask in calls:
+            blocks = functionals._cap_vectors(opts.oracle_samples, pencils.m)
+            for i, t in zip(which[mask], top[mask]):
+                assert functionals._mc_extreme(pencils.A[i], blocks, reduce_max=False) >= t
+            skipped += np.count_nonzero(mask)
+        assert skipped >= 40
+        certificate_off(monkeypatch)
+        scanned = rows(radii_and_crawford_numbers([], stacks, opts)[1])
+        for a, b in zip(spared, scanned, strict=True):
+            assert (a.lo.hex(), a.hi.hex(), a.method) == (b.lo.hex(), b.hi.hex(), b.method)
+
+    def test_shifted_jordan_rows_scan_nothing(self, monkeypatch):
+        # Their spectral gaps prove every scan minimum above the upper end,
+        # whichever end of lambda(H) attains.
+        mats = jordan_rows()
+        scans = count_cap_scans(monkeypatch)
+        encs = rows(radii_and_crawford_numbers([], as_stacks(mats))[1])
+        assert scans[0] == 0
+        assert all(e.lo > 0.0 and e.method == "grid" for e in encs)
+
+    def test_rows_a_wide_gap_trims_still_scan(self, monkeypatch):
+        # At gap 0.3 and grid 18 the scan trims some upper ends: each such
+        # row, solved alone, is scanned.
+        opts = RadiusOptions(grid_count=18, gap_scale=0.3)
+        scans = count_cap_scans(monkeypatch)
+        trimmed = 0
+        for M in certificate_sweep() + jordan_rows():
+            before = scans[0]
+            enc = crawford_number(M, opts)
+            if enc.method == "oracle":
+                trimmed += 1
+                assert scans[0] == before + 1
+        assert trimmed >= 5
+
+    def test_attaining_scan_vectors_are_scanned(self, monkeypatch):
+        # A scan vector attains the Crawford number, so no bound proves
+        # the scan's minimum above the upper end: every row is scanned, and
+        # the scan trims many of them by a few ulps.
+        scans = count_cap_scans(monkeypatch)
+        trimmed = 0
+        for m in (2, 3, 4, 8, 16):
+            for seed in range(4):
+                for phi in (0.0, 2.0, math.pi):
+                    for a, spread in ((1.0, 0.5), (0.3, 2.0), (1e-3, 1.0)):
+                        before = scans[0]
+                        enc = crawford_number(in_scan(seed, m, a, spread, phi))
+                        assert scans[0] == before + 1
+                        assert enc.lo <= a <= enc.hi
+                        trimmed += enc.method == "oracle"
+        assert trimmed >= 60
+
+
 class TestCrawfordNumber:
     def test_positive_diagonal(self):
         enc = crawford_number(np.diag([1.0, 2.0]))

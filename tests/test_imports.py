@@ -5,7 +5,8 @@ hypothesis; anything else that happens to be installed (scipy, say) must
 not creep in through an import.  Modules of the package share only public
 names: none imports an underscore-named name from a sibling, and every
 underscore-named name a module defines is used by the package.  A radius
-call, a Crawford call and a catalog run leave numpy.ma unimported.
+call, a Crawford call and a catalog run leave numpy.ma unimported, and
+importing the package leaves the process-pool modules unimported.
 """
 
 import ast
@@ -104,7 +105,19 @@ print("numpy.ma" in sys.modules)
 """
 
 
-def test_solvers_and_catalog_leave_masked_arrays_unimported():
+def run_fresh(code: str) -> list[str]:
+    """The words a fresh interpreter prints running code with the package
+    on its path."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run([sys.executable, "-c", NO_MASKED_ARRAYS], capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.split() == ["False"]
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True).stdout.split()
+
+
+def test_solvers_and_catalog_leave_masked_arrays_unimported():
+    assert run_fresh(NO_MASKED_ARRAYS) == ["False"]
+
+
+def test_package_import_leaves_process_pools_unimported():
+    # Only campaigns with more than one worker use a pool, and its modules
+    # take about as long to import as the package itself.
+    code = "import sys, semiradius; print(*(m in sys.modules for m in ('multiprocessing', 'concurrent.futures')))"
+    assert run_fresh(code) == ["False", "False"]
