@@ -424,8 +424,8 @@ def _pencil(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _rotated(Pv, Kv, seg, ts, H, S):
     """H(t) = cos(t) P + sin(t) K for each cell, with the pencil of its
     matrix; Pv and Kv are the float views of the stacked pencils.  H is
-    built in the float array H, with S for scratch, both of ts.size
-    matrices."""
+    built in the float array H, with the sin(t) K terms in S, both of
+    ts.size matrices."""
     c, s = np.cos(ts)[:, None, None], np.sin(ts)[:, None, None]
     if Pv.shape[0] == 1:
         # One matrix: broadcasting saves gathering a copy per cell.
