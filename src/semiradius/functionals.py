@@ -36,7 +36,9 @@ max(0, maximum of max(lambda_min, -lambda_max)).
   bounds of h in place of its values, so its levels run as one loop:
   pencils of at least _FINE_M rows also solve the cells of a subgrid twice
   as fine that the first level leaves alive, and bound the rest again
-  from the values solved and the first level's bounds.  For the Crawford
+  from the values solved and the first level's bounds, and pencils of at
+  least 2 _FINE_M rows do the same once more on a subgrid four times as
+  fine.  For the Crawford
   number, the probe's eight attained points q_j (below) bound
   lambda_min(H(t)) from above by min_j Re(exp(it) q_j) and
   lambda_max(H(t)) from below by max_j Re(exp(it) q_j), and with them the
@@ -54,14 +56,17 @@ max(0, maximum of max(lambda_min, -lambda_max)).
   others refine as before;
 * a Crawford matrix whose round 0 would prune every cell by its
   eigenvalue-only cap never enters the search (_crawford_direct).  The
-  bottom and top eigenvectors y of H(t) at t = k pi / 4 give eight
-  attained points y* M y, and their bound (above), padded for rounding,
+  bound (above) from attained points of its range, padded for rounding,
   caps every round-0 cell with the margin the search prunes by; when no
   such cap exceeds 0, the matrix gets the enclosure [0, E] the search
-  would give it (E the evaluation pad), from 4 eigensolves instead of the
-  round-0 grid.  The other matrices take their caps into the search's
-  round 0, which solves only the cells whose cap exceeds the subgrid's
-  floor.
+  would give it (E the evaluation pad).  The points are first its
+  diagonal entries e_j* M e_j, exact and free (Horn and Johnson, "Topics
+  in Matrix Analysis", 1991, section 1.2), which settle such a matrix with
+  no eigensolve; a matrix they leave a cap above 0 takes eight points
+  y* M y instead, from the bottom and top eigenvectors y of H(t) at
+  t = k pi / 4: 4 eigensolves instead of the round-0 grid.  The matrices
+  neither settles take the eight points' caps into the search's round 0,
+  which solves only the cells whose cap exceeds the subgrid's floor.
 
 Cells whose cap cannot beat the running lower bound are pruned; surviving
 cells are subdivided until the enclosure gap meets the target or the round
@@ -148,6 +153,10 @@ _SUBGRID = 8
 # time at m = 16 in five runs of six (1.035 in one), 0.81-0.93 at m = 20
 # to 32 (shifted Jordan blocks alone: 1.00 at m = 20), and 0.98-1.04 at
 # m = 8 and 12, where one more eigensolve call costs about what it saves.
+# Pencils of at least 2 _FINE_M rows sift in three, the third through the
+# subgrid of 4 _SUBGRID angles: on hidden 32 x 32 Ginibre matrices at the
+# default grid that cuts 55.0 eigensolved matrices per call to 50.1, at
+# 0.92 of two levels' time.
 _FINE_M = 16
 # Relative half-width assigned to directly computed (non-grid) values.
 _EXACT_ERR = 1e-13
@@ -198,29 +207,37 @@ _PRUNE_MARGIN = 8 * _EVAL_ERR
 # within about 150 eps and the bound within 0.9 E of its exact value: the
 # computed value at t exceeds the second-level bound by at most
 # E + 1.02 * 1.4 E + 0.9 E and a few eps (1 + |M|), below 3.4 E, and 8 E
-# leaves twice that.  A cell so left then has a computed cap below the
+# leaves twice that.  The third level (2 _FINE_M) takes second-level bounds,
+# which h exceeds by at most 1.02 * 1.4 E + 0.9 E and a few eps (1 + |M|),
+# below 2.4 E.  There, with more than 4 _SUBGRID cells, D <= 2 pi / 33, so
+# the weights sum to at most 1.005, and D >= pi / 63 > pi / 64, so each
+# weight is within about 290 eps and the bound within 1.5 E of its exact
+# value: the computed value at t exceeds the third-level bound by at most
+# E + 1.005 * 2.4 E + 1.5 E and a few eps (1 + |M|), below 5 E, and 8 E
+# leaves 1.6 times that.  A cell so left then has a computed cap below the
 # floor and a computed value below the largest, so lo, hi, the kept cells
 # and the flat gate after round 0 are those of solving every cell:
 # enclosures keep their bits.
 _SUPPORT_PAD = 8.0
 # Pad, in units of a matrix's evaluation error E = _EVAL_ERR (1 + |M|), by
-# which the points bound of a round-0 Crawford cell (_point_bounds) is
+# which the points bound of a round-0 Crawford cell (_hull_bounds) is
 # raised, with (4m + 16) eps (1 + |M|) more for the points, before its
-# eigenvalue-only cap is taken from it (_crawford_direct).  Each point
+# eigenvalue-only cap is taken from it (_point_caps).  Each point
 # q = y* M y is within about 2m eps (1 + |M|) of the Rayleigh quotient of
 # its computed vector y, a point of the range (m eps |M| in the sums, as
 # much from |y|^2 - 1).  At a cell's angle, the computed cos and sin c, s
 # are, to an ulp, those that built H, and y* (c P + s K) y = c Re q - s Im q,
 # so the bound holds for the computed pencil up to the rounding of P, K and
 # H (in E, as for _PRUNE_MARGIN), of q and of c Re q - s Im q (3 eps |q|,
-# with the ulp of c and s); the
-# computed value exceeds the exact one by at most E.  The computed value
-# is thus at most the computed bound plus E + (2m + 4) eps (1 + |M|), and
-# the sum with the pad rounds by an eps more; 2 E + (4m + 16) eps (1 + |M|)
-# doubles that.  The cap and test of _Pencils.evaluate, computed from a
-# value no smaller than the cell's, are no smaller than the cell's own, as
-# rounding is monotone; so a cell whose such cap does not exceed a floor
-# would be pruned against it.  Every floor is at least 0: a matrix none of
+# with the ulp of c and s); the computed value exceeds the exact one by at
+# most E.  The computed value is thus at most the computed bound plus
+# E + (2m + 4) eps (1 + |M|), and the sum with the pad rounds by an eps
+# more; 2 E + (4m + 16) eps (1 + |M|) doubles that.  The diagonal points
+# q = M_jj carry no rounding at all (y = e_j exactly, |y| = 1), so the pad
+# covers them with room to spare.  The cap and test of _Pencils.evaluate,
+# computed from a value no smaller than the cell's, are no smaller than
+# the cell's own, as rounding is monotone; so a cell whose such cap does
+# not exceed a floor would be pruned against it.  Every floor is at least 0: a matrix none of
 # whose caps exceeds 0 has every cell pruned, and _crawford_direct writes
 # the enclosure its search would.  In the round-0 sift a cell whose cap
 # does not exceed the subgrid's floor F = max(subgrid values, 0) is left
@@ -612,9 +629,11 @@ class _Pencils:
 
     def _support_sift(self, ts: np.ndarray, hw: float, vals: np.ndarray) -> np.ndarray:
         """Which round-0 radius cells at the angles ts to solve, a (k, half)
-        mask, once the cells of the subgrid of _SUBGRID angles, and for
-        pencils of at least _FINE_M rows those of the subgrid of 2 _SUBGRID
-        angles that the first level leaves alive, are solved into vals.
+        mask, once the cells of the subgrid of _SUBGRID angles, for pencils
+        of at least _FINE_M rows those of the subgrid of 2 _SUBGRID angles
+        that the first level leaves alive, and for pencils of at least
+        2 _FINE_M rows those of the subgrid of 4 _SUBGRID angles that the
+        second leaves alive, are solved into vals.
 
         lambda_max(H(s)) is the support function h(s) of the range W(M), and
         -lambda_min(H(s)) = h(s + pi): each solved cell gives h at two
@@ -634,7 +653,10 @@ class _Pencils:
         cos = np.cos(hw)
         support = np.empty((k, 2 * half + 1))
         alive = np.ones((k, half), dtype=bool)
-        for count in (_SUBGRID, 2 * _SUBGRID) if self.m >= _FINE_M and half > 2 * _SUBGRID else (_SUBGRID,):
+        # Subgrids of 2 _SUBGRID and 4 _SUBGRID angles for pencils of at
+        # least _FINE_M and 2 _FINE_M rows, where they leave cells over.
+        finer = [c for c, rows in ((2 * _SUBGRID, _FINE_M), (4 * _SUBGRID, 2 * _FINE_M)) if self.m >= rows and half > c]
+        for count in [_SUBGRID] + finer:
             known, other, p, p1, p2, w1, w2 = _sift_plan(half, count)
             mats, cols = np.nonzero(alive[:, known])
             if mats.size:
@@ -814,7 +836,8 @@ def _search(groups: list[_Pencils], gap, opts: RadiusOptions):
     Round 0 of a group eigensolves its subgrid, then, in a second call,
     only the cells that a bound from it cannot prune (_Pencils._sifted):
     support lines for the radius, in two levels for pencils of at least
-    _FINE_M rows (a third call), and for the Crawford number the caps
+    _FINE_M rows (a third call) and in three for pencils of at least
+    2 _FINE_M rows (a fourth), and for the Crawford number the caps
     from the probe's attained points (_crawford_direct) against the
     subgrid's floor.  The bounds and surviving cells after round 0 are
     those of solving every cell.
@@ -958,47 +981,73 @@ def _crawford_direct(M: np.ndarray, rows: np.ndarray, out: Enclosures, opts: Rad
     search would prune every cell, into out at their rows; returns (stack
     positions, P, K, norms, caps of the round-0 cells) of the others.
 
-    A cell's cap here is the eigenvalue-only cap and pruning margin of
-    _Pencils.evaluate taken from the bound of _point_bounds, which is no
-    smaller than the cell's computed value: as rounding is monotone, it is
-    no smaller than the cell's own padded cap.  Every floor of the search
-    is at least 0, so a matrix none of whose caps exceeds 0 has every cell
-    pruned; its search ends with lo = -inf and hi <= 0, scans no Monte
-    Carlo cap, and writes [0, E] with E = _EVAL_ERR (1 + |M|), method
-    "grid", whatever the eigenvalues: that is written here.
+    A cell's cap here (_point_caps) is the eigenvalue-only cap and pruning
+    margin of _Pencils.evaluate taken from the bound of _point_bounds,
+    which is no smaller than the cell's computed value: as rounding is
+    monotone, it is no smaller than the cell's own padded cap.  Every floor
+    of the search is at least 0, so a matrix none of whose caps exceeds 0
+    has every cell pruned; its search ends with lo = -inf and hi <= 0,
+    scans no Monte Carlo cap, and writes [0, E] with E = _EVAL_ERR (1 + |M|),
+    method "grid", whatever the eigenvalues: that is written here.  Any
+    sound padded bound serves, so a matrix whose diagonal points settle it
+    is written with no eigensolve and no pencil built.
     """
     half, h, hw = _first_cells(opts)
-    P, K = _pencil(M)
+    ts, m = h * np.arange(half), M.shape[1]
     L = spectral_norms(M)
-    # Probe matrices (4 per matrix) and forms (8 per cell) built at once
-    # stay within _CHUNK_BYTES.
-    step = max(1, _CHUNK_BYTES // (64 * (M.shape[1] ** 2 + half)))
-    bounds = _in_chunks(step, functools.partial(_point_bounds, h * np.arange(half)), M, P, K, L)
-    caps = bounds * np.cos(hw) + L[:, None] * np.sin(hw) + _PRUNE_MARGIN * (1.0 + L[:, None])
+    # Probe matrices (4 per matrix) and forms (8 per cell, m for the
+    # diagonal) built at once stay within _CHUNK_BYTES.
+    step = max(1, _CHUNK_BYTES // (64 * (m * m + half) + 8 * m * half))
+    caps = _point_caps(_in_chunks(step, lambda M, L: _point_bounds(ts, M, L, hw), M, L), L, hw)
     fired = ~(caps > 0.0).any(axis=1)
     done = rows[fired]
     out.lo[done], out.hi[done], out.code[done] = 0.0, _EVAL_ERR * (1.0 + L[fired]), METHODS.index("grid")
-    rest = ~fired
-    return np.flatnonzero(rest), P[rest], K[rest], L[rest], caps[rest]
+    rest = np.flatnonzero(~fired)
+    P, K = _pencil(M[rest])
+    return rest, P, K, L[rest], caps[rest]
 
 
-def _point_bounds(ts: np.ndarray, M, P, K, L) -> np.ndarray:
-    """Upper bounds of the Crawford values of H at the angles ts for each
-    matrix of a stack (parts P, K, norms L), a (k, cells) array, from
-    eight attained points of its range, padded (_POINT_PAD).
+def _point_caps(bounds: np.ndarray, L: np.ndarray, hw: float) -> np.ndarray:
+    """The eigenvalue-only caps of round-0 Crawford cells of half-width hw,
+    raised by the pruning margin, from upper bounds of their values."""
+    return bounds * np.cos(hw) + L[:, None] * np.sin(hw) + _PRUNE_MARGIN * (1.0 + L[:, None])
 
-    The bottom and top eigenvectors y of H(t) at t = j pi / 4 (H scaled by
-    sqrt 2 at the odd j, which keeps its eigenvectors) give the points
-    q = y* M y.  A point of the range, y a unit vector, has
+
+def _point_bounds(ts: np.ndarray, M: np.ndarray, L: np.ndarray, hw: float) -> np.ndarray:
+    """Upper bounds of the Crawford values of H at the angles ts, cells of
+    half-width hw, for each matrix of a stack (norms L), a (k, cells)
+    array, from attained points of its range (_hull_bounds).
+
+    The diagonal entries M_jj = e_j* M e_j are exact points.  A matrix
+    some of whose caps from them (_point_caps) exceed 0 takes eight points
+    instead: the bottom and top eigenvectors y of H(t) at t = j pi / 4 (H
+    scaled by sqrt 2 at the odd j, which keeps its eigenvectors) give the
+    points q = y* M y, 4 eigensolves per matrix."""
+    m = M.shape[1]
+    bounds = _hull_bounds(ts, M.diagonal(axis1=1, axis2=2), m, L)
+    probed = np.flatnonzero((_point_caps(bounds, L, hw) > 0.0).any(axis=1))
+    if probed.size:
+        M = M[probed]
+        P, K = _pencil(M)
+        H = np.concatenate([P, P + K, K, K - P], axis=1).reshape(4 * probed.size, m, m)
+        ymin, ymax = _extremes(H, vectors=True)[2:4]
+        Y = np.concatenate([ymin, ymax], axis=1).reshape(probed.size, 8, m)
+        q = np.add.reduce(Y.conj() * (Y @ np.swapaxes(M, 1, 2)), axis=2)
+        bounds[probed] = _hull_bounds(ts, q, m, L[probed])
+    return bounds
+
+
+def _hull_bounds(ts: np.ndarray, q: np.ndarray, m: int, L: np.ndarray) -> np.ndarray:
+    """Upper bounds of the Crawford values of H at the angles ts, a
+    (k, cells) array, for each m x m matrix of a stack (norms L) whose
+    range holds the points of its row of q, padded (_POINT_PAD).
+
+    A point of the range, q = y* M y for a unit vector y, has
     y* H(t) y = Re(exp(it) q), so lambda_min(H(t)) <= min_j Re(exp(it) q_j)
     and lambda_max(H(t)) >= max_j Re(exp(it) q_j): the value
     max(lambda_min, -lambda_max) is at most the larger of the first and
     minus the second."""
-    k, m = M.shape[:2]
-    H = np.concatenate([P, P + K, K, K - P], axis=1).reshape(4 * k, m, m)
-    ymin, ymax = _extremes(H, vectors=True)[2:4]
-    Y = np.concatenate([ymin, ymax], axis=1).reshape(k, 8, m)
-    q = np.add.reduce(Y.conj() * (Y @ np.swapaxes(M, 1, 2)), axis=2)[:, :, None]
+    q = q[:, :, None]
     forms = q.real * np.cos(ts) - q.imag * np.sin(ts)
     pad = (_POINT_PAD * _EVAL_ERR + (4 * m + 16) * _EPS) * (1.0 + L)
     return np.maximum(forms.min(axis=1), -forms.max(axis=1)) + pad[:, None]

@@ -373,6 +373,43 @@ class TestHalfCircleSearch:
             solved.append(counted[0])
         assert solved[0] < solved[1] < solved[2]
 
+    def test_third_level_solves_fewer_ginibre_cells(self, monkeypatch):
+        # 52.4 eigensolved matrices per matrix with two levels.
+        counted = count_eigensolves(monkeypatch)
+        solved = []
+        for seed in range(10):
+            counted[0] = 0
+            numerical_radius(random_matrix(seed, 32))
+            solved.append(counted[0])
+        assert np.mean(solved) <= 51 and counted[1] == 0
+
+    @pytest.mark.parametrize("grid", [66, 100, 256, 512])
+    def test_third_level_keeps_the_bits(self, grid, monkeypatch):
+        # Pencils of 32 and 40 rows, alone and in stacks with a flat range,
+        # against two levels (_FINE_M 17 leaves 32-row pencils two, 40-row
+        # ones three) and against every round-0 cell solved; grid 66 has 33
+        # cells, one more than the finest subgrid, and there the third level
+        # solves as many cells as the second.
+        X, Y = random_matrix(46, 32), random_matrix(47, 32)
+        antidiagonal = np.block([[np.zeros((32, 32)), X], [Y, np.zeros((32, 32))]])
+        mats = [random_matrix(53, 32), shifted_jordan(61, 32, 0.0), shifted_jordan(33, 32, 0.8, phi=1.1)]
+        mats += [shifted_jordan(i, 32, c, phi=0.07 + 0.29 * i) for i, c in ((6, 2.0), (12, 5.0), (15, 20.0))]
+        mats += [random_matrix(305, 32) + (3 - 4j) * np.eye(32), 1e8 * random_matrix(48, 32)]
+        mats += [1e-8 * shifted_jordan(21, 32, 2.5, phi=0.6), random_matrix(54, 40), shifted_jordan(41, 40, 3.0, phi=4.4)]
+        mats += [antidiagonal]
+        stacks, opts = as_stacks(mats), RadiusOptions(grid_count=grid)
+        counted = count_eigensolves(monkeypatch)
+        three = rows(radii_and_crawford_numbers(stacks, [], opts)[0])
+        solved = [counted[0]]
+        for name, value in (("_FINE_M", 17), ("_SUBGRID", grid)):
+            counted[0] = 0
+            monkeypatch.setattr(functionals, name, value)
+            other = rows(radii_and_crawford_numbers(stacks, [], opts)[0])
+            assert all(same(a, b) for a, b in zip(three, other, strict=True))
+            solved.append(counted[0])
+        assert solved[0] <= solved[1] < solved[2]
+        assert solved[0] < solved[1] or grid == 66
+
 
 FLAT = {
     "J6": (shifted_jordan(1, 6, 0.0), math.cos(math.pi / 7), 1e-9),
@@ -548,21 +585,27 @@ class TestCrawfordWork:
         assert full.lo <= value <= full.hi
 
 
+def sift_sweep() -> list:
+    """Crawford matrices whose ranges hold 0 widely or barely, or miss it
+    barely or widely, shifted Ginibre matrices and extreme scales."""
+    mats = []
+    for n in (3, 5, 8, 16):
+        r = math.cos(math.pi / (n + 1))
+        for k, c in enumerate((0.5 * r, r * (1 - 1e-9), r * (1 + 1e-9), 1.3 * r, 3.0)):
+            mats.append(shifted_jordan(10 * n + k, n, c, phi=0.2345 + 0.9 * k))
+    mats += [random_matrix(70 + n, n) / math.sqrt(2 * n) + (2.5 + 1j) * np.eye(n) for n in (3, 6, 12)]
+    mats += [random_matrix(80, 4) + (2.5 + 1j) * np.eye(4)]
+    mats += [scale * M for scale in (1e-8, 1e8) for M in mats[3::6]]
+    return mats
+
+
 class TestCrawfordSift:
     @pytest.mark.parametrize("grid", [18, 33, 64, 256])
     def test_sifted_rows_keep_their_bits(self, grid, monkeypatch):
         # Against every round-0 cell solved: ranges holding 0 widely or
         # barely, missing it barely or widely, shifted Ginibre matrices and
         # extreme scales, in stacks of several sizes.
-        mats = []
-        for n in (3, 5, 8, 16):
-            r = math.cos(math.pi / (n + 1))
-            for k, c in enumerate((0.5 * r, r * (1 - 1e-9), r * (1 + 1e-9), 1.3 * r, 3.0)):
-                mats.append(shifted_jordan(10 * n + k, n, c, phi=0.2345 + 0.9 * k))
-        mats += [random_matrix(70 + n, n) / math.sqrt(2 * n) + (2.5 + 1j) * np.eye(n) for n in (3, 6, 12)]
-        mats += [random_matrix(80, 4) + (2.5 + 1j) * np.eye(4)]
-        mats += [scale * M for scale in (1e-8, 1e8) for M in mats[3::6]]
-        stacks, opts = as_stacks(mats), RadiusOptions(grid_count=grid)
+        stacks, opts = as_stacks(sift_sweep()), RadiusOptions(grid_count=grid)
         counted = count_eigensolves(monkeypatch)
         sifted = rows(radii_and_crawford_numbers([], stacks, opts)[1])
         solved, counted[0] = counted[0], 0
@@ -595,9 +638,31 @@ class TestCrawfordSift:
                 L = np.array([spectral_norm(A[0])])
                 pencils = functionals._Pencils(P, K, L, (A, None))
                 values = pencils._values(np.zeros(ts.size, dtype=np.intp), ts)
-                bounds = functionals._point_bounds(ts, A, P, K, L)[0]
+                bounds = functionals._point_bounds(ts, A, L, 0.5 * np.pi / ts.size)[0]
                 assert (bounds >= values).all()
                 assert np.mean(bounds - values <= 1e-12 * (1.0 + L[0])) > 0.25
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("shift", [3.0, 0.0])
+    def test_diagonal_bounds_cover_the_computed_values(self, seed, shift):
+        # Diagonal matrices D, whose ranges miss 0 (shift 3) or hold it
+        # (shift 0): their diagonal points bound the values of D, which
+        # they attain but for rounding, and the values of U D U*, whose
+        # range is the same and whose eigenvalues carry rounding errors.
+        rng = np.random.default_rng(seed)
+        ts = np.pi / 512 * np.arange(512)
+        cells = np.zeros(ts.size, dtype=np.intp)
+        for n in (2, 3, 8, 16):
+            d = rng.standard_normal(n) + 1j * rng.standard_normal(n) + shift
+            for scale in (1.0, 1e-8, 1e8):
+                D = scale * np.diag(d)[None]
+                L = np.array([spectral_norm(D[0])])
+                bounds = functionals._hull_bounds(ts, D.diagonal(axis1=1, axis2=2), n, L)[0]
+                for A in (D, hidden(seed + n, D[0])[None]):
+                    P, K = functionals._pencil(A)
+                    values = functionals._Pencils(P, K, L, (A, None))._values(cells, ts)
+                    assert (bounds >= values).all()
+                    assert np.mean(bounds - values <= 1e-12 * (1.0 + L[0])) > 0.25
 
 
 def probe_results(monkeypatch) -> list:
@@ -664,6 +729,72 @@ class TestCrawfordProbe:
         radii_and_crawford_numbers([], as_stacks(mats), RadiusOptions(grid_count=64))
         assert sum(v.size for v in verdicts) == len(mats)
         assert not np.concatenate(verdicts).any()
+
+
+def probe_eigensolves(monkeypatch) -> list:
+    """A one-element list counting the matrices the Crawford probe
+    eigensolves."""
+    counted = count_eigensolves(monkeypatch)
+    probe = [0]
+    bounds = functionals._point_bounds
+
+    def counting(*args):
+        before = counted[1]
+        out = bounds(*args)
+        probe[0] += counted[1] - before
+        return out
+
+    monkeypatch.setattr(functionals, "_point_bounds", counting)
+    return probe
+
+
+def diagonal_off(monkeypatch) -> None:
+    """Patch the Crawford direct step to probe every matrix, as it did
+    before the diagonal stage: a half-width of pi / 2 makes each diagonal
+    cap |M| plus the margin, above 0."""
+    bounds = functionals._point_bounds
+    monkeypatch.setattr(functionals, "_point_bounds", lambda ts, M, L, hw: bounds(ts, M, L, 0.5 * math.pi))
+
+
+class TestCrawfordDiagonal:
+    @pytest.mark.parametrize("grid", [18, 33, 64, 256])
+    @pytest.mark.parametrize("gap_scale", [1e-9, 0.3])
+    def test_enclosures_keep_their_bits(self, grid, gap_scale, monkeypatch):
+        # Against every matrix probed: the inputs of
+        # tests/test_crawford_bytes.py and more, the round-0 sift's
+        # families, hidden flat U J_n U* and Ginibre matrices.
+        mats = certificate_sweep() + sift_sweep()
+        mats += [shifted_jordan(700 + n, n, 0.0, 0.3 * n) for n in range(2, 13)]
+        mats += [random_matrix(800 + n, n) for n in (8, 16, 24, 32)]
+        opts = RadiusOptions(grid_count=grid, gap_scale=gap_scale)
+        stacks = as_stacks(mats)
+        probe = probe_eigensolves(monkeypatch)
+        settled = rows(radii_and_crawford_numbers([], stacks, opts)[1])
+        solved, probe[0] = probe[0], 0
+        diagonal_off(monkeypatch)
+        probed = rows(radii_and_crawford_numbers([], stacks, opts)[1])
+        for a, b in zip(settled, probed, strict=True):
+            assert (a.lo.hex(), a.hi.hex(), a.method) == (b.lo.hex(), b.hi.hex(), b.method)
+        assert solved < probe[0]
+
+    @pytest.mark.parametrize("M", [shifted_jordan(n, n, 0.0, 0.5 * n) for n in range(4, 9)] + [random_matrix(16, 16), random_matrix(0, 32)])
+    def test_flat_and_ginibre_ranges_take_no_eigensolve(self, M, monkeypatch):
+        # The diagonal points of a range holding a wide disk about 0 show
+        # that no round-0 cell survives: no probe, no grid.
+        counted = count_eigensolves(monkeypatch)
+        enc = crawford_number(M)
+        assert enc.lo == 0.0 and enc.hi <= 1e-11 and enc.method == "grid"
+        assert counted[0] == 0
+
+    @pytest.mark.parametrize("n", [2, 4, 8, 16])
+    def test_ranges_missing_zero_still_take_the_probe(self, n, monkeypatch):
+        # The disk of radius r about c exp(i phi), c > r: no diagonal point
+        # set can hold 0, so the probe solves its 4 matrices.
+        c = 1.5 * math.cos(math.pi / (n + 1))
+        probe = probe_eigensolves(monkeypatch)
+        enc = crawford_number(shifted_jordan(900 + n, n, c, 0.4 * n))
+        assert probe[0] == 4
+        assert enc.lo <= c - math.cos(math.pi / (n + 1)) <= enc.hi
 
 
 def certificate_sweep() -> list:
