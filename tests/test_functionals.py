@@ -516,19 +516,22 @@ class TestCrawfordWork:
         assert scans[0] == 0
 
     @pytest.mark.parametrize(
-        "seed, n, grid",
-        [(16, 16, 256), (0, 32, 256), (0, 2, 256), (5, 2, 16), (16, 16, 16), (0, 32, 8)],
+        "seed, n, grid, eigensolves",
+        [(16, 16, 256, 0), (0, 32, 256, 0), (0, 2, 256, 4), (5, 2, 16, 4), (16, 16, 16, 4), (0, 32, 8, 4)],
         ids=["16-16", "0-32", "0-2", "5-2-grid16", "16-16-grid16", "0-32-grid8"],
     )
-    def test_wide_disk_about_zero_takes_four_eigensolves(self, seed, n, grid, monkeypatch):
+    def test_wide_disk_about_zero_takes_four_eigensolves(self, seed, n, grid, eigensolves, monkeypatch):
         # Eight attained points show that the range holds a disk about 0
         # too wide for any round-0 cell to survive: no grid is solved, also
         # where round 0 is not sifted (2 x 2 matrices, grids of at most 16).
+        # The diagonal points of the 16 x 16 and 32 x 32 matrices already
+        # show it at grid 256, with no eigensolve; coarser grids' wider
+        # cells need the eight points.
         counted = count_eigensolves(monkeypatch)
         scans = count_cap_scans(monkeypatch)
         enc = crawford_number(random_matrix(seed, n), RadiusOptions(grid_count=grid))
         assert enc.lo == 0.0 and enc.hi <= 1e-11 and enc.method == "grid"
-        assert counted[0] == counted[1] == 4
+        assert counted[0] == counted[1] == eigensolves
         assert scans[0] == 0
 
     def test_narrow_disk_either_way_prunes_without_eigenvectors(self, monkeypatch):
