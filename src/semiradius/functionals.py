@@ -154,9 +154,9 @@ _SUBGRID = 8
 # to 32 (shifted Jordan blocks alone: 1.00 at m = 20), and 0.98-1.04 at
 # m = 8 and 12, where one more eigensolve call costs about what it saves.
 # Pencils of at least 2 _FINE_M rows sift in three, the third through the
-# subgrid of 4 _SUBGRID angles: on hidden 32 x 32 Ginibre matrices at the
-# default grid that cuts 55.0 eigensolved matrices per call to 50.1, at
-# 0.92 of two levels' time.
+# subgrid of 4 _SUBGRID angles: on 12 Ginibre 32 x 32 matrices at the
+# default grid that cuts 55.0 eigensolved matrices per call to 50.1, at a
+# median 0.92 of two levels' time (ten alternating passes, ten won).
 _FINE_M = 16
 # Relative half-width assigned to directly computed (non-grid) values.
 _EXACT_ERR = 1e-13

@@ -347,20 +347,27 @@ class TestHalfCircleSearch:
         numerical_radius(random_matrix(0, 32))
         assert 0 < counted[0] <= 60 and counted[1] == 0
 
-    @pytest.mark.parametrize("grid", [33, 64, 256])
+    @pytest.mark.parametrize("grid", [33, 64, 66, 256, 512])
     def test_second_level_keeps_the_bits(self, grid, monkeypatch):
         # Pencils of at least 16 rows, alone and in stacks with a flat
         # range, against one level and against every round-0 cell solved;
         # at grid 33 the finer subgrid leaves one of 17 cells.  Ranges far
-        # from 0 make h(t) and h(t + pi) differ widely.
+        # from 0 make h(t) and h(t + pi) differ widely.  Pencils of at
+        # least 32 rows (the 64 x 64 antidiagonal one among them) sift in
+        # three levels at grids above 64; at grid 66 the finest subgrid
+        # leaves one of 33 cells.
         X, Y = random_matrix(43, 16), random_matrix(44, 16)
         antidiagonal = np.block([[np.zeros((16, 16)), X], [Y, np.zeros((16, 16))]])
+        X, Y = random_matrix(46, 32), random_matrix(47, 32)
+        antidiagonal32 = np.block([[np.zeros((32, 32)), X], [Y, np.zeros((32, 32))]])
         mats = [random_matrix(50, 16), shifted_jordan(60, 16, 0.0), shifted_jordan(16, 16, 0.8, phi=1.3)]
         mats += [shifted_jordan(i, 16, c, phi=0.05 + 0.31 * i) for i, c in ((5, 2.0), (11, 5.0), (14, 20.0))]
         mats += [random_matrix(304, 16) + (3 + 4j) * np.eye(16), 1e8 * random_matrix(45, 16)]
         mats += [random_matrix(51, 24), shifted_jordan(25, 24, 5.0, phi=7.8), 1e-8 * shifted_jordan(20, 20, 2.5, phi=0.7)]
         mats += [random_matrix(52, 32), shifted_jordan(32, 32, 0.1, phi=2.0), shifted_jordan(44, 32, 20.0, phi=13.69)]
-        mats += [antidiagonal]
+        mats += [random_matrix(305, 32) + (3 - 4j) * np.eye(32), 1e8 * random_matrix(48, 32)]
+        mats += [1e-8 * shifted_jordan(21, 32, 2.5, phi=0.6), random_matrix(54, 40), shifted_jordan(41, 40, 3.0, phi=4.4)]
+        mats += [antidiagonal, antidiagonal32]
         stacks, opts = as_stacks(mats), RadiusOptions(grid_count=grid)
         counted = count_eigensolves(monkeypatch)
         two = rows(radii_and_crawford_numbers(stacks, [], opts)[0])
@@ -382,33 +389,6 @@ class TestHalfCircleSearch:
             numerical_radius(random_matrix(seed, 32))
             solved.append(counted[0])
         assert np.mean(solved) <= 51 and counted[1] == 0
-
-    @pytest.mark.parametrize("grid", [66, 100, 256, 512])
-    def test_third_level_keeps_the_bits(self, grid, monkeypatch):
-        # Pencils of 32 and 40 rows, alone and in stacks with a flat range,
-        # against two levels (_FINE_M 17 leaves 32-row pencils two, 40-row
-        # ones three) and against every round-0 cell solved; grid 66 has 33
-        # cells, one more than the finest subgrid, and there the third level
-        # solves as many cells as the second.
-        X, Y = random_matrix(46, 32), random_matrix(47, 32)
-        antidiagonal = np.block([[np.zeros((32, 32)), X], [Y, np.zeros((32, 32))]])
-        mats = [random_matrix(53, 32), shifted_jordan(61, 32, 0.0), shifted_jordan(33, 32, 0.8, phi=1.1)]
-        mats += [shifted_jordan(i, 32, c, phi=0.07 + 0.29 * i) for i, c in ((6, 2.0), (12, 5.0), (15, 20.0))]
-        mats += [random_matrix(305, 32) + (3 - 4j) * np.eye(32), 1e8 * random_matrix(48, 32)]
-        mats += [1e-8 * shifted_jordan(21, 32, 2.5, phi=0.6), random_matrix(54, 40), shifted_jordan(41, 40, 3.0, phi=4.4)]
-        mats += [antidiagonal]
-        stacks, opts = as_stacks(mats), RadiusOptions(grid_count=grid)
-        counted = count_eigensolves(monkeypatch)
-        three = rows(radii_and_crawford_numbers(stacks, [], opts)[0])
-        solved = [counted[0]]
-        for name, value in (("_FINE_M", 17), ("_SUBGRID", grid)):
-            counted[0] = 0
-            monkeypatch.setattr(functionals, name, value)
-            other = rows(radii_and_crawford_numbers(stacks, [], opts)[0])
-            assert all(same(a, b) for a, b in zip(three, other, strict=True))
-            solved.append(counted[0])
-        assert solved[0] <= solved[1] < solved[2]
-        assert solved[0] < solved[1] or grid == 66
 
 
 FLAT = {
