@@ -38,9 +38,8 @@ max(0, maximum of max(lambda_min, -lambda_max)).
   as fine that the first level leaves alive, and bound the rest again
   from the values solved and the first level's bounds, and pencils of at
   least 2 _FINE_M rows do the same once more on a subgrid four times as
-  fine.  For the Crawford
-  number, the probe's eight attained points q_j (below) bound
-  lambda_min(H(t)) from above by min_j Re(exp(it) q_j) and
+  fine.  For the Crawford number, the probe's eight attained points q_j
+  (below) bound lambda_min(H(t)) from above by min_j Re(exp(it) q_j) and
   lambda_max(H(t)) from below by max_j Re(exp(it) q_j), and with them the
   cell's value and its eigenvalue-only cap;
 * the Lipschitz cap value + |M| * w is implied: with at least four grid
@@ -237,14 +236,14 @@ _SUPPORT_PAD = 8.0
 # covers them with room to spare.  The cap and test of _Pencils.evaluate,
 # computed from a value no smaller than the cell's, are no smaller than
 # the cell's own, as rounding is monotone; so a cell whose such cap does
-# not exceed a floor would be pruned against it.  Every floor is at least 0: a matrix none of
-# whose caps exceeds 0 has every cell pruned, and _crawford_direct writes
-# the enclosure its search would.  In the round-0 sift a cell whose cap
-# does not exceed the subgrid's floor F = max(subgrid values, 0) is left
-# unsolved: it would be pruned against the floor, which is at least F, and
-# its value is below F too, as a value v > F would give a cap
-# v cos(hw) + |M| sin(hw) >= v - E sin(hw) (|M| >= v - E, cos + sin >= 1),
-# above F - margin.  So the floor, the candidates and lo after round 0 are
+# not exceed a floor would be pruned against it.  Every floor is at least
+# 0: a matrix none of whose caps exceeds 0 has every cell pruned, and
+# _crawford_direct writes the enclosure its search would.  In the round-0
+# sift a cell whose cap does not exceed the subgrid's floor
+# F = max(subgrid values, 0) is left unsolved: it would be pruned against
+# the floor, which is at least F, and its value is below F too, as a value
+# v > F would give a cap v cos(hw) + |M| sin(hw) >= v - E sin(hw)
+# (|M| >= v - E, cos + sin >= 1), above F - margin.  So the floor, the candidates and lo after round 0 are
 # those of solving every cell, and the cell's cap (-inf, not a value below
 # the floor by the margin) changes only upper ends below 0, which the
 # caller clamps at 0: enclosures keep their bits.
@@ -982,15 +981,17 @@ def _crawford_direct(M: np.ndarray, rows: np.ndarray, out: Enclosures, opts: Rad
     positions, P, K, norms, caps of the round-0 cells) of the others.
 
     A cell's cap here (_point_caps) is the eigenvalue-only cap and pruning
-    margin of _Pencils.evaluate taken from the bound of _point_bounds,
-    which is no smaller than the cell's computed value: as rounding is
+    margin of _Pencils.evaluate taken from an upper bound of the cell's
+    computed value from points of the range (_hull_bounds): as rounding is
     monotone, it is no smaller than the cell's own padded cap.  Every floor
     of the search is at least 0, so a matrix none of whose caps exceeds 0
     has every cell pruned; its search ends with lo = -inf and hi <= 0,
     scans no Monte Carlo cap, and writes [0, E] with E = _EVAL_ERR (1 + |M|),
     method "grid", whatever the eigenvalues: that is written here.  Any
-    sound padded bound serves, so a matrix whose diagonal points settle it
-    is written with no eigensolve and no pencil built.
+    sound padded bound serves: the bound from the diagonal entries
+    (_diagonal_bounds) settles a matrix with no eigensolve and no pencil
+    built, and only the matrices it leaves a cap above 0 take the probe's
+    (_point_bounds), 4 eigensolves each.
     """
     half, h, hw = _first_cells(opts)
     ts, m = h * np.arange(half), M.shape[1]
@@ -998,12 +999,18 @@ def _crawford_direct(M: np.ndarray, rows: np.ndarray, out: Enclosures, opts: Rad
     # Probe matrices (4 per matrix) and forms (8 per cell, m for the
     # diagonal) built at once stay within _CHUNK_BYTES.
     step = max(1, _CHUNK_BYTES // (64 * (m * m + half) + 8 * m * half))
-    caps = _point_caps(_in_chunks(step, lambda M, L: _point_bounds(ts, M, L, hw), M, L), L, hw)
-    fired = ~(caps > 0.0).any(axis=1)
+    caps = _point_caps(_in_chunks(step, functools.partial(_diagonal_bounds, ts), M, L), L, hw)
+    rest = np.flatnonzero((caps > 0.0).any(axis=1))
+    P, K = _pencil(M[rest])
+    if rest.size:
+        bounds = _in_chunks(step, functools.partial(_point_bounds, ts), M[rest], P, K, L[rest])
+        caps[rest] = _point_caps(bounds, L[rest], hw)
+        keep = (caps[rest] > 0.0).any(axis=1)
+        rest, P, K = rest[keep], P[keep], K[keep]
+    fired = np.ones(len(M), dtype=bool)
+    fired[rest] = False
     done = rows[fired]
     out.lo[done], out.hi[done], out.code[done] = 0.0, _EVAL_ERR * (1.0 + L[fired]), METHODS.index("grid")
-    rest = np.flatnonzero(~fired)
-    P, K = _pencil(M[rest])
     return rest, P, K, L[rest], caps[rest]
 
 
@@ -1013,28 +1020,27 @@ def _point_caps(bounds: np.ndarray, L: np.ndarray, hw: float) -> np.ndarray:
     return bounds * np.cos(hw) + L[:, None] * np.sin(hw) + _PRUNE_MARGIN * (1.0 + L[:, None])
 
 
-def _point_bounds(ts: np.ndarray, M: np.ndarray, L: np.ndarray, hw: float) -> np.ndarray:
-    """Upper bounds of the Crawford values of H at the angles ts, cells of
-    half-width hw, for each matrix of a stack (norms L), a (k, cells)
-    array, from attained points of its range (_hull_bounds).
+def _diagonal_bounds(ts: np.ndarray, M: np.ndarray, L: np.ndarray) -> np.ndarray:
+    """Upper bounds of the Crawford values of H at the angles ts for each
+    matrix of a stack (norms L), a (k, cells) array, from its diagonal
+    entries M_jj = e_j* M e_j, exact points of its range (_hull_bounds)."""
+    return _hull_bounds(ts, M.diagonal(axis1=1, axis2=2), M.shape[1], L)
 
-    The diagonal entries M_jj = e_j* M e_j are exact points.  A matrix
-    some of whose caps from them (_point_caps) exceed 0 takes eight points
-    instead: the bottom and top eigenvectors y of H(t) at t = j pi / 4 (H
-    scaled by sqrt 2 at the odd j, which keeps its eigenvectors) give the
-    points q = y* M y, 4 eigensolves per matrix."""
-    m = M.shape[1]
-    bounds = _hull_bounds(ts, M.diagonal(axis1=1, axis2=2), m, L)
-    probed = np.flatnonzero((_point_caps(bounds, L, hw) > 0.0).any(axis=1))
-    if probed.size:
-        M = M[probed]
-        P, K = _pencil(M)
-        H = np.concatenate([P, P + K, K, K - P], axis=1).reshape(4 * probed.size, m, m)
-        ymin, ymax = _extremes(H, vectors=True)[2:4]
-        Y = np.concatenate([ymin, ymax], axis=1).reshape(probed.size, 8, m)
-        q = np.add.reduce(Y.conj() * (Y @ np.swapaxes(M, 1, 2)), axis=2)
-        bounds[probed] = _hull_bounds(ts, q, m, L[probed])
-    return bounds
+
+def _point_bounds(ts: np.ndarray, M, P, K, L) -> np.ndarray:
+    """Upper bounds of the Crawford values of H at the angles ts for each
+    matrix of a stack (parts P, K, norms L), a (k, cells) array, from
+    eight attained points of its range (_hull_bounds).
+
+    The bottom and top eigenvectors y of H(t) at t = j pi / 4 (H scaled by
+    sqrt 2 at the odd j, which keeps its eigenvectors) give the points
+    q = y* M y."""
+    k, m = M.shape[:2]
+    H = np.concatenate([P, P + K, K, K - P], axis=1).reshape(4 * k, m, m)
+    ymin, ymax = _extremes(H, vectors=True)[2:4]
+    Y = np.concatenate([ymin, ymax], axis=1).reshape(k, 8, m)
+    q = np.add.reduce(Y.conj() * (Y @ np.swapaxes(M, 1, 2)), axis=2)
+    return _hull_bounds(ts, q, m, L)
 
 
 def _hull_bounds(ts: np.ndarray, q: np.ndarray, m: int, L: np.ndarray) -> np.ndarray:

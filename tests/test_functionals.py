@@ -366,7 +366,8 @@ class TestHalfCircleSearch:
         mats += [random_matrix(51, 24), shifted_jordan(25, 24, 5.0, phi=7.8), 1e-8 * shifted_jordan(20, 20, 2.5, phi=0.7)]
         mats += [random_matrix(52, 32), shifted_jordan(32, 32, 0.1, phi=2.0), shifted_jordan(44, 32, 20.0, phi=13.69)]
         mats += [random_matrix(305, 32) + (3 - 4j) * np.eye(32), 1e8 * random_matrix(48, 32)]
-        mats += [1e-8 * shifted_jordan(21, 32, 2.5, phi=0.6), random_matrix(54, 40), shifted_jordan(41, 40, 3.0, phi=4.4)]
+        mats += [1e-8 * shifted_jordan(21, 32, 2.5, phi=0.6), 1e-8 * random_matrix(55, 32)]
+        mats += [random_matrix(54, 40), shifted_jordan(41, 40, 3.0, phi=4.4)]
         mats += [antidiagonal, antidiagonal32]
         stacks, opts = as_stacks(mats), RadiusOptions(grid_count=grid)
         counted = count_eigensolves(monkeypatch)
@@ -474,12 +475,14 @@ def count_cap_scans(monkeypatch) -> list:
 
 
 def probe_off(monkeypatch) -> None:
-    """Patch the Crawford probe's point caps to +inf, with no eigensolve:
-    the direct step fires on no matrix, and round 0 solves every cell."""
+    """Patch the Crawford probe's point caps, and those of the diagonal
+    points, to +inf, with no eigensolve: the direct step fires on no
+    matrix, and round 0 solves every cell."""
 
     def no_bound(ts, M, *args):
         return np.full((len(M), ts.size), np.inf)
 
+    monkeypatch.setattr(functionals, "_diagonal_bounds", no_bound)
     monkeypatch.setattr(functionals, "_point_bounds", no_bound)
 
 
@@ -621,7 +624,7 @@ class TestCrawfordSift:
                 L = np.array([spectral_norm(A[0])])
                 pencils = functionals._Pencils(P, K, L, (A, None))
                 values = pencils._values(np.zeros(ts.size, dtype=np.intp), ts)
-                bounds = functionals._point_bounds(ts, A, L, 0.5 * np.pi / ts.size)[0]
+                bounds = functionals._point_bounds(ts, A, P, K, L)[0]
                 assert (bounds >= values).all()
                 assert np.mean(bounds - values <= 1e-12 * (1.0 + L[0])) > 0.25
 
@@ -640,7 +643,7 @@ class TestCrawfordSift:
             for scale in (1.0, 1e-8, 1e8):
                 D = scale * np.diag(d)[None]
                 L = np.array([spectral_norm(D[0])])
-                bounds = functionals._hull_bounds(ts, D.diagonal(axis1=1, axis2=2), n, L)[0]
+                bounds = functionals._diagonal_bounds(ts, D, L)[0]
                 for A in (D, hidden(seed + n, D[0])[None]):
                     P, K = functionals._pencil(A)
                     values = functionals._Pencils(P, K, L, (A, None))._values(cells, ts)
@@ -732,11 +735,9 @@ def probe_eigensolves(monkeypatch) -> list:
 
 
 def diagonal_off(monkeypatch) -> None:
-    """Patch the Crawford direct step to probe every matrix, as it did
-    before the diagonal stage: a half-width of pi / 2 makes each diagonal
-    cap |M| plus the margin, above 0."""
-    bounds = functionals._point_bounds
-    monkeypatch.setattr(functionals, "_point_bounds", lambda ts, M, L, hw: bounds(ts, M, L, 0.5 * math.pi))
+    """Patch the caps of the diagonal points to +inf: the Crawford direct
+    step probes every matrix, as it did before the diagonal stage."""
+    monkeypatch.setattr(functionals, "_diagonal_bounds", lambda ts, M, L: np.full((len(M), ts.size), np.inf))
 
 
 class TestCrawfordDiagonal:
@@ -760,7 +761,9 @@ class TestCrawfordDiagonal:
             assert (a.lo.hex(), a.hi.hex(), a.method) == (b.lo.hex(), b.hi.hex(), b.method)
         assert solved < probe[0]
 
-    @pytest.mark.parametrize("M", [shifted_jordan(n, n, 0.0, 0.5 * n) for n in range(4, 9)] + [random_matrix(16, 16), random_matrix(0, 32)])
+    @pytest.mark.parametrize(
+        "M", [shifted_jordan(n, n, 0.0, 0.5 * n) for n in range(4, 9)] + [random_matrix(16, 16), random_matrix(0, 32)]
+    )
     def test_flat_and_ginibre_ranges_take_no_eigensolve(self, M, monkeypatch):
         # The diagonal points of a range holding a wide disk about 0 show
         # that no round-0 cell survives: no probe, no grid.
