@@ -631,15 +631,17 @@ class TestCrawfordSift:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("shift", [3.0, 0.0])
     def test_diagonal_bounds_cover_the_computed_values(self, seed, shift):
-        # Diagonal matrices D, whose ranges miss 0 (shift 3) or hold it
-        # (shift 0): their diagonal points bound the values of D, which
-        # they attain but for rounding, and the values of U D U*, whose
-        # range is the same and whose eigenvalues carry rounding errors.
+        # Diagonal matrices D, whose ranges, the hulls of points centered
+        # at shift, miss 0 (shift 3) or hold it (shift 0): their diagonal
+        # points bound the values of D, which they attain but for rounding,
+        # and the values of U D U*, whose range is the same and whose
+        # eigenvalues carry rounding errors.
         rng = np.random.default_rng(seed)
         ts = np.pi / 512 * np.arange(512)
         cells = np.zeros(ts.size, dtype=np.intp)
         for n in (2, 3, 8, 16):
-            d = rng.standard_normal(n) + 1j * rng.standard_normal(n) + shift
+            z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            d = z - z.mean() + shift
             for scale in (1.0, 1e-8, 1e8):
                 D = scale * np.diag(d)[None]
                 L = np.array([spectral_norm(D[0])])
