@@ -47,18 +47,12 @@ def _ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return G
 
 
-def _phase_fixed_q(G: np.ndarray) -> np.ndarray:
-    """The Q factor of G = QR, its columns rotated so that diag(R) is
-    positive."""
-    Q, R = np.linalg.qr(G)
+def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Haar-distributed unitary via QR of a Ginibre matrix with phase fix."""
+    Q, R = np.linalg.qr(_ginibre(rng, n, n))
     d = np.diagonal(R).copy()
     d[d == 0] = 1.0
     return Q * (d / np.abs(d))
-
-
-def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Haar-distributed unitary via QR of a Ginibre matrix with phase fix."""
-    return _phase_fixed_q(_ginibre(rng, n, n))
 
 
 @dataclass(frozen=True)
@@ -109,12 +103,8 @@ def sample_space(config: SampleConfig) -> SemiHilbertSpace:
         # rotation so the seed comes out exactly scalar.
         return build_space(config.lam_max * np.eye(n))
     lam = _spectrum(config, rng)
-    # The first r columns of a Haar unitary.  The stream draws the whole
-    # n x n Ginibre matrix G, but Q[:, :r] R[:r, :r] = G[:, :r], so only
-    # those columns are factored; their phase-fixed Q is that of the full
-    # QR, up to rounding that blocked or threaded BLAS may order otherwise.
-    U = _phase_fixed_q(_ginibre(rng, n, n)[:, :r])
-    A = (U * lam) @ U.conj().T
+    U = haar_unitary(rng, n)
+    A = (U[:, :r] * lam) @ U[:, :r].conj().T
     return build_space(0.5 * (A + A.conj().T))
 
 
