@@ -999,19 +999,30 @@ def _crawford_direct(M: np.ndarray, rows: np.ndarray, out: Enclosures, opts: Rad
     # Probe matrices (4 per matrix) and forms (8 per cell, m for the
     # diagonal) built at once stay within _CHUNK_BYTES.
     step = max(1, _CHUNK_BYTES // (64 * (m * m + half) + 8 * m * half))
-    caps = _point_caps(_in_chunks(step, functools.partial(_diagonal_bounds, ts), M, L), L, hw)
-    rest = np.flatnonzero((caps > 0.0).any(axis=1))
-    P, K = _pencil(M[rest])
+    # Diagonal points all in a closed half-plane of the real or the
+    # imaginary axis keep the diagonal bound at the cell nearest 0 or
+    # pi / 2 above -|M| sin(hw) + pad, and that cell's cap above 0: only
+    # the matrices whose diagonal points surround 0, with Re(z d_j) > 0 at
+    # some j for each z = 1, -1, i, -i, take the diagonal caps.
+    d = M.diagonal(axis1=1, axis2=2)
+    rest = np.arange(len(M))
+    near = np.flatnonzero((d[:, :, None] * (1, -1, 1j, -1j)).real.max(axis=1).min(axis=1) > 0.0)
+    if near.size:
+        caps = _point_caps(_in_chunks(step, functools.partial(_diagonal_bounds, ts), M[near], L[near]), L[near], hw)
+        rest = np.delete(rest, near[~(caps > 0.0).any(axis=1)])
+    P = K = np.empty((0, m, m))
+    caps = np.empty((0, half))
     if rest.size:
-        bounds = _in_chunks(step, functools.partial(_point_bounds, ts), M[rest], P, K, L[rest])
-        caps[rest] = _point_caps(bounds, L[rest], hw)
-        keep = (caps[rest] > 0.0).any(axis=1)
-        rest, P, K = rest[keep], P[keep], K[keep]
+        Mr, Lr = (M, L) if rest.size == len(M) else (M[rest], L[rest])
+        P, K = _pencil(Mr)
+        caps = _point_caps(_in_chunks(step, functools.partial(_point_bounds, ts), Mr, P, K, Lr), Lr, hw)
+        keep = (caps > 0.0).any(axis=1)
+        rest, P, K, caps = rest[keep], P[keep], K[keep], caps[keep]
     fired = np.ones(len(M), dtype=bool)
     fired[rest] = False
     done = rows[fired]
     out.lo[done], out.hi[done], out.code[done] = 0.0, _EVAL_ERR * (1.0 + L[fired]), METHODS.index("grid")
-    return rest, P, K, L[rest], caps[rest]
+    return rest, P, K, L[rest], caps
 
 
 def _point_caps(bounds: np.ndarray, L: np.ndarray, hw: float) -> np.ndarray:
