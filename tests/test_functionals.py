@@ -342,10 +342,15 @@ class TestHalfCircleSearch:
         assert solved < counted[0]
 
     def test_second_level_solves_fewer_ginibre_cells(self, monkeypatch):
-        # 69 eigensolved matrices with one level of support lines.
+        # Eigensolved matrices per 32 x 32 Ginibre matrix, seeds 0-9: 63.9
+        # on average with one level of support lines, 52.4 with two.
         counted = count_eigensolves(monkeypatch)
-        numerical_radius(random_matrix(0, 32))
-        assert 0 < counted[0] <= 60 and counted[1] == 0
+        solved = []
+        for seed in range(10):
+            counted[0] = 0
+            numerical_radius(random_matrix(seed, 32))
+            solved.append(counted[0])
+        assert 0 < min(solved) and np.mean(solved) <= 51 and counted[1] == 0
 
     @pytest.mark.parametrize("grid", [33, 64, 66, 256, 512])
     def test_second_level_keeps_the_bits(self, grid, monkeypatch):
@@ -380,16 +385,6 @@ class TestHalfCircleSearch:
             assert all(same(a, b) for a, b in zip(two, other, strict=True))
             solved.append(counted[0])
         assert solved[0] < solved[1] < solved[2]
-
-    def test_third_level_solves_fewer_ginibre_cells(self, monkeypatch):
-        # 52.4 eigensolved matrices per matrix with two levels.
-        counted = count_eigensolves(monkeypatch)
-        solved = []
-        for seed in range(10):
-            counted[0] = 0
-            numerical_radius(random_matrix(seed, 32))
-            solved.append(counted[0])
-        assert np.mean(solved) <= 51 and counted[1] == 0
 
 
 FLAT = {
@@ -776,12 +771,37 @@ class TestCrawfordDiagonal:
     @pytest.mark.parametrize("n", [2, 4, 8, 16])
     def test_ranges_missing_zero_still_take_the_probe(self, n, monkeypatch):
         # The disk of radius r about c exp(i phi), c > r: no diagonal point
-        # set can hold 0, so the probe solves its 4 matrices.
+        # set can hold 0, so the probe solves its 4 matrices.  With
+        # c > sqrt(2) r the disk lies on one side of the real or the
+        # imaginary axis, and the diagonal caps are not even taken.
         c = 1.5 * math.cos(math.pi / (n + 1))
         probe = probe_eigensolves(monkeypatch)
+        taken = []
+        bounds = functionals._diagonal_bounds
+        monkeypatch.setattr(functionals, "_diagonal_bounds", lambda *args: taken.append(1) or bounds(*args))
         enc = crawford_number(shifted_jordan(900 + n, n, c, 0.4 * n))
-        assert probe[0] == 4
+        assert probe[0] == 4 and not taken
         assert enc.lo <= c - math.cos(math.pi / (n + 1)) <= enc.hi
+
+    @pytest.mark.parametrize("grid", [18, 33, 64, 256])
+    @pytest.mark.parametrize("z", [1, -1, 1j, -1j])
+    def test_points_off_an_axis_leave_a_cap_above_zero(self, grid, z):
+        # Diagonal points z b, b = i, -i and points of the unit circle's
+        # left half: all on one side of the real or the imaginary axis,
+        # their hull holding a half disk about 0.  Their caps stay above 0
+        # at some cell, at odd and even cell counts, so the direct step may
+        # skip the diagonal caps of such matrices.
+        half, h, hw = functionals._first_cells(RadiusOptions(grid_count=grid))
+        ts = h * np.arange(half)
+        rng = np.random.default_rng(grid)
+        for n in (3, 5, 16):
+            arc = np.exp(1j * np.pi * rng.uniform(0.5, 1.5, n - 2))
+            for scale in (1.0, 1e-8, 1e8):
+                d = scale * z * np.concatenate(([1j, -1j], arc))
+                D = np.diag(d)[None]
+                L = np.array([spectral_norm(D[0])])
+                caps = functionals._point_caps(functionals._diagonal_bounds(ts, D, L), L, hw)
+                assert (caps > 0.0).any()
 
 
 def certificate_sweep() -> list:
