@@ -989,9 +989,9 @@ def _crawford_direct(M: np.ndarray, rows: np.ndarray, out: Enclosures, opts: Rad
     scans no Monte Carlo cap, and writes [0, E] with E = _EVAL_ERR (1 + |M|),
     method "grid", whatever the eigenvalues: that is written here.  Any
     sound padded bound serves: the bound from the diagonal entries
-    (_diagonal_bounds) settles a matrix with no eigensolve and no pencil
-    built, and only the matrices it leaves a cap above 0 take the probe's
-    (_point_bounds), 4 eigensolves each.
+    (_diagonal_bounds), taken only where they surround 0, settles a matrix
+    with no eigensolve and no pencil built, and only the matrices it does
+    not settle take the probe's (_point_bounds), 4 eigensolves each.
     """
     half, h, hw = _first_cells(opts)
     ts, m = h * np.arange(half), M.shape[1]
@@ -1001,12 +1001,14 @@ def _crawford_direct(M: np.ndarray, rows: np.ndarray, out: Enclosures, opts: Rad
     step = max(1, _CHUNK_BYTES // (64 * (m * m + half) + 8 * m * half))
     # Diagonal points all in a closed half-plane of the real or the
     # imaginary axis keep the diagonal bound at the cell nearest 0 or
-    # pi / 2 above -|M| sin(hw) + pad, and that cell's cap above 0: only
-    # the matrices whose diagonal points surround 0, with Re(z d_j) > 0 at
-    # some j for each z = 1, -1, i, -i, take the diagonal caps.
+    # pi / 2 above -|M| sin(hw) + pad, and that cell's cap above 0; two
+    # points do the same at the cell nearest their segment's normal.  Only
+    # the matrices of at least 3 rows whose diagonal points surround 0,
+    # with Re(z d_j) > 0 at some j for each z = 1, -1, i, -i, take the
+    # diagonal caps.
     d = M.diagonal(axis1=1, axis2=2)
     rest = np.arange(len(M))
-    near = np.flatnonzero((d[:, :, None] * (1, -1, 1j, -1j)).real.max(axis=1).min(axis=1) > 0.0)
+    near = np.flatnonzero((d[:, :, None] * (1, -1, 1j, -1j)).real.max(axis=1).min(axis=1) > 0.0) if m > 2 else rest[:0]
     if near.size:
         caps = _point_caps(_in_chunks(step, functools.partial(_diagonal_bounds, ts), M[near], L[near]), L[near], hw)
         rest = np.delete(rest, near[~(caps > 0.0).any(axis=1)])

@@ -1,5 +1,6 @@
 """Radius and Crawford enclosures, seminorm, Monte Carlo oracles, intervals."""
 
+import itertools
 import math
 
 import numpy as np
@@ -788,7 +789,8 @@ class TestCrawfordDiagonal:
     def test_points_off_an_axis_leave_a_cap_above_zero(self, grid, z):
         # Diagonal points z b, b = i, -i and points of the unit circle's
         # left half: all on one side of the real or the imaginary axis,
-        # their hull holding a half disk about 0.  Their caps stay above 0
+        # their hull holding a half disk about 0; and two points on a line
+        # through 0, whose segment holds no disk.  Their caps stay above 0
         # at some cell, at odd and even cell counts, so the direct step may
         # skip the diagonal caps of such matrices.
         half, h, hw = functionals._first_cells(RadiusOptions(grid_count=grid))
@@ -796,9 +798,9 @@ class TestCrawfordDiagonal:
         rng = np.random.default_rng(grid)
         for n in (3, 5, 16):
             arc = np.exp(1j * np.pi * rng.uniform(0.5, 1.5, n - 2))
-            for scale in (1.0, 1e-8, 1e8):
-                d = scale * z * np.concatenate(([1j, -1j], arc))
-                D = np.diag(d)[None]
+            segment = np.exp(2j * np.pi * rng.uniform()) * np.array([1.0, -rng.uniform(0.5, 2.0)])
+            for scale, b in itertools.product((1.0, 1e-8, 1e8), (np.concatenate(([1j, -1j], arc)), segment)):
+                D = np.diag(scale * z * b)[None]
                 L = np.array([spectral_norm(D[0])])
                 caps = functionals._point_caps(functionals._diagonal_bounds(ts, D, L), L, hw)
                 assert (caps > 0.0).any()
