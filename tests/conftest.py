@@ -35,3 +35,32 @@ def dual_attempts(monkeypatch) -> list:
 
     monkeypatch.setattr(functionals._Pencils, "dual", counting)
     return attempts
+
+
+@pytest.fixture
+def reference_enclosures():
+    """A function that checks an Enclosures stack against one recorded in
+    tests/data: each enclosure must overlap the recorded one and be no
+    wider than the larger of the recorded width and its own gap plus pads
+    (the evaluation pad at either end and the rounding pads of the search's
+    bounds, 4e-13 (1 + |M|) in all).  So a search may change the bits of an
+    enclosure, but not exclude an answer the record holds, nor stop short
+    of its gap.  Called with the file name, the case key, the enclosures,
+    the spectral norms of their matrices and the gap scale."""
+    import json
+    import pathlib
+
+    import numpy as np
+
+    def check(name: str, key: str, encs, norms, gap_scale: float) -> None:
+        recorded = json.loads((pathlib.Path(__file__).with_name("data") / name).read_text())[key]
+        lo0 = np.array([float.fromhex(a) for a, _b in recorded])
+        hi0 = np.array([float.fromhex(b) for _a, b in recorded])
+        assert encs.lo.size == lo0.size
+        apart = np.flatnonzero((encs.hi < lo0) | (hi0 < encs.lo))
+        assert not apart.size, [(i, encs.lo[i], encs.hi[i], lo0[i], hi0[i]) for i in apart]
+        allowed = np.maximum(hi0 - lo0, (gap_scale + 4e-13) * (1.0 + norms))
+        wide = np.flatnonzero(encs.hi - encs.lo > allowed)
+        assert not wide.size, [(i, encs.hi[i] - encs.lo[i], allowed[i]) for i in wide]
+
+    return check

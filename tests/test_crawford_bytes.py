@@ -9,11 +9,17 @@ and extreme scales, at coarse, fine and uneven grids (18 and 33 have 9
 and 17 cells on the half circle), with and without the Monte Carlo cap,
 and at a gap wide enough for the cap to trim some upper ends.  Any change to which cells the search prunes, refines or evaluates
 that moves a last bit shows here.
+
+tests/data/crawford_enclosures.json records the same enclosures as the
+cell branch and bound gave them; every enclosure must overlap its record
+(conftest.reference_enclosures).  Re-record it, only where the record
+itself must change, with ``PYTHONPATH=src python tests/test_crawford_bytes.py``.
 """
 
 import hashlib
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -57,6 +63,9 @@ def matrices() -> list:
     return mats
 
 
+CASES = ((0, 1e-9), (DEFAULT_MC_SAMPLES, 1e-9), (DEFAULT_MC_SAMPLES, 0.3))
+
+
 def digest(records) -> str:
     return hashlib.sha256(json.dumps(records).encode()).hexdigest()
 
@@ -64,9 +73,31 @@ def digest(records) -> str:
 @pytest.mark.parametrize("grid", [4, 5, 18, 33, 64, 256])
 def test_crawford_enclosure_bytes_are_pinned(grid):
     records = []
-    for samples, gap_scale in ((0, 1e-9), (DEFAULT_MC_SAMPLES, 1e-9), (DEFAULT_MC_SAMPLES, 0.3)):
+    for samples, gap_scale in CASES:
         opts = RadiusOptions(grid_count=grid, gap_scale=gap_scale, oracle_samples=samples)
         stacks = [M[None] for M in matrices()]
         _radii, encs = radii_and_crawford_numbers([], stacks, opts)
         records.append([[encs.lo.item(i).hex(), encs.hi.item(i).hex(), encs[i].method] for i in range(len(stacks))])
     assert digest(records) == CRAWFORD_SHA256[grid]
+
+
+@pytest.mark.parametrize("grid", list(CRAWFORD_SHA256))
+@pytest.mark.parametrize("samples, gap_scale", CASES)
+def test_crawford_enclosures_overlap_the_reference(grid, samples, gap_scale, reference_enclosures):
+    mats = matrices()
+    opts = RadiusOptions(grid_count=grid, gap_scale=gap_scale, oracle_samples=samples)
+    encs = radii_and_crawford_numbers([], [M[None] for M in mats], opts)[1]
+    norms = np.array([np.linalg.norm(M, ord=2) for M in mats])
+    reference_enclosures("crawford_enclosures.json", f"{grid}-{samples}-{gap_scale}", encs, norms, gap_scale)
+
+
+if __name__ == "__main__":
+    records = {}
+    for grid in CRAWFORD_SHA256:
+        for samples, gap_scale in CASES:
+            opts = RadiusOptions(grid_count=grid, gap_scale=gap_scale, oracle_samples=samples)
+            encs = radii_and_crawford_numbers([], [M[None] for M in matrices()], opts)[1]
+            records[f"{grid}-{samples}-{gap_scale}"] = [[lo.hex(), hi.hex()] for lo, hi in zip(encs.lo.tolist(), encs.hi.tolist())]
+    path = pathlib.Path(__file__).with_name("data") / "crawford_enclosures.json"
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(json.dumps(records, indent=0) + "\n")

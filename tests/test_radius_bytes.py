@@ -10,11 +10,17 @@ antidiagonal matrices [[0, X], [Y, 0]] (searched through their corner),
 call, at coarse, odd and fine grids and at two gaps.  Any change to which
 cells the search prunes, refines or evaluates that moves a last bit shows
 here.
+
+tests/data/radius_enclosures.json records the same enclosures as the cell
+branch and bound gave them; every enclosure must overlap its record
+(conftest.reference_enclosures).  Re-record it, only where the record
+itself must change, with ``PYTHONPATH=src python tests/test_radius_bytes.py``.
 """
 
 import hashlib
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -72,6 +78,9 @@ def stacks() -> list:
     return out
 
 
+GAPS = (1e-9, 1e-4)
+
+
 def digest(records) -> str:
     return hashlib.sha256(json.dumps(records).encode()).hexdigest()
 
@@ -79,7 +88,27 @@ def digest(records) -> str:
 @pytest.mark.parametrize("grid", [4, 5, 33, 64, 256])
 def test_radius_enclosure_bytes_are_pinned(grid):
     records = []
-    for gap_scale in (1e-9, 1e-4):
+    for gap_scale in GAPS:
         encs, _crawfords = radii_and_crawford_numbers(stacks(), [], RadiusOptions(grid_count=grid, gap_scale=gap_scale))
         records.append([[encs.lo.item(i).hex(), encs.hi.item(i).hex(), encs[i].method] for i in range(encs.lo.size)])
     assert digest(records) == RADIUS_SHA256[grid]
+
+
+@pytest.mark.parametrize("grid", list(RADIUS_SHA256))
+@pytest.mark.parametrize("gap_scale", GAPS)
+def test_radius_enclosures_overlap_the_reference(grid, gap_scale, reference_enclosures):
+    mats = stacks()
+    encs = radii_and_crawford_numbers(mats, [], RadiusOptions(grid_count=grid, gap_scale=gap_scale))[0]
+    norms = np.concatenate([np.linalg.norm(S, ord=2, axis=(1, 2)) for S in mats])
+    reference_enclosures("radius_enclosures.json", f"{grid}-{gap_scale}", encs, norms, gap_scale)
+
+
+if __name__ == "__main__":
+    records = {}
+    for grid in RADIUS_SHA256:
+        for gap_scale in GAPS:
+            encs = radii_and_crawford_numbers(stacks(), [], RadiusOptions(grid_count=grid, gap_scale=gap_scale))[0]
+            records[f"{grid}-{gap_scale}"] = [[lo.hex(), hi.hex()] for lo, hi in zip(encs.lo.tolist(), encs.hi.tolist())]
+    path = pathlib.Path(__file__).with_name("data") / "radius_enclosures.json"
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(json.dumps(records, indent=0) + "\n")
