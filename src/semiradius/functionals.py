@@ -4,91 +4,81 @@ The radius of a matrix M is the maximum over angles of the top eigenvalue
 of the rotated Hermitian part H(t) = cos(t) P + sin(t) K, where
 P = (M + M*)/2 and K = i (M - M*)/2.  The Crawford number replaces the top
 eigenvalue by the bottom one and clamps at zero.  H(t + pi) = -H(t), so
-one eigensolve at t answers for t and t + pi: both are computed by branch
-and bound over the half circle [0, pi), the radius as the maximum of
-max(lambda_max, -lambda_min) of H(t), the Crawford number as
-max(0, maximum of max(lambda_min, -lambda_max)).
+one eigensolve at t answers for t and t + pi.  y* H(t) y = Re(exp(it) q)
+for the point q = y* M y of the numerical range W(M), so lambda_max(H(t))
+is the support function h of W in the direction -t: one eigensolve gives
+two support lines of W, and its bottom and top eigenvectors two points.
+
+The radius, the maximum of max(lambda_max, -lambda_min) of H(t), comes
+from branch and bound over the half circle [0, pi):
 
 * every evaluated angle yields an attained value, so the running maximum
   is a true lower bound;
-* each cell of half-width w is capped by a rotation certificate.  For the
-  radius, the cell holding a maximizing angle (of either half turn)
-  satisfies value >= radius * cos(w), giving the cap value / cos(w).  For
-  the Crawford number, the bottom eigenvector y of H at the cell center t
-  gives the cosine curve s -> Re(exp(is) y* M y), which lies above
-  lambda_min(H(s)) and touches it at t; the top eigenvector gives one
-  touching at t + pi.  The larger of their exact maxima caps the cell.
-  Both curves have amplitude at most |M| and pass at or below the cell
-  value v, so v cos(w) + |M| sin(w) caps the cell from its eigenvalues
-  alone: a cell whose such cap cannot beat its matrix's floor is pruned
-  with it, and only the other cells are eigensolved again for their
-  eigenvectors;
+* the cell holding a maximizing angle (of either half turn) of half-width
+  w satisfies value >= radius * cos(w), giving the cap value / cos(w), and
+  the Lipschitz cap value + |M| * w is implied: with at least four grid
+  angles w is about pi/4 at most, where no rotation cap exceeds it;
 * round 0 of a search eigensolves _SUBGRID of its angles per half turn
   first and bounds the value of every other cell from above; a cell whose
   bound, padded for rounding, gives a cap that round 0 would prune is left
   unsolved, the others are eigensolved, and the bounds and surviving cells
-  after round 0 are those of solving every cell.  For the radius, the
-  subgrid's eigenvalues give the support function h of the range at its
-  angles and at those plus pi, and between two such angles the convex
-  range keeps h below the vertex of their support lines (C. R. Johnson,
-  "Numerical determination of the field of values of a general complex
-  matrix", SIAM J. Numer. Anal. 15, 1978).  The bound holds for upper
-  bounds of h in place of its values, so its levels run as one loop:
-  pencils of at least _FINE_M rows also solve the cells of a subgrid twice
-  as fine that the first level leaves alive, and bound the rest again
-  from the values solved and the first level's bounds, and pencils of at
-  least 2 _FINE_M rows do the same once more on a subgrid four times as
-  fine.  For the Crawford number, the probe's eight attained points q_j
-  (below) bound lambda_min(H(t)) from above by min_j Re(exp(it) q_j) and
-  lambda_max(H(t)) from below by max_j Re(exp(it) q_j), and with them the
-  cell's value and its eigenvalue-only cap;
-* the Lipschitz cap value + |M| * w is implied: with at least four grid
-  angles w is about pi/4 at most, where no rotation cap exceeds it;
-* a radius matrix whose objective is flat on the initial grid, so that
-  every round-0 cell survives pruning (disk-shaped ranges about 0, such as
-  weighted shifts and U J_n U*), is also capped by Ando's dual certificate
-  (T. Ando, "Structure of operators with numerical radius one", Acta Sci.
-  Math. (Szeged) 34, 1973): omega(M) = min over Hermitian Z of
-  lambda_max([[Z, M], [M*, -Z]]), and every Hermitian Z gives an upper
-  bound.  Z is fitted to the round-0 eigenvectors, and a flat matrix
-  whose certificate meets its gap leaves the search at round 0; the
-  others refine as before;
-* a Crawford matrix whose round 0 would prune every cell by its
-  eigenvalue-only cap never enters the search (_crawford_direct).  The
-  bound (above) from attained points of its range, padded for rounding,
-  caps every round-0 cell with the margin the search prunes by; when no
-  such cap exceeds 0, the matrix gets the enclosure [0, E] the search
-  would give it (E the evaluation pad).  The points are first its
-  diagonal entries e_j* M e_j, exact and free (Horn and Johnson, "Topics
-  in Matrix Analysis", 1991, section 1.2), which settle such a matrix with
-  no eigensolve; a matrix they leave a cap above 0 takes eight points
-  y* M y instead, from the bottom and top eigenvectors y of H(t) at
-  t = k pi / 4: 4 eigensolves instead of the round-0 grid.  The matrices
-  neither settles take the eight points' caps into the search's round 0,
-  which solves only the cells whose cap exceeds the subgrid's floor.
+  after round 0 are those of solving every cell.  The subgrid's
+  eigenvalues give h at its angles and at those plus pi, and between two
+  such angles the convex range keeps h below the vertex of their support
+  lines (C. R. Johnson, "Numerical determination of the field of values of
+  a general complex matrix", SIAM J. Numer. Anal. 15, 1978).  The bound
+  holds for upper bounds of h in place of its values, so its levels run as
+  one loop: pencils of at least _FINE_M rows also solve the cells of a
+  subgrid twice as fine that the first level leaves alive, and bound the
+  rest again from the values solved and the first level's bounds, and
+  pencils of at least 2 _FINE_M rows do the same once more on a subgrid
+  four times as fine;
+* a matrix whose subgrid values are flat, all within cos(w) of their
+  largest (disk-shaped ranges about 0, such as weighted shifts and
+  U J_n U*), solves no other round-0 cell: it is capped by Ando's dual
+  certificate (T. Ando, "Structure of operators with numerical radius
+  one", Acta Sci. Math. (Szeged) 34, 1973), omega(M) = min over Hermitian
+  Z of lambda_max([[Z, M], [M*, -Z]]), every Hermitian Z giving an upper
+  bound, whose fit eigensolves every round-0 angle and so gives their
+  values too.  A flat matrix whose certificate meets its gap leaves the
+  search at round 0; the others refine as before;
+* cells whose cap cannot beat the running lower bound are pruned;
+  surviving cells are subdivided until the enclosure gap meets the target
+  or the budget runs out: DEFAULT_MAX_ROUNDS rounds, or _MAX_CELLS cells
+  eigensolved per matrix.
 
-Cells whose cap cannot beat the running lower bound are pruned; surviving
-cells are subdivided until the enclosure gap meets the target or the round
-budget runs out.  After the search, Crawford upper ends above 0 are
-further capped by a Monte Carlo scan of |y* M y| over random unit vectors,
-which bounds the infimum from above; an upper end at 0 cannot be trimmed,
-so its matrix is not scanned.  Nor is a matrix whose search proves that
-the scan cannot trim it: the eigenpair of +-H(t) that set its lower end,
-with the next eigenvalue, bounds |y* M y| from below through the largest
-overlap of the scan's vectors with that eigenvector (Davis and Kahan,
-SIAM J. Numer. Anal. 7, 1970), and where that bound, padded, reaches the
-upper end the matrix keeps the enclosure the scan would leave it.
+The Crawford number, c(M) = max(0, max over t of lambda_min(H(t))), the
+distance from 0 to W, comes from an inner polygon of W (_inner_search):
 
-radii_and_crawford_numbers runs one search for the matrices of lists of
-(k, m, m) stacks: each round makes one eigensolve call (per chunk of
-cells of bounded size) for the cells of the matrices of one size and
-functional; a finished matrix owns no cells.  Each matrix keeps its own
-cells, bounds and stopping test, so its enclosure, a row of the
-Enclosures returned, is the one it gets alone; numerical_radius and
-crawford_number are one-matrix stacks.
+* the diagonal entries e_j* M e_j are exact points of W (Horn and
+  Johnson, "Topics in Matrix Analysis", 1991, section 1.2): a matrix whose
+  diagonal entries surround 0 has c(M) = 0 and is settled with no
+  eigensolve (_crawford_direct);
+* every solved lambda_min(H(t)), a support line of W, bounds c from
+  below, and the distance from 0 to the hull of the attained points
+  bounds it from above, as the hull lies in W;
+* each step solves the direction of the hull's nearest point to 0 (E. G.
+  Gilbert, "An iterative procedure for computing the minimum of a
+  quadratic form on a convex set", SIAM J. Control 4, 1966) and that of
+  the disk fitted to its two best solves, exact where W is a disk.
+
+After the search, Crawford upper ends above 0 are further capped by a
+Monte Carlo scan of |y* M y| over random unit vectors, which bounds the
+infimum from above; an upper end at 0 cannot be trimmed, so its matrix is
+not scanned.  Nor is a matrix whose search proves that the scan cannot
+trim it: the eigenpair of +-H(t) that set its lower end, with the next
+eigenvalue, bounds |y* M y| from below through the largest overlap of the
+scan's vectors with that eigenvector (Davis and Kahan, SIAM J. Numer.
+Anal. 7, 1970), and where that bound, padded, reaches the upper end the
+matrix keeps the enclosure the scan would leave it.
+
+radii_and_crawford_numbers runs one search per functional for the
+matrices of lists of (k, m, m) stacks, each round or step one eigensolve
+call (per bounded chunk) per size.  Each matrix keeps its own cells or
+polygon, bounds and stopping test, so its enclosure is the one it gets
+alone; numerical_radius and crawford_number are one-matrix stacks.
 Block-antidiagonal matrices [[0, X], [Y, 0]] are searched through the
-singular values of the corner of H(t), from r x r instead of 2r x 2r
-eigensolves.
+singular values of the corner of H(t), from r x r eigensolves.
 """
 
 from __future__ import annotations
@@ -139,23 +129,22 @@ DEFAULT_MAX_ROUNDS = 20
 DEFAULT_MC_SAMPLES = 4096
 # Each refinement round splits every surviving cell in four.
 _SUBDIV = 4
-# Round 0 of a search eigensolves this many of its angles per half turn
-# first, evenly spread, and the other cells only where a bound from them
-# cannot prune them (_Pencils._sifted): the support lines through them for
-# the radius, the probe's attained points for the Crawford number.
+# Cells a radius search eigensolves per matrix at most (its budget).  Flat
+# ranges whose dual certificate misses its gap refine every cell, 4 times
+# more per round: hidden J4 + J3 takes 43,778 at the default gap.
+_MAX_CELLS = 1 << 16
+# Round 0 of a radius search eigensolves this many of its angles per half
+# turn first, evenly spread, and the other cells only where the support
+# lines through them cannot prune them (_Pencils._sifted).
 _SUBGRID = 8
 # Radius pencils of at least this size sift in two levels: they also solve
 # the cells of the subgrid of 2 _SUBGRID angles, which holds the first,
 # that the first level's bounds leave alive, before bounding the rest
-# (_Pencils._support_sift).  Measured on hidden Ginibre and shifted Jordan
-# matrices at the default grid, two levels take 0.96-0.98 of one level's
-# time at m = 16 in five runs of six (1.035 in one), 0.81-0.93 at m = 20
-# to 32 (shifted Jordan blocks alone: 1.00 at m = 20), and 0.98-1.04 at
-# m = 8 and 12, where one more eigensolve call costs about what it saves.
-# Pencils of at least 2 _FINE_M rows sift in three, the third through the
-# subgrid of 4 _SUBGRID angles: on 12 Ginibre 32 x 32 matrices at the
-# default grid that cuts 55.0 eigensolved matrices per call to 50.1, at a
-# median 0.92 of two levels' time (ten alternating passes, ten won).
+# (_Pencils._support_sift); pencils of at least 2 _FINE_M rows sift in
+# three, through the subgrid of 4 _SUBGRID angles.  Measured at the default
+# grid, two levels take 0.81-0.98 of one level's time at m = 16 to 32 and
+# about the same at m = 8 and 12; three cut a 32 x 32 Ginibre radius from
+# 55.0 to 50.1 eigensolved matrices, at 0.92 of two levels' time.
 _FINE_M = 16
 # Relative half-width assigned to directly computed (non-grid) values.
 _EXACT_ERR = 1e-13
@@ -165,24 +154,6 @@ _SHORTCUT_TOL = 1e-13
 # eps * norm, so attained values are only lower bounds up to that much.
 _EVAL_ERR = 1e-13
 _EPS = float(np.finfo(np.float64).eps)
-# Relative margin, times 1 + |M|, by which a Crawford cell's eigenvalue-only
-# cap must fall below its matrix's floor to be pruned without eigenvectors.
-# With computed eigenvalues within E = _EVAL_ERR (1 + |M|) of the exact
-# ones, a cell's eigvalsh and eigh values differ by at most 2E, and the
-# curves of its eigh vectors (Rayleigh quotients within E of the exact
-# value, |q| within m eps |M| of |M|) pass at most 2E above its eigvalsh
-# value, so its vector cap exceeds its eigenvalue-only cap by at most 2E.
-# The cell setting the eigvalsh floor is always eigensolved (its cap is at
-# least its value), so that floor exceeds the eigh floor by at most 2E.
-# Hence a pruned cell's vector cap lies at least margin - 4E below the eigh
-# floor, and its eigh value at least margin - 4E below the floor's cell's:
-# above 4E plus the rounding of q, cos and sin, the margin prunes only cells
-# the vector caps would prune and whose values could not raise the lower
-# bound, so enclosures keep their bits.  8E doubles that; measured
-# eigvalsh/eigh gaps stay below 0.03E (m = 2 to 48: Ginibre, shifted, flat
-# and 1e+-8-scaled Jordan matrices), and no vector cap was measured above
-# its eigenvalue-only cap.
-_PRUNE_MARGIN = 8 * _EVAL_ERR
 # Pad, in units of a matrix's evaluation error E, by which the support-line
 # bound of a round-0 radius cell must fall below its matrix's subgrid floor
 # (times cos(hw)) for the cell to be left unsolved.  E = _EVAL_ERR (1 + |M|)
@@ -214,48 +185,17 @@ _PRUNE_MARGIN = 8 * _EVAL_ERR
 # value: the computed value at t exceeds the third-level bound by at most
 # E + 1.005 * 2.4 E + 1.5 E and a few eps (1 + |M|), below 5 E, and 8 E
 # leaves 1.6 times that.  A cell so left then has a computed cap below the
-# floor and a computed value below the largest, so lo, hi, the kept cells
-# and the flat gate after round 0 are those of solving every cell:
-# enclosures keep their bits.
+# floor and a computed value below the largest, so lo, hi and the kept
+# cells after round 0 are those of solving every cell: the bits are kept.
 _SUPPORT_PAD = 8.0
-# Pad, in units of a matrix's evaluation error E = _EVAL_ERR (1 + |M|), by
-# which the points bound of a round-0 Crawford cell (_hull_bounds) is
-# raised, with (4m + 16) eps (1 + |M|) more for the points, before its
-# eigenvalue-only cap is taken from it (_point_caps).  Each point
-# q = y* M y is within about 2m eps (1 + |M|) of the Rayleigh quotient of
-# its computed vector y, a point of the range (m eps |M| in the sums, as
-# much from |y|^2 - 1).  At a cell's angle, the computed cos and sin c, s
-# are, to an ulp, those that built H, and y* (c P + s K) y = c Re q - s Im q,
-# so the bound holds for the computed pencil up to the rounding of P, K and
-# H (in E, as for _PRUNE_MARGIN), of q and of c Re q - s Im q (3 eps |q|,
-# with the ulp of c and s); the computed value exceeds the exact one by at
-# most E.  The computed value is thus at most the computed bound plus
-# E + (2m + 4) eps (1 + |M|), and the sum with the pad rounds by an eps
-# more; 2 E + (4m + 16) eps (1 + |M|) doubles that.  The diagonal points
-# q = M_jj carry no rounding at all (y = e_j exactly, |y| = 1), so the pad
-# covers them with room to spare.  The cap and test of _Pencils.evaluate,
-# computed from a value no smaller than the cell's, are no smaller than
-# the cell's own, as rounding is monotone; so a cell whose such cap does
-# not exceed a floor would be pruned against it.  Every floor is at least
-# 0: a matrix none of whose caps exceeds 0 has every cell pruned, and
-# _crawford_direct writes the enclosure its search would.  In the round-0
-# sift a cell whose cap does not exceed the subgrid's floor
-# F = max(subgrid values, 0) is left unsolved: it would be pruned against
-# the floor, which is at least F, and its value is below F too, as a value
-# v > F would give a cap v cos(hw) + |M| sin(hw) >= v - E sin(hw)
-# (|M| >= v - E, cos + sin >= 1), above F - margin.  So the floor, the candidates and lo after round 0 are
-# those of solving every cell, and the cell's cap (-inf, not a value below
-# the floor by the margin) changes only upper ends below 0, which the
-# caller clamps at 0: enclosures keep their bits.
-_POINT_PAD = 2.0
 # Pad, in units of a matrix's evaluation error E = _EVAL_ERR (1 + |M|), by
 # which the eigenpair bound of _Pencils.untrimmable is lowered, with
 # (32m + 64) eps (1 + |M|) more, before it is set against the upper end.
 # mu1, mu2 and u come from eigh of the computed H at one cell.  eigh
 # is backward stable: its eigenvalues are exactly those of a Hermitian G'
 # within E of the exact +-H(t) at the computed cos and sin (E covers the
-# eigensolver and the rounding of P, K and H, as for _PRUNE_MARGIN), and
-# u is within m eps of a unit eigenvector u' of G' for mu1.  Every other
+# eigensolver and the rounding of P, K and H), and u is within m eps of a
+# unit eigenvector u' of G' for mu1.  Every other
 # eigenvalue of G' is at least mu2, so y* G' y >= mu2 |y|^2 - (mu2 - mu1)
 # |u'* y|^2 (the Rayleigh quotient off an eigenvector: Davis and Kahan,
 # "The rotation of eigenvectors by a perturbation. III", SIAM J. Numer.
@@ -275,6 +215,11 @@ _MC_CHUNK = 1 << 13
 # Relative distance from the top within which eigenvalues of a dual
 # certificate's block matrix count as one cluster.
 _CLUSTER = 1e-6
+# Directions the first step of a Crawford search solves, evenly spread
+# over the half circle: enough that, at the widest gaps, the eigenpair
+# setting the lower end proves most Monte Carlo scans unable to trim
+# (_Pencils.untrimmable).
+_PROBE = 8
 # Bytes of per-cell matrices (rotated matrices for one eigensolve call,
 # Crawford operands for y* M y) a search builds at once.
 _CHUNK_BYTES = 1 << 22
@@ -437,21 +382,19 @@ def _pencil(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (M + Mh), 0.5j * (M - Mh)
 
 
-def _rotated(Pv, Kv, seg, ts, H, S):
+def _rotated(Pv, Kv, seg, ts):
     """H(t) = cos(t) P + sin(t) K for each cell, with the pencil of its
-    matrix; Pv and Kv are the float views of the stacked pencils.  H is
-    built in the float array H, with the sin(t) K terms in S, both of
-    ts.size matrices."""
+    matrix; Pv and Kv are the float views of the stacked pencils."""
     c, s = np.cos(ts)[:, None, None], np.sin(ts)[:, None, None]
     if Pv.shape[0] == 1:
         # One matrix: broadcasting saves gathering a copy per cell.
-        np.multiply(c, Pv[0], out=H)
-        np.multiply(s, Kv[0], out=S)
+        H = c * Pv[0]
+        H += s * Kv[0]
     else:
         # seg holds valid rows: "clip" spares take's buffered "raise" mode.
-        np.multiply(np.take(Pv, seg, axis=0, out=H, mode="clip"), c, out=H)
-        np.multiply(np.take(Kv, seg, axis=0, out=S, mode="clip"), s, out=S)
-    H += S
+        H = np.take(Pv, seg, axis=0, mode="clip")
+        H *= c
+        H += s * np.take(Kv, seg, axis=0, mode="clip")
     return H.view(np.complex128)
 
 
@@ -480,10 +423,6 @@ def _quad_forms(M: np.ndarray, Y: np.ndarray, Yc: np.ndarray) -> np.ndarray:
     return np.add.reduce(np.multiply(Yc, MY, out=MY), axis=0)
 
 
-def _wrap_angle(x: np.ndarray) -> np.ndarray:
-    return np.mod(x + np.pi, 2.0 * np.pi) - np.pi
-
-
 def _joined(parts: list):
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
@@ -503,11 +442,35 @@ def _runs(seg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return starts, seg[starts]
 
 
+def _holds_zero(z: np.ndarray) -> np.ndarray:
+    """Whether the hull of each row of points z holds 0: a point is 0, or no
+    gap between their sorted arguments exceeds pi, so that no open
+    half-plane through 0 holds them all."""
+    a = np.sort(np.angle(z), axis=1)
+    gaps = np.diff(a, axis=1, append=a[:, :1] + 2.0 * np.pi)
+    return (gaps.max(axis=1) <= np.pi) | (z == 0.0).any(axis=1)
+
+
+def _nearest(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For each row of points z whose hull does not hold 0: the hull's
+    nearest point to 0, and the positions of the two points whose segment,
+    an edge of the hull (or one vertex, twice), holds it.  The nearest
+    point lies on an edge, and every segment of two points lies in the
+    hull, so it is the nearest of the points of all their segments."""
+    i, j = np.triu_indices(z.shape[1])
+    a, b = z[:, i], z[:, j]
+    d = b - a
+    dd = d.real * d.real + d.imag * d.imag
+    f = np.clip(-(a.real * d.real + a.imag * d.imag) / np.where(dd > 0.0, dd, 1.0), 0.0, 1.0)
+    p = a + f * d
+    best = np.argmin(np.abs(p), axis=1)
+    return p.ravel()[i.size * np.arange(len(z)) + best], i[best], j[best]
+
+
 class _Pencils:
     """The matrices of one size and one functional in a search: float
     views of their parts P and K, their spectral norms, and for the
-    Crawford search (crawford) the matrices themselves and the caps of
-    their round-0 cells from the probe's points (_crawford_direct).
+    Crawford search (A) the matrices themselves.
 
     Radius matrices [[0, X], [Y, 0]] may be marked antidiagonal: then H(t)
     is [[0, Z(t)], [Z(t)*, 0]], whose eigenvalues are +-sigma(Z(t)), so
@@ -515,93 +478,63 @@ class _Pencils:
     from the r x r matrices Z* Z instead of 2r x 2r eigensolves.
     """
 
-    def __init__(self, P: np.ndarray, K: np.ndarray, norms, crawford=None, antidiagonal: bool = False):
+    def __init__(self, P: np.ndarray, K: np.ndarray, norms, A=None, antidiagonal: bool = False):
         if antidiagonal:
             r = P.shape[1] // 2
             P, K = np.ascontiguousarray(P[:, :r, r:]), np.ascontiguousarray(K[:, :r, r:])
         self.antidiagonal = antidiagonal
         self.m = P.shape[1]
         self.Pv, self.Kv, self.L = P.view(np.float64), K.view(np.float64), norms
-        self.A, self.caps = (None, None) if crawford is None else crawford
-        # Per round, the Crawford cells eigensolved with their vectors: their
-        # matrices, values mu1 = max(lambda_min, -lambda_max) and, for G = H
-        # or -H, whichever has mu1 at its bottom, the next eigenvalue mu2 of
-        # G and the eigenvector u of mu1 (untrimmable).
+        self.A = A
+        # The Crawford eigenpairs solved (points, untrimmable): matrices,
+        # values mu1 = max(lambda_min, -lambda_max) and, for G = +-H with
+        # mu1 at its bottom, G's next eigenvalue mu2 and mu1's eigenvector.
         self.pairs = []
         # Cells per eigensolve call or quadratic-form batch, so that the
         # per-cell matrices built at once stay within _CHUNK_BYTES.
         self.step = max(1, _CHUNK_BYTES // (16 * self.m * self.m))
-        self.bufs = (np.empty(0), np.empty(0))  # see _buffers
+        # Radius matrices whose round-0 subgrid values are flat.
+        self.flat = np.zeros(P.shape[0], dtype=bool)
 
     def extremes(self, seg: np.ndarray, ts: np.ndarray, vectors: bool = False) -> tuple:
         """Extremes of H at the cells (seg, ts): bottom and top eigenvalues,
         and with vectors their eigenvectors and the next eigenvalues."""
         return _in_chunks(self.step, functools.partial(self._extremes, vectors=vectors), seg, ts)
 
-    def _buffers(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Two float arrays of n matrices of the pencils' shape, for
-        _rotated: views of arrays grown on demand and reused by every
-        eigensolve call of the search."""
-        if len(self.bufs[0]) < n:
-            self.bufs = tuple(np.empty((n,) + self.Pv.shape[1:]) for _ in range(2))
-        return self.bufs[0][:n], self.bufs[1][:n]
-
     def _extremes(self, seg: np.ndarray, ts: np.ndarray, vectors: bool):
-        H = _rotated(self.Pv, self.Kv, seg, ts, *self._buffers(ts.size))
+        H = _rotated(self.Pv, self.Kv, seg, ts)
         if not self.antidiagonal:
             return _extremes(H, vectors)
         # sigma_max(Z)^2 = lambda_max(Z* Z), to within eps |Z|^2.
         s = np.sqrt(np.maximum(_extremes(np.swapaxes(H.conj(), -1, -2) @ H)[1], 0.0))
         return -s, s
 
-    def evaluate(self, seg: np.ndarray, ts: np.ndarray, hw: float, lower: np.ndarray, first: bool):
-        """Objective values and caps of the cells (seg, ts) of half-width hw.
-
-        lower holds the running lower bound of each matrix.  A Crawford
-        cell whose cap cannot beat its matrix's floor is pruned with a cap
-        from its eigenvalues alone: its value is -inf, so it sets no lower
-        bound.  At round 0 (first), the cells go through _sifted, whose
-        unsolved cells get value -inf and cap -inf.  The eigenpairs of the
-        Crawford cells solved with vectors are kept in pairs."""
+    def evaluate(self, seg: np.ndarray, ts: np.ndarray, hw: float, first: bool):
+        """Values and rotation caps of the radius cells (seg, ts) of
+        half-width hw; at round 0 (first) through _sifted."""
         v = self._sifted(seg, ts, hw) if first else self._values(seg, ts)
-        if self.A is None:
-            return v, v / np.cos(hw)
-        # Every curve of bound() has amplitude |y* M y| <= |M| and passes at
-        # or below v at the cell center, so v cos(d) + |M| sin(|d|) lies
-        # above it at distance d; as |v| <= |M| and hw <= pi/4, that grows
-        # with |d| up to hw (the 1e-12 widening of hw moves it by far less
-        # than the margin).
-        L = self.L[seg]
-        caps = v * np.cos(hw) + L * np.sin(hw)
-        starts, mats = _runs(seg)
-        floor = np.maximum(lower, 0.0)
-        floor[mats] = np.maximum(floor[mats], np.maximum.reduceat(v, starts))
-        cand = np.flatnonzero(caps + _PRUNE_MARGIN * (1.0 + L) > floor[seg])
-        vals = np.full(v.size, -np.inf)
-        if cand.size:
-            seg, ts = seg[cand], ts[cand]
-            wmin, wmax, ymin, ymax, wnext, wprev = self.extremes(seg, ts, vectors=True)
-            neg = -wmax
-            vals[cand] = mu1 = np.maximum(wmin, neg)
-            caps[cand] = self.bound(*_in_chunks(self.step, self._forms, seg, ymin, ymax), ts, hw)
-            bottom = wmin >= neg
-            self.pairs.append((seg, mu1, np.where(bottom, wnext, -wprev), np.where(bottom[:, None], ymin, ymax)))
-        return vals, caps
+        return v, v / np.cos(hw)
 
     def _values(self, seg: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        """Values of H at the cells: max(lambda_max, -lambda_min) for the
-        radius, max(lambda_min, -lambda_max) for the Crawford number."""
+        """Values max(lambda_max, -lambda_min) of H at the cells."""
         wmin, wmax = self.extremes(seg, ts)
-        return np.maximum(wmax, -wmin) if self.A is None else np.maximum(wmin, -wmax)
+        return np.maximum(wmax, -wmin)
+
+    def points(self, seg: np.ndarray, ts: np.ndarray) -> tuple:
+        """Bottom and top eigenvalues of H at the angles ts of the Crawford
+        matrices seg, and the points y* M y of their eigenvectors."""
+        wmin, wmax, ymin, ymax, wnext, wprev = self.extremes(seg, ts, vectors=True)
+        qmin, qmax = _in_chunks(self.step, self._forms, seg, ymin, ymax)
+        bottom = wmin >= -wmax
+        self.pairs.append((seg, np.maximum(wmin, -wmax), np.where(bottom, wnext, -wprev), np.where(bottom[:, None], ymin, ymax)))
+        return wmin, wmax, qmin, qmax
 
     def _sifted(self, seg: np.ndarray, ts: np.ndarray, hw: float) -> np.ndarray:
         """Values of the round-0 cells (seg, ts) of half-width hw: every
         matrix's cells, in order, at the same angles h j.  The _SUBGRID
         cells are solved first; a cell that a bound from them proves pruned
-        (_support_sift for the radius; for the Crawford number, a cap from
-        the probe's points, in caps, that does not exceed the subgrid's
-        floor) is not solved and gets -inf, so it sets no lower bound and
-        survives no pruning.
+        (_support_sift) is not solved and gets -inf, so it sets no lower
+        bound and survives no pruning.
 
         Only round 0 is sifted: there each matrix's subgrid is solved.  A
         later round's matrix whose cells were all left unsolved would get
@@ -610,17 +543,14 @@ class _Pencils:
         half = ts.size // k
         if half <= _SUBGRID or self.m == 2:
             # 2 x 2 extremes come in closed form, cheaper than the bounds.
-            return self._values(seg, ts)
+            v = self._values(seg, ts)
+            if not self.antidiagonal:
+                grid = v.reshape(k, half)
+                self.flat = grid.min(axis=1) / np.cos(hw) > grid.max(axis=1)
+            return v
         ts = ts[:half]
         vals = np.full((k, half), -np.inf)
-        if self.A is None:
-            alive = self._support_sift(ts, hw, vals)
-        else:
-            known = _sift_plan(half, _SUBGRID)[0]
-            vals[:, known] = self._values(np.arange(k).repeat(known.size), np.tile(ts[known], k)).reshape(k, -1)
-            # Round 0 starts from no lower bound.
-            alive = self.caps > np.maximum(vals.max(axis=1), 0.0)[:, None]
-            alive[:, known] = False
+        alive = self._support_sift(ts, hw, vals)
         mats, cells = np.nonzero(alive)
         if mats.size:
             vals[mats, cells] = self._values(mats, ts[cells])
@@ -664,6 +594,11 @@ class _Pencils:
                 vals[mats, cells] = np.maximum(wmax, -wmin)
                 support[mats, cells], support[mats, cells + half] = wmax, -wmin
             alive[:, known] = False
+            if count == _SUBGRID and not self.antidiagonal:
+                # A matrix whose subgrid values are flat solves no other
+                # cell here: its dual certificate solves them all (_search).
+                self.flat = vals[:, known].min(axis=1) / cos > vals[:, known].max(axis=1)
+                alive[self.flat] = False
             support[:, -1] = support[:, 0]
             support[:, p] = bound = support[:, p1] * w1 + support[:, p2] * w2
             n = other.size
@@ -676,14 +611,13 @@ class _Pencils:
         (which.size,) mask, from one product u* Y per block and no
         eigensolve.
 
-        Each matrix takes the pair (mu1, mu2, u) of its first cell of
-        largest value in pairs, the cell that set its lower end: an upper
-        end above 0 needs an eigensolved cell, as a search whose cells are
-        all pruned from their eigenvalues ends below 0.  For unit y,
-        |y* M y| >= y* G y >= mu1 + (mu2 - mu1) (1 - |u* y|^2): G = +-H(t)
-        at that cell has every eigenvalue but mu1 at least mu2.  A bound
-        from the largest overlap |u* y|^2, padded (_PAIR_PAD), that
-        reaches top caps no scanned |y* M y| below it."""
+        Each matrix takes the pair (mu1, mu2, u) of its first solve of
+        largest value in pairs, the one that set its lower end: every
+        Crawford matrix of the search solves at least one step.  For unit
+        y, |y* M y| >= y* G y >= mu1 + (mu2 - mu1) (1 - |u* y|^2): G = +-H(t)
+        at that angle has every eigenvalue but mu1 at least mu2.  A bound
+        from the largest overlap |u* y|^2, padded (_PAIR_PAD), that reaches
+        top caps no scanned |y* M y| below it."""
         seg, mu1, mu2, u = map(_joined, zip(*self.pairs))
         order = np.lexsort((-mu1, seg))
         cell = order[np.searchsorted(seg[order], which)]
@@ -700,29 +634,34 @@ class _Pencils:
         A = self.A[0] if self.A.shape[0] == 1 else np.take(self.A, seg, axis=0)
         return tuple(np.add.reduce(Y.conj() * np.add.reduce(A * Y[:, None, :], axis=2), axis=1) for Y in Ys)
 
-    def dual(self, which: np.ndarray, ts: np.ndarray, lower: np.ndarray, gap: np.ndarray) -> np.ndarray:
+    def dual(self, which: np.ndarray, ts: np.ndarray, lower: np.ndarray, gap: np.ndarray, values=None) -> np.ndarray:
         """Ando's dual upper bound for the radius of the matrices which, from
         the attaining eigenvectors at the angles ts, their lower bounds and
-        their target gaps.
+        their target gaps; values, where given, takes the values
+        max(lambda_max, -lambda_min) at ts, a (which.size, ts.size) array.
 
         omega(M) = min over Hermitian Z of lambda_max([[Z, M], [M*, -Z]]),
         and every Hermitian Z bounds it from above: v = [x; exp(it) x] / sqrt 2
         gives v* B v = Re(exp(it) x* M x).  Z is fitted to the complementary
         slackness equations Z x_t = lower x_t - exp(it) M x_t by least
-        squares over the attaining vectors x_t and made Hermitian.  At the
+        squares over the attaining vectors x_t, lower raised to the largest
+        value attained at ts, and made Hermitian.  At the
         optimum the top eigenvalue of B is multiple, which the fit misses
         when the x_t are ill-conditioned; so where its bound misses the gap,
         one first-order step moves the top eigenvalues of B towards one
         common value, and the smaller bound of the two is kept.
         """
         per = max(1, self.step // ts.size)
-        return _in_chunks(per, functools.partial(self._dual, ts), which, lower, gap)
+        values = np.empty((which.size, ts.size)) if values is None else values
+        return _in_chunks(per, functools.partial(self._dual, ts), which, lower, gap, values)
 
-    def _dual(self, ts: np.ndarray, which: np.ndarray, lower: np.ndarray, gap: np.ndarray) -> np.ndarray:
+    def _dual(self, ts: np.ndarray, which: np.ndarray, lower: np.ndarray, gap: np.ndarray, values: np.ndarray) -> np.ndarray:
         k, n, m = which.size, ts.size, self.m
         Pv, Kv = self.Pv[which], self.Kv[which]
-        H = _rotated(Pv, Kv, np.arange(k).repeat(n), np.tile(ts, k), *self._buffers(k * n))
+        H = _rotated(Pv, Kv, np.arange(k).repeat(n), np.tile(ts, k))
         wmin, wmax, vmin, vmax = _extremes(H, vectors=True)[:4]
+        values[:] = np.maximum(wmax, -wmin).reshape(k, n)
+        lower = np.maximum(lower, values.max(axis=1))
         # Where -lambda_min attains, the bottom vector is the top one at t + pi.
         bottom = -wmin > wmax
         X = np.swapaxes(np.where(bottom[:, None], vmin, vmax).reshape(k, n, m), 1, 2)
@@ -741,18 +680,76 @@ class _Pencils:
         except np.linalg.LinAlgError as exc:
             raise NoConvergence(f"dual bound failed: {exc}") from exc
 
-    @staticmethod
-    def bound(qmin: np.ndarray, qmax: np.ndarray, centers: np.ndarray, hw: float) -> np.ndarray:
-        """The Crawford rotation certificate of cells of half-width hw from
-        q = y* M y at the bottom and the top eigenvectors y."""
-        # y* H(s) y = Re(exp(is) q) lies above lambda_min(H(s)) for every s;
-        # the top eigenvector's curve, taken at s = t + pi, is
-        # Re(exp(it) (-q)).  Each curve's exact maximum over the cell.
-        bounds = []
-        for q in (qmin, -qmax):
-            dist = np.abs(_wrap_angle(-np.angle(q) - centers))
-            bounds.append(np.abs(q) * np.cos(np.maximum(dist - hw, 0.0)))
-        return np.maximum(*bounds)
+
+class _Inner:
+    """Inner polygons of the ranges of the Crawford matrices of a search,
+    each kept by its nearest point to 0 and the two points whose segment
+    holds it; they start from the diagonal entries.  Also the points,
+    angles and values of the two best solves of each matrix (targets) and
+    its largest solved value (lower)."""
+
+    def __init__(self, groups: list[_Pencils]):
+        near, ends, pads = [], [], []
+        for g in groups:
+            d = g.A.diagonal(axis1=1, axis2=2)
+            p, i, j = _nearest(d)
+            rows = np.arange(len(d))
+            near.append(p)
+            ends.append(np.column_stack([d[rows, i], d[rows, j]]))
+            # Computed points y* M y lie within (2m + 4) eps (1 + |M|) of
+            # points of the range (m eps |M| in the sums, as much from
+            # |y|^2 - 1), and the nearest point's arithmetic adds a few
+            # eps (1 + |M|): the distance to the hull of the computed
+            # points, raised by twice that, bounds the distance to the range.
+            pads.append((4 * g.m + 16) * _EPS * (1.0 + g.L))
+        self.near, self.ends, self.pad = _joined(near), _joined(ends), _joined(pads)
+        k = self.near.size
+        self.best = np.zeros((k, 2), dtype=np.complex128)
+        self.best_t, self.best_v = np.full((k, 2), np.nan), np.full((k, 2), -np.inf)
+        self.lower = np.full(k, -np.inf)
+
+    def bounds(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(lo, hi) of the matrices rows before the evaluation pad E: the
+        largest solved value, and the distance from 0 to the inner polygon,
+        raised by pad, or 0 where the polygon holds 0, as the points'
+        rounding is then below E."""
+        near = self.near[rows]
+        return self.lower[rows], np.where(near == 0.0, 0.0, np.abs(near) + self.pad[rows])
+
+    def targets(self, rows: np.ndarray) -> np.ndarray:
+        """The next two angles of each matrix of rows, a (rows.size, 2)
+        array: the direction of its nearest point (Gilbert's step, which
+        always moves the polygon nearer 0), and once its lower end is above
+        0, the direction of the nearest point of the disk whose support
+        lines at the angles t of its two best solves touch it at their
+        points q, q = c - rho exp(-i t) (exact where the range is a disk),
+        else the direction a quarter turn on."""
+        gilbert = -np.angle(self.near[rows])
+        (p1, p2), (t1, t2) = self.best[rows].T, self.best_t[rows].T
+        with np.errstate(invalid="ignore", divide="ignore"):
+            e1 = np.exp(-1j * t1)
+            rho = ((p1 - p2) / (np.exp(-1j * t2) - e1)).real
+            fit = -np.angle(p1 + rho * e1)
+        fit = np.where((self.lower[rows] > 0.0) & (rho > 0.0) & np.isfinite(fit), fit, gilbert + 0.5 * np.pi)
+        return np.column_stack([gilbert, fit])
+
+    def add(self, rows, ts, wmin, wmax, qmin, qmax) -> None:
+        """Join the points qmin and qmax, which touch the support lines of
+        H at the angles ts and ts + pi, (r, n) arrays, to the inner polygons
+        of the matrices rows."""
+        r = rows.size
+        z = np.column_stack([self.ends[rows], qmin, qmax])
+        near, i, j = _nearest(z)
+        k = z.shape[1] * np.arange(r)
+        self.near[rows] = np.where(_holds_zero(z), 0.0, near)
+        self.ends[rows, 0], self.ends[rows, 1] = z.ravel()[k + i], z.ravel()[k + j]
+        v = np.column_stack([self.best_v[rows], wmin, -wmax])
+        keep = (np.arange(r)[:, None], np.argsort(-v, axis=1)[:, :2])
+        at = (rows[:, None], [0, 1])
+        self.best[at] = np.column_stack([self.best[rows], qmin, qmax])[keep]
+        self.best_t[at] = np.column_stack([self.best_t[rows], ts, ts + np.pi])[keep]
+        self.best_v[at] = v[keep]
+        self.lower[rows] = np.maximum(self.lower[rows], v[:, 2:].max(axis=1))
 
 
 def _ando(Z: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -817,37 +814,32 @@ def _first_cells(opts: RadiusOptions) -> tuple[int, float, float]:
 
 
 def _search(groups: list[_Pencils], gap, opts: RadiusOptions):
-    """Half-circle branch and bound over stacks of pencils.
-
-    Radius matrices maximize max(lambda_max, -lambda_min) of H(t) over
-    [0, pi), Crawford matrices max(lambda_min, -lambda_max).  gap holds
+    """Half-circle branch and bound over stacks of radius pencils: matrices
+    maximize max(lambda_max, -lambda_min) of H(t) over [0, pi).  gap holds
     the per-matrix targets in group order.  Returns per-matrix arrays
     (lo, hi) before the evaluation pad.
 
     Every matrix owns its cells, bounds and stopping test, and finishes as
-    soon as its own gap is met, so its result does not depend on the other
-    matrices.  The cells are the only state that shrinks: seg holds the
-    matrix of each cell, nondecreasing, so cells stay grouped by matrix
-    and matrices by group, and a finished matrix owns no cells.  Per
-    round, one eigensolve call per group (per chunk of cells) serves
-    every matrix of the group that owns cells.
+    soon as its own gap is met or its budget runs out, so its result does
+    not depend on the other matrices.  The cells are the only state that
+    shrinks: seg holds the matrix of each cell, nondecreasing, so cells
+    stay grouped by matrix and matrices by group, and a finished matrix
+    owns no cells.  Per round, one eigensolve call per group (per chunk of
+    cells) serves every matrix of the group that owns cells.
 
     Round 0 of a group eigensolves its subgrid, then, in a second call,
     only the cells that a bound from it cannot prune (_Pencils._sifted):
-    support lines for the radius, in two levels for pencils of at least
-    _FINE_M rows (a third call) and in three for pencils of at least
-    2 _FINE_M rows (a fourth), and for the Crawford number the caps
-    from the probe's attained points (_crawford_direct) against the
-    subgrid's floor.  The bounds and surviving cells after round 0 are
-    those of solving every cell.
+    support lines, in two levels for pencils of at least _FINE_M rows (a
+    third call) and in three for pencils of at least 2 _FINE_M rows (a
+    fourth).  The bounds and surviving cells after round 0 are those of
+    solving every cell.  An unfinished matrix whose subgrid values are flat
+    has its upper end capped for the rest of the search by Ando's dual
+    certificate, whose eigendecompositions give its other round-0 values
+    (_early_duals); antidiagonal pencils take none.
 
-    An unfinished radius matrix all of whose round-0 cells survive pruning
-    (a flat objective) has its upper end capped for the rest of the search
-    by Ando's dual certificate (_Pencils.dual).  Antidiagonal pencils and
-    Crawford matrices take none.  Crawford cells pruned from their
-    eigenvalues alone (_Pencils.evaluate) set no lower bound, so a matrix
-    all of whose cells are so pruned finishes with lo = -inf, which the
-    caller clamps at 0.
+    A matrix whose next round would take its eigensolved cells past
+    _MAX_CELLS stops with the bounds it has: its upper end is the largest
+    cap of its surviving cells, sound but wider than its gap.
     """
     half, h, hw = _first_cells(opts)
     k = gap.size
@@ -855,15 +847,24 @@ def _search(groups: list[_Pencils], gap, opts: RadiusOptions):
     seg = np.arange(k).repeat(half)
     centers = np.tile(h * np.arange(half), k)
     lo, hi, cap = np.full(k, -np.inf), np.empty(k), np.full(k, np.inf)
+    solved, spent = np.zeros(k, dtype=np.intp), np.zeros(k, dtype=bool)
     halves = (2.0 * np.arange(_SUBDIV) + 1.0 - _SUBDIV) / _SUBDIV
     for round_no in range(DEFAULT_MAX_ROUNDS + 1):
         cells = np.searchsorted(seg, first).tolist()
         parts = [
-            g.evaluate(seg[c:d] - f, centers[c:d], hw, lo[f:e], round_no == 0)
+            g.evaluate(seg[c:d] - f, centers[c:d], hw, round_no == 0)
             for g, f, e, c, d in zip(groups, first, first[1:], cells, cells[1:])
             if c < d
         ]
         vals, ub = map(_joined, zip(*parts))
+        if round_no == 0 and any(g.flat.any() for g in groups):
+            # Matrices whose subgrid values are flat, and which those values
+            # leave short of their gaps, get dual caps.
+            V = vals.reshape(k, half)
+            top = V.max(axis=1)
+            flat = _joined([g.flat for g in groups]) & (top / np.cos(hw) - top > gap)
+            if flat.any():
+                _early_duals(groups, first, flat, V, ub.reshape(k, half), centers[:half], hw, gap, cap)
         starts, mats = _runs(seg)
         lo[mats] = lo_m = np.maximum(lo[mats], np.maximum.reduceat(vals, starts))
         hi[mats] = np.maximum(lo_m, np.minimum(np.maximum.reduceat(ub, starts), cap[mats]))
@@ -873,36 +874,102 @@ def _search(groups: list[_Pencils], gap, opts: RadiusOptions):
         done = np.maximum(hi, 0.0) - floor <= gap
         # Cells that can beat the running lower bound of an unfinished matrix.
         keep = ub > np.where(done, np.inf, floor)[seg]
-        if round_no == 0:
-            # Matrices no rotation cap could prune get dual caps, which may
-            # meet their gaps.
-            _dual_caps(groups, first, np.bincount(seg[keep], minlength=k) == half, lo, gap, centers[:half], cap)
-            hi = np.maximum(lo, np.minimum(hi, cap))
-            done = np.maximum(hi, 0.0) - floor <= gap
-            keep &= ~done[seg]
+        # The budget: cells solved so far and those the next round solves.
+        solved += np.bincount(seg, minlength=k)
+        if solved.max() + _SUBDIV * np.count_nonzero(keep) > _MAX_CELLS:
+            spent |= solved + _SUBDIV * np.bincount(seg[keep], minlength=k) > _MAX_CELLS
+            keep &= ~spent[seg]
         centers = (centers[keep][:, None] + hw * halves).reshape(-1)
         seg = seg[keep].repeat(_SUBDIV)
         if not seg.size:
             break
         hw /= _SUBDIV
     # A met gap keeps hi, and so does a matrix still owning cells when the
-    # rounds run out; no surviving cell means the running lower bound is
-    # the maximum.
+    # rounds run out or whose cell budget ran out; no surviving cell means
+    # the running lower bound is the maximum.
     out = np.maximum(hi, 0.0) - np.maximum(lo, 0.0) > gap
     out[seg] = False
+    out[spent] = False
     hi[out] = lo[out]
     return lo, hi
 
 
-def _dual_caps(groups, first, flat, lower, gap, ts, caps) -> None:
-    """Dual caps, into caps, for the radius matrices whose objective is flat
-    on the initial grid of angles ts: the unfinished ones all of whose
-    cells survive pruning, where the rotation caps cannot narrow the
-    enclosure.  first holds the first matrix of each group."""
+def _inner_search(groups: list[_Pencils], gap: np.ndarray) -> tuple:
+    """Inner polygon search over stacks of Crawford pencils: per-matrix
+    arrays (lo, hi) before the evaluation pad, gap holding the per-matrix
+    targets in group order.
+
+    Each step solves, with eigenvectors, the next two angles of every live
+    matrix (_Inner.targets: Gilbert's step and the disk fit) in one call
+    per group, and joins the points they attain.  The first step, a probe,
+    solves every other one of _PROBE directions evenly spread over the half
+    circle from Gilbert's: their points hold a disk about 0 where the range
+    holds a wide one, which settles c(M) = 0.  A matrix whose gap the probe
+    meets without settling 0 solves the other directions too, so that its
+    lower end comes from one of _PROBE directions.  A matrix stops once its
+    gap is met or after DEFAULT_MAX_ROUNDS steps."""
+    bases = np.cumsum([0] + [g.L.size for g in groups]).tolist()
+    hulls = _Inner(groups)
+
+    def solve(rows: np.ndarray, ts: np.ndarray) -> None:
+        """The angles ts (one row each) of the matrices rows, in one
+        eigensolve call per group: rows are nondecreasing."""
+        n = ts.shape[1]
+        seg, flat = rows.repeat(n), ts.ravel()
+        cut = np.searchsorted(seg, bases).tolist()
+        parts = [g.points(seg[c:d] - b, flat[c:d]) for g, b, c, d in zip(groups, bases, cut, cut[1:]) if c < d]
+        hulls.add(rows, ts, *(_joined(x).reshape(-1, n) for x in zip(*parts)))
+
+    rows = np.arange(bases[-1])
+    lo, hi = np.empty(rows.size), np.empty(rows.size)
+    half = np.pi / _PROBE * np.arange(0, _PROBE, 2)
+    base = hulls.targets(rows)[:, 0]
+    solve(rows, base[:, None] + half)
+    for step in range(1, DEFAULT_MAX_ROUNDS + 1):
+        lo[rows], hi[rows] = hulls.bounds(rows)
+        go = np.maximum(hi[rows], 0.0) - np.maximum(lo[rows], 0.0) > gap[rows]
+        if step == 1:
+            # A matrix whose gap the first half of the probe meets without
+            # settling 0 takes the second half.
+            second = rows[~go & (hi[rows] > 0.0)]
+            if second.size:
+                solve(second, base[second, None] + np.pi / _PROBE + half)
+                lo[second], hi[second] = hulls.bounds(second)
+        rows = rows[go]
+        if step == DEFAULT_MAX_ROUNDS or not rows.size:
+            break
+        solve(rows, hulls.targets(rows))
+    return lo, hi
+
+
+def _dual_caps(groups, first, flat, lower, gap, ts, caps, values) -> None:
+    """Dual caps, into caps, for the radius matrices flat, fitted at the
+    angles ts, and the values max(lambda_max, -lambda_min) they attain at
+    ts, into values.  first holds the first matrix of each group."""
     for g, f, e in zip(groups, first, first[1:]):
         which = np.flatnonzero(flat[f:e])
         if which.size and g.A is None and not g.antidiagonal:
-            caps[f + which] = g.dual(which, ts, lower[f + which], gap[f + which])
+            out = np.empty((which.size, ts.size))
+            caps[f + which] = g.dual(which, ts, lower[f + which], gap[f + which], out)
+            values[f + which] = out
+
+
+def _early_duals(groups, first, flat, vals, ub, ts, hw, gap, caps) -> None:
+    """Round 0 of the radius matrices flat, whose subgrid values are flat:
+    their dual caps, into caps, and their values at the round-0 angles ts,
+    into vals (ub their rotation caps), from the certificates' solves."""
+    values = np.full(vals.shape, np.nan)
+    _dual_caps(groups, first, flat, vals.max(axis=1), gap, ts, caps, values)
+    # One not flat on the whole grid takes no cap, as if never flagged.
+    cos = np.cos(hw)
+    redo = flat & ~(values.min(axis=1) / cos > values.max(axis=1))
+    caps[redo] = np.inf
+    for g, f, e in zip(groups, first, first[1:]):
+        which = np.flatnonzero(redo[f:e])
+        if which.size:
+            values[f + which] = g._values(which.repeat(ts.size), np.tile(ts, which.size)).reshape(which.size, -1)
+    vals[flat] = values[flat]
+    ub[flat] = values[flat] / cos
 
 
 def _by_size(stacks, first: int = 0):
@@ -975,101 +1042,23 @@ def _radius_direct(A: np.ndarray, rows: np.ndarray, out: Enclosures) -> tuple:
     return rest[grid], P[grid], K[grid], L[grid]
 
 
-def _crawford_direct(M: np.ndarray, rows: np.ndarray, out: Enclosures, opts: RadiusOptions) -> tuple:
-    """Crawford numbers of a stack of m x m matrices, m >= 2, whose round-0
-    search would prune every cell, into out at their rows; returns (stack
-    positions, P, K, norms, caps of the round-0 cells) of the others.
+def _crawford_direct(M: np.ndarray, rows: np.ndarray, out: Enclosures) -> tuple:
+    """Crawford numbers of a stack of m x m matrices, m >= 2, whose diagonal
+    entries surround 0, into out at their rows; returns (stack positions,
+    P, K, norms) of the others.
 
-    A cell's cap here (_point_caps) is the eigenvalue-only cap and pruning
-    margin of _Pencils.evaluate taken from an upper bound of the cell's
-    computed value from points of the range (_hull_bounds): as rounding is
-    monotone, it is no smaller than the cell's own padded cap.  Every floor
-    of the search is at least 0, so a matrix none of whose caps exceeds 0
-    has every cell pruned; its search ends with lo = -inf and hi <= 0,
-    scans no Monte Carlo cap, and writes [0, E] with E = _EVAL_ERR (1 + |M|),
-    method "grid", whatever the eigenvalues: that is written here.  Any
-    sound padded bound serves: the bound from the diagonal entries
-    (_diagonal_bounds), taken only where they surround 0, settles a matrix
-    with no eigensolve and no pencil built, and only the matrices it does
-    not settle take the probe's (_point_bounds), 4 eigensolves each.
-    """
-    half, h, hw = _first_cells(opts)
-    ts, m = h * np.arange(half), M.shape[1]
+    The diagonal entries M_jj = e_j* M e_j are exact points of the range,
+    so where their hull holds 0, so does the range: c(M) = 0, written as
+    [0, E] with E = _EVAL_ERR (1 + |M|), method "grid".  A hull whose
+    computed arguments leave no gap above pi lies within a few eps |M| of
+    0, which E covers."""
     L = spectral_norms(M)
-    # Probe matrices (4 per matrix) and forms (8 per cell, m for the
-    # diagonal) built at once stay within _CHUNK_BYTES.
-    step = max(1, _CHUNK_BYTES // (64 * (m * m + half) + 8 * m * half))
-    # Diagonal points all in a closed half-plane of the real or the
-    # imaginary axis keep the diagonal bound at the cell nearest 0 or
-    # pi / 2 above -|M| sin(hw) + pad, and that cell's cap above 0; two
-    # points do the same at the cell nearest their segment's normal.  Only
-    # the matrices of at least 3 rows whose diagonal points surround 0,
-    # with Re(z d_j) > 0 at some j for each z = 1, -1, i, -i, take the
-    # diagonal caps.
-    d = M.diagonal(axis1=1, axis2=2)
-    rest = np.arange(len(M))
-    near = np.flatnonzero((d[:, :, None] * (1, -1, 1j, -1j)).real.max(axis=1).min(axis=1) > 0.0) if m > 2 else rest[:0]
-    if near.size:
-        caps = _point_caps(_in_chunks(step, functools.partial(_diagonal_bounds, ts), M[near], L[near]), L[near], hw)
-        rest = np.delete(rest, near[~(caps > 0.0).any(axis=1)])
-    P = K = np.empty((0, m, m))
-    caps = np.empty((0, half))
-    if rest.size:
-        Mr, Lr = (M, L) if rest.size == len(M) else (M[rest], L[rest])
-        P, K = _pencil(Mr)
-        caps = _point_caps(_in_chunks(step, functools.partial(_point_bounds, ts), Mr, P, K, Lr), Lr, hw)
-        keep = (caps > 0.0).any(axis=1)
-        rest, P, K, caps = rest[keep], P[keep], K[keep], caps[keep]
-    fired = np.ones(len(M), dtype=bool)
-    fired[rest] = False
+    fired = _holds_zero(M.diagonal(axis1=1, axis2=2))
     done = rows[fired]
     out.lo[done], out.hi[done], out.code[done] = 0.0, _EVAL_ERR * (1.0 + L[fired]), METHODS.index("grid")
-    return rest, P, K, L[rest], caps
-
-
-def _point_caps(bounds: np.ndarray, L: np.ndarray, hw: float) -> np.ndarray:
-    """The eigenvalue-only caps of round-0 Crawford cells of half-width hw,
-    raised by the pruning margin, from upper bounds of their values."""
-    return bounds * np.cos(hw) + L[:, None] * np.sin(hw) + _PRUNE_MARGIN * (1.0 + L[:, None])
-
-
-def _diagonal_bounds(ts: np.ndarray, M: np.ndarray, L: np.ndarray) -> np.ndarray:
-    """Upper bounds of the Crawford values of H at the angles ts for each
-    matrix of a stack (norms L), a (k, cells) array, from its diagonal
-    entries M_jj = e_j* M e_j, exact points of its range (_hull_bounds)."""
-    return _hull_bounds(ts, M.diagonal(axis1=1, axis2=2), M.shape[1], L)
-
-
-def _point_bounds(ts: np.ndarray, M, P, K, L) -> np.ndarray:
-    """Upper bounds of the Crawford values of H at the angles ts for each
-    matrix of a stack (parts P, K, norms L), a (k, cells) array, from
-    eight attained points of its range (_hull_bounds).
-
-    The bottom and top eigenvectors y of H(t) at t = j pi / 4 (H scaled by
-    sqrt 2 at the odd j, which keeps its eigenvectors) give the points
-    q = y* M y."""
-    k, m = M.shape[:2]
-    H = np.concatenate([P, P + K, K, K - P], axis=1).reshape(4 * k, m, m)
-    ymin, ymax = _extremes(H, vectors=True)[2:4]
-    Y = np.concatenate([ymin, ymax], axis=1).reshape(k, 8, m)
-    q = np.add.reduce(Y.conj() * (Y @ np.swapaxes(M, 1, 2)), axis=2)
-    return _hull_bounds(ts, q, m, L)
-
-
-def _hull_bounds(ts: np.ndarray, q: np.ndarray, m: int, L: np.ndarray) -> np.ndarray:
-    """Upper bounds of the Crawford values of H at the angles ts, a
-    (k, cells) array, for each m x m matrix of a stack (norms L) whose
-    range holds the points of its row of q, padded (_POINT_PAD).
-
-    A point of the range, q = y* M y for a unit vector y, has
-    y* H(t) y = Re(exp(it) q), so lambda_min(H(t)) <= min_j Re(exp(it) q_j)
-    and lambda_max(H(t)) >= max_j Re(exp(it) q_j): the value
-    max(lambda_min, -lambda_max) is at most the larger of the first and
-    minus the second."""
-    q = q[:, :, None]
-    forms = q.real * np.cos(ts) - q.imag * np.sin(ts)
-    pad = (_POINT_PAD * _EVAL_ERR + (4 * m + 16) * _EPS) * (1.0 + L)
-    return np.maximum(forms.min(axis=1), -forms.max(axis=1)) + pad[:, None]
+    rest = np.flatnonzero(~fired)
+    P, K = _pencil(M[rest])
+    return rest, P, K, L[rest]
 
 
 def _mc_unit_rows(rng, count: int, dim: int) -> np.ndarray:
@@ -1125,7 +1114,7 @@ def _checked(out: Enclosures) -> Enclosures:
 def radii_and_crawford_numbers(radius_stacks, crawford_stacks, opts: RadiusOptions = RadiusOptions()):
     """Radius enclosures of the matrices of radius_stacks and Crawford
     enclosures of those of crawford_stacks, lists of (k, m, m) arrays of
-    any sizes, from one search whose rounds serve both: an Enclosures
+    any sizes, from one search per functional: an Enclosures
     stack over the joined rows of each list.  Each enclosure equals the
     one its matrix gets alone."""
     n_radii, radius_groups = _by_size(radius_stacks)
@@ -1154,13 +1143,22 @@ def radii_and_crawford_numbers(radius_stacks, crawford_stacks, opts: RadiusOptio
         if A.shape[1] < 2 or not rest.size:
             continue
         M = A[rest]
-        pos, P, K, L, caps = _crawford_direct(M, rows[rest], out, opts)
+        pos, P, K, L = _crawford_direct(M, rows[rest], out)
         if pos.size:
-            searches.append((_Pencils(P, K, L, (M[pos], caps)), rows[rest[pos]]))
+            searches.append((_Pencils(P, K, L, M[pos]), rows[rest[pos]]))
     if searches:
         groups, targets = zip(*searches)
         L, rows = np.concatenate([g.L for g in groups]), np.concatenate(targets)
-        lo, hi = _search(list(groups), opts.resolve_gap(L), opts)
+        gap = opts.resolve_gap(L)
+        # Radius groups come first: cells for the radius, inner polygons for
+        # the Crawford number.
+        split = sum(g.L.size for g in groups if g.A is None)
+        radius = [g for g in groups if g.A is None]
+        lo, hi = np.empty(L.size), np.empty(L.size)
+        if radius:
+            lo[:split], hi[:split] = _search(radius, gap[:split], opts)
+        if split < L.size:
+            lo[split:], hi[split:] = _inner_search([g for g in groups if g.A is not None], gap[split:])
         # The Monte Carlo cap, >= 0, can trim only upper ends above 0, and
         # is scanned only where the search's eigenpair does not prove that
         # it cannot trim them; with no samples it is the vacuous +inf.

@@ -37,6 +37,46 @@ def dual_attempts(monkeypatch) -> list:
     return attempts
 
 
+class Eigensolves:
+    """Matrices that the functionals module eigensolves, counted apart by
+    solver: eigvalsh (eigenvalues only) and eigh (with eigenvectors).
+    Indexing keeps the older two-element view: [0] counts both, [1] eigh."""
+
+    def __init__(self):
+        self.eigvalsh = self.eigh = 0
+
+    @property
+    def total(self) -> int:
+        return self.eigvalsh + self.eigh
+
+    def reset(self) -> None:
+        self.eigvalsh = self.eigh = 0
+
+    def __getitem__(self, i: int) -> int:
+        return (self.total, self.eigh)[i]
+
+
+@pytest.fixture
+def eigensolves(monkeypatch) -> Eigensolves:
+    """Counts of the matrices the functionals module eigensolves from the
+    moment the fixture is requested."""
+    from semiradius import functionals
+
+    counted = Eigensolves()
+
+    def counting(solver):
+        def solve(H, *args, **kwargs):
+            n = H.shape[0] if H.ndim == 3 else 1
+            setattr(counted, solver.__name__, getattr(counted, solver.__name__) + n)
+            return solver(H, *args, **kwargs)
+
+        return solve
+
+    for name in ("eigvalsh", "eigh"):
+        monkeypatch.setattr(functionals.np.linalg, name, counting(getattr(functionals.np.linalg, name)))
+    return counted
+
+
 @pytest.fixture
 def reference_enclosures():
     """A function that checks an Enclosures stack against one recorded in

@@ -32,7 +32,7 @@ from semiradius.functionals import (
     op_seminorm,
     radii_and_crawford_numbers,
 )
-from semiradius.kernel import spectral_norm
+from semiradius.kernel import spectral_norm, spectral_norms
 from semiradius.space import build_space
 
 SHIFT = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -256,26 +256,6 @@ def disk_radius(weights) -> float:
     return float(np.linalg.eigvalsh(0.5 * (W + W.T))[-1])
 
 
-def count_eigensolves(monkeypatch) -> list:
-    """A two-element list counting the matrices eigvalsh and eigh solve
-    together, then those eigh solves alone (with eigenvectors)."""
-    counted = [0, 0]
-
-    def counting(solver):
-        def solve(H, *args, **kwargs):
-            matrices = H.shape[0] if H.ndim == 3 else 1
-            counted[0] += matrices
-            if solver.__name__ == "eigh":
-                counted[1] += matrices
-            return solver(H, *args, **kwargs)
-
-        return solve
-
-    for name in ("eigvalsh", "eigh"):
-        monkeypatch.setattr(functionals.np.linalg, name, counting(getattr(functionals.np.linalg, name)))
-    return counted
-
-
 def block_diagonal(*blocks) -> np.ndarray:
     n = sum(b.shape[0] for b in blocks)
     out, i = np.zeros((n, n), dtype=np.complex128), 0
@@ -298,11 +278,11 @@ class TestHalfCircleSearch:
             assert w.lo <= c + r <= w.hi
             assert cr.lo <= max(c - r, 0.0) <= cr.hi
 
-    def test_one_eigensolve_serves_both_half_turns(self, monkeypatch):
+    def test_one_eigensolve_serves_both_half_turns(self, eigensolves, monkeypatch):
         # The range of U J_4 U* is a disk about 0: every angle is a
         # maximizer, so no rotation cap prunes a cell and the dual
         # certificate closes the search at round 0.
-        counted = count_eigensolves(monkeypatch)
+        counted = eigensolves
         enc = numerical_radius(shifted_jordan(0, 4, 0.0))
         assert enc.lo <= math.cos(math.pi / 5) <= enc.hi
         assert counted[0] <= 1_000
@@ -315,17 +295,17 @@ class TestHalfCircleSearch:
         ],
         ids=["ginibre32", "J16+cI"],
     )
-    def test_support_lines_prune_most_round_zero_cells(self, M, value, monkeypatch):
+    def test_support_lines_prune_most_round_zero_cells(self, M, value, eigensolves, monkeypatch):
         # Round 0 alone has 128 cells at the default grid; the support lines
         # through 8 of its angles per half turn leave most of them unsolved.
-        counted = count_eigensolves(monkeypatch)
+        counted = eigensolves
         enc = numerical_radius(M)
         assert 0 < counted[0] <= 80 and counted[1] == 0
         if value is not None:
             assert enc.lo <= value <= enc.hi
 
     @pytest.mark.parametrize("grid", [18, 33, 64])
-    def test_unsolved_round_zero_cells_keep_the_bits(self, grid, monkeypatch):
+    def test_unsolved_round_zero_cells_keep_the_bits(self, grid, eigensolves, monkeypatch):
         # Grids whose half circles (9, 17, 32 cells) the subgrid of 8 does
         # and does not divide, against every round-0 cell solved.
         X, Y = random_matrix(40, 4), random_matrix(41, 4)
@@ -334,27 +314,28 @@ class TestHalfCircleSearch:
         mats += [shifted_jordan(n, n, 0.8, phi=0.1 * n) for n in (4, 6, 12)]
         mats += [antidiagonal, 1e8 * random_matrix(42, 6)]
         stacks, opts = as_stacks(mats), RadiusOptions(grid_count=grid)
-        counted = count_eigensolves(monkeypatch)
+        counted = eigensolves
         sifted = rows(radii_and_crawford_numbers(stacks, [], opts)[0])
-        solved, counted[0] = counted[0], 0
+        solved = counted[0]
+        counted.reset()
         monkeypatch.setattr(functionals, "_SUBGRID", grid)
         whole = rows(radii_and_crawford_numbers(stacks, [], opts)[0])
         assert all(same(a, b) for a, b in zip(sifted, whole, strict=True))
         assert solved < counted[0]
 
-    def test_second_level_solves_fewer_ginibre_cells(self, monkeypatch):
+    def test_second_level_solves_fewer_ginibre_cells(self, eigensolves, monkeypatch):
         # Eigensolved matrices per 32 x 32 Ginibre matrix, seeds 0-9: 63.9
         # on average with one level of support lines, 52.4 with two.
-        counted = count_eigensolves(monkeypatch)
+        counted = eigensolves
         solved = []
         for seed in range(10):
-            counted[0] = 0
+            counted.reset()
             numerical_radius(random_matrix(seed, 32))
             solved.append(counted[0])
         assert 0 < min(solved) and np.mean(solved) <= 51 and counted[1] == 0
 
     @pytest.mark.parametrize("grid", [33, 64, 66, 256, 512])
-    def test_second_level_keeps_the_bits(self, grid, monkeypatch):
+    def test_second_level_keeps_the_bits(self, grid, eigensolves, monkeypatch):
         # Pencils of at least 16 rows, alone and in stacks with a flat
         # range, against one level and against every round-0 cell solved;
         # at grid 33 the finer subgrid leaves one of 17 cells.  Ranges far
@@ -376,11 +357,11 @@ class TestHalfCircleSearch:
         mats += [random_matrix(54, 40), shifted_jordan(41, 40, 3.0, phi=4.4)]
         mats += [antidiagonal, antidiagonal32]
         stacks, opts = as_stacks(mats), RadiusOptions(grid_count=grid)
-        counted = count_eigensolves(monkeypatch)
+        counted = eigensolves
         two = rows(radii_and_crawford_numbers(stacks, [], opts)[0])
         solved = [counted[0]]
         for name, value in (("_FINE_M", 10**9), ("_SUBGRID", grid)):
-            counted[0] = 0
+            counted.reset()
             monkeypatch.setattr(functionals, name, value)
             other = rows(radii_and_crawford_numbers(stacks, [], opts)[0])
             assert all(same(a, b) for a, b in zip(two, other, strict=True))
@@ -403,10 +384,10 @@ FLAT = {
 
 class TestDualCertificate:
     @pytest.mark.parametrize("name", list(FLAT))
-    def test_flat_ranges_close_at_round_zero(self, name, monkeypatch):
+    def test_flat_ranges_close_at_round_zero(self, name, eigensolves, monkeypatch):
         M, value, gap_scale = FLAT[name]
         opts = RadiusOptions(gap_scale=gap_scale)
-        counted = count_eigensolves(monkeypatch)
+        counted = eigensolves
         enc = numerical_radius(M, opts)
         assert enc.lo <= value <= enc.hi
         assert enc.width <= opts.resolve_gap(spectral_norm(M))
@@ -457,6 +438,25 @@ class TestDualCertificate:
         assert enc.lo <= alone.hi and alone.lo <= enc.hi
 
 
+class TestBudget:
+    @pytest.mark.parametrize(
+        "M, value, gap_scale",
+        [
+            (hidden(6, block_diagonal(jordan(4), jordan(3))), math.cos(math.pi / 5), 1e-12),
+            (weighted_shift(9, 2.0 ** np.arange(-7, 8)), disk_radius(2.0 ** np.arange(-7, 8)), 1e-9),
+        ],
+        ids=["J4+J3-gap1e-12", "graded-shift16"],
+    )
+    def test_hard_flat_ranges_stay_within_the_budget(self, M, value, gap_scale, eigensolves):
+        # Disks about 0 whose dual certificate misses its gap refine every
+        # cell, four times more per round, until the cell budget runs out:
+        # the enclosure is then sound but wider than the gap.
+        enc = numerical_radius(M, RadiusOptions(gap_scale=gap_scale))
+        assert enc.lo <= value <= enc.hi
+        assert eigensolves.total <= functionals._MAX_CELLS + 2 * functionals.DEFAULT_GRID
+        assert enc.width <= 1e-6
+
+
 def count_cap_scans(monkeypatch) -> list:
     """A one-element list counting the Monte Carlo cap scans."""
     scans = [0]
@@ -470,101 +470,91 @@ def count_cap_scans(monkeypatch) -> list:
     return scans
 
 
-def probe_off(monkeypatch) -> None:
-    """Patch the Crawford probe's point caps, and those of the diagonal
-    points, to +inf, with no eigensolve: the direct step fires on no
-    matrix, and round 0 solves every cell."""
+def direct_off(monkeypatch) -> None:
+    """Patch the Crawford direct step to settle no matrix: every matrix
+    with a nonzero diagonal enters the inner polygon search."""
 
-    def no_bound(ts, M, *args):
-        return np.full((len(M), ts.size), np.inf)
+    def none(M, rows, out):
+        P, K = functionals._pencil(M)
+        return np.arange(len(M)), P, K, spectral_norms(M)
 
-    monkeypatch.setattr(functionals, "_diagonal_bounds", no_bound)
-    monkeypatch.setattr(functionals, "_point_bounds", no_bound)
+    monkeypatch.setattr(functionals, "_crawford_direct", none)
+
+
+def search_values(M: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """The Crawford values max(lambda_min, -lambda_max) of H(t) of M at the
+    angles ts, as the search computes them."""
+    P, K = functionals._pencil(M[None])
+    pencils = functionals._Pencils(P, K, np.array([spectral_norm(M)]), M[None])
+    wmin, wmax = pencils.extremes(np.zeros(ts.size, dtype=np.intp), ts)
+    return np.maximum(wmin, -wmax)
+
+
+def hull_cap(points: np.ndarray, m: int, norm: float) -> float:
+    """The Crawford upper end that the search takes from the inner polygon
+    of points, before the evaluation pad: 0 where it holds 0, else its
+    distance from 0 padded for the rounding of computed points."""
+    z = points[None]
+    if functionals._holds_zero(z)[0]:
+        return 0.0
+    return float(abs(functionals._nearest(z)[0][0])) + (4 * m + 16) * functionals._EPS * (1.0 + norm)
 
 
 class TestCrawfordWork:
-    def test_range_containing_zero_solves_no_eigenvectors(self, monkeypatch):
-        # With the probe off, the search itself: every cell's eigenvalue-only
-        # cap stays below the floor 0.
-        probe_off(monkeypatch)
-        counted = count_eigensolves(monkeypatch)
+    def test_range_containing_zero_solves_no_eigenvectors(self, eigensolves, monkeypatch):
+        # The diagonal points of a Ginibre matrix surround 0: c = 0 with no
+        # eigensolve.  The search itself settles the same enclosure from
+        # the first half of its probe of eigenvectors.
         scans = count_cap_scans(monkeypatch)
-        enc = crawford_number(random_matrix(16, 16))
-        assert enc.lo == 0.0 and enc.hi <= 1e-11
-        assert counted[0] > 0 and counted[1] == 0
+        M = random_matrix(16, 16)
+        enc = crawford_number(M)
+        assert enc.lo == 0.0 and enc.hi <= 1e-11 and enc.method == "grid"
+        assert eigensolves.total == 0
+        direct_off(monkeypatch)
+        searched = crawford_number(M)
+        assert same(enc, searched)
+        assert eigensolves.eigvalsh == 0 and eigensolves.eigh == functionals._PROBE // 2
         assert scans[0] == 0
 
     @pytest.mark.parametrize(
-        "seed, n, grid, eigensolves",
-        [(16, 16, 256, 0), (0, 32, 256, 0), (0, 2, 256, 4), (5, 2, 16, 4), (16, 16, 16, 4), (0, 32, 8, 4)],
+        "seed, n, grid, solves",
+        [(16, 16, 256, 0), (0, 32, 256, 0), (0, 2, 256, 4), (5, 2, 16, 4), (16, 16, 16, 0), (0, 32, 8, 0)],
         ids=["16-16", "0-32", "0-2", "5-2-grid16", "16-16-grid16", "0-32-grid8"],
     )
-    def test_wide_disk_about_zero_takes_four_eigensolves(self, seed, n, grid, eigensolves, monkeypatch):
-        # Eight attained points show that the range holds a disk about 0
-        # too wide for any round-0 cell to survive: no grid is solved, also
-        # where round 0 is not sifted (2 x 2 matrices, grids of at most 16).
-        # The diagonal points of the 16 x 16 and 32 x 32 matrices already
-        # show it at grid 256, with no eigensolve; coarser grids' wider
-        # cells need the eight points.
-        counted = count_eigensolves(monkeypatch)
+    def test_wide_disk_about_zero_takes_four_eigensolves(self, seed, n, grid, solves, eigensolves, monkeypatch):
+        # The diagonal points of the 16 x 16 and 32 x 32 matrices surround
+        # 0, at every grid: no eigensolve.  Those of 2 x 2 matrices span a
+        # segment, and the first half of the probe, 4 eigensolves with
+        # eigenvectors, settles 0.
         scans = count_cap_scans(monkeypatch)
         enc = crawford_number(random_matrix(seed, n), RadiusOptions(grid_count=grid))
         assert enc.lo == 0.0 and enc.hi <= 1e-11 and enc.method == "grid"
-        assert counted[0] == counted[1] == eigensolves
+        assert eigensolves[0] == eigensolves[1] == solves
         assert scans[0] == 0
 
-    def test_narrow_disk_either_way_prunes_without_eigenvectors(self, monkeypatch):
+    def test_narrow_disk_about_zero_settles_in_a_few_steps(self, eigensolves, monkeypatch):
         # The range, the disk of radius r about 0.95 r exp(i pi / 8), holds
-        # 0, but 0 lies outside the probe's octagon, whose edge facing it is
-        # r cos(pi / 8) from the center: the search runs, and every cell's
-        # eigenvalue-only cap stays below the floor 0.  With the round-0
-        # sift off (its subgrid the whole grid) every cell is eigvalsh-solved;
-        # with it on the probe's points leave most cells unsolved, and the
-        # enclosure keeps its bits.
-        n, opts = 16, RadiusOptions()
+        # 0 near its edge; the inner polygon closes round 0 in a few steps.
+        n = 16
         r = math.cos(math.pi / (n + 1))
-        M = shifted_jordan(11, n, 0.95 * r, phi=math.pi / 8)
-        cells = (opts.grid_count + 1) // 2
-        encs, solved = [], []
-        for subgrid in (cells, functionals._SUBGRID):
-            with monkeypatch.context() as patch:
-                patch.setattr(functionals, "_SUBGRID", subgrid)
-                counted = count_eigensolves(patch)
-                scans = count_cap_scans(patch)
-                encs.append(crawford_number(M, opts))
-            assert encs[-1].lo == 0.0 and encs[-1].hi <= 1e-11
-            assert counted[1] == 4
-            assert scans[0] == 0
-            solved.append(counted[0] - counted[1])
-        assert same(*encs)
-        assert solved[0] == cells
-        assert solved[1] <= cells / 4
+        scans = count_cap_scans(monkeypatch)
+        enc = crawford_number(shifted_jordan(11, n, 0.95 * r, phi=math.pi / 8))
+        assert enc.lo == 0.0 and enc.hi <= 1e-11
+        assert eigensolves.eigvalsh == 0 and eigensolves.eigh <= functionals._PROBE + 2 * 8
+        assert scans[0] == 0
 
     @pytest.mark.parametrize("c", [1.3, 2.0, 4.0])
-    def test_eigenvectors_only_near_the_maximizer_either_way(self, c, monkeypatch):
+    def test_eigenvectors_only_near_the_maximizer_either_way(self, c, eigensolves):
+        # A disk missing 0: after the probe, the disk fit aims at the
+        # maximizer exactly, so the gap is met one step later.  Coarse and
+        # fine grids give the same enclosure: the polygon takes no grid.
         n = 16
         M, value = shifted_jordan(9, n, c, phi=0.4321), c - math.cos(math.pi / (n + 1))
-        opts = RadiusOptions()
-        cells = (opts.grid_count + 1) // 2
-        # Round 0 alone: the cells pruned without eigenvectors still cap the
-        # enclosure soundly.  With the round-0 sift off (its subgrid the
-        # whole grid) every cell is eigvalsh-solved; with it on the probe's
-        # points leave most cells unsolved, and the enclosure keeps its bits.
-        encs, solved = [], []
-        for subgrid in (cells, functionals._SUBGRID):
-            with monkeypatch.context() as patch:
-                patch.setattr(functionals, "DEFAULT_MAX_ROUNDS", 0)
-                patch.setattr(functionals, "_SUBGRID", subgrid)
-                counted = count_eigensolves(patch)
-                encs.append(crawford_number(M, opts))
-            assert counted[1] < cells / 4
-            assert encs[-1].lo <= value <= encs[-1].hi
-            solved.append(counted[0] - counted[1])
+        encs = [crawford_number(M, RadiusOptions(grid_count=grid)) for grid in (4, 256)]
         assert same(*encs)
-        assert solved[0] == cells
-        assert solved[1] < cells / 4
-        full = crawford_number(M, opts)
-        assert full.lo <= value <= full.hi
+        enc = encs[0]
+        assert enc.lo <= value <= enc.hi and enc.width <= RadiusOptions().resolve_gap(spectral_norm(M))
+        assert eigensolves.eigvalsh == 0 and eigensolves.eigh <= 2 * (functionals._PROBE + 2)
 
 
 def sift_sweep() -> list:
@@ -583,70 +573,76 @@ def sift_sweep() -> list:
 
 class TestCrawfordSift:
     @pytest.mark.parametrize("grid", [18, 33, 64, 256])
-    def test_sifted_rows_keep_their_bits(self, grid, monkeypatch):
-        # Against every round-0 cell solved: ranges holding 0 widely or
-        # barely, missing it barely or widely, shifted Ginibre matrices and
-        # extreme scales, in stacks of several sizes.
-        stacks, opts = as_stacks(sift_sweep()), RadiusOptions(grid_count=grid)
-        counted = count_eigensolves(monkeypatch)
-        sifted = rows(radii_and_crawford_numbers([], stacks, opts)[1])
-        solved, counted[0] = counted[0], 0
-        monkeypatch.setattr(functionals, "_SUBGRID", grid)
-        whole = rows(radii_and_crawford_numbers([], stacks, opts)[1])
-        assert all(same(a, b) for a, b in zip(sifted, whole, strict=True))
-        assert solved < counted[0]
+    def test_sifted_rows_keep_their_bits(self, grid):
+        # The work a search skips keeps the bits: ranges holding 0 widely
+        # or barely, missing it barely or widely, shifted Ginibre matrices
+        # and extreme scales, in stacks of several sizes, against each
+        # solved alone; every enclosure meets its gap.
+        mats = sift_sweep()
+        opts = RadiusOptions(grid_count=grid)
+        stacked = rows(radii_and_crawford_numbers([], as_stacks(mats), opts)[1])
+        for enc, M in zip(stacked, mats, strict=True):
+            assert same(enc, crawford_number(M, opts))
+            assert enc.width <= opts.resolve_gap(spectral_norm(M)) + 4e-13 * (1.0 + spectral_norm(M))
 
-    def test_hidden_jordan_solves_few_cells(self, monkeypatch):
-        # 64 round-0 cells at grid 128, every one eigvalsh-solved without
-        # the sift; the probe's eight points leave most of them.
+    def test_hidden_jordan_solves_few_cells(self, eigensolves):
+        # 64 round-0 cells at grid 128 in a cell search; the inner polygon
+        # eigensolves a handful of angles, none without eigenvectors.
         n, c = 16, 1.5
-        counted = count_eigensolves(monkeypatch)
         enc = crawford_number(shifted_jordan(12, n, c), RadiusOptions(grid_count=128))
-        assert counted[0] - counted[1] <= 24
+        assert eigensolves.total - eigensolves.eigh <= 24
         assert enc.lo <= c - math.cos(math.pi / (n + 1)) <= enc.hi
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_point_bounds_cover_the_computed_values(self, seed):
-        # Normal matrices: the bottom eigenvector of H(t) is one eigenvector
-        # of M over whole arcs of t, so there the points bound equals the
-        # value but for rounding, which its pad covers.
+    def test_point_bounds_cover_the_computed_values(self, seed, monkeypatch):
+        # Normal matrices, and the points their search attains: the hull
+        # distance of those points bounds every computed Crawford value,
+        # and meets the largest within the gap.
         rng = np.random.default_rng(seed)
         ts = np.pi / 512 * np.arange(512)
+        kept = []
+        add = functionals._Inner.add
+
+        def keeping(self, rows, ts, wmin, wmax, qmin, qmax):
+            kept.append(np.concatenate([qmin.ravel(), qmax.ravel()]))
+            return add(self, rows, ts, wmin, wmax, qmin, qmax)
+
+        monkeypatch.setattr(functionals._Inner, "add", keeping)
         for n in (3, 8, 16):
             D = np.diag(rng.standard_normal(n) + 1j * rng.standard_normal(n) + 3.0)
             for scale in (1.0, 1e-8, 1e8):
-                A = scale * hidden(seed + n, D)[None]
-                P, K = functionals._pencil(A)
-                L = np.array([spectral_norm(A[0])])
-                pencils = functionals._Pencils(P, K, L, (A, None))
-                values = pencils._values(np.zeros(ts.size, dtype=np.intp), ts)
-                bounds = functionals._point_bounds(ts, A, P, K, L)[0]
-                assert (bounds >= values).all()
-                assert np.mean(bounds - values <= 1e-12 * (1.0 + L[0])) > 0.25
+                A = scale * hidden(seed + n, D)
+                kept.clear()
+                crawford_number(A)
+                norm = spectral_norm(A)
+                values = search_values(A, ts)
+                cap = hull_cap(np.concatenate([np.diag(A)] + kept), n, norm)
+                enc = crawford_number(A)
+                assert (cap >= values).all() and cap <= enc.hi
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("shift", [3.0, 0.0])
     def test_diagonal_bounds_cover_the_computed_values(self, seed, shift):
         # Diagonal matrices D, whose ranges, the hulls of points centered
-        # at shift, miss 0 (shift 3) or hold it (shift 0): their diagonal
-        # points bound the values of D, which they attain but for rounding,
-        # and the values of U D U*, whose range is the same and whose
-        # eigenvalues carry rounding errors.
+        # at shift, miss 0 (shift 3) or hold it (shift 0): the distance of
+        # the diagonal points' hull, with the evaluation pad, bounds the
+        # computed values of D and of U D U*, whose range is the same and
+        # whose eigenvalues carry rounding errors; the largest sampled
+        # value comes within the sampling's reach of it (the value, a
+        # minimum of cosines, falls off linearly from its peak).
         rng = np.random.default_rng(seed)
         ts = np.pi / 512 * np.arange(512)
-        cells = np.zeros(ts.size, dtype=np.intp)
         for n in (2, 3, 8, 16):
             z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             d = z - z.mean() + shift
             for scale in (1.0, 1e-8, 1e8):
-                D = scale * np.diag(d)[None]
-                L = np.array([spectral_norm(D[0])])
-                bounds = functionals._diagonal_bounds(ts, D, L)[0]
-                for A in (D, hidden(seed + n, D[0])[None]):
-                    P, K = functionals._pencil(A)
-                    values = functionals._Pencils(P, K, L, (A, None))._values(cells, ts)
-                    assert (bounds >= values).all()
-                    assert np.mean(bounds - values <= 1e-12 * (1.0 + L[0])) > 0.25
+                D = scale * np.diag(d)
+                norm = spectral_norm(D)
+                cap = hull_cap(np.diag(D), n, norm) + 1e-13 * (1.0 + norm)
+                for A in (D, hidden(seed + n, D)):
+                    values = search_values(A, ts)
+                    assert (cap >= values).all()
+                    assert cap - max(values.max(), 0.0) <= np.pi / 512 * (1.0 + norm)
 
 
 def probe_results(monkeypatch) -> list:
@@ -684,25 +680,27 @@ class TestCrawfordProbe:
     @pytest.mark.parametrize("grid", [4, 5, 8, 64, 256])
     @pytest.mark.parametrize("gap_scale", [1e-9, 0.3])
     def test_enclosures_keep_their_bits(self, grid, gap_scale, monkeypatch):
-        # Rows the probe takes out of the search get the bits the search
-        # gives them; mixed sizes share one call.
+        # Rows the direct step takes out of the search get the bits the
+        # search gives them; mixed sizes share one call.
         opts = RadiusOptions(grid_count=grid, gap_scale=gap_scale)
         stacks = as_stacks(probe_sweep())
         verdicts = probe_results(monkeypatch)
         probed = rows(radii_and_crawford_numbers([], stacks, opts)[1])
         fired = np.concatenate(verdicts)
-        if grid > 4:
-            assert fired.any()
+        assert fired.any()
         assert not fired.all()
-        # A probe that fires on nothing leaves every matrix to the search.
-        probe_off(monkeypatch)
+        # A direct step that fires on nothing leaves every matrix to the
+        # search.
+        direct_off(monkeypatch)
         searched = rows(radii_and_crawford_numbers([], stacks, opts)[1])
         for a, b in zip(probed, searched, strict=True):
             assert (a.lo.hex(), a.hi.hex(), a.method) == (b.lo.hex(), b.hi.hex(), b.method)
 
-    def test_never_fires_without_a_disk_about_zero(self, monkeypatch):
+    def test_fires_only_where_the_diagonal_holds_zero(self, monkeypatch):
         # Ranges that miss 0, segments (Hermitian and skew-Hermitian
-        # matrices, sign-split or not) and points (scalar matrices).
+        # matrices, sign-split or not) and points (scalar matrices): the
+        # direct step settles exactly the matrices whose diagonal points'
+        # hull holds 0, and those have c = 0.
         mats = [shifted_jordan(n, n, c * math.cos(math.pi / (n + 1)), 0.7) for n in (2, 5, 16) for c in (1.05, 2.0)]
         for n in (2, 4, 16):
             H = random_matrix(n, n)
@@ -710,39 +708,50 @@ class TestCrawfordProbe:
             mats += [H, 1j * H, 1e8 * H, np.diag(np.linspace(-1.0, 1.0, n))]
             mats += [(2.0 - 1.0j) * np.eye(n), 1e-8j * np.eye(n)]
         verdicts = probe_results(monkeypatch)
-        radii_and_crawford_numbers([], as_stacks(mats), RadiusOptions(grid_count=64))
-        assert sum(v.size for v in verdicts) == len(mats)
-        assert not np.concatenate(verdicts).any()
+        encs = [crawford_number(M, RadiusOptions(grid_count=64)) for M in mats]
+        fired = np.concatenate(verdicts)
+        assert fired.size == len(mats)
+        # The Jordan disks miss 0, and so does each scalar matrix's point;
+        # the real diagonals run from -1 to 1 through 0.
+        assert not fired[:6].any()
+        for j in range(6, len(mats), 6):
+            assert fired[j + 3] and not fired[j + 4] and not fired[j + 5]
+        for M, hit, enc in zip(mats, fired, encs, strict=True):
+            if hit:
+                assert enc.lo == 0.0 and enc.hi <= 1e-11 * (1.0 + spectral_norm(M))
 
 
 def probe_eigensolves(monkeypatch) -> list:
-    """A one-element list counting the matrices the Crawford probe
-    eigensolves."""
-    counted = count_eigensolves(monkeypatch)
+    """A one-element list counting the matrices the first step of the
+    Crawford search, the first half of its probe, eigensolves."""
     probe = [0]
-    bounds = functionals._point_bounds
+    search = functionals._inner_search
 
-    def counting(*args):
-        before = counted[1]
-        out = bounds(*args)
-        probe[0] += counted[1] - before
-        return out
+    def counting(groups, gap):
+        add = functionals._Inner.add
+        first = []
 
-    monkeypatch.setattr(functionals, "_point_bounds", counting)
+        def once(self, rows, ts, *args):
+            if not first:
+                first.append(ts.size)
+            return add(self, rows, ts, *args)
+
+        functionals._Inner.add = once
+        try:
+            return search(groups, gap)
+        finally:
+            functionals._Inner.add = add
+            probe[0] += first[0] if first else 0
+
+    monkeypatch.setattr(functionals, "_inner_search", counting)
     return probe
-
-
-def diagonal_off(monkeypatch) -> None:
-    """Patch the caps of the diagonal points to +inf: the Crawford direct
-    step probes every matrix, as it did before the diagonal stage."""
-    monkeypatch.setattr(functionals, "_diagonal_bounds", lambda ts, M, L: np.full((len(M), ts.size), np.inf))
 
 
 class TestCrawfordDiagonal:
     @pytest.mark.parametrize("grid", [18, 33, 64, 256])
     @pytest.mark.parametrize("gap_scale", [1e-9, 0.3])
     def test_enclosures_keep_their_bits(self, grid, gap_scale, monkeypatch):
-        # Against every matrix probed: the inputs of
+        # Against every matrix searched: the inputs of
         # tests/test_crawford_bytes.py and more, the round-0 sift's
         # families, hidden flat U J_n U* and Ginibre matrices.
         mats = certificate_sweep() + sift_sweep()
@@ -753,18 +762,18 @@ class TestCrawfordDiagonal:
         probe = probe_eigensolves(monkeypatch)
         settled = rows(radii_and_crawford_numbers([], stacks, opts)[1])
         solved, probe[0] = probe[0], 0
-        diagonal_off(monkeypatch)
-        probed = rows(radii_and_crawford_numbers([], stacks, opts)[1])
-        for a, b in zip(settled, probed, strict=True):
+        direct_off(monkeypatch)
+        searched = rows(radii_and_crawford_numbers([], stacks, opts)[1])
+        for a, b in zip(settled, searched, strict=True):
             assert (a.lo.hex(), a.hi.hex(), a.method) == (b.lo.hex(), b.hi.hex(), b.method)
         assert solved < probe[0]
 
     @pytest.mark.parametrize("n", range(4, 9))
-    def test_flat_ranges_take_no_eigensolve(self, n, monkeypatch):
+    def test_flat_ranges_take_no_eigensolve(self, n, eigensolves):
         # The diagonal points of U J_n U*, whose range is a disk about 0,
         # show that no round-0 cell survives: no probe, no grid (Ginibre
         # matrices: test_wide_disk_about_zero_takes_four_eigensolves).
-        counted = count_eigensolves(monkeypatch)
+        counted = eigensolves
         enc = crawford_number(shifted_jordan(n, n, 0.0, 0.5 * n))
         assert enc.lo == 0.0 and enc.hi <= 1e-11 and enc.method == "grid"
         assert counted[0] == 0
@@ -772,38 +781,37 @@ class TestCrawfordDiagonal:
     @pytest.mark.parametrize("n", [2, 4, 8, 16])
     def test_ranges_missing_zero_still_take_the_probe(self, n, monkeypatch):
         # The disk of radius r about c exp(i phi), c > r: no diagonal point
-        # set can hold 0, so the probe solves its 4 matrices.  With
-        # c > sqrt(2) r the disk lies on one side of the real or the
-        # imaginary axis, and the diagonal caps are not even taken.
+        # set can hold 0, so the search's first step, the first half of its
+        # probe, solves _PROBE / 2 matrices.
         c = 1.5 * math.cos(math.pi / (n + 1))
         probe = probe_eigensolves(monkeypatch)
-        taken = []
-        bounds = functionals._diagonal_bounds
-        monkeypatch.setattr(functionals, "_diagonal_bounds", lambda *args: taken.append(1) or bounds(*args))
+        fired = probe_results(monkeypatch)
         enc = crawford_number(shifted_jordan(900 + n, n, c, 0.4 * n))
-        assert probe[0] == 4 and not taken
+        assert probe[0] == functionals._PROBE // 2 and not np.concatenate(fired).any()
         assert enc.lo <= c - math.cos(math.pi / (n + 1)) <= enc.hi
 
     @pytest.mark.parametrize("grid", [18, 33, 64, 256])
     @pytest.mark.parametrize("z", [1, -1, 1j, -1j])
     def test_points_off_an_axis_leave_a_cap_above_zero(self, grid, z):
-        # Diagonal points z b, b = i, -i and points of the unit circle's
-        # left half: all on one side of the real or the imaginary axis,
-        # their hull holding a half disk about 0; and two points on a line
-        # through 0, whose segment holds no disk.  Their caps stay above 0
-        # at some cell, at odd and even cell counts, so the direct step may
-        # skip the diagonal caps of such matrices.
-        half, h, hw = functionals._first_cells(RadiusOptions(grid_count=grid))
-        ts = h * np.arange(half)
+        # Diagonal points z b, b = 1 + i, 1 - i and points of the unit
+        # circle's right half: all strictly on one side of the real or the
+        # imaginary axis; and two points on a line off 0.  Their hull
+        # misses 0, so its distance, the cap it gives, is above 0, and the
+        # direct step leaves such matrices to the search, at odd and even
+        # grids alike.
         rng = np.random.default_rng(grid)
+        opts = RadiusOptions(grid_count=grid)
         for n in (3, 5, 16):
-            arc = np.exp(1j * np.pi * rng.uniform(0.5, 1.5, n - 2))
-            segment = np.exp(2j * np.pi * rng.uniform()) * np.array([1.0, -rng.uniform(0.5, 2.0)])
-            for scale, b in itertools.product((1.0, 1e-8, 1e8), (np.concatenate(([1j, -1j], arc)), segment)):
-                D = np.diag(scale * z * b)[None]
-                L = np.array([spectral_norm(D[0])])
-                caps = functionals._point_caps(functionals._diagonal_bounds(ts, D, L), L, hw)
-                assert (caps > 0.0).any()
+            arc = np.exp(1j * np.pi * rng.uniform(-0.4, 0.4, n - 2))
+            segment = np.exp(2j * np.pi * rng.uniform()) * np.array([1.0, rng.uniform(0.5, 2.0)])
+            for scale, b in itertools.product((1.0, 1e-8, 1e8), (np.concatenate(([1 + 1j, 1 - 1j], arc)), segment)):
+                D = np.diag(scale * z * b)
+                assert hull_cap(np.diag(D), D.shape[0], spectral_norm(D)) > 0.0
+                out = functionals.Enclosures(np.zeros(1), np.zeros(1), np.zeros(1, dtype=np.intp))
+                assert functionals._crawford_direct(D[None], np.array([0]), out)[0].size == 1
+                enc = crawford_number(D, opts)
+                cap = min(abs(p) for p in np.diag(D))
+                assert 0.0 < enc.lo <= enc.hi and enc.lo <= cap * (1.0 + 1e-12)
 
 
 def certificate_sweep() -> list:
