@@ -7,8 +7,9 @@ hidden shifted Jordan blocks whose Crawford number c - cos(pi / (n + 1))
 is positive, zero or within 1e-9 relative of zero, diagonal matrices
 and extreme scales, at coarse, fine and uneven grids (18 and 33 have 9
 and 17 cells on the half circle), with and without the Monte Carlo cap,
-and at a gap wide enough for the cap to trim some upper ends.  Any change to which cells the search prunes, refines or evaluates
-that moves a last bit shows here.
+and at a gap wide enough for the cap to trim some upper ends.  Any change
+to which angles the search solves that moves a last bit shows here; the
+inner polygon search takes no grid, so every grid has the same digest.
 
 tests/data/crawford_enclosures.json records the same enclosures as the
 cell branch and bound gave them; every enclosure must overlap its record
@@ -28,12 +29,12 @@ from semiradius.functionals import DEFAULT_MC_SAMPLES, RadiusOptions, radii_and_
 
 # Per grid_count, recorded once.
 CRAWFORD_SHA256 = {
-    4: "74fcaae636bbaa6539e0eeb1878267ea4725c21efdc7e3942b9e32bc14a20922",
-    5: "2d97ca3150555e232e9ca725b5d92e373e5c70727fd22969818849bac9369fe6",
-    18: "32dc358dcdc920e6c0b0b314efd1fcf522add52273abcaa57bdf96fcc95cf93d",
-    33: "dad5cee42eadbc3ad9ac8e20abdd952cd9d8923be3da1cf667f5824b94e906ef",
-    64: "0ebefa8bd8a730b1b6059fd2b0f0f6f8709dd8fc356f4c8e0ea830b7e8a1f5e6",
-    256: "32f7add88fa57de6a4bc6d846a6abc6ceafe7a0dca7de2a3b977c21a392c6423",
+    4: "cbb607c024475937d2b67b16db5b8ad46f1db7171721f95a6ce8d7d7c5d5092e",
+    5: "cbb607c024475937d2b67b16db5b8ad46f1db7171721f95a6ce8d7d7c5d5092e",
+    18: "cbb607c024475937d2b67b16db5b8ad46f1db7171721f95a6ce8d7d7c5d5092e",
+    33: "cbb607c024475937d2b67b16db5b8ad46f1db7171721f95a6ce8d7d7c5d5092e",
+    64: "cbb607c024475937d2b67b16db5b8ad46f1db7171721f95a6ce8d7d7c5d5092e",
+    256: "cbb607c024475937d2b67b16db5b8ad46f1db7171721f95a6ce8d7d7c5d5092e",
 }
 
 

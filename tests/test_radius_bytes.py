@@ -30,10 +30,10 @@ from semiradius.functionals import RadiusOptions, radii_and_crawford_numbers
 # Per grid_count, recorded once.
 RADIUS_SHA256 = {
     4: "964bfa366b6f7c89f5dd9638998fc23163290b30522df686132316da1603eff8",
-    5: "e2e4763e3eee286d2b9df8386bbb250e10a37d13d442f6ce82b66a42d1da40da",
-    33: "572c11703c10135e384a167bcfaa43b028fcb25378d02b2d50d45fdc767c3446",
-    64: "7849ebf58fa0126d5f628c9ccf8904654f818c0a69c0db3b2ee036b714d62798",
-    256: "3f768dd3a7bda146a95c167b1eaf16ba6fed4f41547b48afda504c3793122842",
+    5: "c2df1ccffbc1c2675f7072da01ca46665d5992efd3f2b6d67feaf5c2d6bf53bd",
+    33: "ba2ead974a261e5d06d23fc2fd7dc8ffc9dfc66b36edbc6002a9b86548200dcf",
+    64: "7687d806a83a11c5d710d0eb941ad81fd9e398aede017280176a8b2e3d4578a2",
+    256: "9f4c5a6e9e5381b3f1cbc9c52a679e03b92f5053a858ffd24cd10e804b98b0c1",
 }
 
 
