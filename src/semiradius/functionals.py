@@ -131,7 +131,7 @@ DEFAULT_MC_SAMPLES = 4096
 _SUBDIV = 4
 # Cells a radius search eigensolves per matrix at most (its budget).  Flat
 # ranges whose dual certificate misses its gap refine every cell, 4 times
-# more per round: hidden J4 + J3 takes 43,778 at the default gap.
+# more per round: hidden J4 + J3 takes 43,658 at the default gap.
 _MAX_CELLS = 1 << 16
 # Round 0 of a radius search eigensolves this many of its angles per half
 # turn first, evenly spread, and the other cells only where the support
@@ -215,10 +215,11 @@ _MC_CHUNK = 1 << 13
 # Relative distance from the top within which eigenvalues of a dual
 # certificate's block matrix count as one cluster.
 _CLUSTER = 1e-6
-# Directions the first step of a Crawford search solves, evenly spread
-# over the half circle: enough that, at the widest gaps, the eigenpair
-# setting the lower end proves most Monte Carlo scans unable to trim
-# (_Pencils.untrimmable).
+# Directions of a Crawford search's probe, evenly spread over the half
+# circle; its first step solves every other one.  All of them, for the
+# matrices whose gaps that step meets, put the eigenpair setting the lower
+# end near enough its best angle to prove most Monte Carlo scans unable to
+# trim at the widest gaps (_Pencils.untrimmable).
 _PROBE = 8
 # Bytes of per-cell matrices (rotated matrices for one eigensolve call,
 # Crawford operands for y* M y) a search builds at once.
