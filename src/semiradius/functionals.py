@@ -448,8 +448,11 @@ def _holds_zero(z: np.ndarray) -> np.ndarray:
     gap between their sorted arguments exceeds pi, so that no open
     half-plane through 0 holds them all."""
     a = np.sort(np.angle(z), axis=1)
-    gaps = np.diff(a, axis=1, append=a[:, :1] + 2.0 * np.pi)
-    return (gaps.max(axis=1) <= np.pi) | (z == 0.0).any(axis=1)
+    gap = np.maximum((a[:, 1:] - a[:, :-1]).max(axis=1, initial=0.0), a[:, 0] + 2.0 * np.pi - a[:, -1])
+    return (gap <= np.pi) | (z == 0.0).any(axis=1)
+
+
+_pairs = functools.lru_cache(maxsize=64)(np.triu_indices)
 
 
 def _nearest(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -458,7 +461,7 @@ def _nearest(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     an edge of the hull (or one vertex, twice), holds it.  The nearest
     point lies on an edge, and every segment of two points lies in the
     hull, so it is the nearest of the points of all their segments."""
-    i, j = np.triu_indices(z.shape[1])
+    i, j = _pairs(z.shape[1])
     a, b = z[:, i], z[:, j]
     d = b - a
     dd = d.real * d.real + d.imag * d.imag
@@ -685,29 +688,24 @@ class _Pencils:
 class _Inner:
     """Inner polygons of the ranges of the Crawford matrices of a search,
     each kept by its nearest point to 0 and the two points whose segment
-    holds it; they start from the diagonal entries.  Also the points,
-    angles and values of the two best solves of each matrix (targets) and
-    its largest solved value (lower)."""
+    holds it, with the points, angles and values of each matrix's two best
+    solves (targets) and its largest solved value (lower); they start from
+    the diagonal entries and a probe's solves (add) at the rows bases."""
 
-    def __init__(self, groups: list[_Pencils]):
-        near, ends, pads = [], [], []
-        for g in groups:
-            d = g.A.diagonal(axis1=1, axis2=2)
-            p, i, j = _nearest(d)
-            rows = np.arange(len(d))
-            near.append(p)
-            ends.append(np.column_stack([d[rows, i], d[rows, j]]))
+    def __init__(self, groups: list[_Pencils], bases: list[int], ts, wmin, wmax, qmin, qmax):
+        k = bases[-1]
+        self.near, self.ends = np.empty(k, dtype=np.complex128), np.empty((k, 2), dtype=np.complex128)
+        self.best, self.best_t, self.best_v = np.zeros((k, 2), dtype=np.complex128), np.full((k, 2), np.nan), np.full((k, 2), -np.inf)
+        self.lower, self.pad = np.full(k, -np.inf), np.empty(k)
+        for g, b, e in zip(groups, bases, bases[1:]):
+            z = np.concatenate([g.A.diagonal(axis1=1, axis2=2), qmin[b:e], qmax[b:e]], axis=1)
+            self.add(np.arange(b, e), ts[b:e], wmin[b:e], wmax[b:e], qmin[b:e], qmax[b:e], z)
             # Computed points y* M y lie within (2m + 4) eps (1 + |M|) of
             # points of the range (m eps |M| in the sums, as much from
             # |y|^2 - 1), and the nearest point's arithmetic adds a few
             # eps (1 + |M|): the distance to the hull of the computed
             # points, raised by twice that, bounds the distance to the range.
-            pads.append((4 * g.m + 16) * _EPS * (1.0 + g.L))
-        self.near, self.ends, self.pad = _joined(near), _joined(ends), _joined(pads)
-        k = self.near.size
-        self.best = np.zeros((k, 2), dtype=np.complex128)
-        self.best_t, self.best_v = np.full((k, 2), np.nan), np.full((k, 2), -np.inf)
-        self.lower = np.full(k, -np.inf)
+            self.pad[b:e] = (4 * g.m + 16) * _EPS * (1.0 + g.L)
 
     def bounds(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(lo, hi) of the matrices rows before the evaluation pad E: the
@@ -734,23 +732,25 @@ class _Inner:
         fit = np.where((self.lower[rows] > 0.0) & (rho > 0.0) & np.isfinite(fit), fit, gilbert + 0.5 * np.pi)
         return np.column_stack([gilbert, fit])
 
-    def add(self, rows, ts, wmin, wmax, qmin, qmax) -> None:
+    def add(self, rows, ts, wmin, wmax, qmin, qmax, z=None) -> None:
         """Join the points qmin and qmax, which touch the support lines of
-        H at the angles ts and ts + pi, (r, n) arrays, to the inner polygons
-        of the matrices rows."""
+        H at the angles ts and ts + pi, (r, n) arrays, to the polygons of the
+        matrices rows: z, by default their segments' ends and these."""
         r = rows.size
-        z = np.column_stack([self.ends[rows], qmin, qmax])
+        z = np.column_stack([self.ends[rows], qmin, qmax]) if z is None else z
         near, i, j = _nearest(z)
-        k = z.shape[1] * np.arange(r)
-        self.near[rows] = np.where(_holds_zero(z), 0.0, near)
+        k, zero = z.shape[1] * np.arange(r), _holds_zero(z)
+        self.near[rows] = np.where(zero, 0.0, near)
         self.ends[rows, 0], self.ends[rows, 1] = z.ravel()[k + i], z.ravel()[k + j]
         v = np.column_stack([self.best_v[rows], wmin, -wmax])
+        self.lower[rows] = np.maximum(self.lower[rows], v[:, 2:].max(axis=1))
+        if zero.all():  # settled: no step follows
+            return
         keep = (np.arange(r)[:, None], np.argsort(-v, axis=1)[:, :2])
         at = (rows[:, None], [0, 1])
         self.best[at] = np.column_stack([self.best[rows], qmin, qmax])[keep]
         self.best_t[at] = np.column_stack([self.best_t[rows], ts, ts + np.pi])[keep]
         self.best_v[at] = v[keep]
-        self.lower[rows] = np.maximum(self.lower[rows], v[:, 2:].max(axis=1))
 
 
 def _ando(Z: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -904,28 +904,26 @@ def _inner_search(groups: list[_Pencils], gap: np.ndarray) -> tuple:
     matrix (_Inner.targets: Gilbert's step and the disk fit) in one call
     per group, and joins the points they attain.  The first step, a probe,
     solves every other one of _PROBE directions evenly spread over the half
-    circle from Gilbert's: their points hold a disk about 0 where the range
-    holds a wide one, which settles c(M) = 0.  A matrix whose gap the probe
-    meets without settling 0 solves the other directions too, so that its
-    lower end comes from one of _PROBE directions.  A matrix stops once its
-    gap is met or after DEFAULT_MAX_ROUNDS steps."""
+    circle: with the diagonal, their points hold a disk about 0 where the
+    range holds a wide one, which settles c(M) = 0.  A matrix whose gap the
+    probe meets without settling 0 solves the other directions too.  A
+    matrix stops once its gap is met or after DEFAULT_MAX_ROUNDS steps."""
     bases = np.cumsum([0] + [g.L.size for g in groups]).tolist()
-    hulls = _Inner(groups)
 
-    def solve(rows: np.ndarray, ts: np.ndarray) -> None:
-        """The angles ts (one row each) of the matrices rows, in one
-        eigensolve call per group: rows are nondecreasing."""
+    def solved(rows: np.ndarray, ts: np.ndarray) -> tuple:
+        """wmin, wmax, qmin, qmax of the angles ts (one row each) of the
+        matrices rows, in one eigensolve call per group."""
         n = ts.shape[1]
         seg, flat = rows.repeat(n), ts.ravel()
         cut = np.searchsorted(seg, bases).tolist()
         parts = [g.points(seg[c:d] - b, flat[c:d]) for g, b, c, d in zip(groups, bases, cut, cut[1:]) if c < d]
-        hulls.add(rows, ts, *(_joined(x).reshape(-1, n) for x in zip(*parts)))
+        return tuple(_joined(x).reshape(-1, n) for x in zip(*parts))
 
     rows = np.arange(bases[-1])
-    lo, hi = np.empty(rows.size), np.empty(rows.size)
     half = np.pi / _PROBE * np.arange(0, _PROBE, 2)
-    base = hulls.targets(rows)[:, 0]
-    solve(rows, base[:, None] + half)
+    ts = np.broadcast_to(half, (rows.size, half.size))
+    hulls = _Inner(groups, bases, ts, *solved(rows, ts))
+    lo, hi = np.empty(rows.size), np.empty(rows.size)
     for step in range(1, DEFAULT_MAX_ROUNDS + 1):
         lo[rows], hi[rows] = hulls.bounds(rows)
         go = np.maximum(hi[rows], 0.0) - np.maximum(lo[rows], 0.0) > gap[rows]
@@ -934,12 +932,14 @@ def _inner_search(groups: list[_Pencils], gap: np.ndarray) -> tuple:
             # settling 0 takes the second half.
             second = rows[~go & (hi[rows] > 0.0)]
             if second.size:
-                solve(second, base[second, None] + np.pi / _PROBE + half)
+                ts = np.broadcast_to(half + np.pi / _PROBE, (second.size, half.size))
+                hulls.add(second, ts, *solved(second, ts))
                 lo[second], hi[second] = hulls.bounds(second)
         rows = rows[go]
         if step == DEFAULT_MAX_ROUNDS or not rows.size:
             break
-        solve(rows, hulls.targets(rows))
+        ts = hulls.targets(rows)
+        hulls.add(rows, ts, *solved(rows, ts))
     return lo, hi
 
 

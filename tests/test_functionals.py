@@ -603,9 +603,9 @@ class TestCrawfordSift:
         kept = []
         add = functionals._Inner.add
 
-        def keeping(self, rows, ts, wmin, wmax, qmin, qmax):
+        def keeping(self, rows, ts, wmin, wmax, qmin, qmax, *z):
             kept.append(np.concatenate([qmin.ravel(), qmax.ravel()]))
-            return add(self, rows, ts, wmin, wmax, qmin, qmax)
+            return add(self, rows, ts, wmin, wmax, qmin, qmax, *z)
 
         monkeypatch.setattr(functionals._Inner, "add", keeping)
         for n in (3, 8, 16):
@@ -725,25 +725,13 @@ def probe_eigensolves(monkeypatch) -> list:
     """A one-element list counting the matrices the first step of the
     Crawford search, the first half of its probe, eigensolves."""
     probe = [0]
-    search = functionals._inner_search
+    init = functionals._Inner.__init__
 
-    def counting(groups, gap):
-        add = functionals._Inner.add
-        first = []
+    def counting(self, groups, bases, ts, *args):
+        probe[0] += ts.size
+        init(self, groups, bases, ts, *args)
 
-        def once(self, rows, ts, *args):
-            if not first:
-                first.append(ts.size)
-            return add(self, rows, ts, *args)
-
-        functionals._Inner.add = once
-        try:
-            return search(groups, gap)
-        finally:
-            functionals._Inner.add = add
-            probe[0] += first[0] if first else 0
-
-    monkeypatch.setattr(functionals, "_inner_search", counting)
+    monkeypatch.setattr(functionals._Inner, "__init__", counting)
     return probe
 
 
