@@ -29,12 +29,12 @@ from semiradius.functionals import DEFAULT_MC_SAMPLES, RadiusOptions, radii_and_
 
 # Per grid_count, recorded once.
 CRAWFORD_SHA256 = {
-    4: "cbb607c024475937d2b67b16db5b8ad46f1db7171721f95a6ce8d7d7c5d5092e",
-    5: "cbb607c024475937d2b67b16db5b8ad46f1db7171721f95a6ce8d7d7c5d5092e",
-    18: "cbb607c024475937d2b67b16db5b8ad46f1db7171721f95a6ce8d7d7c5d5092e",
-    33: "cbb607c024475937d2b67b16db5b8ad46f1db7171721f95a6ce8d7d7c5d5092e",
-    64: "cbb607c024475937d2b67b16db5b8ad46f1db7171721f95a6ce8d7d7c5d5092e",
-    256: "cbb607c024475937d2b67b16db5b8ad46f1db7171721f95a6ce8d7d7c5d5092e",
+    4: "bb72c4d677f052e44887a098ab182d5604b4514d33a000554771b108b5158736",
+    5: "bb72c4d677f052e44887a098ab182d5604b4514d33a000554771b108b5158736",
+    18: "bb72c4d677f052e44887a098ab182d5604b4514d33a000554771b108b5158736",
+    33: "bb72c4d677f052e44887a098ab182d5604b4514d33a000554771b108b5158736",
+    64: "bb72c4d677f052e44887a098ab182d5604b4514d33a000554771b108b5158736",
+    256: "bb72c4d677f052e44887a098ab182d5604b4514d33a000554771b108b5158736",
 }
 
 
