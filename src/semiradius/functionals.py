@@ -383,20 +383,19 @@ def _pencil(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (M + Mh), 0.5j * (M - Mh)
 
 
-def _rotated(Pv, Kv, seg, ts):
+def _rotated(PK, seg, ts):
     """H(t) = cos(t) P + sin(t) K for each cell, with the pencil of its
-    matrix; Pv and Kv are the float views of the stacked pencils."""
-    c, s = np.cos(ts)[:, None, None], np.sin(ts)[:, None, None]
-    if Pv.shape[0] == 1:
-        # One matrix: broadcasting saves gathering a copy per cell.
-        H = c * Pv[0]
-        H += s * Kv[0]
-    else:
-        # seg holds valid rows: "clip" spares take's buffered "raise" mode.
-        H = np.take(Pv, seg, axis=0, mode="clip")
-        H *= c
-        H += s * np.take(Kv, seg, axis=0, mode="clip")
-    return H.view(np.complex128)
+    matrix: PK holds each matrix's P and K as two rows of floats, so that
+    one product with the rows (cos t, sin t) builds every H."""
+    cs = np.empty((ts.size, 2))
+    np.cos(ts, out=cs[:, 0])
+    np.sin(ts, out=cs[:, 1])
+    # One matrix broadcasts; several are gathered per cell ("clip" spares
+    # take's buffered "raise" mode).  Both take the same stacked product,
+    # so a matrix gets the same H in either.
+    H = np.matmul(cs[:, None, :], PK if len(PK) == 1 else np.take(PK, seg, axis=0, mode="clip"))
+    m = math.isqrt(PK.shape[2] // 2)
+    return H.view(np.complex128).reshape(ts.size, m, m)
 
 
 def _extremes(H, vectors: bool = False):
@@ -488,7 +487,7 @@ class _Pencils:
             P, K = np.ascontiguousarray(P[:, :r, r:]), np.ascontiguousarray(K[:, :r, r:])
         self.antidiagonal = antidiagonal
         self.m = P.shape[1]
-        self.Pv, self.Kv, self.L = P.view(np.float64), K.view(np.float64), norms
+        self.PK, self.L = np.stack([P, K], axis=1).view(np.float64).reshape(len(P), 2, -1), norms
         self.A = A
         # The Crawford eigenpairs solved (points, untrimmable): matrices,
         # values mu1 = max(lambda_min, -lambda_max) and, for G = +-H with
@@ -506,7 +505,7 @@ class _Pencils:
         return _in_chunks(self.step, functools.partial(self._extremes, vectors=vectors), seg, ts)
 
     def _extremes(self, seg: np.ndarray, ts: np.ndarray, vectors: bool):
-        H = _rotated(self.Pv, self.Kv, seg, ts)
+        H = _rotated(self.PK, seg, ts)
         if not self.antidiagonal:
             return _extremes(H, vectors)
         # sigma_max(Z)^2 = lambda_max(Z* Z), to within eps |Z|^2.
@@ -661,8 +660,8 @@ class _Pencils:
 
     def _dual(self, ts: np.ndarray, which: np.ndarray, lower: np.ndarray, gap: np.ndarray, values: np.ndarray) -> np.ndarray:
         k, n, m = which.size, ts.size, self.m
-        Pv, Kv = self.Pv[which], self.Kv[which]
-        H = _rotated(Pv, Kv, np.arange(k).repeat(n), np.tile(ts, k))
+        PK = self.PK[which]
+        H = _rotated(PK, np.arange(k).repeat(n), np.tile(ts, k))
         wmin, wmax, vmin, vmax = _extremes(H, vectors=True)[:4]
         values[:] = np.maximum(wmax, -wmin).reshape(k, n)
         lower = np.maximum(lower, values.max(axis=1))
@@ -670,7 +669,8 @@ class _Pencils:
         bottom = -wmin > wmax
         X = np.swapaxes(np.where(bottom[:, None], vmin, vmax).reshape(k, n, m), 1, 2)
         phase = (np.exp(1j * np.tile(ts, k)) * np.where(bottom, -1.0, 1.0)).reshape(k, 1, n)
-        M = Pv.view(np.complex128) - 1j * Kv.view(np.complex128)
+        P, K = (PK[:, j].view(np.complex128).reshape(k, m, m) for j in (0, 1))
+        M = P - 1j * K
         try:
             Z = (lower[:, None, None] * X - phase * (M @ X)) @ np.linalg.pinv(X)
             Z = 0.5 * (Z + np.swapaxes(Z.conj(), 1, 2))
@@ -844,7 +844,7 @@ def _search(groups: list[_Pencils], gap, opts: RadiusOptions):
     """
     half, h, hw = _first_cells(opts)
     k = gap.size
-    first = np.cumsum([0] + [g.Pv.shape[0] for g in groups]).tolist()  # first matrix of each group, then k
+    first = np.cumsum([0] + [g.L.size for g in groups]).tolist()  # first matrix of each group, then k
     seg = np.arange(k).repeat(half)
     centers = np.tile(h * np.arange(half), k)
     lo, hi, cap = np.full(k, -np.inf), np.empty(k), np.full(k, np.inf)
@@ -957,10 +957,10 @@ def _dual_caps(groups, first, flat, lower, gap, ts, caps, values) -> None:
 
 def _early_duals(groups, first, flat, vals, ub, ts, hw, gap, caps) -> None:
     """Round 0 of the radius matrices flat, whose subgrid values are flat:
-    their dual caps, into caps, and their values at the round-0 angles ts,
-    into vals (ub their rotation caps), from the certificates' solves."""
+    their dual caps, into caps, fitted to the values they attain at the
+    round-0 angles ts alone, and those values, into vals (ub their caps)."""
     values = np.full(vals.shape, np.nan)
-    _dual_caps(groups, first, flat, vals.max(axis=1), gap, ts, caps, values)
+    _dual_caps(groups, first, flat, np.full(len(vals), -np.inf), gap, ts, caps, values)
     # One not flat on the whole grid takes no cap, as if never flagged.
     cos = np.cos(hw)
     redo = flat & ~(values.min(axis=1) / cos > values.max(axis=1))
