@@ -29,12 +29,12 @@ from semiradius.functionals import DEFAULT_MC_SAMPLES, RadiusOptions, radii_and_
 
 # Per grid_count, recorded once.
 CRAWFORD_SHA256 = {
-    4: "bb72c4d677f052e44887a098ab182d5604b4514d33a000554771b108b5158736",
-    5: "bb72c4d677f052e44887a098ab182d5604b4514d33a000554771b108b5158736",
-    18: "bb72c4d677f052e44887a098ab182d5604b4514d33a000554771b108b5158736",
-    33: "bb72c4d677f052e44887a098ab182d5604b4514d33a000554771b108b5158736",
-    64: "bb72c4d677f052e44887a098ab182d5604b4514d33a000554771b108b5158736",
-    256: "bb72c4d677f052e44887a098ab182d5604b4514d33a000554771b108b5158736",
+    4: "71608cf2a2104633ecd1d183f97330afc75256806c925e7bf1228b1d99c2638d",
+    5: "71608cf2a2104633ecd1d183f97330afc75256806c925e7bf1228b1d99c2638d",
+    18: "71608cf2a2104633ecd1d183f97330afc75256806c925e7bf1228b1d99c2638d",
+    33: "71608cf2a2104633ecd1d183f97330afc75256806c925e7bf1228b1d99c2638d",
+    64: "71608cf2a2104633ecd1d183f97330afc75256806c925e7bf1228b1d99c2638d",
+    256: "71608cf2a2104633ecd1d183f97330afc75256806c925e7bf1228b1d99c2638d",
 }
 
 

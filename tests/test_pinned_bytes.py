@@ -21,9 +21,9 @@ from semiradius.functionals import RadiusOptions
 from semiradius.sampler import SampleConfig, sample_bundle, sample_space
 from semiradius.space import build_space
 
-REPORT_SHA256 = "96ae9cce3b1aa00f79c3819cb761b1f22fdf4e6781da306e8c84bf17343e5849"
-MULTI_CHUNK_SHA256 = "cf149da6a2b2abd2e1e194f72f418917a1a7e17d937e5356c9a1fb3968333d7c"
-ROWS_SHA256 = "41ead9f0de57cfdd2e7ff53b9aca0e80427a678ed8893e8bb7e4bb574bf093d3"
+REPORT_SHA256 = "266874d665d8c69aa6105c442dac58649f6424a4becc1042197583a64d31ba68"
+MULTI_CHUNK_SHA256 = "ae9a4ce2f35be98b0a7502b58ca2f48dd2acd7188faf475c6a776da96e4a6db8"
+ROWS_SHA256 = "6fbe55374e75de75a42677bd373e037e218cd58cfdd9721fc5e7f37bde7a4a42"
 
 
 def digest(text: str) -> str:

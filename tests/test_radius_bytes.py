@@ -29,11 +29,11 @@ from semiradius.functionals import RadiusOptions, radii_and_crawford_numbers
 
 # Per grid_count, recorded once.
 RADIUS_SHA256 = {
-    4: "964bfa366b6f7c89f5dd9638998fc23163290b30522df686132316da1603eff8",
-    5: "c2df1ccffbc1c2675f7072da01ca46665d5992efd3f2b6d67feaf5c2d6bf53bd",
-    33: "ba2ead974a261e5d06d23fc2fd7dc8ffc9dfc66b36edbc6002a9b86548200dcf",
-    64: "7687d806a83a11c5d710d0eb941ad81fd9e398aede017280176a8b2e3d4578a2",
-    256: "9f4c5a6e9e5381b3f1cbc9c52a679e03b92f5053a858ffd24cd10e804b98b0c1",
+    4: "5508914dbbbc47117cc234ad3d83b702fead2fe2c54ae66bb0f72f9a088a59f8",
+    5: "6b72a9dd27eed584e8506559ecbea06b77e5df6b7d0cb8de5fdfd961817f7304",
+    33: "6ced9b479454a7c78457c251e0763e56ce946f561682d4fcff296811a5b09e2c",
+    64: "f347a5d3b0869e74da27e17750f41f8b8c7eec47fe772dcfe1ea43364ed44fc1",
+    256: "89fd724b69eef13afd1cd095cd90ea213383909c1fff39ebccae98a8b1ecc87a",
 }
 
 
