@@ -537,11 +537,9 @@ class _Pencils:
         matrix's cells, in order, at the same angles h j.  The _SUBGRID
         cells are solved first; a cell that a bound from them proves pruned
         (_support_sift) is not solved and gets -inf, so it sets no lower
-        bound and survives no pruning.
-
-        Only round 0 is sifted: there each matrix's subgrid is solved.  A
-        later round's matrix whose cells were all left unsolved would get
-        hi = lo from their -inf caps."""
+        bound and survives no pruning.  Only round 0 is sifted: a later
+        round's matrix whose cells were all left unsolved would get hi = lo
+        from their -inf caps."""
         k = self.L.size
         half = ts.size // k
         if half <= _SUBGRID or self.m == 2:
@@ -730,27 +728,25 @@ class _Inner:
             rho = ((p1 - p2) / (np.exp(-1j * t2) - e1)).real
             fit = -np.angle(p1 + rho * e1)
         fit = np.where((self.lower[rows] > 0.0) & (rho > 0.0) & np.isfinite(fit), fit, gilbert + 0.5 * np.pi)
-        return np.column_stack([gilbert, fit])
+        return np.stack([gilbert, fit], axis=1)
 
     def add(self, rows, ts, wmin, wmax, qmin, qmax, z=None) -> None:
         """Join the points qmin and qmax, which touch the support lines of
         H at the angles ts and ts + pi, (r, n) arrays, to the polygons of the
         matrices rows: z, by default their segments' ends and these."""
-        r = rows.size
-        z = np.column_stack([self.ends[rows], qmin, qmax]) if z is None else z
+        z = np.concatenate([self.ends[rows], qmin, qmax], axis=1) if z is None else z
         near, i, j = _nearest(z)
-        k, zero = z.shape[1] * np.arange(r), _holds_zero(z)
+        k, zero = z.shape[1] * np.arange(rows.size), _holds_zero(z)
         self.near[rows] = np.where(zero, 0.0, near)
         self.ends[rows, 0], self.ends[rows, 1] = z.ravel()[k + i], z.ravel()[k + j]
-        v = np.column_stack([self.best_v[rows], wmin, -wmax])
+        v = np.concatenate([self.best_v[rows], wmin, -wmax], axis=1)
         self.lower[rows] = np.maximum(self.lower[rows], v[:, 2:].max(axis=1))
         if zero.all():  # settled: no step follows
             return
-        keep = (np.arange(r)[:, None], np.argsort(-v, axis=1)[:, :2])
-        at = (rows[:, None], [0, 1])
-        self.best[at] = np.column_stack([self.best[rows], qmin, qmax])[keep]
-        self.best_t[at] = np.column_stack([self.best_t[rows], ts, ts + np.pi])[keep]
-        self.best_v[at] = v[keep]
+        keep = (np.arange(rows.size)[:, None], np.argsort(-v, axis=1)[:, :2])
+        self.best[rows] = np.concatenate([self.best[rows], qmin, qmax], axis=1)[keep]
+        self.best_t[rows] = np.concatenate([self.best_t[rows], ts, ts + np.pi], axis=1)[keep]
+        self.best_v[rows] = v[keep]
 
 
 def _ando(Z: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -848,7 +844,7 @@ def _search(groups: list[_Pencils], gap, opts: RadiusOptions):
     seg = np.arange(k).repeat(half)
     centers = np.tile(h * np.arange(half), k)
     lo, hi, cap = np.full(k, -np.inf), np.empty(k), np.full(k, np.inf)
-    solved, spent = np.zeros(k, dtype=np.intp), np.zeros(k, dtype=bool)
+    solved, spent = [], np.zeros(k, dtype=bool)
     halves = (2.0 * np.arange(_SUBDIV) + 1.0 - _SUBDIV) / _SUBDIV
     for round_no in range(DEFAULT_MAX_ROUNDS + 1):
         cells = np.searchsorted(seg, first).tolist()
@@ -875,10 +871,11 @@ def _search(groups: list[_Pencils], gap, opts: RadiusOptions):
         done = np.maximum(hi, 0.0) - floor <= gap
         # Cells that can beat the running lower bound of an unfinished matrix.
         keep = ub > np.where(done, np.inf, floor)[seg]
-        # The budget: cells solved so far and those the next round solves.
-        solved += np.bincount(seg, minlength=k)
-        if solved.max() + _SUBDIV * np.count_nonzero(keep) > _MAX_CELLS:
-            spent |= solved + _SUBDIV * np.bincount(seg[keep], minlength=k) > _MAX_CELLS
+        # The budget: cells solved so far and those the next round solves,
+        # counted per matrix once all matrices together could pass it.
+        solved.append(seg)
+        if sum(map(len, solved)) + _SUBDIV * np.count_nonzero(keep) > _MAX_CELLS:
+            spent |= np.bincount(_joined(solved), minlength=k) + _SUBDIV * np.bincount(seg[keep], minlength=k) > _MAX_CELLS
             keep &= ~spent[seg]
         centers = (centers[keep][:, None] + hw * halves).reshape(-1)
         seg = seg[keep].repeat(_SUBDIV)

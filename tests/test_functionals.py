@@ -534,7 +534,7 @@ class TestCrawfordWork:
 
     def test_narrow_disk_about_zero_settles_in_a_few_steps(self, eigensolves, monkeypatch):
         # The range, the disk of radius r about 0.95 r exp(i pi / 8), holds
-        # 0 near its edge; the inner polygon closes round 0 in a few steps.
+        # 0 near its edge; the inner polygon closes around 0 in a few steps.
         n = 16
         r = math.cos(math.pi / (n + 1))
         scans = count_cap_scans(monkeypatch)
@@ -597,7 +597,7 @@ class TestCrawfordSift:
     def test_point_bounds_cover_the_computed_values(self, seed, monkeypatch):
         # Normal matrices, and the points their search attains: the hull
         # distance of those points bounds every computed Crawford value,
-        # and meets the largest within the gap.
+        # and lies below the upper end the search gives.
         rng = np.random.default_rng(seed)
         ts = np.pi / 512 * np.arange(512)
         kept = []
@@ -740,8 +740,8 @@ class TestCrawfordDiagonal:
     @pytest.mark.parametrize("gap_scale", [1e-9, 0.3])
     def test_enclosures_keep_their_bits(self, grid, gap_scale, monkeypatch):
         # Against every matrix searched: the inputs of
-        # tests/test_crawford_bytes.py and more, the round-0 sift's
-        # families, hidden flat U J_n U* and Ginibre matrices.
+        # tests/test_crawford_bytes.py and more, the sweep's families,
+        # hidden flat U J_n U* and Ginibre matrices.
         mats = certificate_sweep() + sift_sweep()
         mats += [shifted_jordan(700 + n, n, 0.0, 0.3 * n) for n in range(2, 13)]
         mats += [random_matrix(800 + n, n) for n in (8, 16, 24, 32)]
@@ -759,8 +759,8 @@ class TestCrawfordDiagonal:
     @pytest.mark.parametrize("n", range(4, 9))
     def test_flat_ranges_take_no_eigensolve(self, n, eigensolves):
         # The diagonal points of U J_n U*, whose range is a disk about 0,
-        # show that no round-0 cell survives: no probe, no grid (Ginibre
-        # matrices: test_wide_disk_about_zero_takes_four_eigensolves).
+        # surround 0: no probe, no eigensolve (Ginibre matrices:
+        # test_wide_disk_about_zero_takes_four_eigensolves).
         counted = eigensolves
         enc = crawford_number(shifted_jordan(n, n, 0.0, 0.5 * n))
         assert enc.lo == 0.0 and enc.hi <= 1e-11 and enc.method == "grid"
