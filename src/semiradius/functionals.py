@@ -34,14 +34,15 @@ from branch and bound over the half circle [0, pi):
   pencils of at least 2 _FINE_M rows do the same once more on a subgrid
   four times as fine;
 * a matrix whose subgrid values are flat, all within cos(w) of their
-  largest (disk-shaped ranges about 0, such as weighted shifts and
-  U J_n U*), solves no other round-0 cell: it is capped by Ando's dual
-  certificate (T. Ando, "Structure of operators with numerical radius
-  one", Acta Sci. Math. (Szeged) 34, 1973), omega(M) = min over Hermitian
-  Z of lambda_max([[Z, M], [M*, -Z]]), every Hermitian Z giving an upper
-  bound, whose fit eigensolves every round-0 angle and so gives their
-  values too.  A flat matrix whose certificate meets its gap leaves the
-  search at round 0; the others refine as before;
+  largest, which their caps leave short of its gap (disk-shaped ranges
+  about 0, such as weighted shifts and U J_n U*), solves no other round-0
+  cell: it is capped by Ando's dual certificate (T. Ando, "Structure of
+  operators with numerical radius one", Acta Sci. Math. (Szeged) 34,
+  1973), omega(M) = min over Hermitian Z of lambda_max([[Z, M], [M*, -Z]]),
+  every Hermitian Z giving an upper bound, whose fit eigensolves every
+  round-0 angle and so gives every round-0 value.  A flat matrix whose
+  certificate meets its gap leaves the search at round 0; the others
+  refine as before;
 * cells whose cap cannot beat the running lower bound are pruned;
   surviving cells are subdivided until the enclosure gap meets the target
   or the budget runs out: DEFAULT_MAX_ROUNDS rounds, or _MAX_CELLS cells
@@ -274,12 +275,16 @@ class Enclosures:
 
 @dataclass(frozen=True)
 class RadiusOptions:
-    """Knobs for the half-circle branch and bound and its Monte Carlo cap.
+    """Knobs for the radius and Crawford searches and the Monte Carlo cap.
 
-    The search starts from grid_count angles around the circle, that is
-    ceil(grid_count / 2) cells on the half circle, and refines for at most
-    DEFAULT_MAX_ROUNDS rounds towards the enclosure gap
-    gap_scale * (1 + |M|) per matrix.  oracle_samples drives the Monte
+    gap_scale sets each enclosure's target width gap_scale * (1 + |M|).
+    grid_count applies to the radius alone: its branch and bound starts
+    from ceil(grid_count / 2) cells on the half circle, solves at round 0
+    only those that the support lines of a subgrid of 8 angles cannot
+    prune, and refines until DEFAULT_MAX_ROUNDS rounds pass or a matrix's
+    next round would take it past _MAX_CELLS eigensolved cells, either way
+    with a sound enclosure.  The Crawford inner polygon takes no grid and
+    at most DEFAULT_MAX_ROUNDS steps.  oracle_samples drives the Monte
     Carlo cap applied after the search to the Crawford enclosures whose
     upper ends lie above 0 (no other can be trimmed); its vectors come
     from stream 0.  Such an enclosure is scanned only where the search's
@@ -496,7 +501,7 @@ class _Pencils:
         # Cells per eigensolve call or quadratic-form batch, so that the
         # per-cell matrices built at once stay within _CHUNK_BYTES.
         self.step = max(1, _CHUNK_BYTES // (16 * self.m * self.m))
-        # Radius matrices whose round-0 subgrid values are flat.
+        # Radius matrices marked flat (_flat); no antidiagonal pencil is.
         self.flat = np.zeros(P.shape[0], dtype=bool)
 
     def extremes(self, seg: np.ndarray, ts: np.ndarray, vectors: bool = False) -> tuple:
@@ -512,10 +517,10 @@ class _Pencils:
         s = np.sqrt(np.maximum(_extremes(np.swapaxes(H.conj(), -1, -2) @ H)[1], 0.0))
         return -s, s
 
-    def evaluate(self, seg: np.ndarray, ts: np.ndarray, hw: float, first: bool):
+    def evaluate(self, seg: np.ndarray, ts: np.ndarray, hw: float, gap=None):
         """Values and rotation caps of the radius cells (seg, ts) of
-        half-width hw; at round 0 (first) through _sifted."""
-        v = self._sifted(seg, ts, hw) if first else self._values(seg, ts)
+        half-width hw; at round 0 (gap given) through _sifted."""
+        v = self._values(seg, ts) if gap is None else self._sifted(seg, ts, hw, gap)
         return v, v / np.cos(hw)
 
     def _values(self, seg: np.ndarray, ts: np.ndarray) -> np.ndarray:
@@ -532,7 +537,7 @@ class _Pencils:
         self.pairs.append((seg, np.maximum(wmin, -wmax), np.where(bottom, wnext, -wprev), np.where(bottom[:, None], ymin, ymax)))
         return wmin, wmax, qmin, qmax
 
-    def _sifted(self, seg: np.ndarray, ts: np.ndarray, hw: float) -> np.ndarray:
+    def _sifted(self, seg: np.ndarray, ts: np.ndarray, hw: float, gap: np.ndarray) -> np.ndarray:
         """Values of the round-0 cells (seg, ts) of half-width hw: every
         matrix's cells, in order, at the same angles h j.  The _SUBGRID
         cells are solved first; a cell that a bound from them proves pruned
@@ -545,25 +550,24 @@ class _Pencils:
         if half <= _SUBGRID or self.m == 2:
             # 2 x 2 extremes come in closed form, cheaper than the bounds.
             v = self._values(seg, ts)
-            if not self.antidiagonal:
-                grid = v.reshape(k, half)
-                self.flat = grid.min(axis=1) / np.cos(hw) > grid.max(axis=1)
+            self.flat = _flat(v.reshape(k, half), hw, gap) & (not self.antidiagonal)
             return v
         ts = ts[:half]
         vals = np.full((k, half), -np.inf)
-        alive = self._support_sift(ts, hw, vals)
+        alive = self._support_sift(ts, hw, vals, gap)
         mats, cells = np.nonzero(alive)
         if mats.size:
             vals[mats, cells] = self._values(mats, ts[cells])
         return vals.ravel()
 
-    def _support_sift(self, ts: np.ndarray, hw: float, vals: np.ndarray) -> np.ndarray:
+    def _support_sift(self, ts: np.ndarray, hw: float, vals: np.ndarray, gap: np.ndarray) -> np.ndarray:
         """Which round-0 radius cells at the angles ts to solve, a (k, half)
         mask, once the cells of the subgrid of _SUBGRID angles, for pencils
         of at least _FINE_M rows those of the subgrid of 2 _SUBGRID angles
         that the first level leaves alive, and for pencils of at least
         2 _FINE_M rows those of the subgrid of 4 _SUBGRID angles that the
-        second leaves alive, are solved into vals.
+        second leaves alive, are solved into vals; a matrix marked flat
+        (_flat) keeps no other cell, as its dual certificate solves them.
 
         lambda_max(H(s)) is the support function h(s) of the range W(M), and
         -lambda_min(H(s)) = h(s + pi): each solved cell gives h at two
@@ -595,10 +599,8 @@ class _Pencils:
                 vals[mats, cells] = np.maximum(wmax, -wmin)
                 support[mats, cells], support[mats, cells + half] = wmax, -wmin
             alive[:, known] = False
-            if count == _SUBGRID and not self.antidiagonal:
-                # A matrix whose subgrid values are flat solves no other
-                # cell here: its dual certificate solves them all (_search).
-                self.flat = vals[:, known].min(axis=1) / cos > vals[:, known].max(axis=1)
+            if count == _SUBGRID:
+                self.flat = _flat(vals[:, known], hw, gap) & (not self.antidiagonal)
                 alive[self.flat] = False
             support[:, -1] = support[:, 0]
             support[:, p] = bound = support[:, p1] * w1 + support[:, p2] * w2
@@ -735,7 +737,8 @@ class _Inner:
         H at the angles ts and ts + pi, (r, n) arrays, to the polygons of the
         matrices rows: z, by default their segments' ends and these."""
         z = np.concatenate([self.ends[rows], qmin, qmax], axis=1) if z is None else z
-        near, i, j = _nearest(z)
+        # _nearest builds about eight complex arrays of point pairs per row.
+        near, i, j = _in_chunks(max(1, _CHUNK_BYTES // (64 * z.shape[1] * (z.shape[1] + 1))), _nearest, z)
         k, zero = z.shape[1] * np.arange(rows.size), _holds_zero(z)
         self.near[rows] = np.where(zero, 0.0, near)
         self.ends[rows, 0], self.ends[rows, 1] = z.ravel()[k + i], z.ravel()[k + j]
@@ -801,6 +804,14 @@ def _sift_plan(half: int, count: int) -> tuple:
     return plan
 
 
+def _flat(V: np.ndarray, hw: float, gap: np.ndarray) -> np.ndarray:
+    """Which rows of radius values V, at cells of half-width hw, are flat:
+    all within cos(hw) of their largest, which their caps leave more than
+    gap short, so that every cell survives the rotation caps."""
+    top = V.max(axis=1)
+    return (V.min(axis=1) / np.cos(hw) > top) & (top / np.cos(hw) - top > gap)
+
+
 def _first_cells(opts: RadiusOptions) -> tuple[int, float, float]:
     """The round-0 cells of a search: their count on the half circle, the
     spacing of their centers and their half-width, widened against
@@ -824,15 +835,12 @@ def _search(groups: list[_Pencils], gap, opts: RadiusOptions):
     owns no cells.  Per round, one eigensolve call per group (per chunk of
     cells) serves every matrix of the group that owns cells.
 
-    Round 0 of a group eigensolves its subgrid, then, in a second call,
-    only the cells that a bound from it cannot prune (_Pencils._sifted):
-    support lines, in two levels for pencils of at least _FINE_M rows (a
-    third call) and in three for pencils of at least 2 _FINE_M rows (a
-    fourth).  The bounds and surviving cells after round 0 are those of
-    solving every cell.  An unfinished matrix whose subgrid values are flat
-    has its upper end capped for the rest of the search by Ando's dual
-    certificate, whose eigendecompositions give its other round-0 values
-    (_early_duals); antidiagonal pencils take none.
+    Round 0 of a group solves its subgrid, then only the cells that the
+    support lines through it cannot prune (_Pencils._sifted), in one call
+    per level; its bounds and surviving cells are those of solving every
+    cell.  A matrix marked flat (_flat) solves no other round-0 cell: Ando's
+    dual certificate caps it for the rest of the search, and its
+    eigendecompositions give every round-0 value (_early_duals).
 
     A matrix whose next round would take its eigensolved cells past
     _MAX_CELLS stops with the bounds it has: its upper end is the largest
@@ -849,19 +857,13 @@ def _search(groups: list[_Pencils], gap, opts: RadiusOptions):
     for round_no in range(DEFAULT_MAX_ROUNDS + 1):
         cells = np.searchsorted(seg, first).tolist()
         parts = [
-            g.evaluate(seg[c:d] - f, centers[c:d], hw, round_no == 0)
+            g.evaluate(seg[c:d] - f, centers[c:d], hw, gap[f:e] if round_no == 0 else None)
             for g, f, e, c, d in zip(groups, first, first[1:], cells, cells[1:])
             if c < d
         ]
         vals, ub = map(_joined, zip(*parts))
         if round_no == 0 and any(g.flat.any() for g in groups):
-            # Matrices whose subgrid values are flat, and which those values
-            # leave short of their gaps, get dual caps.
-            V = vals.reshape(k, half)
-            top = V.max(axis=1)
-            flat = _joined([g.flat for g in groups]) & (top / np.cos(hw) - top > gap)
-            if flat.any():
-                _early_duals(groups, first, flat, V, ub.reshape(k, half), centers[:half], hw, gap, cap)
+            _early_duals(groups, first, vals.reshape(k, half), ub.reshape(k, half), centers[:half], hw, gap, cap)
         starts, mats = _runs(seg)
         lo[mats] = lo_m = np.maximum(lo[mats], np.maximum.reduceat(vals, starts))
         hi[mats] = np.maximum(lo_m, np.minimum(np.maximum.reduceat(ub, starts), cap[mats]))
@@ -952,22 +954,23 @@ def _dual_caps(groups, first, flat, lower, gap, ts, caps, values) -> None:
             values[f + which] = out
 
 
-def _early_duals(groups, first, flat, vals, ub, ts, hw, gap, caps) -> None:
-    """Round 0 of the radius matrices flat, whose subgrid values are flat:
-    their dual caps, into caps, fitted to the values they attain at the
-    round-0 angles ts alone, and those values, into vals (ub their caps)."""
-    values = np.full(vals.shape, np.nan)
+def _early_duals(groups, first, vals, ub, ts, hw, gap, caps) -> None:
+    """Round 0 of the radius matrices marked flat, on their subgrid or all
+    their round-0 values: their dual caps, into caps, fitted to the values
+    they attain at the round-0 angles ts alone, and those values, into vals
+    (ub their caps)."""
+    flat, values = _joined([g.flat for g in groups]), np.full(vals.shape, np.nan)
     _dual_caps(groups, first, flat, np.full(len(vals), -np.inf), gap, ts, caps, values)
-    # One not flat on the whole grid takes no cap, as if never flagged.
-    cos = np.cos(hw)
-    redo = flat & ~(values.min(axis=1) / cos > values.max(axis=1))
+    # One not flat on the whole grid, or given no certificate, takes no cap
+    # and the values round 0 would solve, as if never marked.
+    redo = flat & ~_flat(values, hw, gap)
     caps[redo] = np.inf
     for g, f, e in zip(groups, first, first[1:]):
         which = np.flatnonzero(redo[f:e])
         if which.size:
             values[f + which] = g._values(which.repeat(ts.size), np.tile(ts, which.size)).reshape(which.size, -1)
     vals[flat] = values[flat]
-    ub[flat] = values[flat] / cos
+    ub[flat] = values[flat] / np.cos(hw)
 
 
 def _by_size(stacks, first: int = 0):

@@ -304,6 +304,17 @@ class TestHalfCircleSearch:
         if value is not None:
             assert enc.lo <= value <= enc.hi
 
+    @pytest.mark.parametrize("n", [8, 16])
+    @pytest.mark.parametrize("grid", [64, 256])
+    @pytest.mark.parametrize("gap_scale", [1e-9, 1e-3, 0.3])
+    def test_ranges_flat_only_on_the_subgrid_keep_their_peaks(self, n, grid, gap_scale):
+        # The eigenvalues exp(i (pi/16 + 2 pi k / n)) of a hidden normal
+        # matrix give every angle of the subgrid of 8 the value cos(pi/16);
+        # the radius 1 is attained only between them.
+        M = hidden(n, np.diag(np.exp(1j * (np.pi / 16 + 2 * np.pi / n * np.arange(n)))))
+        enc = numerical_radius(M, RadiusOptions(grid_count=grid, gap_scale=gap_scale))
+        assert enc.lo <= 1.0 <= enc.hi
+
     @pytest.mark.parametrize("grid", [18, 33, 64])
     def test_unsolved_round_zero_cells_keep_the_bits(self, grid, eigensolves, monkeypatch):
         # Grids whose half circles (9, 17, 32 cells) the subgrid of 8 does
