@@ -33,7 +33,7 @@ RADIUS_SHA256 = {
     5: "6b72a9dd27eed584e8506559ecbea06b77e5df6b7d0cb8de5fdfd961817f7304",
     33: "6ced9b479454a7c78457c251e0763e56ce946f561682d4fcff296811a5b09e2c",
     64: "f347a5d3b0869e74da27e17750f41f8b8c7eec47fe772dcfe1ea43364ed44fc1",
-    256: "89fd724b69eef13afd1cd095cd90ea213383909c1fff39ebccae98a8b1ecc87a",
+    256: "e4362f7f440f4e0bb14e62c7b8b47ead70f82ae85b52c111e41862bc8aae1435",
 }
 
 
