@@ -203,6 +203,18 @@ class TestStackedSolves:
         for a, b in zip(rows(whole[0]) + rows(whole[1]), rows(chunked[0]) + rows(chunked[1]), strict=True):
             assert same(a, b)
 
+    def test_hull_points_in_chunks_give_the_same_crawford_enclosures(self, monkeypatch):
+        # Crawford matrices of one size whose ranges miss 0 step together,
+        # so small chunks split the point pairs of their inner polygons.
+        mats = [random_matrix(60 + i, 5) / 3.0 + (2.0 + i) * np.eye(5) for i in range(4)]
+        mats += [shifted_jordan(70 + i, 5, 1.5, phi=0.7 * i) for i in range(3)]
+        stacks = as_stacks(mats)
+        whole = rows(radii_and_crawford_numbers([], stacks)[1])
+        monkeypatch.setattr(functionals, "_CHUNK_BYTES", 512)
+        chunked = rows(radii_and_crawford_numbers([], stacks)[1])
+        assert all(same(a, b) for a, b in zip(whole, chunked, strict=True))
+        assert all(e.lo > 0.0 for e in whole)
+
     @pytest.mark.parametrize("seed", [0, 1])
     def test_antidiagonal_blocks_agree_with_the_general_search(self, seed):
         # [[0, X], [Y, 0]] is searched through its corner; a unitary
