@@ -217,10 +217,10 @@ _MC_CHUNK = 1 << 13
 # certificate's block matrix count as one cluster.
 _CLUSTER = 1e-6
 # Directions of a Crawford search's probe, evenly spread over the half
-# circle; its first step solves every other one.  All of them, for the
-# matrices whose gaps that step meets, put the eigenpair setting the lower
-# end near enough its best angle to prove most Monte Carlo scans unable to
-# trim at the widest gaps (_Pencils.untrimmable).
+# circle; its first step solves every other one, and a matrix whose gap
+# that step meets with ends more than E = _EVAL_ERR (1 + |M|) apart the
+# rest, which proves most Monte Carlo scans unable to trim at the widest
+# gaps (_Pencils.untrimmable); ends within E could move by no more.
 _PROBE = 8
 # Bytes of per-cell matrices (rotated matrices for one eigensolve call,
 # Crawford operands for y* M y) a search builds at once.
@@ -904,8 +904,8 @@ def _inner_search(groups: list[_Pencils], gap: np.ndarray) -> tuple:
     per group, and joins the points they attain.  The first step, a probe,
     solves every other one of _PROBE directions evenly spread over the half
     circle: with the diagonal, their points hold a disk about 0 where the
-    range holds a wide one, which settles c(M) = 0.  A matrix whose gap the
-    probe meets without settling 0 solves the other directions too.  A
+    range holds a wide one, which settles c(M) = 0; the other directions
+    follow where the probe meets the gap with ends more than E apart.  A
     matrix stops once its gap is met or after DEFAULT_MAX_ROUNDS steps."""
     bases = np.cumsum([0] + [g.L.size for g in groups]).tolist()
 
@@ -922,14 +922,14 @@ def _inner_search(groups: list[_Pencils], gap: np.ndarray) -> tuple:
     half = np.pi / _PROBE * np.arange(0, _PROBE, 2)
     ts = np.broadcast_to(half, (rows.size, half.size))
     hulls = _Inner(groups, bases, ts, *solved(rows, ts))
-    lo, hi = np.empty(rows.size), np.empty(rows.size)
+    lo, hi, err = np.empty(rows.size), np.empty(rows.size), _EVAL_ERR * (1.0 + np.concatenate([g.L for g in groups]))
     for step in range(1, DEFAULT_MAX_ROUNDS + 1):
         lo[rows], hi[rows] = hulls.bounds(rows)
         go = np.maximum(hi[rows], 0.0) - np.maximum(lo[rows], 0.0) > gap[rows]
         if step == 1:
-            # A matrix whose gap the first half of the probe meets without
-            # settling 0 takes the second half.
-            second = rows[~go & (hi[rows] > 0.0)]
+            # A matrix whose gap the first half of the probe meets, but not
+            # to within its evaluation error, takes the second half.
+            second = rows[~go & (hi[rows] - np.maximum(lo[rows], 0.0) > err[rows])]
             if second.size:
                 ts = np.broadcast_to(half + np.pi / _PROBE, (second.size, half.size))
                 hulls.add(second, ts, *solved(second, ts))
