@@ -547,11 +547,6 @@ class _Pencils:
         from their -inf caps."""
         k = self.L.size
         half = ts.size // k
-        if half <= _SUBGRID or self.m == 2:
-            # 2 x 2 extremes come in closed form, cheaper than the bounds.
-            v = self._values(seg, ts)
-            self.flat = _flat(v.reshape(k, half), hw, gap) & (not self.antidiagonal)
-            return v
         ts = ts[:half]
         vals = np.full((k, half), -np.inf)
         alive = self._support_sift(ts, hw, vals, gap)
@@ -562,12 +557,15 @@ class _Pencils:
 
     def _support_sift(self, ts: np.ndarray, hw: float, vals: np.ndarray, gap: np.ndarray) -> np.ndarray:
         """Which round-0 radius cells at the angles ts to solve, a (k, half)
-        mask, once the cells of the subgrid of _SUBGRID angles, for pencils
+        mask, once the cells of the subgrid of _SUBGRID angles (every cell
+        for grids of at most _SUBGRID cells and for 2 x 2 pencils, whose
+        extremes come in closed form, cheaper than the bounds), for pencils
         of at least _FINE_M rows those of the subgrid of 2 _SUBGRID angles
         that the first level leaves alive, and for pencils of at least
         2 _FINE_M rows those of the subgrid of 4 _SUBGRID angles that the
-        second leaves alive, are solved into vals; a matrix marked flat
-        (_flat) keeps no other cell, as its dual certificate solves them.
+        second leaves alive, are solved into vals; the first level marks the
+        matrices flat (_flat), which keep no other cell, as their dual
+        certificate solves them.
 
         lambda_max(H(s)) is the support function h(s) of the range W(M), and
         -lambda_min(H(s)) = h(s + pi): each solved cell gives h at two
@@ -589,8 +587,9 @@ class _Pencils:
         alive = np.ones((k, half), dtype=bool)
         # Subgrids of 2 _SUBGRID and 4 _SUBGRID angles for pencils of at
         # least _FINE_M and 2 _FINE_M rows, where they leave cells over.
+        first = half if self.m == 2 else min(_SUBGRID, half)
         finer = [c for c, rows in ((2 * _SUBGRID, _FINE_M), (4 * _SUBGRID, 2 * _FINE_M)) if self.m >= rows and half > c]
-        for count in [_SUBGRID] + finer:
+        for count in [first] + finer:
             known, other, p, p1, p2, w1, w2 = _sift_plan(half, count)
             mats, cols = np.nonzero(alive[:, known])
             if mats.size:
@@ -599,7 +598,7 @@ class _Pencils:
                 vals[mats, cells] = np.maximum(wmax, -wmin)
                 support[mats, cells], support[mats, cells + half] = wmax, -wmin
             alive[:, known] = False
-            if count == _SUBGRID:
+            if count == first:
                 self.flat = _flat(vals[:, known], hw, gap) & (not self.antidiagonal)
                 alive[self.flat] = False
             support[:, -1] = support[:, 0]
@@ -783,7 +782,7 @@ def _equalizing_step(w: np.ndarray, V: np.ndarray, m: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=16)
 def _sift_plan(half: int, count: int) -> tuple:
-    """What round 0 of half cells sifts with count subgrid angles (count <
+    """What round 0 of half cells sifts with count subgrid angles (count <=
     half): the subgrid's cells, the other cells, and for each of the other
     cells' directions t, then t + pi, its position and those of its known
     neighbours s1 < t < s2 (p of angle h p on the doubled circle, 0 to
@@ -942,31 +941,28 @@ def _inner_search(groups: list[_Pencils], gap: np.ndarray) -> tuple:
     return lo, hi
 
 
-def _dual_caps(groups, first, flat, lower, gap, ts, caps, values) -> None:
+def _dual_caps(groups, first, flat, gap, ts, caps, values) -> None:
     """Dual caps, into caps, for the radius matrices flat, fitted at the
     angles ts, and the values max(lambda_max, -lambda_min) they attain at
     ts, into values.  first holds the first matrix of each group."""
     for g, f, e in zip(groups, first, first[1:]):
         which = np.flatnonzero(flat[f:e])
-        if which.size and g.A is None and not g.antidiagonal:
+        if which.size:
             out = np.empty((which.size, ts.size))
-            caps[f + which] = g.dual(which, ts, lower[f + which], gap[f + which], out)
+            caps[f + which] = g.dual(which, ts, np.full(which.size, -np.inf), gap[f + which], out)
             values[f + which] = out
 
 
 def _early_duals(groups, first, vals, ub, ts, hw, gap, caps) -> None:
-    """Round 0 of the radius matrices marked flat, on their subgrid or all
-    their round-0 values: their dual caps, into caps, fitted to the values
-    they attain at the round-0 angles ts alone, and those values, into vals
-    (ub their caps)."""
+    """Round 0 of the radius matrices marked flat: their dual caps, into
+    caps, fitted at the round-0 angles ts, and the values they attain
+    there, into vals (ub their rotation caps).  A matrix given no
+    certificate (the search with _dual_caps switched off) solves its
+    round-0 cells instead, as if never marked."""
     flat, values = _joined([g.flat for g in groups]), np.full(vals.shape, np.nan)
-    _dual_caps(groups, first, flat, np.full(len(vals), -np.inf), gap, ts, caps, values)
-    # One not flat on the whole grid, or given no certificate, takes no cap
-    # and the values round 0 would solve, as if never marked.
-    redo = flat & ~_flat(values, hw, gap)
-    caps[redo] = np.inf
+    _dual_caps(groups, first, flat, gap, ts, caps, values)
     for g, f, e in zip(groups, first, first[1:]):
-        which = np.flatnonzero(redo[f:e])
+        which = np.flatnonzero(flat[f:e] & np.isnan(values[f:e, 0]))
         if which.size:
             values[f + which] = g._values(which.repeat(ts.size), np.tile(ts, which.size)).reshape(which.size, -1)
     vals[flat] = values[flat]
