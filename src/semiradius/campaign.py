@@ -59,7 +59,11 @@ _CHUNK_MATRIX_BYTES = 1 << 26
 class CampaignConfig:
     """Declarative description of one campaign run.  The spectrum law and
     bounds default as in SampleConfig, the solver settings as in
-    RadiusOptions."""
+    RadiusOptions.
+
+    oracle_samples affects no result: it is validated and echoed in the
+    report's config, and stays only until the benchmark stops passing it.
+    """
 
     dims: tuple[int, ...] = (2, 3, 4, 5, 6)
     ranks: tuple[int, ...] | None = None
@@ -71,7 +75,7 @@ class CampaignConfig:
     scale: float = 1.0
     grid_count: int = RadiusOptions.grid_count
     gap_scale: float = RadiusOptions.gap_scale
-    oracle_samples: int = RadiusOptions.oracle_samples
+    oracle_samples: int = 4096
     checks: tuple[str, ...] | None = None
     workers: int = 1
 
@@ -92,6 +96,8 @@ class CampaignConfig:
             raise BadConfig(f"trials must be positive, got {self.trials}")
         if self.workers < 1:
             raise BadConfig(f"workers must be positive, got {self.workers}")
+        if self.oracle_samples < 0:
+            raise BadConfig(f"oracle_samples must be nonnegative, got {self.oracle_samples}")
         if not 0.0 <= self.scale < math.inf:
             raise BadConfig(f"scale must be finite and nonnegative, got {self.scale}")
         if self.checks is not None:
@@ -120,11 +126,7 @@ class CampaignConfig:
         return out
 
     def options(self) -> RadiusOptions:
-        return RadiusOptions(
-            grid_count=self.grid_count,
-            gap_scale=self.gap_scale,
-            oracle_samples=self.oracle_samples,
-        )
+        return RadiusOptions(grid_count=self.grid_count, gap_scale=self.gap_scale)
 
     def _sample_config(self, dim: int, rank: int, seed: int) -> SampleConfig:
         return SampleConfig(

@@ -111,7 +111,6 @@ def _given(args, config_type) -> dict:
 def _add_solver_flags(parser) -> None:
     parser.add_argument("--grid", dest="grid_count", type=int, help="initial angle grid count")
     parser.add_argument("--gap", dest="gap_scale", type=float, help="relative enclosure gap target")
-    parser.add_argument("--oracle-samples", type=int, help="Monte Carlo cap samples")
 
 
 def _build_parser() -> _Parser:

@@ -63,16 +63,6 @@ distance from 0 to W, comes from an inner polygon of W (_inner_search):
   quadratic form on a convex set", SIAM J. Control 4, 1966) and that of
   the disk fitted to its two best solves, exact where W is a disk.
 
-After the search, Crawford upper ends above 0 are further capped by a
-Monte Carlo scan of |y* M y| over random unit vectors, which bounds the
-infimum from above; an upper end at 0 cannot be trimmed, so its matrix is
-not scanned.  Nor is a matrix whose search proves that the scan cannot
-trim it: the eigenpair of +-H(t) that set its lower end, with the next
-eigenvalue, bounds |y* M y| from below through the largest overlap of the
-scan's vectors with that eigenvector (Davis and Kahan, SIAM J. Numer.
-Anal. 7, 1970), and where that bound, padded, reaches the upper end the
-matrix keeps the enclosure the scan would leave it.
-
 radii_and_crawford_numbers runs one search per functional for the
 matrices of lists of (k, m, m) stacks, each round or step one eigensolve
 call (per bounded chunk) per size.  Each matrix keeps its own cells or
@@ -98,7 +88,6 @@ __all__ = [
     "DEFAULT_GRID",
     "DEFAULT_GAP_SCALE",
     "DEFAULT_MAX_ROUNDS",
-    "DEFAULT_MC_SAMPLES",
     "Enclosure",
     "Enclosures",
     "METHODS",
@@ -127,7 +116,6 @@ __all__ = [
 DEFAULT_GRID = 256
 DEFAULT_GAP_SCALE = 1e-9
 DEFAULT_MAX_ROUNDS = 20
-DEFAULT_MC_SAMPLES = 4096
 # Each refinement round splits every surviving cell in four.
 _SUBDIV = 4
 # Cells a radius search eigensolves per matrix at most (its budget).  Flat
@@ -189,46 +177,20 @@ _EPS = float(np.finfo(np.float64).eps)
 # floor and a computed value below the largest, so lo, hi and the kept
 # cells after round 0 are those of solving every cell: the bits are kept.
 _SUPPORT_PAD = 8.0
-# Pad, in units of a matrix's evaluation error E = _EVAL_ERR (1 + |M|), by
-# which the eigenpair bound of _Pencils.untrimmable is lowered, with
-# (32m + 64) eps (1 + |M|) more, before it is set against the upper end.
-# mu1, mu2 and u come from eigh of the computed H at one cell.  eigh
-# is backward stable: its eigenvalues are exactly those of a Hermitian G'
-# within E of the exact +-H(t) at the computed cos and sin (E covers the
-# eigensolver and the rounding of P, K and H), and u is within m eps of a
-# unit eigenvector u' of G' for mu1.  Every other
-# eigenvalue of G' is at least mu2, so y* G' y >= mu2 |y|^2 - (mu2 - mu1)
-# |u'* y|^2 (the Rayleigh quotient off an eigenvector: Davis and Kahan,
-# "The rotation of eigenvectors by a perturbation. III", SIAM J. Numer.
-# Anal. 7, 1970), and |y* M y| >= y* (+-H(t)) y >= y* G' y - E |y|^2, up
-# to an eps of |cos + i sin| (y* H(t) y = Re(exp(it) y* M y)).  A scan
-# vector has |y|^2 within (m + 3) eps of 1; |u'* y|^2 exceeds the computed
-# overlap by at most (6m + 4) eps (m eps for u, 2m eps for the rounding of
-# u* y, 3 eps for abs and the square), which mu2 - mu1 <= 2 |M| + 2 E
-# doubles; the bound's own arithmetic adds 12 eps (1 + |M|), and the
-# scan's computed |q| may lie (2m + 4) eps (1 + |M|) below the exact one.
-# So every |q| the scan computes is at least the computed bound less
-# E + (15m + 29) eps (1 + |M|), which the pad more than doubles.  A padded
-# bound no smaller than max(hi, lo, 0) leaves the scan's minimum no
-# smaller, so cap + err < hi cannot hold: the enclosure is the scan's.
-_PAIR_PAD = 2.0
 _MC_CHUNK = 1 << 13
 # Relative distance from the top within which eigenvalues of a dual
 # certificate's block matrix count as one cluster.
 _CLUSTER = 1e-6
-# Directions of a Crawford search's probe, evenly spread over the half
-# circle; its first step solves every other one, and a matrix whose gap
-# that step meets with ends more than E = _EVAL_ERR (1 + |M|) apart the
-# rest, which proves most Monte Carlo scans unable to trim at the widest
-# gaps (_Pencils.untrimmable); ends within E could move by no more.
-_PROBE = 8
+# Directions of a Crawford search's probe, its first step, evenly spread
+# over the half circle.
+_PROBE = 4
 # Bytes of per-cell matrices (rotated matrices for one eigensolve call,
 # Crawford operands for y* M y) a search builds at once.
 _CHUNK_BYTES = 1 << 22
 
 
 # Methods by precedence: an interval computed from several takes the last.
-METHODS = ("exact", "oracle", "grid")
+METHODS = ("exact", "grid")
 
 
 @dataclass(frozen=True)
@@ -237,7 +199,7 @@ class Enclosure:
 
     lo: float
     hi: float
-    method: str  # "grid" | "exact" | "oracle"
+    method: str  # "grid" | "exact"
 
     def __post_init__(self):
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
@@ -275,7 +237,7 @@ class Enclosures:
 
 @dataclass(frozen=True)
 class RadiusOptions:
-    """Knobs for the radius and Crawford searches and the Monte Carlo cap.
+    """Knobs for the radius and Crawford searches.
 
     gap_scale sets each enclosure's target width gap_scale * (1 + |M|).
     grid_count applies to the radius alone: its branch and bound starts
@@ -284,25 +246,17 @@ class RadiusOptions:
     prune, and refines until DEFAULT_MAX_ROUNDS rounds pass or a matrix's
     next round would take it past _MAX_CELLS eigensolved cells, either way
     with a sound enclosure.  The Crawford inner polygon takes no grid and
-    at most DEFAULT_MAX_ROUNDS steps.  oracle_samples drives the Monte
-    Carlo cap applied after the search to the Crawford enclosures whose
-    upper ends lie above 0 (no other can be trimmed); its vectors come
-    from stream 0.  Such an enclosure is scanned only where the search's
-    own eigenpair does not prove that the cap cannot trim it; either way it
-    is the enclosure the scan gives.
+    at most DEFAULT_MAX_ROUNDS steps.
     """
 
     grid_count: int = DEFAULT_GRID
     gap_scale: float = DEFAULT_GAP_SCALE
-    oracle_samples: int = DEFAULT_MC_SAMPLES
 
     def __post_init__(self):
         if integral("grid_count", self.grid_count) < 4:
             raise BadConfig("grid_count must be at least 4")
         if not 0.0 < self.gap_scale < math.inf:
             raise BadConfig("gap_scale must be positive and finite")
-        if integral("oracle_samples", self.oracle_samples) < 0:
-            raise BadConfig("oracle_samples must be nonnegative")
 
     def resolve_gap(self, norm: float) -> float:
         return self.gap_scale * (1.0 + norm)
@@ -405,7 +359,7 @@ def _rotated(PK, seg, ts):
 
 def _extremes(H, vectors: bool = False):
     """Bottom and top eigenvalues of each matrix of a stack; with vectors,
-    also their eigenvectors and the next eigenvalues in from each end."""
+    also their eigenvectors."""
     if H.shape[-1] == 2 and not vectors:
         a, d, b = H[:, 0, 0].real, H[:, 1, 1].real, H[:, 0, 1]
         mean = 0.5 * (a + d)
@@ -414,7 +368,7 @@ def _extremes(H, vectors: bool = False):
     try:
         if vectors:
             w, V = np.linalg.eigh(H)
-            return w[:, 0], w[:, -1], V[:, :, 0], V[:, :, -1], w[:, 1], w[:, -2]
+            return w[:, 0], w[:, -1], V[:, :, 0], V[:, :, -1]
         w = np.linalg.eigvalsh(H)
         return w[:, 0], w[:, -1]
     except np.linalg.LinAlgError as exc:
@@ -494,10 +448,6 @@ class _Pencils:
         self.m = P.shape[1]
         self.PK, self.L = np.stack([P, K], axis=1).view(np.float64).reshape(len(P), 2, -1), norms
         self.A = A
-        # The Crawford eigenpairs solved (points, untrimmable): matrices,
-        # values mu1 = max(lambda_min, -lambda_max) and, for G = +-H with
-        # mu1 at its bottom, G's next eigenvalue mu2 and mu1's eigenvector.
-        self.pairs = []
         # Cells per eigensolve call or quadratic-form batch, so that the
         # per-cell matrices built at once stay within _CHUNK_BYTES.
         self.step = max(1, _CHUNK_BYTES // (16 * self.m * self.m))
@@ -506,7 +456,7 @@ class _Pencils:
 
     def extremes(self, seg: np.ndarray, ts: np.ndarray, vectors: bool = False) -> tuple:
         """Extremes of H at the cells (seg, ts): bottom and top eigenvalues,
-        and with vectors their eigenvectors and the next eigenvalues."""
+        and with vectors their eigenvectors."""
         return _in_chunks(self.step, functools.partial(self._extremes, vectors=vectors), seg, ts)
 
     def _extremes(self, seg: np.ndarray, ts: np.ndarray, vectors: bool):
@@ -531,10 +481,8 @@ class _Pencils:
     def points(self, seg: np.ndarray, ts: np.ndarray) -> tuple:
         """Bottom and top eigenvalues of H at the angles ts of the Crawford
         matrices seg, and the points y* M y of their eigenvectors."""
-        wmin, wmax, ymin, ymax, wnext, wprev = self.extremes(seg, ts, vectors=True)
+        wmin, wmax, ymin, ymax = self.extremes(seg, ts, vectors=True)
         qmin, qmax = _in_chunks(self.step, self._forms, seg, ymin, ymax)
-        bottom = wmin >= -wmax
-        self.pairs.append((seg, np.maximum(wmin, -wmax), np.where(bottom, wnext, -wprev), np.where(bottom[:, None], ymin, ymax)))
         return wmin, wmax, qmin, qmax
 
     def _sifted(self, seg: np.ndarray, ts: np.ndarray, hw: float, gap: np.ndarray) -> np.ndarray:
@@ -607,30 +555,6 @@ class _Pencils:
             alive[:, other] &= (np.maximum(bound[:, :n], bound[:, n:]) + pad) / cos >= vals.max(axis=1)[:, None]
         return alive
 
-    def untrimmable(self, which: np.ndarray, top: np.ndarray, blocks) -> np.ndarray:
-        """Which Crawford matrices which, of upper ends top > 0 after the
-        search, the Monte Carlo cap of the vector blocks could not trim: a
-        (which.size,) mask, from one product u* Y per block and no
-        eigensolve.
-
-        Each matrix takes the pair (mu1, mu2, u) of its first solve of
-        largest value in pairs, the one that set its lower end: every
-        Crawford matrix of the search solves at least one step.  For unit
-        y, |y* M y| >= y* G y >= mu1 + (mu2 - mu1) (1 - |u* y|^2): G = +-H(t)
-        at that angle has every eigenvalue but mu1 at least mu2.  A bound
-        from the largest overlap |u* y|^2, padded (_PAIR_PAD), that reaches
-        top caps no scanned |y* M y| below it."""
-        seg, mu1, mu2, u = map(_joined, zip(*self.pairs))
-        order = np.lexsort((-mu1, seg))
-        cell = order[np.searchsorted(seg[order], which)]
-        U = u[cell].conj()
-        overlap = np.zeros(which.size)
-        for Y, _Yc in blocks:
-            np.maximum(overlap, np.abs(U @ Y).max(axis=1), out=overlap)
-        pad = (_PAIR_PAD * _EVAL_ERR + (32 * self.m + 64) * _EPS) * (1.0 + self.L[which])
-        mu1 = mu1[cell]
-        return mu1 + (mu2[cell] - mu1) * (1.0 - overlap * overlap) - pad >= top
-
     def _forms(self, seg: np.ndarray, *Ys: np.ndarray) -> tuple:
         """y* M y for each cell's matrix M and its vector y in each of Ys."""
         A = self.A[0] if self.A.shape[0] == 1 else np.take(self.A, seg, axis=0)
@@ -661,7 +585,7 @@ class _Pencils:
         k, n, m = which.size, ts.size, self.m
         PK = self.PK[which]
         H = _rotated(PK, np.arange(k).repeat(n), np.tile(ts, k))
-        wmin, wmax, vmin, vmax = _extremes(H, vectors=True)[:4]
+        wmin, wmax, vmin, vmax = _extremes(H, vectors=True)
         values[:] = np.maximum(wmax, -wmin).reshape(k, n)
         lower = np.maximum(lower, values.max(axis=1))
         # Where -lambda_min attains, the bottom vector is the top one at t + pi.
@@ -901,11 +825,10 @@ def _inner_search(groups: list[_Pencils], gap: np.ndarray) -> tuple:
     Each step solves, with eigenvectors, the next two angles of every live
     matrix (_Inner.targets: Gilbert's step and the disk fit) in one call
     per group, and joins the points they attain.  The first step, a probe,
-    solves every other one of _PROBE directions evenly spread over the half
-    circle: with the diagonal, their points hold a disk about 0 where the
-    range holds a wide one, which settles c(M) = 0; the other directions
-    follow where the probe meets the gap with ends more than E apart.  A
-    matrix stops once its gap is met or after DEFAULT_MAX_ROUNDS steps."""
+    solves _PROBE directions evenly spread over the half circle: with the
+    diagonal, their points hold a disk about 0 where the range holds a
+    wide one, which settles c(M) = 0.  A matrix stops once its gap is met
+    or after DEFAULT_MAX_ROUNDS steps."""
     bases = np.cumsum([0] + [g.L.size for g in groups]).tolist()
 
     def solved(rows: np.ndarray, ts: np.ndarray) -> tuple:
@@ -918,22 +841,12 @@ def _inner_search(groups: list[_Pencils], gap: np.ndarray) -> tuple:
         return tuple(_joined(x).reshape(-1, n) for x in zip(*parts))
 
     rows = np.arange(bases[-1])
-    half = np.pi / _PROBE * np.arange(0, _PROBE, 2)
-    ts = np.broadcast_to(half, (rows.size, half.size))
+    ts = np.broadcast_to(np.pi / _PROBE * np.arange(_PROBE), (rows.size, _PROBE))
     hulls = _Inner(groups, bases, ts, *solved(rows, ts))
-    lo, hi, err = np.empty(rows.size), np.empty(rows.size), _EVAL_ERR * (1.0 + np.concatenate([g.L for g in groups]))
+    lo, hi = np.empty(rows.size), np.empty(rows.size)
     for step in range(1, DEFAULT_MAX_ROUNDS + 1):
         lo[rows], hi[rows] = hulls.bounds(rows)
-        go = np.maximum(hi[rows], 0.0) - np.maximum(lo[rows], 0.0) > gap[rows]
-        if step == 1:
-            # A matrix whose gap the first half of the probe meets, but not
-            # to within its evaluation error, takes the second half.
-            second = rows[~go & (hi[rows] - np.maximum(lo[rows], 0.0) > err[rows])]
-            if second.size:
-                ts = np.broadcast_to(half + np.pi / _PROBE, (second.size, half.size))
-                hulls.add(second, ts, *solved(second, ts))
-                lo[second], hi[second] = hulls.bounds(second)
-        rows = rows[go]
+        rows = rows[np.maximum(hi[rows], 0.0) - np.maximum(lo[rows], 0.0) > gap[rows]]
         if step == DEFAULT_MAX_ROUNDS or not rows.size:
             break
         ts = hulls.targets(rows)
@@ -1075,21 +988,6 @@ def _mc_vectors(samples: int, seed: int, dim: int):
         yield Y, Y.conj()
 
 
-@functools.lru_cache(maxsize=16)
-def _cap_vectors(samples: int, dim: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """The vector blocks of the Crawford cap scan with their conjugates,
-    read-only and drawn once.
-
-    Every cap of one size scans the same vectors (stream 0), so the draw,
-    which costs more than the scan, is shared by all Crawford calls.
-    """
-    blocks = tuple(_mc_vectors(samples, 0, dim))
-    for pair in blocks:
-        for Y in pair:
-            Y.flags.writeable = False
-    return blocks
-
-
 def _mc_extreme(M: np.ndarray, blocks, reduce_max: bool) -> float:
     best = -np.inf if reduce_max else np.inf
     for Y, Yc in blocks:
@@ -1156,25 +1054,9 @@ def radii_and_crawford_numbers(radius_stacks, crawford_stacks, opts: RadiusOptio
             lo[:split], hi[:split] = _search(radius, gap[:split], opts)
         if split < L.size:
             lo[split:], hi[split:] = _inner_search([g for g in groups if g.A is not None], gap[split:])
-        # The Monte Carlo cap, >= 0, can trim only upper ends above 0, and
-        # is scanned only where the search's eigenpair does not prove that
-        # it cannot trim them; with no samples it is the vacuous +inf.
-        cap, top, first = np.full(L.size, np.inf), np.maximum(hi, lo), 0
-        for g in groups:
-            which = np.flatnonzero(top[first : first + g.L.size] > 0.0)
-            if g.A is not None and which.size:
-                # Drawn once per size, on first need.
-                blocks = _cap_vectors(opts.oracle_samples, g.m)
-                spared = g.untrimmable(which, top[first + which], blocks)
-                for i in which[~spared]:
-                    cap[first + i] = _mc_extreme(g.A[i], blocks, reduce_max=False)
-            first += g.L.size
         err = _EVAL_ERR * (1.0 + L)
-        hi = _max(_max(hi, lo), 0.0) + err
-        lo = _max(lo - err, 0.0)
-        capped = cap + err < hi
-        out.lo[rows], out.hi[rows] = lo, np.where(capped, _max(cap + err, lo), hi)
-        out.code[rows] = np.where(capped, METHODS.index("oracle"), METHODS.index("grid"))
+        out.lo[rows], out.hi[rows] = _max(lo - err, 0.0), _max(_max(hi, lo), 0.0) + err
+        out.code[rows] = METHODS.index("grid")
     _checked(out)
     return out[:n_radii], out[n_radii:]
 

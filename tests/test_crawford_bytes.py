@@ -6,15 +6,17 @@ inputs cover ranges containing 0 (Ginibre matrices and flat U J_n U*),
 hidden shifted Jordan blocks whose Crawford number c - cos(pi / (n + 1))
 is positive, zero or within 1e-9 relative of zero, diagonal matrices
 and extreme scales, at coarse, fine and uneven grids (18 and 33 have 9
-and 17 cells on the half circle), with and without the Monte Carlo cap,
-and at a gap wide enough for the cap to trim some upper ends.  Any change
-to which angles the search solves that moves a last bit shows here; the
-inner polygon search takes no grid, so every grid has the same digest.
+and 17 cells on the half circle), at the default gap and at one wide
+enough to stop searches early.  Any change to which angles the search
+solves that moves a last bit shows here; the inner polygon search takes
+no grid, so every grid has the same digest.
 
 tests/data/crawford_enclosures.json records the same enclosures as the
-cell branch and bound gave them; every enclosure must overlap its record
-(conftest.reference_enclosures).  Re-record it, only where the record
-itself must change, with ``PYTHONPATH=src python tests/test_crawford_bytes.py``.
+cell branch and bound gave them, after a Monte Carlo cap of 4096 samples
+that the package no longer applies; its keys still name that count.
+Every enclosure must overlap its record (conftest.reference_enclosures).
+Re-record it, only where the record itself must change, with
+``PYTHONPATH=src python tests/test_crawford_bytes.py``.
 """
 
 import hashlib
@@ -25,7 +27,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from semiradius.functionals import DEFAULT_MC_SAMPLES, RadiusOptions, radii_and_crawford_numbers
+from semiradius.functionals import RadiusOptions, radii_and_crawford_numbers
 
 # Per grid_count, recorded once.
 CRAWFORD_SHA256 = {
@@ -64,7 +66,13 @@ def matrices() -> list:
     return mats
 
 
-CASES = ((0, 1e-9), (DEFAULT_MC_SAMPLES, 1e-9), (DEFAULT_MC_SAMPLES, 0.3))
+# Gap scales.
+CASES = (1e-9, 0.3)
+
+
+def record_key(grid: int, gap_scale: float) -> str:
+    """The key of a case in tests/data/crawford_enclosures.json."""
+    return f"{grid}-4096-{gap_scale}"
 
 
 def digest(records) -> str:
@@ -74,8 +82,8 @@ def digest(records) -> str:
 @pytest.mark.parametrize("grid", [4, 5, 18, 33, 64, 256])
 def test_crawford_enclosure_bytes_are_pinned(grid):
     records = []
-    for samples, gap_scale in CASES:
-        opts = RadiusOptions(grid_count=grid, gap_scale=gap_scale, oracle_samples=samples)
+    for gap_scale in CASES:
+        opts = RadiusOptions(grid_count=grid, gap_scale=gap_scale)
         stacks = [M[None] for M in matrices()]
         _radii, encs = radii_and_crawford_numbers([], stacks, opts)
         records.append([[encs.lo.item(i).hex(), encs.hi.item(i).hex(), encs[i].method] for i in range(len(stacks))])
@@ -83,22 +91,22 @@ def test_crawford_enclosure_bytes_are_pinned(grid):
 
 
 @pytest.mark.parametrize("grid", list(CRAWFORD_SHA256))
-@pytest.mark.parametrize("samples, gap_scale", CASES)
-def test_crawford_enclosures_overlap_the_reference(grid, samples, gap_scale, reference_enclosures):
+@pytest.mark.parametrize("gap_scale", CASES)
+def test_crawford_enclosures_overlap_the_reference(grid, gap_scale, reference_enclosures):
     mats = matrices()
-    opts = RadiusOptions(grid_count=grid, gap_scale=gap_scale, oracle_samples=samples)
+    opts = RadiusOptions(grid_count=grid, gap_scale=gap_scale)
     encs = radii_and_crawford_numbers([], [M[None] for M in mats], opts)[1]
     norms = np.array([np.linalg.norm(M, ord=2) for M in mats])
-    reference_enclosures("crawford_enclosures.json", f"{grid}-{samples}-{gap_scale}", encs, norms, gap_scale)
+    reference_enclosures("crawford_enclosures.json", record_key(grid, gap_scale), encs, norms, gap_scale)
 
 
 if __name__ == "__main__":
     records = {}
     for grid in CRAWFORD_SHA256:
-        for samples, gap_scale in CASES:
-            opts = RadiusOptions(grid_count=grid, gap_scale=gap_scale, oracle_samples=samples)
+        for gap_scale in CASES:
+            opts = RadiusOptions(grid_count=grid, gap_scale=gap_scale)
             encs = radii_and_crawford_numbers([], [M[None] for M in matrices()], opts)[1]
-            records[f"{grid}-{samples}-{gap_scale}"] = [[lo.hex(), hi.hex()] for lo, hi in zip(encs.lo.tolist(), encs.hi.tolist())]
+            records[record_key(grid, gap_scale)] = [[lo.hex(), hi.hex()] for lo, hi in zip(encs.lo.tolist(), encs.hi.tolist())]
     path = pathlib.Path(__file__).with_name("data") / "crawford_enclosures.json"
     path.parent.mkdir(exist_ok=True)
     path.write_text(json.dumps(records, indent=0) + "\n")

@@ -480,19 +480,6 @@ class TestBudget:
         assert enc.width <= 1e-6
 
 
-def count_cap_scans(monkeypatch) -> list:
-    """A one-element list counting the Monte Carlo cap scans."""
-    scans = [0]
-    scan = functionals._mc_extreme
-
-    def counting(*args, **kwargs):
-        scans[0] += 1
-        return scan(*args, **kwargs)
-
-    monkeypatch.setattr(functionals, "_mc_extreme", counting)
-    return scans
-
-
 def direct_off(monkeypatch) -> None:
     """Patch the Crawford direct step to settle no matrix: every matrix
     with a nonzero diagonal enters the inner polygon search."""
@@ -527,8 +514,7 @@ class TestCrawfordWork:
     def test_range_containing_zero_solves_no_eigenvectors(self, eigensolves, monkeypatch):
         # The diagonal points of a Ginibre matrix surround 0: c = 0 with no
         # eigensolve.  The search itself settles the same enclosure from
-        # the first half of its probe of eigenvectors.
-        scans = count_cap_scans(monkeypatch)
+        # its probe of eigenvectors.
         M = random_matrix(16, 16)
         enc = crawford_number(M)
         assert enc.lo == 0.0 and enc.hi <= 1e-11 and enc.method == "grid"
@@ -536,35 +522,30 @@ class TestCrawfordWork:
         direct_off(monkeypatch)
         searched = crawford_number(M)
         assert same(enc, searched)
-        assert eigensolves.eigvalsh == 0 and eigensolves.eigh == functionals._PROBE // 2
-        assert scans[0] == 0
+        assert eigensolves.eigvalsh == 0 and eigensolves.eigh == functionals._PROBE
 
     @pytest.mark.parametrize(
         "seed, n, grid, solves",
         [(16, 16, 256, 0), (0, 32, 256, 0), (0, 2, 256, 4), (5, 2, 16, 4), (16, 16, 16, 0), (0, 32, 8, 0)],
         ids=["16-16", "0-32", "0-2", "5-2-grid16", "16-16-grid16", "0-32-grid8"],
     )
-    def test_wide_disk_about_zero_takes_four_eigensolves(self, seed, n, grid, solves, eigensolves, monkeypatch):
+    def test_wide_disk_about_zero_takes_four_eigensolves(self, seed, n, grid, solves, eigensolves):
         # The diagonal points of the 16 x 16 and 32 x 32 matrices surround
         # 0, at every grid: no eigensolve.  Those of 2 x 2 matrices span a
-        # segment, and the first half of the probe, 4 eigensolves with
-        # eigenvectors, settles 0.
-        scans = count_cap_scans(monkeypatch)
+        # segment, and the probe, 4 eigensolves with eigenvectors, settles
+        # 0.
         enc = crawford_number(random_matrix(seed, n), RadiusOptions(grid_count=grid))
         assert enc.lo == 0.0 and enc.hi <= 1e-11 and enc.method == "grid"
         assert eigensolves[0] == eigensolves[1] == solves
-        assert scans[0] == 0
 
-    def test_narrow_disk_about_zero_settles_in_a_few_steps(self, eigensolves, monkeypatch):
+    def test_narrow_disk_about_zero_settles_in_a_few_steps(self, eigensolves):
         # The range, the disk of radius r about 0.95 r exp(i pi / 8), holds
         # 0 near its edge; the inner polygon closes around 0 in a few steps.
         n = 16
         r = math.cos(math.pi / (n + 1))
-        scans = count_cap_scans(monkeypatch)
         enc = crawford_number(shifted_jordan(11, n, 0.95 * r, phi=math.pi / 8))
         assert enc.lo == 0.0 and enc.hi <= 1e-11
         assert eigensolves.eigvalsh == 0 and eigensolves.eigh <= functionals._PROBE + 2 * 8
-        assert scans[0] == 0
 
     @pytest.mark.parametrize("c", [1.3, 2.0, 4.0])
     def test_eigenvectors_only_near_the_maximizer_either_way(self, c, eigensolves):
@@ -746,7 +727,7 @@ class TestCrawfordProbe:
 
 def probe_eigensolves(monkeypatch) -> list:
     """A one-element list counting the matrices the first step of the
-    Crawford search, the first half of its probe, eigensolves."""
+    Crawford search, its probe, eigensolves."""
     probe = [0]
     init = functionals._Inner.__init__
 
@@ -792,13 +773,13 @@ class TestCrawfordDiagonal:
     @pytest.mark.parametrize("n", [2, 4, 8, 16])
     def test_ranges_missing_zero_still_take_the_probe(self, n, monkeypatch):
         # The disk of radius r about c exp(i phi), c > r: no diagonal point
-        # set can hold 0, so the search's first step, the first half of its
-        # probe, solves _PROBE / 2 matrices.
+        # set can hold 0, so the search's first step, its probe, solves
+        # _PROBE matrices.
         c = 1.5 * math.cos(math.pi / (n + 1))
         probe = probe_eigensolves(monkeypatch)
         fired = probe_results(monkeypatch)
         enc = crawford_number(shifted_jordan(900 + n, n, c, 0.4 * n))
-        assert probe[0] == functionals._PROBE // 2 and not np.concatenate(fired).any()
+        assert probe[0] == functionals._PROBE and not np.concatenate(fired).any()
         assert enc.lo <= c - math.cos(math.pi / (n + 1)) <= enc.hi
 
     @pytest.mark.parametrize("grid", [18, 33, 64, 256])
@@ -844,41 +825,26 @@ def certificate_sweep() -> list:
 
 
 def jordan_rows() -> list:
-    """Hidden J_n + cI whose ranges miss 0, attained at either half turn."""
-    mats = []
+    """Hidden J_n + cI whose ranges miss 0, attained at either half turn,
+    with their Crawford numbers c - cos(pi / (n + 1))."""
+    out = []
     for n in range(2, 17):
         r = math.cos(math.pi / (n + 1))
         for k, (c, phi) in enumerate(((1.2 * r, 0.3), (r + 0.5, 2.5), (2.0, 4.0), (3.0, 5.5))):
-            mats.append(shifted_jordan(600 + 4 * n + k, n, c, phi))
-    return mats
+            out.append((shifted_jordan(600 + 4 * n + k, n, c, phi), c - r))
+    return out
 
 
-def certificates(monkeypatch) -> list:
-    """The Crawford certificate's verdicts, one (pencils, matrices, upper
-    ends, untrimmable mask) per call."""
-    calls = []
-    untrimmable = functionals._Pencils.untrimmable
-
-    def recording(self, which, top, blocks):
-        mask = untrimmable(self, which, top, blocks)
-        calls.append((self, which, top, mask))
-        return mask
-
-    monkeypatch.setattr(functionals._Pencils, "untrimmable", recording)
-    return calls
-
-
-def certificate_off(monkeypatch) -> None:
-    """Patch the Crawford certificate to decline every matrix: each upper
-    end above 0 is scanned, as it was before the certificate."""
-    monkeypatch.setattr(functionals._Pencils, "untrimmable", lambda self, which, *args: np.zeros(which.size, dtype=bool))
+def scan(m: int):
+    """The 4096 seeded unit vectors of stream 0 in C^m, one block."""
+    return functionals._mc_vectors(4096, 0, m)
 
 
 def in_scan(seed: int, m: int, a: float, spread: float, phi: float) -> np.ndarray:
     """exp(i phi) Q diag(a, a + spread, .., a + (m - 1) spread) Q*, a > 0,
-    with Q e1 a vector of the Crawford cap's scan: its range, a segment,
-    misses 0, and a scanned vector attains its Crawford number a."""
-    y = functionals._cap_vectors(functionals.DEFAULT_MC_SAMPLES, m)[0][0][:, seed]
+    with Q e1 a vector of scan(m): its range, a segment, misses 0, and a
+    scanned vector attains its Crawford number a."""
+    y = next(scan(m))[0][:, seed]
     Q = np.linalg.qr(np.column_stack([y, random_matrix(seed, m)[:, 1:]]))[0]
     Q[:, 0] = y
     return np.exp(1j * phi) * (Q @ np.diag(a + spread * np.arange(m)) @ Q.conj().T)
@@ -887,64 +853,37 @@ def in_scan(seed: int, m: int, a: float, spread: float, phi: float) -> np.ndarra
 class TestCrawfordCertificate:
     @pytest.mark.parametrize("grid", [18, 256])
     @pytest.mark.parametrize("gap_scale", [1e-9, 0.3])
-    def test_skipped_scans_keep_the_enclosures(self, grid, gap_scale, monkeypatch):
-        # Against every upper end above 0 scanned; each row the certificate
-        # spares has a scan minimum no smaller than its upper end.
+    def test_skipped_scans_keep_the_enclosures(self, grid, gap_scale):
+        # No Monte Carlo scan bounds the search's lower ends: each lies at
+        # or below the smallest |y* M y| over scan(m), and each enclosure
+        # meets its gap.
+        mats = certificate_sweep()
         opts = RadiusOptions(grid_count=grid, gap_scale=gap_scale)
-        stacks = as_stacks(certificate_sweep())
-        calls = certificates(monkeypatch)
-        spared = rows(radii_and_crawford_numbers([], stacks, opts)[1])
-        skipped = 0
-        for pencils, which, top, mask in calls:
-            blocks = functionals._cap_vectors(opts.oracle_samples, pencils.m)
-            for i, t in zip(which[mask], top[mask]):
-                assert functionals._mc_extreme(pencils.A[i], blocks, reduce_max=False) >= t
-            skipped += np.count_nonzero(mask)
-        assert skipped >= 40
-        certificate_off(monkeypatch)
-        scanned = rows(radii_and_crawford_numbers([], stacks, opts)[1])
-        for a, b in zip(spared, scanned, strict=True):
-            assert (a.lo.hex(), a.hi.hex(), a.method) == (b.lo.hex(), b.hi.hex(), b.method)
+        encs = rows(radii_and_crawford_numbers([], as_stacks(mats), opts)[1])
+        for enc, M in zip(encs, mats, strict=True):
+            assert enc.lo <= functionals._mc_extreme(M, scan(M.shape[0]), reduce_max=False)
+            assert enc.width <= opts.resolve_gap(spectral_norm(M)) + 4e-13 * (1.0 + spectral_norm(M))
 
-    def test_shifted_jordan_rows_scan_nothing(self, monkeypatch):
-        # Their spectral gaps prove every scan minimum above the upper end,
-        # whichever end of lambda(H) attains.
-        mats = jordan_rows()
-        scans = count_cap_scans(monkeypatch)
+    def test_shifted_jordan_rows_scan_nothing(self):
+        # The inner polygon alone settles every row, whichever end of
+        # lambda(H) attains: method "grid", the value held, and each
+        # enclosure within its gap.
+        mats, values = zip(*jordan_rows())
         encs = rows(radii_and_crawford_numbers([], as_stacks(mats))[1])
-        assert scans[0] == 0
-        assert all(e.lo > 0.0 and e.method == "grid" for e in encs)
+        for enc, M, value in zip(encs, mats, values, strict=True):
+            assert enc.lo > 0.0 and enc.method == "grid"
+            assert enc.lo <= value <= enc.hi
+            assert enc.width <= RadiusOptions().resolve_gap(spectral_norm(M)) + 4e-13 * (1.0 + spectral_norm(M))
 
-    def test_rows_a_wide_gap_trims_still_scan(self, monkeypatch):
-        # At gap 0.3 and grid 18 the scan trims some upper ends: each such
-        # row, solved alone, is scanned.
-        opts = RadiusOptions(grid_count=18, gap_scale=0.3)
-        scans = count_cap_scans(monkeypatch)
-        trimmed = 0
-        for M in certificate_sweep() + jordan_rows():
-            before = scans[0]
-            enc = crawford_number(M, opts)
-            if enc.method == "oracle":
-                trimmed += 1
-                assert scans[0] == before + 1
-        assert trimmed >= 5
-
-    def test_attaining_scan_vectors_are_scanned(self, monkeypatch):
-        # A scan vector attains the Crawford number, so no bound proves
-        # the scan's minimum above the upper end: every row is scanned, and
-        # the scan trims many of them by a few ulps.
-        scans = count_cap_scans(monkeypatch)
-        trimmed = 0
+    def test_attaining_scan_vectors_are_scanned(self):
+        # A scan vector attains the Crawford number a: the enclosure holds
+        # it.
         for m in (2, 3, 4, 8, 16):
             for seed in range(4):
                 for phi in (0.0, 2.0, math.pi):
                     for a, spread in ((1.0, 0.5), (0.3, 2.0), (1e-3, 1.0)):
-                        before = scans[0]
                         enc = crawford_number(in_scan(seed, m, a, spread, phi))
-                        assert scans[0] == before + 1
                         assert enc.lo <= a <= enc.hi
-                        trimmed += enc.method == "oracle"
-        assert trimmed >= 60
 
 
 class TestCrawfordNumber:
@@ -970,7 +909,7 @@ class TestCrawfordNumber:
         assert enc.lo <= 0.5 <= enc.hi and enc.width <= 1e-8
 
     def test_without_oracle_samples_the_search_decides(self):
-        enc = crawford_number(JORDAN, RadiusOptions(oracle_samples=0))
+        enc = crawford_number(JORDAN)
         assert enc.method == "grid" and enc.lo <= 0.5 <= enc.hi and enc.width <= 1e-8
 
     def test_scalar(self):
@@ -1085,10 +1024,10 @@ class TestIntervals:
         assert iscale(-2.0, a) == Enclosure(-4.0, -2.0, "exact")
 
     def test_extremes_and_shape_ops(self):
-        a, b = Enclosure(1.0, 2.0, "exact"), Enclosure(-3.0, 4.0, "oracle")
-        assert imax(a, b) == Enclosure(1.0, 4.0, "oracle")
-        assert imin(a, b) == Enclosure(-3.0, 2.0, "oracle")
-        assert iabs(b) == Enclosure(0.0, 4.0, "oracle")
+        a, b = Enclosure(1.0, 2.0, "exact"), Enclosure(-3.0, 4.0, "grid")
+        assert imax(a, b) == Enclosure(1.0, 4.0, "grid")
+        assert imin(a, b) == Enclosure(-3.0, 2.0, "grid")
+        assert iabs(b) == Enclosure(0.0, 4.0, "grid")
         assert iabs(Enclosure(-5.0, -1.0, "exact")) == Enclosure(1.0, 5.0, "exact")
         assert isqrt(Enclosure(-1e-18, 4.0, "grid")) == Enclosure(0.0, 2.0, "grid")
 
@@ -1110,12 +1049,10 @@ class TestRadiusOptions:
         for gap_scale in (-1.0, math.inf, math.nan):
             with pytest.raises(BadConfig):
                 RadiusOptions(gap_scale=gap_scale)
-        with pytest.raises(BadConfig):
-            RadiusOptions(oracle_samples=-5)
-        for counts in (dict(grid_count=64.5), dict(grid_count=64.0), dict(oracle_samples=100.5)):
+        for counts in (dict(grid_count=64.5), dict(grid_count=64.0)):
             with pytest.raises(BadConfig):
                 RadiusOptions(**counts)
-        assert RadiusOptions(grid_count=np.int64(64), oracle_samples=np.int32(8)).grid_count == 64
+        assert RadiusOptions(grid_count=np.int64(64)).grid_count == 64
 
     def test_gap_resolution(self):
         assert RadiusOptions(gap_scale=1e-9).resolve_gap(9.0) == pytest.approx(1e-8)
