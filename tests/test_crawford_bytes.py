@@ -31,12 +31,12 @@ from semiradius.functionals import RadiusOptions, radii_and_crawford_numbers
 
 # Per grid_count, recorded once.
 CRAWFORD_SHA256 = {
-    4: "71608cf2a2104633ecd1d183f97330afc75256806c925e7bf1228b1d99c2638d",
-    5: "71608cf2a2104633ecd1d183f97330afc75256806c925e7bf1228b1d99c2638d",
-    18: "71608cf2a2104633ecd1d183f97330afc75256806c925e7bf1228b1d99c2638d",
-    33: "71608cf2a2104633ecd1d183f97330afc75256806c925e7bf1228b1d99c2638d",
-    64: "71608cf2a2104633ecd1d183f97330afc75256806c925e7bf1228b1d99c2638d",
-    256: "71608cf2a2104633ecd1d183f97330afc75256806c925e7bf1228b1d99c2638d",
+    4: "70fa9c110417b5a8c81765148ab4587a5dc8d97d615ee39fa056fbc4d4abc07b",
+    5: "70fa9c110417b5a8c81765148ab4587a5dc8d97d615ee39fa056fbc4d4abc07b",
+    18: "70fa9c110417b5a8c81765148ab4587a5dc8d97d615ee39fa056fbc4d4abc07b",
+    33: "70fa9c110417b5a8c81765148ab4587a5dc8d97d615ee39fa056fbc4d4abc07b",
+    64: "70fa9c110417b5a8c81765148ab4587a5dc8d97d615ee39fa056fbc4d4abc07b",
+    256: "70fa9c110417b5a8c81765148ab4587a5dc8d97d615ee39fa056fbc4d4abc07b",
 }
 
 
