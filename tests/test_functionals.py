@@ -854,9 +854,8 @@ class TestCrawfordCertificate:
     @pytest.mark.parametrize("grid", [18, 256])
     @pytest.mark.parametrize("gap_scale", [1e-9, 0.3])
     def test_skipped_scans_keep_the_enclosures(self, grid, gap_scale):
-        # No Monte Carlo scan bounds the search's lower ends: each lies at
-        # or below the smallest |y* M y| over scan(m), and each enclosure
-        # meets its gap.
+        # The smallest |y* M y| over scan(m) bounds c(M) from above: every
+        # lower end lies at or below it, and each enclosure meets its gap.
         mats = certificate_sweep()
         opts = RadiusOptions(grid_count=grid, gap_scale=gap_scale)
         encs = rows(radii_and_crawford_numbers([], as_stacks(mats), opts)[1])
