@@ -12,9 +12,10 @@ solves that moves a last bit shows here; the inner polygon search takes
 no grid, so every grid has the same digest.
 
 tests/data/crawford_enclosures.json records the same enclosures as the
-cell branch and bound gave them, after a Monte Carlo cap of 4096 samples
-that the package no longer applies; its keys still name that count.
-Every enclosure must overlap its record (conftest.reference_enclosures).
+cell branch and bound gave them, without and after a Monte Carlo cap of
+4096 samples that the package no longer applies; its keys name the
+count.  Every enclosure must overlap each record at its gap
+(conftest.reference_enclosures).
 Re-record it, only where the record itself must change, with
 ``PYTHONPATH=src python tests/test_crawford_bytes.py``.
 """
@@ -69,10 +70,15 @@ def matrices() -> list:
 # Gap scales.
 CASES = (1e-9, 0.3)
 
+# The records of tests/data/crawford_enclosures.json, per grid: the Monte
+# Carlo samples of the cap each was taken with, and its gap scale.  Both
+# records at gap 1e-9 bound what the search may give at that gap now.
+RECORDS = ((0, 1e-9), (4096, 1e-9), (4096, 0.3))
 
-def record_key(grid: int, gap_scale: float) -> str:
-    """The key of a case in tests/data/crawford_enclosures.json."""
-    return f"{grid}-4096-{gap_scale}"
+
+def record_key(grid: int, samples: int, gap_scale: float) -> str:
+    """The key of a record in tests/data/crawford_enclosures.json."""
+    return f"{grid}-{samples}-{gap_scale}"
 
 
 def digest(records) -> str:
@@ -91,22 +97,22 @@ def test_crawford_enclosure_bytes_are_pinned(grid):
 
 
 @pytest.mark.parametrize("grid", list(CRAWFORD_SHA256))
-@pytest.mark.parametrize("gap_scale", CASES)
-def test_crawford_enclosures_overlap_the_reference(grid, gap_scale, reference_enclosures):
+@pytest.mark.parametrize("samples, gap_scale", RECORDS)
+def test_crawford_enclosures_overlap_the_reference(grid, samples, gap_scale, reference_enclosures):
     mats = matrices()
     opts = RadiusOptions(grid_count=grid, gap_scale=gap_scale)
     encs = radii_and_crawford_numbers([], [M[None] for M in mats], opts)[1]
     norms = np.array([np.linalg.norm(M, ord=2) for M in mats])
-    reference_enclosures("crawford_enclosures.json", record_key(grid, gap_scale), encs, norms, gap_scale)
+    reference_enclosures("crawford_enclosures.json", record_key(grid, samples, gap_scale), encs, norms, gap_scale)
 
 
 if __name__ == "__main__":
     records = {}
     for grid in CRAWFORD_SHA256:
-        for gap_scale in CASES:
+        for samples, gap_scale in RECORDS:
             opts = RadiusOptions(grid_count=grid, gap_scale=gap_scale)
             encs = radii_and_crawford_numbers([], [M[None] for M in matrices()], opts)[1]
-            records[record_key(grid, gap_scale)] = [[lo.hex(), hi.hex()] for lo, hi in zip(encs.lo.tolist(), encs.hi.tolist())]
+            records[record_key(grid, samples, gap_scale)] = [[lo.hex(), hi.hex()] for lo, hi in zip(encs.lo.tolist(), encs.hi.tolist())]
     path = pathlib.Path(__file__).with_name("data") / "crawford_enclosures.json"
     path.parent.mkdir(exist_ok=True)
     path.write_text(json.dumps(records, indent=0) + "\n")

@@ -874,6 +874,18 @@ class TestCrawfordCertificate:
             assert enc.lo <= value <= enc.hi
             assert enc.width <= RadiusOptions().resolve_gap(spectral_norm(M)) + 4e-13 * (1.0 + spectral_norm(M))
 
+    def test_rows_a_wide_gap_stops_early_hold_their_values(self):
+        # At gap 0.3 and grid 18 the search stops early on most rows: each
+        # row, solved alone, still holds its value within its gap.
+        opts = RadiusOptions(grid_count=18, gap_scale=0.3)
+        early = 0
+        for M, value in jordan_rows():
+            enc = crawford_number(M, opts)
+            assert enc.method == "grid" and enc.lo <= value <= enc.hi
+            assert enc.width <= opts.resolve_gap(spectral_norm(M)) + 4e-13 * (1.0 + spectral_norm(M))
+            early += enc.width > crawford_number(M).width
+        assert early >= 30
+
     def test_attaining_scan_vectors_are_scanned(self):
         # A scan vector attains the Crawford number a: the enclosure holds
         # it.
