@@ -22,7 +22,7 @@ from .catalog import CATALOG, CheckResult, CheckTable, run_all, run_tables, summ
 from .errors import BadConfig, ParseError, integral
 from .functionals import RadiusOptions
 from .instances import read_instance, write_instance
-from .sampler import SampleConfig, derive_seed, sample_bundle, sample_space
+from .sampler import SampleConfig, derive_seed, sample_bundle, sample_compressed, sample_space
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -48,11 +48,9 @@ _INSTANCE_ID = re.compile(r"^d(\d+)_r(\d+)_t(\d+)$")
 # table, whose row detail the report does not use; the report summarizes
 # the tables of all chunks joined in cell and trial order.  Rows do not
 # depend on the chunk size; larger chunks spread the per-round cost of
-# the search and of each check over more instances, up to _TRIAL_CHUNK,
-# while their n x n matrices (about 16 per trial) stay within
-# _CHUNK_MATRIX_BYTES.
+# the search and of each check over more instances.  A chunk holds only
+# r x r matrices (see _run_cell), so its size does not depend on dim.
 _TRIAL_CHUNK = 32
-_CHUNK_MATRIX_BYTES = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -148,22 +146,31 @@ class CampaignConfig:
         return out
 
 
-def _regenerate(config: CampaignConfig, dim: int, rank: int, trial: int):
+def _seeds(config: CampaignConfig, dim: int, rank: int, trial: int) -> tuple[SampleConfig, int]:
+    """The seed's sample configuration and the bundle seed of an instance."""
     seed = derive_seed(config.master_seed, dim, rank, trial)
-    space = sample_space(config._sample_config(dim, rank, seed))
-    bundle = sample_bundle(space, scale=config.scale, seed=derive_seed(seed, 1))
-    return space, bundle
+    return config._sample_config(dim, rank, seed), derive_seed(seed, 1)
+
+
+def _regenerate(config: CampaignConfig, dim: int, rank: int, trial: int):
+    sample, bundle_seed = _seeds(config, dim, rank, trial)
+    space = sample_space(sample)
+    return space, sample_bundle(space, scale=config.scale, seed=bundle_seed)
 
 
 def _run_cell(args) -> list[CheckTable]:
+    """The cell's tables.  Each instance is evaluated as its compression to
+    the range of its seed (see sample_compressed): the same reduced
+    operands as its full-space regeneration, up to rounding, drawn with
+    no n x n work but the Ginibre draws."""
     config, dim, rank = args
     opts = config.options()
-    chunk = max(1, min(_TRIAL_CHUNK, _CHUNK_MATRIX_BYTES // (16 * 16 * dim * dim)))
     tables = []
-    for first in range(0, config.trials, chunk):
+    for first in range(0, config.trials, _TRIAL_CHUNK):
         items = []
-        for trial in range(first, min(first + chunk, config.trials)):
-            space, bundle = _regenerate(config, dim, rank, trial)
+        for trial in range(first, min(first + _TRIAL_CHUNK, config.trials)):
+            sample, bundle_seed = _seeds(config, dim, rank, trial)
+            space, bundle = sample_compressed(sample, config.scale, bundle_seed)
             items.append((space, bundle, f"d{dim}_r{rank}_t{trial}"))
         # The trials of a cell share their rank, checks and operand names: one chunk.
         ((_positions, table),) = run_tables(items, opts=opts, checks=config.checks)

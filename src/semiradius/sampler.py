@@ -23,6 +23,8 @@ SPECTRUM_LAWS = ("uniform", "equal", "geometric")
 _GEOMETRIC_SPAN = 1e-6
 
 _BUNDLE_SINGLES = ("T", "S", "X", "Y", "T1", "T2", "S1", "S2")
+# One stream per name, in this order; P and Q are drawn from R's stream.
+_BUNDLE_STREAMS = (*_BUNDLE_SINGLES, "Tsa", "R")
 
 
 def derive_seed(master: int, *path: int) -> int:
@@ -108,6 +110,20 @@ def sample_space(config: SampleConfig) -> SemiHilbertSpace:
     return build_space(0.5 * (A + A.conj().T))
 
 
+def _check_scale(scale: float) -> None:
+    if not 0.0 <= scale < math.inf:
+        raise BadConfig(f"scale must be finite and nonnegative, got {scale}")
+
+
+def _in_BA(space: SemiHilbertSpace, G: np.ndarray) -> np.ndarray:
+    """The operator whose matrix in the seed's eigenbasis (null coordinates
+    first) is G with its null-to-range block zeroed, in place."""
+    n, r = space.dim, space.rank
+    G[n - r :, : n - r] = 0.0
+    V = space.eigen.vectors
+    return V @ G @ V.conj().T
+
+
 def sample_operator_in_BA(space: SemiHilbertSpace, scale: float = 1.0, seed=0) -> np.ndarray:
     """Random operator that maps the null space of the seed into itself.
 
@@ -115,13 +131,8 @@ def sample_operator_in_BA(space: SemiHilbertSpace, scale: float = 1.0, seed=0) -
     null to range coordinates is zeroed, which makes the operator both
     adjoint-admitting and seminorm-bounded; no membership test runs.
     """
-    if not 0.0 <= scale < math.inf:
-        raise BadConfig(f"scale must be finite and nonnegative, got {scale}")
-    n, r = space.dim, space.rank
-    G = scale * _ginibre(_as_rng(seed), n, n)
-    G[n - r :, : n - r] = 0.0
-    V = space.eigen.vectors
-    return V @ G @ V.conj().T
+    _check_scale(scale)
+    return _in_BA(space, scale * _ginibre(_as_rng(seed), space.dim, space.dim))
 
 
 def sample_a_selfadjoint(space: SemiHilbertSpace, seed=0, scale: float = 1.0) -> np.ndarray:
@@ -140,22 +151,59 @@ def sample_unit_vectors(space: SemiHilbertSpace, count: int, seed=0) -> np.ndarr
     return space.coord_lift @ (Y / np.linalg.norm(Y, axis=0))
 
 
-def sample_commuting_pair(space: SemiHilbertSpace, scale: float = 1.0, seed=0) -> tuple[np.ndarray, np.ndarray]:
-    """Two commuting admissible operators, polynomials in a common draw."""
-    rng = _as_rng(seed)
-    R = sample_operator_in_BA(space, scale, rng)
+def _quadratics(R: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Two quadratics in R, whose coefficients rng draws next."""
     R2 = R @ R
-    eye = np.eye(space.dim)
+    eye = np.eye(R.shape[0])
     coeffs = _ginibre(rng, 2, 3)
     first = coeffs[0, 0] * eye + coeffs[0, 1] * R + coeffs[0, 2] * R2
     second = coeffs[1, 0] * eye + coeffs[1, 1] * R + coeffs[1, 2] * R2
     return first, second
 
 
+def sample_commuting_pair(space: SemiHilbertSpace, scale: float = 1.0, seed=0) -> tuple[np.ndarray, np.ndarray]:
+    """Two commuting admissible operators, polynomials in a common draw."""
+    rng = _as_rng(seed)
+    return _quadratics(sample_operator_in_BA(space, scale, rng), rng)
+
+
+def _bundle(space: SemiHilbertSpace, dim: int, seed: int, place) -> dict[str, np.ndarray]:
+    """The stream layout of a bundle: the k-th name of _BUNDLE_STREAMS
+    draws from derive_seed(seed, k), first a dim x dim Ginibre matrix G,
+    which place(G) turns into an operand of space.  Tsa is the selfadjoint
+    part of its operand; the last stream then draws the coefficients of P
+    and Q, two quadratics in its operand R."""
+    out = {}
+    for k, name in enumerate(_BUNDLE_STREAMS):
+        rng = np.random.default_rng(derive_seed(seed, k))
+        out[name] = place(_ginibre(rng, dim, dim))
+    out["Tsa"] = space.re_part(out["Tsa"])
+    out["P"], out["Q"] = _quadratics(out.pop("R"), rng)
+    return out
+
+
 def sample_bundle(space: SemiHilbertSpace, scale: float = 1.0, seed: int = 0) -> dict[str, np.ndarray]:
     """Named operand set used by the check catalog, one stream per name."""
-    out = {name: sample_operator_in_BA(space, scale, derive_seed(seed, k)) for k, name in enumerate(_BUNDLE_SINGLES)}
-    k = len(_BUNDLE_SINGLES)
-    out["Tsa"] = sample_a_selfadjoint(space, derive_seed(seed, k), scale)
-    out["P"], out["Q"] = sample_commuting_pair(space, scale, derive_seed(seed, k + 1))
-    return out
+    _check_scale(scale)
+    return _bundle(space, space.dim, seed, lambda G: _in_BA(space, scale * G))
+
+
+def sample_compressed(
+    config: SampleConfig, scale: float = 1.0, seed: int = 0
+) -> tuple[SemiHilbertSpace, dict[str, np.ndarray]]:
+    """The draw of sample_space(config) and its sample_bundle under scale
+    and seed, compressed to the range of the seed.
+
+    The seed is diag(lambda), its spectrum in ascending order, as the
+    eigenbasis of the full seed orders it; each operand is scale times the
+    range block of its stream's Ginibre draw, which is the full operand's
+    matrix on the range in that eigenbasis.  So the reduced matrices equal
+    those of the full-space draw up to the rounding of the full seed's
+    eigendecomposition.  No dim x dim matrix is formed but the Ginibre
+    draws: the seed's Haar rotation, on which no stream of the bundle
+    depends, is not drawn.
+    """
+    _check_scale(scale)
+    n, r = config.dim, config.rank
+    space = build_space(np.diag(np.sort(_spectrum(config, _as_rng(config.master_seed)))))
+    return space, _bundle(space, n, seed, lambda G: scale * G[n - r :, n - r :])

@@ -2,11 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from semiradius import campaign
+from semiradius import campaign, sampler
 from semiradius.campaign import (
     CampaignConfig,
     report_exit_code,
@@ -19,7 +23,8 @@ from semiradius.campaign import (
 from semiradius.catalog import PASS_UNCERTIFIED, SKIPPED, run_all, tightness_report
 from semiradius.errors import BadConfig, ParseError
 from semiradius.functionals import a_numerical_radius
-from semiradius.sampler import SampleConfig, derive_seed, sample_bundle, sample_space
+from semiradius.sampler import SampleConfig, derive_seed, sample_bundle, sample_compressed, sample_space
+from semiradius.space import SemiHilbertSpace
 
 SMALL = dict(dims=(2, 3), trials=4, master_seed=7, grid_count=64)
 
@@ -175,13 +180,60 @@ class TestReport:
         for dim, rank in cfg.cells():
             for trial in range(cfg.trials):
                 seed = derive_seed(cfg.master_seed, dim, rank, trial)
-                sp = sample_space(SampleConfig(dim=dim, rank=rank, master_seed=seed))
-                bundle = sample_bundle(sp, seed=derive_seed(seed, 1))
+                sample = SampleConfig(dim=dim, rank=rank, master_seed=seed)
+                sp, bundle = sample_compressed(sample, seed=derive_seed(seed, 1))
                 rows.extend(
                     run_all(sp, bundle, opts=cfg.options(),
                             instance=f"d{dim}_r{rank}_t{trial}")
                 )
         assert tightness_report(rows) == rep["checks"]
+
+    def test_full_space_rows_give_the_same_report_up_to_rounding(self):
+        # Campaigns evaluate each instance compressed to its seed's range;
+        # the full-space instances that save_extremes writes give the same
+        # counts and argmins, and slacks equal up to rounding.  C15 draws
+        # its unit vectors from a seed of the instance's bytes, which the
+        # compression changes, so only its counts are compared.
+        cfg = CampaignConfig(dims=(2, 3, 40), ranks=(0, 1, 2, 3), trials=5, master_seed=13, grid_count=64)
+        rep = run_campaign(cfg)
+        rows = []
+        for dim, rank in cfg.cells():
+            for trial in range(cfg.trials):
+                sp, bundle = campaign._regenerate(cfg, dim, rank, trial)
+                rows.extend(run_all(sp, bundle, opts=cfg.options(), instance=f"d{dim}_r{rank}_t{trial}"))
+        full = tightness_report(rows)
+        assert list(full) == list(rep["checks"])
+        for cid, summary in rep["checks"].items():
+            expected = full[cid]
+            assert summary.keys() == expected.keys()
+            for key in campaign._COUNTS:
+                assert summary[key] == expected[key], (cid, key)
+            if cid == "C15":
+                continue
+            assert summary.get("argmin_instance") == expected.get("argmin_instance"), cid
+            pairs = [(summary[key], expected[key]) for key in ("min_slack", "median_slack", "max_tightness") if key in summary]
+            pairs += [(value, expected["note_mins"][key]) for key, value in summary.get("note_mins", {}).items()]
+            for got, want in pairs:
+                assert abs(got - want) <= 1e-12 * (1.0 + abs(want)), cid
+
+    def test_cells_reduce_only_range_blocks(self, monkeypatch):
+        # The campaign draws no Haar rotation and no full-space seed or
+        # operand: every matrix reduce_all sees is r x r.
+        def forbidden(*args):
+            raise AssertionError("full-space step in a campaign")
+
+        shapes = set()
+        reduce_all = SemiHilbertSpace.reduce_all
+
+        def recorded(self, mats):
+            shapes.update(np.shape(M) for M in mats)
+            return reduce_all(self, mats)
+
+        monkeypatch.setattr(sampler, "haar_unitary", forbidden)
+        monkeypatch.setattr(campaign, "sample_space", forbidden)
+        monkeypatch.setattr(SemiHilbertSpace, "reduce_all", recorded)
+        run_campaign(CampaignConfig(dims=(96,), ranks=(0, 3), trials=2, grid_count=64))
+        assert shapes == {(0, 0), (3, 3)}
 
     def test_checks_subset_respected(self):
         cfg = CampaignConfig(dims=(2,), trials=2, checks=("C1", "C5"), grid_count=64)
@@ -254,8 +306,46 @@ class TestArtifacts:
         rows = verify_instance(paths[0], opts=cfg.options())
         assert {r.verdict for r in rows} <= {"PASS_CERTIFIED", "PASS_UNCERTIFIED", SKIPPED}
 
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_one_trial_dim_96_extremes_replay_with_the_report_verdicts(self, rank, tmp_path):
+        # As the benchmark's replay: every check of a one-trial campaign
+        # names its instance, whose full-space file must replay through
+        # verify_instance with the verdicts the report counted.
+        keys = {"PASS_CERTIFIED": "certified", "PASS_UNCERTIFIED": "uncertified",
+                "VIOLATION_CANDIDATE": "violations", SKIPPED: "skipped"}
+        for master_seed in range(3):
+            cfg = CampaignConfig(dims=(96,), ranks=(rank,), trials=1, master_seed=master_seed, grid_count=64)
+            report = run_campaign(cfg)
+            (path,) = save_extremes(cfg, report, tmp_path / str(master_seed))
+            rows = verify_instance(path, opts=cfg.options())
+            assert [r.check_id for r in rows] == list(report["checks"])
+            for r in rows:
+                assert report["checks"][r.check_id][keys[r.verdict]] == 1, (master_seed, r.check_id)
+
     def test_malformed_instance_id_rejected(self, small_report, tmp_path):
         broken = json.loads(json.dumps(small_report))
         broken["checks"]["C1"]["argmin_instance"] = "oops"
         with pytest.raises(ParseError):
             save_extremes(CampaignConfig(**SMALL), broken, tmp_path)
+
+
+REPORT_BY_THREADS = """
+import hashlib, json
+from semiradius.campaign import CampaignConfig, run_campaign
+report = run_campaign(CampaignConfig(dims=(97, 128, 160), ranks=(2, 4, 40), trials=3, master_seed=5))
+report.pop("wall_time_s")
+print(hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest())
+"""
+
+
+def test_report_does_not_depend_on_blas_threads():
+    # Above dim 96 OpenBLAS splits n x n products by its thread count,
+    # which rounds them differently; campaigns multiply no n x n matrix.
+    src = Path(campaign.__file__).resolve().parents[1]
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-c", REPORT_BY_THREADS], capture_output=True, text=True, env=env, check=True)
+        digests.append(out.stdout.strip())
+    assert digests[0] == digests[1]

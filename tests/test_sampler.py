@@ -8,14 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semiradius import sampler
 from semiradius.errors import BadConfig, DegenerateSpace
 from semiradius.sampler import (
+    SPECTRUM_LAWS,
     SampleConfig,
     derive_seed,
     haar_unitary,
     sample_a_selfadjoint,
     sample_bundle,
     sample_commuting_pair,
+    sample_compressed,
     sample_operator_in_BA,
     sample_space,
     sample_unit_vectors,
@@ -272,3 +275,55 @@ def test_sampler_bytes_are_pinned(dim, rank, seed, law, space_sha, bundle_sha):
     bundle = sample_bundle(sp, seed=seed)
     assert _sha256([("", sp.matrix)]) == space_sha
     assert _sha256(sorted(bundle.items())) == bundle_sha
+
+
+# The two draws' reduced operands differ by the rounding of the full seed's
+# eigendecomposition.  Geometric spectra span a ratio of 1e-6, so their
+# least eigenvalues carry relative errors near 1e-10.
+COMPRESSED_TOL = {"uniform": 1e-13, "equal": 1e-13, "geometric": 1e-9}
+COMPRESSED_CASES = [
+    (law, dim, rank) for law in SPECTRUM_LAWS for dim in (2, 6, 40, 96, 128) for rank in sorted({0, 1, dim // 2, dim})
+]
+
+
+class TestCompressedDraw:
+    @pytest.mark.parametrize("law,dim,rank", COMPRESSED_CASES)
+    def test_reduced_operands_match_the_full_space_draw(self, law, dim, rank):
+        config = SampleConfig(dim=dim, rank=rank, law=law, master_seed=131 * dim + rank)
+        full = sample_space(config)
+        bundle = sample_bundle(full, scale=0.5, seed=rank + 17)
+        space, compressed = sample_compressed(config, scale=0.5, seed=rank + 17)
+        assert space.dim == space.rank == rank
+        assert list(compressed) == list(bundle)
+        assert all(M.shape == (rank, rank) for M in compressed.values())
+        *facts, reduced = full.reduce_all(list(bundle.values()))
+        *compressed_facts, compressed_reduced = space.reduce_all(list(compressed.values()))
+        assert all(fact.all() for fact in facts + compressed_facts)
+        for M, C in zip(reduced, compressed_reduced):
+            assert np.linalg.norm(C - M) <= COMPRESSED_TOL[law] * np.linalg.norm(M)
+
+    def test_draws_only_the_bundle_streams(self, monkeypatch):
+        # No Haar rotation and no change of basis: the one dim x dim matrix
+        # of each stream is its Ginibre draw, and the R stream then draws
+        # the coefficients of P and Q.
+        def forbidden(*args):
+            raise AssertionError("full-space step in the compressed draw")
+
+        shapes = []
+        ginibre = sampler._ginibre
+
+        def recorded(rng, rows, cols):
+            shapes.append((rows, cols))
+            return ginibre(rng, rows, cols)
+
+        monkeypatch.setattr(sampler, "haar_unitary", forbidden)
+        monkeypatch.setattr(sampler, "_in_BA", forbidden)
+        monkeypatch.setattr(sampler, "_ginibre", recorded)
+        space, bundle = sample_compressed(SampleConfig(dim=96, rank=3, master_seed=2), seed=4)
+        assert shapes == [(96, 96)] * 10 + [(2, 3)]
+        assert space.matrix.shape == (3, 3) and space.is_a_selfadjoint(bundle["Tsa"])
+
+    def test_scale_validation(self):
+        for scale in (-0.5, math.nan, math.inf):
+            with pytest.raises(BadConfig):
+                sample_compressed(SampleConfig(dim=3, rank=2), scale=scale)
