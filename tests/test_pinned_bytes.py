@@ -21,8 +21,8 @@ from semiradius.functionals import RadiusOptions
 from semiradius.sampler import SampleConfig, sample_bundle, sample_space
 from semiradius.space import build_space
 
-REPORT_SHA256 = "266874d665d8c69aa6105c442dac58649f6424a4becc1042197583a64d31ba68"
-MULTI_CHUNK_SHA256 = "ae9a4ce2f35be98b0a7502b58ca2f48dd2acd7188faf475c6a776da96e4a6db8"
+REPORT_SHA256 = "d78d76324a875cc6e709bb13e4ec68eacb6aa6819007dab80becdb5d76040689"
+MULTI_CHUNK_SHA256 = "d81f034296e2380acefa08b8db5fda293f9d6e7d39baa5d048330a5186eb7d3e"
 ROWS_SHA256 = "6fbe55374e75de75a42677bd373e037e218cd58cfdd9721fc5e7f37bde7a4a42"
 
 
