@@ -43,7 +43,6 @@ from .sampler import (
     sample_a_selfadjoint,
     sample_bundle,
     sample_commuting_pair,
-    sample_compressed,
     sample_operator_in_BA,
     sample_space,
     sample_unit_vectors,
@@ -77,7 +76,6 @@ __all__ = [
     "sample_a_selfadjoint",
     "sample_bundle",
     "sample_commuting_pair",
-    "sample_compressed",
     "sample_operator_in_BA",
     "sample_space",
     "sample_unit_vectors",

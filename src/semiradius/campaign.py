@@ -48,9 +48,13 @@ _INSTANCE_ID = re.compile(r"^d(\d+)_r(\d+)_t(\d+)$")
 # table, whose row detail the report does not use; the report summarizes
 # the tables of all chunks joined in cell and trial order.  Rows do not
 # depend on the chunk size; larger chunks spread the per-round cost of
-# the search and of each check over more instances.  A chunk holds only
-# r x r matrices (see _run_cell), so its size does not depend on dim.
+# the search and of each check over more instances, up to _TRIAL_CHUNK,
+# while their r x r matrices stay within _CHUNK_MATRIX_BYTES.  A trial's
+# checks hold about 256 of them at once (peak RSS grows by 220 to 300
+# r x r matrices per trial at r = 64 to 128): 32 trials a chunk up to
+# rank 22, 4 at rank 64 and one from rank 91.
 _TRIAL_CHUNK = 32
+_CHUNK_MATRIX_BYTES = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -146,31 +150,29 @@ class CampaignConfig:
         return out
 
 
-def _seeds(config: CampaignConfig, dim: int, rank: int, trial: int) -> tuple[SampleConfig, int]:
-    """The seed's sample configuration and the bundle seed of an instance."""
+def _instance(config: CampaignConfig, dim: int, rank: int, trial: int, compressed: bool = True):
+    """The seed space and operand bundle of an instance, drawn compressed
+    to the range of its seed (see sample_compressed), or at full size."""
     seed = derive_seed(config.master_seed, dim, rank, trial)
-    return config._sample_config(dim, rank, seed), derive_seed(seed, 1)
-
-
-def _regenerate(config: CampaignConfig, dim: int, rank: int, trial: int):
-    sample, bundle_seed = _seeds(config, dim, rank, trial)
+    sample, bundle_seed = config._sample_config(dim, rank, seed), derive_seed(seed, 1)
+    if compressed:
+        return sample_compressed(sample, config.scale, bundle_seed)
     space = sample_space(sample)
     return space, sample_bundle(space, scale=config.scale, seed=bundle_seed)
 
 
 def _run_cell(args) -> list[CheckTable]:
     """The cell's tables.  Each instance is evaluated as its compression to
-    the range of its seed (see sample_compressed): the same reduced
-    operands as its full-space regeneration, up to rounding, drawn with
-    no n x n work but the Ginibre draws."""
+    the range of its seed: the same reduced operands as its full-space
+    draw, up to rounding, drawn with no n x n work but the Ginibre draws."""
     config, dim, rank = args
     opts = config.options()
+    chunk = max(1, min(_TRIAL_CHUNK, _CHUNK_MATRIX_BYTES // (256 * 16 * max(rank, 1) ** 2)))
     tables = []
-    for first in range(0, config.trials, _TRIAL_CHUNK):
+    for first in range(0, config.trials, chunk):
         items = []
-        for trial in range(first, min(first + _TRIAL_CHUNK, config.trials)):
-            sample, bundle_seed = _seeds(config, dim, rank, trial)
-            space, bundle = sample_compressed(sample, config.scale, bundle_seed)
+        for trial in range(first, min(first + chunk, config.trials)):
+            space, bundle = _instance(config, dim, rank, trial)
             items.append((space, bundle, f"d{dim}_r{rank}_t{trial}"))
         # The trials of a cell share their rank, checks and operand names: one chunk.
         ((_positions, table),) = run_tables(items, opts=opts, checks=config.checks)
@@ -245,7 +247,11 @@ def write_csv(report: dict, path) -> None:
 
 
 def save_extremes(config: CampaignConfig, report: dict, directory) -> list[Path]:
-    """Regenerate each check's argmin instance and write it as a file."""
+    """Regenerate each check's argmin instance as the campaign evaluated it,
+    compressed to the range of its seed, and write it as a file, which
+    verify replays to the campaign's rows.  An instance file holds at
+    least one dimension, so a rank-0 instance is written at full size:
+    it reduces to the same empty matrices."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     ids = sorted(
@@ -261,7 +267,7 @@ def save_extremes(config: CampaignConfig, report: dict, directory) -> list[Path]
         if match is None:
             raise ParseError(f"malformed instance id in report: {iid!r}")
         dim, rank, trial = (int(g) for g in match.groups())
-        space, bundle = _regenerate(config, dim, rank, trial)
+        space, bundle = _instance(config, dim, rank, trial, compressed=rank > 0)
         path = directory / f"{iid}.json"
         write_instance(path, space, bundle)
         written.append(path)

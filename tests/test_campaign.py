@@ -23,10 +23,13 @@ from semiradius.campaign import (
 from semiradius.catalog import PASS_UNCERTIFIED, SKIPPED, run_all, tightness_report
 from semiradius.errors import BadConfig, ParseError
 from semiradius.functionals import a_numerical_radius
+from semiradius.instances import read_instance
 from semiradius.sampler import SampleConfig, derive_seed, sample_bundle, sample_compressed, sample_space
 from semiradius.space import SemiHilbertSpace
 
 SMALL = dict(dims=(2, 3), trials=4, master_seed=7, grid_count=64)
+VERDICT_KEYS = {"PASS_CERTIFIED": "certified", "PASS_UNCERTIFIED": "uncertified",
+                "VIOLATION_CANDIDATE": "violations", SKIPPED: "skipped"}
 
 
 def payload(report, *drop):
@@ -172,6 +175,26 @@ class TestReport:
         monkeypatch.setattr(campaign, "_TRIAL_CHUNK", 3)
         assert payload(run_campaign(CampaignConfig(**SMALL))) == payload(small_report)
 
+    def test_high_rank_cells_take_small_chunks(self, monkeypatch):
+        # A chunk's r x r matrices stay within _CHUNK_MATRIX_BYTES: at dim
+        # 128 a rank-4 cell takes 32 trials a chunk, rank 32 takes 16 and a
+        # full-rank cell one.
+        sizes = []
+
+        class Table:
+            def _replace(self, **fields):
+                return self
+
+        def recorded(items, opts, checks):
+            sizes.append((items[0][0].rank, len(items)))
+            return [(None, Table())]
+
+        monkeypatch.setattr(campaign, "run_tables", recorded)
+        cfg = CampaignConfig(dims=(128,), ranks=(4, 32, 128), trials=40)
+        for rank in cfg.ranks:
+            campaign._run_cell((cfg, 128, rank))
+        assert sizes == [(4, 32), (4, 8), (32, 16), (32, 16), (32, 8)] + [(128, 1)] * 40
+
     def test_matches_recomputation_from_records(self):
         cfg = CampaignConfig(dims=(2,), ranks=(1, 2), trials=3, master_seed=11,
                              grid_count=64)
@@ -190,16 +213,16 @@ class TestReport:
 
     def test_full_space_rows_give_the_same_report_up_to_rounding(self):
         # Campaigns evaluate each instance compressed to its seed's range;
-        # the full-space instances that save_extremes writes give the same
-        # counts and argmins, and slacks equal up to rounding.  C15 draws
-        # its unit vectors from a seed of the instance's bytes, which the
+        # the full-space draws of the same instances give the same counts
+        # and argmins, and slacks equal up to rounding.  C15 draws its unit
+        # vectors from a seed of the instance's bytes, which the
         # compression changes, so only its counts are compared.
         cfg = CampaignConfig(dims=(2, 3, 40), ranks=(0, 1, 2, 3), trials=5, master_seed=13, grid_count=64)
         rep = run_campaign(cfg)
         rows = []
         for dim, rank in cfg.cells():
             for trial in range(cfg.trials):
-                sp, bundle = campaign._regenerate(cfg, dim, rank, trial)
+                sp, bundle = campaign._instance(cfg, dim, rank, trial, compressed=False)
                 rows.extend(run_all(sp, bundle, opts=cfg.options(), instance=f"d{dim}_r{rank}_t{trial}"))
         full = tightness_report(rows)
         assert list(full) == list(rep["checks"])
@@ -306,13 +329,40 @@ class TestArtifacts:
         rows = verify_instance(paths[0], opts=cfg.options())
         assert {r.verdict for r in rows} <= {"PASS_CERTIFIED", "PASS_UNCERTIFIED", SKIPPED}
 
+    def test_extremes_replay_to_the_campaign_slacks_at_rank_2_and_up(self, tmp_path):
+        # Saved files hold the compressed instances the campaign evaluated,
+        # so every argmin row replays bit for bit, C15's included, whose
+        # unit vectors are seeded from the instance's bytes.
+        cfg = CampaignConfig(dims=(3, 40), ranks=(2, 3), trials=4, master_seed=3, grid_count=64)
+        report = run_campaign(cfg)
+        by_stem = {p.stem: p for p in save_extremes(cfg, report, tmp_path)}
+        assert report["checks"]["C15"]["argmin_instance"] in by_stem
+        for cid, summary in report["checks"].items():
+            iid = summary.get("argmin_instance")
+            if not iid:
+                continue
+            space, _operands = read_instance(by_stem[iid])
+            assert space.dim == space.rank == int(campaign._INSTANCE_ID.match(iid).group(2))
+            (row,) = [r for r in verify_instance(by_stem[iid], opts=cfg.options()) if r.check_id == cid]
+            assert row.slack == summary["min_slack"], cid
+
+    def test_rank_0_extremes_are_saved_at_full_size(self, tmp_path):
+        cfg = CampaignConfig(dims=(3,), ranks=(0,), trials=2, grid_count=64)
+        report = run_campaign(cfg)
+        (path,) = save_extremes(cfg, report, tmp_path)
+        space, operands = read_instance(path)
+        assert space.dim == 3 and space.rank == 0
+        for r in verify_instance(path, opts=cfg.options()):
+            summary = report["checks"][r.check_id]
+            assert summary[VERDICT_KEYS[r.verdict]] >= 1
+            if summary.get("argmin_instance") == path.stem:
+                assert r.slack == summary["min_slack"], r.check_id
+
     @pytest.mark.parametrize("rank", [1, 2, 3, 4])
     def test_one_trial_dim_96_extremes_replay_with_the_report_verdicts(self, rank, tmp_path):
         # As the benchmark's replay: every check of a one-trial campaign
-        # names its instance, whose full-space file must replay through
+        # names its instance, whose r x r file must replay through
         # verify_instance with the verdicts the report counted.
-        keys = {"PASS_CERTIFIED": "certified", "PASS_UNCERTIFIED": "uncertified",
-                "VIOLATION_CANDIDATE": "violations", SKIPPED: "skipped"}
         for master_seed in range(3):
             cfg = CampaignConfig(dims=(96,), ranks=(rank,), trials=1, master_seed=master_seed, grid_count=64)
             report = run_campaign(cfg)
@@ -320,7 +370,7 @@ class TestArtifacts:
             rows = verify_instance(path, opts=cfg.options())
             assert [r.check_id for r in rows] == list(report["checks"])
             for r in rows:
-                assert report["checks"][r.check_id][keys[r.verdict]] == 1, (master_seed, r.check_id)
+                assert report["checks"][r.check_id][VERDICT_KEYS[r.verdict]] == 1, (master_seed, r.check_id)
 
     def test_malformed_instance_id_rejected(self, small_report, tmp_path):
         broken = json.loads(json.dumps(small_report))
