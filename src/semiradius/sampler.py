@@ -49,6 +49,19 @@ def _ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return G
 
 
+def _ginibre_corner(rng: np.random.Generator, buf: np.ndarray, r: int) -> np.ndarray:
+    """The trailing r x r block of _ginibre(rng, n, n), bit for bit, with
+    the generator left where that draw leaves it: each of its two runs of
+    n^2 normals goes into the n x n float buffer buf, and only the corner
+    of each run is kept."""
+    n = buf.shape[0]
+    G = np.empty((r, r), dtype=np.complex128)
+    G.real = rng.standard_normal(out=buf)[n - r :, n - r :]
+    G.imag = rng.standard_normal(out=buf)[n - r :, n - r :]
+    G /= np.sqrt(2.0)
+    return G
+
+
 def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     """Haar-distributed unitary via QR of a Ginibre matrix with phase fix."""
     Q, R = np.linalg.qr(_ginibre(rng, n, n))
@@ -167,16 +180,17 @@ def sample_commuting_pair(space: SemiHilbertSpace, scale: float = 1.0, seed=0) -
     return _quadratics(sample_operator_in_BA(space, scale, rng), rng)
 
 
-def _bundle(space: SemiHilbertSpace, dim: int, seed: int, place) -> dict[str, np.ndarray]:
+def _bundle(space: SemiHilbertSpace, seed: int, draw) -> dict[str, np.ndarray]:
     """The stream layout of a bundle: the k-th name of _BUNDLE_STREAMS
-    draws from derive_seed(seed, k), first a dim x dim Ginibre matrix G,
-    which place(G) turns into an operand of space.  Tsa is the selfadjoint
-    part of its operand; the last stream then draws the coefficients of P
-    and Q, two quadratics in its operand R."""
+    draws from derive_seed(seed, k), first the two runs of dim^2 normals
+    of a dim x dim Ginibre matrix, which draw(rng) takes and turns into an
+    operand of space.  Tsa is the selfadjoint part of its operand; the
+    last stream then draws the coefficients of P and Q, two quadratics in
+    its operand R."""
     out = {}
     for k, name in enumerate(_BUNDLE_STREAMS):
         rng = np.random.default_rng(derive_seed(seed, k))
-        out[name] = place(_ginibre(rng, dim, dim))
+        out[name] = draw(rng)
     out["Tsa"] = space.re_part(out["Tsa"])
     out["P"], out["Q"] = _quadratics(out.pop("R"), rng)
     return out
@@ -185,7 +199,8 @@ def _bundle(space: SemiHilbertSpace, dim: int, seed: int, place) -> dict[str, np
 def sample_bundle(space: SemiHilbertSpace, scale: float = 1.0, seed: int = 0) -> dict[str, np.ndarray]:
     """Named operand set used by the check catalog, one stream per name."""
     _check_scale(scale)
-    return _bundle(space, space.dim, seed, lambda G: _in_BA(space, scale * G))
+    n = space.dim
+    return _bundle(space, seed, lambda rng: _in_BA(space, scale * _ginibre(rng, n, n)))
 
 
 def sample_compressed(
@@ -199,11 +214,13 @@ def sample_compressed(
     range block of its stream's Ginibre draw, which is the full operand's
     matrix on the range in that eigenbasis.  So the reduced matrices equal
     those of the full-space draw up to the rounding of the full seed's
-    eigendecomposition.  No dim x dim matrix is formed but the Ginibre
-    draws: the seed's Haar rotation, on which no stream of the bundle
-    depends, is not drawn.
+    eigendecomposition.  Each stream's normals run through one n x n float
+    buffer, and only their r x r range corner becomes complex
+    (_ginibre_corner): no n x n complex matrix is formed, and the seed's
+    Haar rotation, on which no stream of the bundle depends, is not drawn.
     """
     _check_scale(scale)
     n, r = config.dim, config.rank
     space = build_space(np.diag(np.sort(_spectrum(config, _as_rng(config.master_seed)))))
-    return space, _bundle(space, n, seed, lambda G: scale * G[n - r :, n - r :])
+    buf = np.empty((n, n))
+    return space, _bundle(space, seed, lambda rng: scale * _ginibre_corner(rng, buf, r))

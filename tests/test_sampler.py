@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -303,25 +304,65 @@ class TestCompressedDraw:
             assert np.linalg.norm(C - M) <= COMPRESSED_TOL[law] * np.linalg.norm(M)
 
     def test_draws_only_the_bundle_streams(self, monkeypatch):
-        # No Haar rotation and no change of basis: the one dim x dim matrix
-        # of each stream is its Ginibre draw, and the R stream then draws
-        # the coefficients of P and Q.
+        # No Haar rotation and no change of basis: each stream runs its
+        # 2 n^2 normals through one shared n x n float buffer, and only the
+        # R stream's coefficients of P and Q are drawn as a Ginibre matrix.
         def forbidden(*args):
             raise AssertionError("full-space step in the compressed draw")
 
-        shapes = []
-        ginibre = sampler._ginibre
+        shapes, buffers = [], []
+        ginibre, corner = sampler._ginibre, sampler._ginibre_corner
 
         def recorded(rng, rows, cols):
             shapes.append((rows, cols))
             return ginibre(rng, rows, cols)
 
+        def recorded_corner(rng, buf, r):
+            after = np.random.default_rng()
+            after.bit_generator.state = rng.bit_generator.state
+            after.standard_normal(2 * 96 * 96)
+            block = corner(rng, buf, r)
+            assert rng.bit_generator.state == after.bit_generator.state
+            buffers.append(buf)
+            return block
+
         monkeypatch.setattr(sampler, "haar_unitary", forbidden)
         monkeypatch.setattr(sampler, "_in_BA", forbidden)
         monkeypatch.setattr(sampler, "_ginibre", recorded)
+        monkeypatch.setattr(sampler, "_ginibre_corner", recorded_corner)
         space, bundle = sample_compressed(SampleConfig(dim=96, rank=3, master_seed=2), seed=4)
-        assert shapes == [(96, 96)] * 10 + [(2, 3)]
+        assert shapes == [(2, 3)]
+        assert len(buffers) == 10 and all(buf is buffers[0] for buf in buffers)
+        assert buffers[0].shape == (96, 96) and buffers[0].dtype == np.float64
         assert space.matrix.shape == (3, 3) and space.is_a_selfadjoint(bundle["Tsa"])
+
+    @given(
+        st.integers(1, 130).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))),
+        st.integers(0, 2**64 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_corner_is_the_block_of_the_full_draw(self, shape, seed):
+        # Bit for bit, signed zeros included, and the generator ends where
+        # the full draw leaves it, so the streams' later draws are unchanged.
+        n, r = shape
+        full_rng, corner_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        full = sampler._ginibre(full_rng, n, n)[n - r :, n - r :]
+        corner = sampler._ginibre_corner(corner_rng, np.empty((n, n)), r)
+        assert np.array_equal(corner.view(np.uint64), full.view(np.uint64))
+        assert corner_rng.bit_generator.state == full_rng.bit_generator.state
+
+    def test_draw_holds_one_float_buffer_at_most(self):
+        # Each stream's normals go through one n x n float buffer; a draw
+        # that forms every stream's full Ginibre matrix peaks at 3 n^2 floats.
+        n = 512
+        sample_compressed(SampleConfig(dim=2, rank=1))  # first-call imports and caches
+        tracemalloc.start()
+        try:
+            sample_compressed(SampleConfig(dim=n, rank=2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n * n * 8
 
     def test_scale_validation(self):
         for scale in (-0.5, math.nan, math.inf):
