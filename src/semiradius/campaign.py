@@ -164,7 +164,8 @@ def _instance(config: CampaignConfig, dim: int, rank: int, trial: int, compresse
 def _run_cell(args) -> list[CheckTable]:
     """The cell's tables.  Each instance is evaluated as its compression to
     the range of its seed: the same reduced operands as its full-space
-    draw, up to rounding, drawn with no n x n work but the Ginibre draws."""
+    draw, up to rounding, drawn with no n x n work but each stream's 2 n^2
+    normals, which run through one float buffer."""
     config, dim, rank = args
     opts = config.options()
     chunk = max(1, min(_TRIAL_CHUNK, _CHUNK_MATRIX_BYTES // (256 * 16 * max(rank, 1) ** 2)))
