@@ -182,11 +182,11 @@ def sample_commuting_pair(space: SemiHilbertSpace, scale: float = 1.0, seed=0) -
 
 def _bundle(space: SemiHilbertSpace, seed: int, draw) -> dict[str, np.ndarray]:
     """The stream layout of a bundle: the k-th name of _BUNDLE_STREAMS
-    draws from derive_seed(seed, k), first the two runs of dim^2 normals
-    of a dim x dim Ginibre matrix, which draw(rng) takes and turns into an
-    operand of space.  Tsa is the selfadjoint part of its operand; the
-    last stream then draws the coefficients of P and Q, two quadratics in
-    its operand R."""
+    draws from derive_seed(seed, k), first the two runs of n^2 normals of
+    an n x n Ginibre matrix, n the dimension of the full draw, which
+    draw(rng) takes and turns into an operand of space.  Tsa is the
+    selfadjoint part of its operand; the last stream then draws the
+    coefficients of P and Q, two quadratics in its operand R."""
     out = {}
     for k, name in enumerate(_BUNDLE_STREAMS):
         rng = np.random.default_rng(derive_seed(seed, k))
