@@ -18,6 +18,12 @@ the norms in one singular value call per size; every entry then
 evaluates on interval stacks with one row per item.  The rows stay one
 check-by-item table of arrays (see CheckTable), which reports fold and
 out of which run_all reads each item's CheckResults.
+
+A row is skipped on one path, the table's per-row skips: first where an
+operand of its entry fails the membership tests, then where the entry's
+evaluator finds the row's precondition false (C2's selfadjoint operand,
+tested on its reduced matrix; C10's commuting pair; C15's unit vectors;
+C23's near equality).
 """
 
 from __future__ import annotations
@@ -57,7 +63,7 @@ from .functionals import (
 from .instances import content_seed
 from .kernel import spectral_norm_bounds, spectral_norms
 from .sampler import sample_unit_vectors
-from .space import FACT_TOL, SemiHilbertSpace
+from .space import FACT_TOL, SemiHilbertSpace, is_hermitian
 
 LE, GE, EQ, CONDITIONAL = "le", "ge", "eq", "conditional"
 
@@ -85,7 +91,6 @@ class CheckDefinition:
     formula: str
     needs: tuple[str, ...]
     evaluate: Callable
-    unmet: Callable | None = None  # per item: why its precondition fails, or None
 
 
 @dataclass(frozen=True)
@@ -291,16 +296,11 @@ def _c1(ch):
 
 
 def _c2(ch):
-    return [("", ch["n(Tsa)"], ch["w(Tsa)"])]
-
-
-# Per-item preconditions: each returns the reason its check does not apply
-# to the item's operands, or None.
-
-
-def _c2_unmet(it: _Item):
-    if not it.space.is_a_selfadjoint(it.ops["Tsa"]):
-        return "operand Tsa is not selfadjoint for the seed"
+    # Rows failing membership are zeros here, so only members can skip:
+    # for them tilde(Tsa) is Hermitian exactly when Tsa is selfadjoint.
+    reason = "operand Tsa is not selfadjoint for the seed"
+    skip = [None if ok else PreconditionFailed(reason) for ok in is_hermitian(ch.mat("Tsa"))]
+    return [("", ch["n(Tsa)"], ch["w(Tsa)"])], {}, skip
 
 
 def _c3(ch):
@@ -364,13 +364,17 @@ def _commutator_size(P: np.ndarray, Q: np.ndarray) -> tuple[float, float]:
 
 
 def _c10(ch):
-    return [("", ch["w(PQ)"], iscale(2.0, imul(ch["w(P)"], ch["w(Q)"])))]
-
-
-def _c10_unmet(it: _Item):
-    comm, scale = _commutator_size(it.ops["P"], it.ops["Q"])
-    if comm > FACT_TOL * scale:
-        return f"operands do not commute: deviation {comm:.3e}"
+    # PQ = QP is a full-space hypothesis: operands can commute in reduced
+    # coordinates and not in the full space.  Rows failing membership skip
+    # on that already and are not measured: a non-finite operand, which
+    # fails membership, would fail the singular value solve.
+    failing, skip = {i for name in ("P", "Q") for i in ch.failing.get(name, ())}, [None] * ch.k
+    for i, it in enumerate(ch.items):
+        if i not in failing:
+            comm, scale = _commutator_size(it.ops["P"], it.ops["Q"])
+            if comm > FACT_TOL * scale:
+                skip[i] = PreconditionFailed(f"operands do not commute: deviation {comm:.3e}")
+    return [("", ch["w(PQ)"], iscale(2.0, imul(ch["w(P)"], ch["w(Q)"])))], {}, skip
 
 
 def _c11(ch):
@@ -404,14 +408,9 @@ def _c14(ch):
     ]
 
 
-def _c15_unmet(it: _Item):
-    if it.space.rank == 0:
-        return "no unit vectors exist for a rank-zero seed"
-
-
 def _c15(ch):
     if ch.r == 0:
-        return []  # _c15_unmet skips every row
+        return [], {}, [PreconditionFailed("no unit vectors exist for a rank-zero seed") for _ in range(ch.k)]
     T, hi = ch.mat("T"), ch["w(T)"].hi[:, None, None]
     # T over its radius, or T itself where the radius is below the floor.
     big = hi > RADIUS_FLOOR
@@ -498,9 +497,7 @@ CATALOG: dict[str, CheckDefinition] = {
     d.check_id: d
     for d in (
         CheckDefinition("C1", ("T",), LE, "0.5*norm(T) <= radius(T) <= norm(T)", ("w(T)", "n(T)"), _c1),
-        CheckDefinition(
-            "C2", ("Tsa",), EQ, "norm(Tsa) = radius(Tsa) for selfadjoint Tsa", ("n(Tsa)", "w(Tsa)"), _c2, _c2_unmet
-        ),
+        CheckDefinition("C2", ("Tsa",), EQ, "norm(Tsa) = radius(Tsa) for selfadjoint Tsa", ("n(Tsa)", "w(Tsa)"), _c2),
         CheckDefinition(
             "C3",
             ("T",),
@@ -566,7 +563,6 @@ CATALOG: dict[str, CheckDefinition] = {
             "radius(PQ) <= 2*radius(P)*radius(Q) when PQ = QP",
             ("w(P)", "w(Q)", "w(PQ)"),
             _c10,
-            _c10_unmet,
         ),
         CheckDefinition(
             "C11",
@@ -612,7 +608,6 @@ CATALOG: dict[str, CheckDefinition] = {
             " for unit x, T' = T/radius hi",
             ("w(T)",),
             _c15,
-            _c15_unmet,
         ),
         CheckDefinition(
             "C16",
@@ -749,8 +744,7 @@ def _table(ch: _Chunk) -> CheckTable:
     row) stacks of ends: each row takes its first variant of worst slack.
 
     A row skips on the first of the entry's operands that fails the
-    membership tests, then on its unmet precondition, then on the rows its
-    evaluation skips."""
+    membership tests, then on the rows its evaluation skips."""
     outcomes = [entry.evaluate(ch) for entry in ch.entries]
     outcomes = [outcome if isinstance(outcome, tuple) else (outcome, {}, None) for outcome in outcomes]
     counts = np.array([len(variants) for variants, _notes, _skip in outcomes], dtype=np.intp)
@@ -794,10 +788,6 @@ def _table(ch: _Chunk) -> CheckTable:
         for name in reversed(entry.operands):
             for i in ch.failing.get(name, ()):
                 row[i] = MembershipViolated(f"{entry.check_id}: operand {name!r} fails the membership tests")
-        if entry.unmet is not None:
-            for i, it in enumerate(ch.items):
-                if row[i] is None and (reason := entry.unmet(it)):
-                    row[i] = PreconditionFailed(reason)
         skips.append(row)
     verdict[np.array([x is not None for row in skips for x in row], dtype=bool).reshape(verdict.shape)] = _SKIPPED
 

@@ -854,32 +854,17 @@ def _inner_search(groups: list[_Pencils], gap: np.ndarray) -> tuple:
     return lo, hi
 
 
-def _dual_caps(groups, first, flat, gap, ts, caps, values) -> None:
-    """Dual caps, into caps, for the radius matrices flat, fitted at the
-    angles ts, and the values max(lambda_max, -lambda_min) they attain at
-    ts, into values.  first holds the first matrix of each group."""
-    for g, f, e in zip(groups, first, first[1:]):
-        which = np.flatnonzero(flat[f:e])
-        if which.size:
-            out = np.empty((which.size, ts.size))
-            caps[f + which] = g.dual(which, ts, np.full(which.size, -np.inf), gap[f + which], out)
-            values[f + which] = out
-
-
 def _early_duals(groups, first, vals, ub, ts, hw, gap, caps) -> None:
     """Round 0 of the radius matrices marked flat: their dual caps, into
-    caps, fitted at the round-0 angles ts, and the values they attain
-    there, into vals (ub their rotation caps).  A matrix given no
-    certificate (the search with _dual_caps switched off) solves its
-    round-0 cells instead, as if never marked."""
-    flat, values = _joined([g.flat for g in groups]), np.full(vals.shape, np.nan)
-    _dual_caps(groups, first, flat, gap, ts, caps, values)
-    for g, f, e in zip(groups, first, first[1:]):
-        which = np.flatnonzero(flat[f:e] & np.isnan(values[f:e, 0]))
+    caps, fitted at the round-0 angles ts, and the values
+    max(lambda_max, -lambda_min) they attain there, into vals (ub their
+    rotation caps).  first holds the first matrix of each group."""
+    for g, f in zip(groups, first):
+        which = np.flatnonzero(g.flat)
         if which.size:
-            values[f + which] = g._values(which.repeat(ts.size), np.tile(ts, which.size)).reshape(which.size, -1)
-    vals[flat] = values[flat]
-    ub[flat] = values[flat] / np.cos(hw)
+            values = np.empty((which.size, ts.size))
+            caps[f + which] = g.dual(which, ts, np.full(which.size, -np.inf), gap[f + which], values)
+            vals[f + which], ub[f + which] = values, values / np.cos(hw)
 
 
 def _by_size(stacks, first: int = 0):

@@ -184,7 +184,8 @@ def _bundle(space: SemiHilbertSpace, seed: int, draw) -> dict[str, np.ndarray]:
     """The stream layout of a bundle: the k-th name of _BUNDLE_STREAMS
     draws from derive_seed(seed, k), first the two runs of n^2 normals of
     an n x n Ginibre matrix, n the dimension of the full draw, which
-    draw(rng) takes and turns into an operand of space.  Tsa is the
+    draw(rng) takes and turns into an operand of space (a draw whose
+    operands are 0 x 0 may take none).  Tsa is the
     selfadjoint part of its operand; the last stream then draws the
     coefficients of P and Q, two quadratics in its operand R."""
     out = {}
@@ -218,9 +219,13 @@ def sample_compressed(
     buffer, and only their r x r range corner becomes complex
     (_ginibre_corner): no n x n complex matrix is formed, and the seed's
     Haar rotation, on which no stream of the bundle depends, is not drawn.
+    At rank 0 every operand is 0 x 0, so no stream draws its normals and
+    no buffer is allocated.
     """
     _check_scale(scale)
     n, r = config.dim, config.rank
     space = build_space(np.diag(np.sort(_spectrum(config, _as_rng(config.master_seed)))))
+    if not r:
+        return space, _bundle(space, seed, lambda rng: np.empty((0, 0), dtype=np.complex128))
     buf = np.empty((n, n))
     return space, _bundle(space, seed, lambda rng: scale * _ginibre_corner(rng, buf, r))

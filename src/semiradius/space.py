@@ -5,9 +5,10 @@ seminorm |x|_A.  Vectors enter only through the coordinate map
 C = diag(sqrt(kept eigenvalues)) U_r*, which satisfies |C x| = |x|_A.
 Operators are plain square matrices; membership in the compatible
 algebra is a property of a matrix relative to the seed, read off
-reduce_all.  Operators that map the null space of A into itself act on
-the quotient; their action is realized on coordinates by an r x r matrix
-(the "reduced" matrix) through C.
+reduce_all, and so is selfadjointness for the seed.  Operators that map
+the null space of A into itself act on the quotient; their action is
+realized on coordinates by an r x r matrix (the "reduced" matrix)
+through C.
 
 All factors derived from A (pseudo-inverse, coordinate map and its right
 inverse) come from one shared eigendecomposition, so identities that hold
@@ -25,13 +26,11 @@ from .kernel import (
     as_matrix,
     hermitian_eigendecomposition,
     psd_rank,
-    spectral_norm_bounds,
-    spectral_norms,
 )
 
-__all__ = ["FACT_TOL", "SemiHilbertSpace", "build_space"]
+__all__ = ["FACT_TOL", "SemiHilbertSpace", "build_space", "is_hermitian"]
 
-# Relative tolerance for the two operator membership tests.
+# Relative tolerance for the operator membership and selfadjointness tests.
 FACT_TOL = 1e-8
 
 
@@ -165,26 +164,17 @@ class SemiHilbertSpace:
         return -0.5j * (T - self.sharp(T))
 
     def is_a_selfadjoint(self, M) -> bool:
-        """Whether seed @ M is Hermitian within tolerance.
+        """Whether seed @ M is Hermitian: M is selfadjoint for the seed.
 
-        The test is |D| <= FACT_TOL (1 + |seed| |M|) for the deviation
-        D = seed M - (seed M)*, in the spectral norm.  A screen runs first:
-        the Frobenius norm of D bounds |D| from above and the largest column
-        norm of M bounds |M| from below, so when the inequality holds with
-        those it holds exactly, and no singular values are computed.  Only
-        when the screen fails are the spectral norms computed.  A rank-0 seed
-        counts as zero, so every operator is selfadjoint for it.
+        Tested in reduced coordinates.  A selfadjoint M is in the compatible
+        algebra, and there seed M = C* tilde(M) C for the coordinate map C,
+        so M is selfadjoint exactly when it passes both membership tests
+        and tilde(M) is Hermitian (is_hermitian).  Both come from one
+        reduce_all call, with no n x n product.  A rank-0 seed counts as
+        zero, so every operator is selfadjoint for it.
         """
-        T = self._as_square(M)
-        if not self.rank:
-            return True
-        AM = self.matrix @ T
-        stack = np.stack([AM - AM.conj().T, T])
-        lo, hi = spectral_norm_bounds(stack)
-        if hi[0] <= FACT_TOL * (1.0 + self.seed_norm * lo[1]):
-            return True
-        dev, size = spectral_norms(stack)
-        return bool(dev <= FACT_TOL * (1.0 + self.seed_norm * size))
+        admits, bounded, reduced = self.reduce_all([M])
+        return bool(admits[0] and bounded[0] and is_hermitian(reduced)[0])
 
     # -- doubled space and two-by-two blocks -----------------------------
 
@@ -235,6 +225,13 @@ def _frobenius(T: np.ndarray) -> np.ndarray:
     of the stack, which at large n had every instance re-fault its heap."""
     x = np.ascontiguousarray(T).reshape(*T.shape[:-2], T.shape[-2] * T.shape[-1]).view(np.float64)
     return np.sqrt(np.einsum("...i,...i->...", x, x))
+
+
+def is_hermitian(reduced: np.ndarray) -> np.ndarray:
+    """Whether each matrix M of a stack is Hermitian within tolerance:
+    |M - M*|_F <= FACT_TOL (1 + |M|_F), in Frobenius norms as reduce_all
+    measures its residuals."""
+    return _frobenius(reduced - np.swapaxes(reduced.conj(), -1, -2)) <= FACT_TOL * (1.0 + _frobenius(reduced))
 
 
 def build_space(A, cutoff: float = DEFAULT_CUTOFF) -> SemiHilbertSpace:

@@ -456,8 +456,11 @@ class TestDualCertificate:
         assert enc.width <= opts.resolve_gap(spectral_norm(M))
         if value is not None:
             assert enc.lo <= value <= enc.hi
-        monkeypatch.setattr(functionals, "_dual_caps", lambda *args: False)
+        # With the flat gate off, no matrix gets a certificate: the plain
+        # cell search decides, and its enclosure overlaps the certified one.
+        monkeypatch.setattr(functionals, "_flat", lambda V, hw, gap: np.zeros(len(V), dtype=bool))
         alone = numerical_radius(M, opts)
+        assert dual_attempts[0] == (1 if gate else 0)
         assert enc.lo <= alone.hi and alone.lo <= enc.hi
 
 
@@ -850,10 +853,10 @@ def in_scan(seed: int, m: int, a: float, spread: float, phi: float) -> np.ndarra
     return np.exp(1j * phi) * (Q @ np.diag(a + spread * np.arange(m)) @ Q.conj().T)
 
 
-class TestCrawfordCertificate:
+class TestCrawfordPolygonEnclosures:
     @pytest.mark.parametrize("grid", [18, 256])
     @pytest.mark.parametrize("gap_scale", [1e-9, 0.3])
-    def test_skipped_scans_keep_the_enclosures(self, grid, gap_scale):
+    def test_lower_ends_stay_below_the_scan_minimum(self, grid, gap_scale):
         # The smallest |y* M y| over scan(m) bounds c(M) from above: every
         # lower end lies at or below it, and each enclosure meets its gap.
         mats = certificate_sweep()
@@ -863,7 +866,7 @@ class TestCrawfordCertificate:
             assert enc.lo <= functionals._mc_extreme(M, scan(M.shape[0]), reduce_max=False)
             assert enc.width <= opts.resolve_gap(spectral_norm(M)) + 4e-13 * (1.0 + spectral_norm(M))
 
-    def test_shifted_jordan_rows_scan_nothing(self):
+    def test_inner_polygon_settles_the_shifted_jordan_rows(self):
         # The inner polygon alone settles every row, whichever end of
         # lambda(H) attains: method "grid", the value held, and each
         # enclosure within its gap.
@@ -919,7 +922,7 @@ class TestCrawfordNumber:
         enc = crawford_number(JORDAN)
         assert enc.lo <= 0.5 <= enc.hi and enc.width <= 1e-8
 
-    def test_without_oracle_samples_the_search_decides(self):
+    def test_jordan_block_is_settled_by_the_grid_search(self):
         enc = crawford_number(JORDAN)
         assert enc.method == "grid" and enc.lo <= 0.5 <= enc.hi and enc.width <= 1e-8
 

@@ -364,6 +364,24 @@ class TestCompressedDraw:
             tracemalloc.stop()
         assert peak < 1.5 * n * n * 8
 
+    def test_rank_zero_draws_no_normals(self, monkeypatch):
+        # Every operand of a rank-0 draw is 0 x 0, so no normal a stream
+        # draws would reach a matrix: none is drawn, and no n x n buffer is
+        # allocated.
+        n, calls = 512, []
+        corner = sampler._ginibre_corner
+        monkeypatch.setattr(sampler, "_ginibre_corner", lambda *args: calls.append(args) or corner(*args))
+        sample_compressed(SampleConfig(dim=2, rank=0))  # first-call imports and caches
+        tracemalloc.start()
+        try:
+            space, bundle = sample_compressed(SampleConfig(dim=n, rank=0), seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert calls == []
+        assert peak < 0.25 * n * n * 8
+        assert space.rank == 0 and all(M.shape == (0, 0) for M in bundle.values())
+
     def test_scale_validation(self):
         for scale in (-0.5, math.nan, math.inf):
             with pytest.raises(BadConfig):

@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import semiradius.space as space_module
-from semiradius.catalog import PASS_CERTIFIED, run_all
+from semiradius.catalog import PASS_CERTIFIED, SKIPPED, run_all, run_many
 from semiradius.errors import BadConfig, DimensionMismatch, NotABounded, NotHermitian, NotInBA, NotPSD
 from semiradius.kernel import PSD_TOL, hermitian_eigendecomposition, spectral_norm
-from semiradius.sampler import sample_bundle
+from semiradius.sampler import SPECTRUM_LAWS, SampleConfig, sample_bundle, sample_compressed, sample_space
 from semiradius.space import FACT_TOL, build_space
 
 TOL = 1e-10
@@ -492,36 +492,52 @@ def test_adjoint_residual_bounds_projector_residual_exactly(seed):
     assert new_bounded == old_bounded
 
 
-class TestSelfadjointScreen:
-    def _count_svds(self, monkeypatch):
-        calls = []
-        real = space_module.spectral_norms
-
-        def counted(stack):
-            calls.append(len(stack))
-            return real(stack)
-
-        monkeypatch.setattr(space_module, "spectral_norms", counted)
-        return calls
-
-    def test_screen_decides_selfadjoint_operators(self, monkeypatch):
-        calls = self._count_svds(monkeypatch)
+class TestSelfadjointTolerance:
+    def test_selfadjoint_part_passes(self):
         sp = seeded_space(51, 6, 3, 1e-12)
         T = random_admissible(sp, np.random.default_rng(52))
         assert sp.is_a_selfadjoint(sp.re_part(T))
-        assert calls == []
 
-    def test_exact_test_decides_when_screen_fails(self, monkeypatch):
+    def test_near_tolerance_verdicts(self):
         # Identity seed, M = J + (delta/2) i I with J the 4 x 4 ones matrix:
-        # the deviation M - M* = delta i I has spectral norm delta and
-        # Frobenius norm 2 delta; |M| = 4 but its columns have norm 2.
-        # With delta = 2 FACT_TOL the screen needs 4 <= 1 + 2 and fails,
-        # the exact test needs 2 <= 1 + 4 and passes.
-        calls = self._count_svds(monkeypatch)
+        # the reduced matrix is M in the seed's eigenbasis, and its
+        # deviation M - M* = delta i I has Frobenius norm 2 delta, while
+        # |M|_F = 4.  delta = 2 FACT_TOL passes, 4 <= 1 + 4.
         sp = build_space(np.eye(4))
         J = np.ones((4, 4))
         assert sp.is_a_selfadjoint(J + 1j * FACT_TOL * np.eye(4))
-        assert calls == [2]
-        # Twice the deviation fails both.
+        # Six times the deviation fails, 24 > 1 + 4.
         assert not sp.is_a_selfadjoint(J + 6j * FACT_TOL * np.eye(4))
-        assert calls == [2, 2]
+
+
+class TestReducedSelfadjointness:
+    @given(
+        st.sampled_from(SPECTRUM_LAWS),
+        st.integers(2, 8).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, min(n - 1, 6)))),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_verdicts_match_the_full_space_formula(self, law, shape, compressed, seed):
+        # The selfadjoint and skew parts of a sampled T, and re + i s im for
+        # s far below the tolerance (1e-14) and far above it (s = 1 gives T
+        # back).  The reference is the full-space formula
+        # |seed M - (seed M)*| <= FACT_TOL (1 + |seed| |M|), spectral norms.
+        (n, rank) = shape
+        config = SampleConfig(dim=n, rank=rank, law=law, master_seed=seed)
+        if compressed:
+            sp, bundle = sample_compressed(config, seed=seed + 1)
+        else:
+            sp = sample_space(config)
+            bundle = sample_bundle(sp, seed=seed + 1)
+        re, im = sp.re_part(bundle["T"]), sp.im_part(bundle["T"])
+        cases = [re, im, re + 1e-14j * im, re + 1j * im]
+        reference = []
+        for M in cases:
+            AM = sp.matrix @ M
+            reference.append(spectral_norm(AM - AM.conj().T) <= FACT_TOL * (1.0 + sp.seed_norm * spectral_norm(M)))
+        verdicts = [sp.is_a_selfadjoint(M) for M in cases]
+        assert verdicts == reference
+        assert verdicts[:3] == [True] * 3 and verdicts[3] == (rank == 0)
+        rows = run_many([(sp, {"Tsa": M}, f"m{i}") for i, M in enumerate(cases)], checks=["C2"])
+        assert [row.verdict == SKIPPED for (row,) in rows] == [not v for v in verdicts]
