@@ -185,9 +185,9 @@ def _bundle(space: SemiHilbertSpace, seed: int, draw) -> dict[str, np.ndarray]:
     draws from derive_seed(seed, k), first the two runs of n^2 normals of
     an n x n Ginibre matrix, n the dimension of the full draw, which
     draw(rng) takes and turns into an operand of space (a draw whose
-    operands are 0 x 0 may take none).  Tsa is the
-    selfadjoint part of its operand; the last stream then draws the
-    coefficients of P and Q, two quadratics in its operand R."""
+    operands are 0 x 0 may take none).  Tsa is the selfadjoint part of
+    its operand; the last stream then draws the coefficients of P and Q,
+    two quadratics in its operand R."""
     out = {}
     for k, name in enumerate(_BUNDLE_STREAMS):
         rng = np.random.default_rng(derive_seed(seed, k))
