@@ -21,9 +21,11 @@ out of which run_all reads each item's CheckResults.
 
 A row is skipped on one path, the table's per-row skips: first where an
 operand of its entry fails the membership tests, then where the entry's
-evaluator finds the row's precondition false (C2's selfadjoint operand,
-tested on its reduced matrix; C10's commuting pair; C15's unit vectors;
-C23's near equality).
+evaluator finds the row's precondition false (C2's selfadjoint operand;
+C10's commuting pair; C15's unit vectors; C23's near equality).  Every
+row is a function of its reduced matrices alone: the preconditions are
+tested on them, and C15 draws its unit vectors in C^r from a seed of
+the row's reduced T.
 """
 
 from __future__ import annotations
@@ -61,9 +63,8 @@ from .functionals import (
     radii_and_crawford_numbers,
 )
 from .instances import content_seed
-from .kernel import spectral_norm_bounds, spectral_norms
-from .sampler import sample_unit_vectors
-from .space import FACT_TOL, SemiHilbertSpace, is_hermitian
+from .sampler import sample_sphere
+from .space import SemiHilbertSpace, commutes, is_hermitian
 
 LE, GE, EQ, CONDITIONAL = "le", "ge", "eq", "conditional"
 
@@ -107,11 +108,12 @@ class CheckResult:
 
 
 class _Item(NamedTuple):
-    """A reduced item: per operand, its membership result and r x r matrix."""
+    """A reduced item: its seed's rank r and, per operand name, its
+    membership result and r x r matrix."""
 
     position: int
-    space: SemiHilbertSpace
-    ops: dict
+    rank: int
+    names: tuple[str, ...]
     instance: str
     member: np.ndarray
     reduced: np.ndarray
@@ -136,8 +138,8 @@ class _Chunk(dict):
 
     def __init__(self, entries, items: list[_Item]):
         super().__init__()
-        self.entries, self.items, self.k, self.r = entries, items, len(items), items[0].space.rank
-        names = list(items[0].ops)
+        self.entries, self.items, self.k, self.r = entries, items, len(items), items[0].rank
+        names = items[0].names
         bad = ~np.stack([it.member for it in items], axis=1)
         self.failing = {names[j]: np.flatnonzero(bad[j]).tolist() for j in np.flatnonzero(bad.any(axis=1))}
         reduced = np.stack([it.reduced for it in items], axis=1)
@@ -196,15 +198,15 @@ def _chunks(items, checks) -> list[_Chunk]:
     and group the items by reduced size, check list and operand names."""
     groups: dict[tuple, list] = {}
     for pos, (space, operands, instance) in enumerate(items):
-        ops = {name: np.asarray(M, dtype=np.complex128) for name, M in operands.items()}
-        admits, bounded, reduced = space.reduce_all(list(ops.values()))
-        applicable = (cid for cid, d in CATALOG.items() if ops.keys() >= set(d.operands))
+        admits, bounded, reduced = space.reduce_all(list(operands.values()))
+        names = tuple(operands)
+        applicable = (cid for cid, d in CATALOG.items() if set(names) >= set(d.operands))
         ids = tuple(checks if checks is not None else applicable)
-        unsupplied = [name for cid in ids for name in CATALOG[cid].operands if name not in ops]
+        unsupplied = [name for cid in ids for name in CATALOG[cid].operands if name not in names]
         if unsupplied:
             raise BadConfig(f"operand {unsupplied[0]!r} not supplied")
-        item = _Item(pos, space, ops, instance, admits & bounded, reduced)
-        groups.setdefault((space.rank, ids, tuple(ops)), []).append(item)
+        item = _Item(pos, space.rank, names, instance, admits & bounded, reduced)
+        groups.setdefault((space.rank, ids, names), []).append(item)
     return [_Chunk([CATALOG[cid] for cid in ids], group) for (_r, ids, _names), group in groups.items()]
 
 
@@ -347,33 +349,13 @@ def _c9(ch):
     return [("+", ch["w(TS+ST)"], rhs), ("-", ch["w(TS-ST)"], rhs)]
 
 
-def _commutator_size(P: np.ndarray, Q: np.ndarray) -> tuple[float, float]:
-    """|PQ - QP| and the scale 1 + |P| |Q| it is measured against.
-
-    P and Q commute when |PQ - QP| <= FACT_TOL (1 + |P| |Q|).  A screen runs
-    first: the Frobenius norm of the commutator bounds its spectral norm
-    from above and the largest column norm of each factor bounds the
-    factor's from below.  Only when those bounds fail the test are the
-    exact spectral norms computed."""
-    stack = np.stack([P @ Q - Q @ P, P, Q])
-    lo, hi = spectral_norm_bounds(stack)
-    if hi[0] <= FACT_TOL * (1.0 + lo[1] * lo[2]):
-        return float(hi[0]), 1.0 + float(lo[1] * lo[2])
-    comm, nP, nQ = spectral_norms(stack)
-    return comm, 1.0 + nP * nQ
-
-
 def _c10(ch):
-    # PQ = QP is a full-space hypothesis: operands can commute in reduced
-    # coordinates and not in the full space.  Rows failing membership skip
-    # on that already and are not measured: a non-finite operand, which
-    # fails membership, would fail the singular value solve.
-    failing, skip = {i for name in ("P", "Q") for i in ch.failing.get(name, ())}, [None] * ch.k
-    for i, it in enumerate(ch.items):
-        if i not in failing:
-            comm, scale = _commutator_size(it.ops["P"], it.ops["Q"])
-            if comm > FACT_TOL * scale:
-                skip[i] = PreconditionFailed(f"operands do not commute: deviation {comm:.3e}")
+    # tilde(PQ - QP) = [tilde(P), tilde(Q)], so A(PQ - QP) = 0 exactly when
+    # the reduced operands commute; Holbrook's omega(XY) <= 2 omega(X) omega(Y)
+    # for commuting matrices then gives the bound.  Rows failing membership
+    # are zeros here, so only members can skip.
+    reason = "operands do not commute modulo the null space of the seed"
+    skip = [None if ok else PreconditionFailed(reason) for ok in commutes(ch.mat("P"), ch.mat("Q"))]
     return [("", ch["w(PQ)"], iscale(2.0, imul(ch["w(P)"], ch["w(Q)"])))], {}, skip
 
 
@@ -415,10 +397,10 @@ def _c15(ch):
     # T over its radius, or T itself where the radius is below the floor.
     big = hi > RADIUS_FLOOR
     Tn = np.where(big, T / np.where(big, hi, 1.0), T)
-    # Seminorm-one vectors x of the full space, as y = C x in reduced
-    # coordinates: |Tn x|_A = |tilde(Tn) y| and |sharp(Tn) x|_A = |tilde(Tn)* y|.
-    X = [sample_unit_vectors(it.space, VECTOR_COUNT, content_seed(it.space.matrix, it.ops["T"])) for it in ch.items]
-    Y = np.stack([it.space.coord_map @ x for it, x in zip(ch.items, X)])
+    # Seminorm-one vectors x of the full space, as unit vectors y = C x of
+    # C^r: |Tn x|_A = |tilde(Tn) y| and |sharp(Tn) x|_A = |tilde(Tn)* y|.
+    # Each row draws them from a seed of its reduced T.
+    Y = np.stack([sample_sphere(ch.r, VECTOR_COUNT, content_seed(M)) for M in T])
     V, W = Tn @ Y, _adj(Tn) @ Y
     vals = np.einsum("kij,kij->kj", V.conj(), V) + np.einsum("kij,kij->kj", W.conj(), W)
     worst = np.max(np.maximum(vals.real, 0.0), axis=1)
@@ -560,7 +542,7 @@ CATALOG: dict[str, CheckDefinition] = {
             "C10",
             ("P", "Q"),
             LE,
-            "radius(PQ) <= 2*radius(P)*radius(Q) when PQ = QP",
+            "radius(PQ) <= 2*radius(P)*radius(Q) when A(PQ - QP) = 0",
             ("w(P)", "w(Q)", "w(PQ)"),
             _c10,
         ),

@@ -22,7 +22,6 @@ __all__ = [
     "hermitian_eigendecomposition",
     "psd_rank",
     "spectral_norm",
-    "spectral_norm_bounds",
     "spectral_norms",
 ]
 
@@ -113,13 +112,3 @@ def spectral_norms(stack) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"singular value computation failed: {exc}") from exc
 
-
-def spectral_norm_bounds(stack) -> tuple[np.ndarray, np.ndarray]:
-    """Bounds lo <= largest singular value <= hi of each matrix of a stack.
-
-    lo is the largest column norm (the norm of the image of a unit basis
-    vector), hi the Frobenius norm; neither needs a factorization.
-    """
-    A = np.asarray(stack, dtype=np.complex128)
-    columns = np.add.reduce(A.real**2 + A.imag**2, axis=-2)
-    return np.sqrt(np.max(columns, axis=-1, initial=0.0)), np.sqrt(np.add.reduce(columns, axis=-1))

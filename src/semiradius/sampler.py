@@ -153,15 +153,19 @@ def sample_a_selfadjoint(space: SemiHilbertSpace, seed=0, scale: float = 1.0) ->
     return space.re_part(sample_operator_in_BA(space, scale, seed))
 
 
+def sample_sphere(dim: int, count: int, seed=0) -> np.ndarray:
+    """Matrix whose columns are independent unit vectors of C^dim, each
+    uniform over the sphere."""
+    Y = _ginibre(_as_rng(seed), dim, count)
+    return Y / np.linalg.norm(Y, axis=0)
+
+
 def sample_unit_vectors(space: SemiHilbertSpace, count: int, seed=0) -> np.ndarray:
-    """Matrix whose columns are independent seminorm-one vectors, each
-    uniform over the sphere of the reduced coordinates."""
-    r = space.rank
-    if r == 0:
+    """Matrix whose columns are independent seminorm-one vectors: the lifts
+    of sample_sphere's vectors of the reduced coordinates."""
+    if space.rank == 0:
         raise DegenerateSpace("no unit vectors exist for a rank-zero seed")
-    rng = _as_rng(seed)
-    Y = _ginibre(rng, r, count)
-    return space.coord_lift @ (Y / np.linalg.norm(Y, axis=0))
+    return space.coord_lift @ sample_sphere(space.rank, count, seed)
 
 
 def _quadratics(R: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:

@@ -28,7 +28,7 @@ from .kernel import (
     psd_rank,
 )
 
-__all__ = ["FACT_TOL", "SemiHilbertSpace", "build_space", "is_hermitian"]
+__all__ = ["FACT_TOL", "SemiHilbertSpace", "build_space", "commutes", "is_hermitian"]
 
 # Relative tolerance for the operator membership and selfadjointness tests.
 FACT_TOL = 1e-8
@@ -232,6 +232,13 @@ def is_hermitian(reduced: np.ndarray) -> np.ndarray:
     |M - M*|_F <= FACT_TOL (1 + |M|_F), in Frobenius norms as reduce_all
     measures its residuals."""
     return _frobenius(reduced - np.swapaxes(reduced.conj(), -1, -2)) <= FACT_TOL * (1.0 + _frobenius(reduced))
+
+
+def commutes(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Whether each pair of matrices of two stacks commutes within tolerance:
+    |PQ - QP|_F <= FACT_TOL (1 + |P|_F |Q|_F), in Frobenius norms as
+    is_hermitian measures."""
+    return _frobenius(P @ Q - Q @ P) <= FACT_TOL * (1.0 + _frobenius(P) * _frobenius(Q))
 
 
 def build_space(A, cutoff: float = DEFAULT_CUTOFF) -> SemiHilbertSpace:

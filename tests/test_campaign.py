@@ -215,8 +215,9 @@ class TestReport:
         # Campaigns evaluate each instance compressed to its seed's range;
         # the full-space draws of the same instances give the same counts
         # and argmins, and slacks equal up to rounding.  C15 draws its unit
-        # vectors from a seed of the instance's bytes, which the
-        # compression changes, so only its counts are compared.
+        # vectors from a seed of the bytes of the reduced T, which equal the
+        # full-space draw's only up to rounding, so only its counts are
+        # compared.
         cfg = CampaignConfig(dims=(2, 3, 40), ranks=(0, 1, 2, 3), trials=5, master_seed=13, grid_count=64)
         rep = run_campaign(cfg)
         rows = []

@@ -1,9 +1,12 @@
 """Catalog mechanics: hand-checked slacks, folding, verdicts, reports."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import semiradius.catalog as catalog_module
 from semiradius.catalog import (
@@ -29,7 +32,15 @@ from semiradius.errors import (
     UnknownCheck,
 )
 from semiradius.functionals import RadiusOptions, a_numerical_radius, ipoint, op_seminorm
-from semiradius.sampler import SampleConfig, sample_bundle, sample_space
+from semiradius.sampler import (
+    SPECTRUM_LAWS,
+    SampleConfig,
+    sample_bundle,
+    sample_commuting_pair,
+    sample_compressed,
+    sample_operator_in_BA,
+    sample_space,
+)
 from semiradius.space import FACT_TOL, SemiHilbertSpace, build_space
 
 SHIFT = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -103,8 +114,8 @@ class TestErrors:
         assert "commute" in res[0].notes["reason"]
 
     def test_non_finite_commuting_pair_skips_on_membership(self):
-        # A non-finite P fails membership, which skips the row before its
-        # full-space commutator is measured.
+        # A non-finite P fails membership, which skips the row; its reduced
+        # matrix is zeroed, so no NaN reaches the commutator test.
         sp = build_space(A_DEG)
         P = np.where(SHIFT > 0, np.nan, 1.0)
         (row,) = run_all(sp, {"P": P, "Q": T_LOWER}, checks=["C10"])
@@ -135,24 +146,30 @@ class TestErrors:
 
 
 class TestPreconditionScreens:
-    """C10 first tests its precondition with norm bounds that need no
-    singular values; the exact spectral test decides only when those
-    bounds fail.  C2 tests its precondition on reduced matrices, with no
-    singular values at all."""
+    """C2 and C10 test their preconditions on reduced matrices, in Frobenius
+    norms, with no singular values."""
 
-    def _count_svds(self, monkeypatch, module):
-        calls = []
-        real = module.spectral_norms
+    def _count_svds(self, monkeypatch):
+        """Count the singular value calls the C2 and C10 evaluators make
+        once their requests are solved."""
+        calls, real = [], np.linalg.svd
 
-        def counted(stack):
-            calls.append(len(stack))
-            return real(stack)
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(module, "spectral_norms", counted)
+        for cid in ("C2", "C10"):
+
+            def evaluate(ch, evaluate=CATALOG[cid].evaluate):
+                with monkeypatch.context() as patch:
+                    patch.setattr(np.linalg, "svd", counted)
+                    return evaluate(ch)
+
+            monkeypatch.setitem(CATALOG, cid, dataclasses.replace(CATALOG[cid], evaluate=evaluate))
         return calls
 
-    def test_screen_passes_sampled_operands(self, monkeypatch):
-        calls = self._count_svds(monkeypatch, catalog_module)
+    def test_sampled_operands_pass_without_singular_values(self, monkeypatch):
+        calls = self._count_svds(monkeypatch)
         sp, ops = bundle_for(5, 3, 61, 62)
         rows = run_all(sp, ops, checks=["C2", "C10"])
         assert [r.verdict for r in rows] == [PASS_CERTIFIED, PASS_CERTIFIED]
@@ -165,24 +182,22 @@ class TestPreconditionScreens:
         Tsa = np.ones((4, 4)) + 1j * FACT_TOL * np.eye(4)
         assert run_all(sp, {"Tsa": Tsa}, checks=["C2"])[0].verdict == PASS_CERTIFIED
 
-    def test_c10_exact_test_decides_when_screen_fails(self, monkeypatch):
+    def test_c10_frobenius_boundary(self, monkeypatch):
         # P = J (ones), Q = J + eps K with K = diag(1, -1, 0, 0):
-        # [P, Q] = eps (1 k^T - k 1^T) for k = (1, -1, 0, 0), spectral norm
-        # 2 sqrt(2) eps, Frobenius norm 4 eps; |P| = |Q| = 4 up to eps, the
-        # column norms 2.  eps = 3.5 FACT_TOL passes 9.9 <= 1 + 16 (exact)
-        # but not 14 <= 1 + 4 (screen).
-        calls = self._count_svds(monkeypatch, catalog_module)
+        # [P, Q] = eps (1 k^T - k 1^T) for k = (1, -1, 0, 0), Frobenius norm
+        # 4 eps; |P|_F = |Q|_F = 4 up to eps.  On the identity seed these
+        # are the reduced matrices, so eps = 3.5 FACT_TOL passes 14 <= 1 + 16.
+        calls = self._count_svds(monkeypatch)
         sp = build_space(np.eye(4))
         J = np.ones((4, 4))
         K = np.diag([1.0, -1.0, 0.0, 0.0])
         ops = {"P": J, "Q": J + 3.5 * FACT_TOL * K}
         assert run_all(sp, ops, checks=["C10"])[0].verdict == PASS_CERTIFIED
-        assert calls == [3]
-        # Ten times the deviation fails both tests.
+        # Ten times the deviation fails, 140 > 1 + 16.
         ops["Q"] = J + 35.0 * FACT_TOL * K
         with pytest.raises(PreconditionFailed):
             run_check(sp, "C10", ops)
-        assert calls == [3, 3]
+        assert calls == []
 
 
 class TestRunAll:
@@ -360,9 +375,10 @@ class TestRunMany:
     def test_skips_are_per_row(self):
         # One chunk (rank 1, dim 2) mixes rows that fail membership or a
         # precondition with rows that pass; a rank-0 chunk skips C15 on
-        # every row.  Each row is still the one its item gets alone.
-        # On the seed A_DEG the members are the lower triangular matrices;
-        # a non-finite X fails too and must not reach the solvers.
+        # every row, and a rank-2 pair that does not commute skips C10.
+        # Each row is still the one its item gets alone.  On the seed A_DEG
+        # the members are the lower triangular matrices; a non-finite X
+        # fails too and must not reach the solvers.
         lower = {name: T_LOWER + k * SHIFT.T for k, name in enumerate(("T", "S", "Y", "T1", "T2", "S1", "S2"))}
         failing = dict(lower, X=np.where(SHIFT > 0, np.nan, 0.0), Tsa=np.diag([1.0j, 1.0]), P=T_LOWER, Q=SHIFT.T)
         sp, ops = bundle_for(2, 1, space_seed=51, bundle_seed=2)
@@ -373,15 +389,21 @@ class TestRunMany:
             (*bundle_for(3, 0, space_seed=53, bundle_seed=4), "rank0"),
             (*bundle_for(2, 0, space_seed=54, bundle_seed=5), "rank0b"),
         ]
-        assert [ch.k for ch in _chunks(items, None)] == [3, 2]
+        sp, ops = bundle_for(2, 2, space_seed=55, bundle_seed=6)
+        items.append((sp, dict(ops, P=SHIFT, Q=SHIFT.T), "noncommuting"))
+        assert [ch.k for ch in _chunks(items, None)] == [3, 2, 1]
         opts = RadiusOptions(grid_count=64)
         together = run_many(items, opts=opts)
         for (sp, ops, name), rows in zip(items, together):
             assert rows_key(rows) == rows_key(run_all(sp, ops, opts=opts, instance=name))
         reasons = {r.check_id: r.notes.get("reason", "") for r in together[1]}
         assert "fails the membership tests" in reasons["C12"] and not reasons["C1"]
-        assert "commute" in reasons["C10"] and "selfadjoint" in reasons["C2"]
-        assert all(r.verdict == SKIPPED for rows in together[3:] for r in rows if r.check_id == "C15")
+        assert "selfadjoint" in reasons["C2"]
+        # Reduced 1 x 1 operands always commute; the rank-2 pair does not.
+        assert not reasons["C10"]
+        (c10,) = [r for r in together[5] if r.check_id == "C10"]
+        assert c10.verdict == SKIPPED and "commute" in c10.notes["reason"]
+        assert all(r.verdict == SKIPPED for rows in together[3:5] for r in rows if r.check_id == "C15")
 
     def test_checks_subset_and_unknown_ids(self):
         sp, ops = bundle_for(3, 2, space_seed=1, bundle_seed=1)
@@ -389,6 +411,71 @@ class TestRunMany:
         assert [r.check_id for r in rows] == ["C5", "C1"]
         with pytest.raises(UnknownCheck):
             run_many([(sp, ops, "a")], checks=["C0"])
+
+
+class TestReducedOperands:
+    def test_rows_are_functions_of_the_reduced_operands(self):
+        # A compressed instance and its padding to the seed diag(0, 0, lam),
+        # whose operands get random rows on the null space: the reductions
+        # are bit-identical, so every row must be, though the padded P and Q
+        # do not commute in the full space.
+        sp, ops = sample_compressed(SampleConfig(dim=5, rank=3, master_seed=71), seed=72)
+        padded = build_space(np.diag(np.concatenate([np.zeros(2), np.diag(sp.matrix).real])))
+        rng = np.random.default_rng(73)
+        padded_ops = {}
+        for name, M in ops.items():
+            P = np.zeros((5, 5), dtype=np.complex128)
+            P[:2] = rng.standard_normal((2, 5)) + 1j * rng.standard_normal((2, 5))
+            P[2:, 2:] = M
+            padded_ops[name] = P
+        admits, bounded, reduced = sp.reduce_all(list(ops.values()))
+        padded_admits, padded_bounded, padded_reduced = padded.reduce_all(list(padded_ops.values()))
+        assert admits.all() and bounded.all() and padded_admits.all() and padded_bounded.all()
+        assert padded_reduced.tobytes() == reduced.tobytes()
+        P, Q = padded_ops["P"], padded_ops["Q"]
+        assert np.linalg.norm(P @ Q - Q @ P) > 1.0
+        rows, padded_rows = run_many([(sp, ops, "x"), (padded, padded_ops, "x")], opts=RadiusOptions(grid_count=64))
+        assert len(rows) == 23
+        assert [repr(r) for r in padded_rows] == [repr(r) for r in rows]
+
+    @given(
+        st.sampled_from(SPECTRUM_LAWS),
+        st.integers(2, 6).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_c10_skips_exactly_where_the_reduced_commutator_is_large(self, law, shape, seed):
+        # Three pairs: commuting in the full space, commuting only modulo the
+        # null space (null-space rows added to each), and generic.  The
+        # reference is the full-space commutator in reduced coordinates,
+        # C (PQ - QP) C^+ against the scales of C P C^+ and C Q C^+; every
+        # pair lies orders of magnitude from the tolerance on either side.
+        n, rank = shape
+        sp = sample_space(SampleConfig(dim=n, rank=rank, law=law, master_seed=seed))
+        rng = np.random.default_rng(seed)
+        null = sp.eigen.vectors[:, : n - rank]
+        P, Q = sample_commuting_pair(sp, seed=rng)
+        G = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
+        modulo = (P + null @ null.conj().T @ G[0], Q + null @ null.conj().T @ G[1])
+        generic = (sample_operator_in_BA(sp, seed=rng), sample_operator_in_BA(sp, seed=rng))
+        pairs = {"full": (P, Q), "modulo": modulo, "generic": generic}
+        if rank < n:
+            A, B = modulo
+            assert np.linalg.norm(A @ B - B @ A) > 1e-6 * (1.0 + np.linalg.norm(A) * np.linalg.norm(B))
+
+        def reduced(M):
+            return sp.coord_map @ M @ sp.coord_lift
+
+        def commutes(A, B):
+            deviation = np.linalg.norm(reduced(A @ B - B @ A))
+            scale = 1.0 + np.linalg.norm(reduced(A)) * np.linalg.norm(reduced(B))
+            assert not 1e-3 < deviation / (FACT_TOL * scale) < 1e3
+            return bool(deviation <= FACT_TOL * scale)
+
+        expected = {name: commutes(*pair) for name, pair in pairs.items()}
+        assert expected["full"] and expected["modulo"] and expected["generic"] == (rank <= 1)
+        rows = run_many([(sp, {"P": A, "Q": B}, name) for name, (A, B) in pairs.items()], checks=["C10"])
+        assert {row.instance: row.verdict != SKIPPED for (row,) in rows} == expected
 
 
 class TestTightnessReport:

@@ -43,7 +43,8 @@ def test_roundtrip_keeps_signed_zeros(tmp_path):
     write_instance(path, sp, {"T": T})
     _, ops = read_instance(path)
     assert ops["T"].tobytes() == T.tobytes()
-    # The replay draws C15's vectors from this seed, as the campaign did.
+    # The replay reduces T to the same bits, so C15 draws its vectors from
+    # the same seed of the reduced T as the campaign did.
     assert content_seed(ops["T"]) == content_seed(T)
 
 

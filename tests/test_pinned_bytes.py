@@ -62,7 +62,8 @@ def test_row_bytes_are_pinned():
         space = sample_space(SampleConfig(dim=dim, rank=rank, master_seed=seed))
         items.append((space, sample_bundle(space, seed=seed + 100), f"d{dim}_r{rank}"))
     # On the seed diag(2, 0) the members are the lower triangular matrices:
-    # X fails membership, P and Q do not commute, Tsa is not selfadjoint.
+    # X fails membership and Tsa is not selfadjoint.  P and Q do not commute,
+    # but A(PQ - QP) = 0 (their reductions are [1] and [0]), so C10 holds.
     lower = np.array([[1.0, 0.0], [5.0, 3.0]])
     failing = {
         "T": lower,
