@@ -21,9 +21,9 @@ from semiradius.functionals import RadiusOptions
 from semiradius.sampler import SampleConfig, sample_bundle, sample_space
 from semiradius.space import build_space
 
-REPORT_SHA256 = "d78d76324a875cc6e709bb13e4ec68eacb6aa6819007dab80becdb5d76040689"
-MULTI_CHUNK_SHA256 = "d81f034296e2380acefa08b8db5fda293f9d6e7d39baa5d048330a5186eb7d3e"
-ROWS_SHA256 = "6fbe55374e75de75a42677bd373e037e218cd58cfdd9721fc5e7f37bde7a4a42"
+REPORT_SHA256 = "571a825428f54017debdcec55894f42076ecafb6e7f97b085163a94fc07789ab"
+MULTI_CHUNK_SHA256 = "a8747b255d3ca90b2043e39a134f5342fdc4dfd922abd7f4691d4b6961cd0e0a"
+ROWS_SHA256 = "20fc0265692746a612ffc42a61760a9d22722e1d214f6ebaac7bad9865a34fde"
 
 
 def digest(text: str) -> str:
