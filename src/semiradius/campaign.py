@@ -18,11 +18,14 @@ import time
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+import numpy as np
+
 from .catalog import CATALOG, CheckResult, CheckTable, run_all, run_tables, summarize
 from .errors import BadConfig, ParseError, integral
 from .functionals import RadiusOptions
 from .instances import read_instance, write_instance
-from .sampler import SampleConfig, derive_seed, sample_bundle, sample_compressed, sample_space
+from .sampler import SampleConfig, derive_seed, sample_compressed
+from .space import build_space
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -35,7 +38,9 @@ __all__ = [
     "verify_instance",
 ]
 
-SCHEMA_VERSION = 1
+# 2: each instance is drawn at its reduced size from one generator
+# (sampler.sample_compressed); version 1 drew it from the full-space streams.
+SCHEMA_VERSION = 2
 
 # The row counts of each check's summary, which the report's totals add up.
 _COUNTS = ("trials", "skipped", "certified", "uncertified", "violations")
@@ -150,22 +155,18 @@ class CampaignConfig:
         return out
 
 
-def _instance(config: CampaignConfig, dim: int, rank: int, trial: int, compressed: bool = True):
-    """The seed space and operand bundle of an instance, drawn compressed
-    to the range of its seed (see sample_compressed), or at full size."""
+def _instance(config: CampaignConfig, dim: int, rank: int, trial: int):
+    """The seed space and operand bundle of an instance, drawn at its
+    reduced size (see sample_compressed) from its own derived seed."""
     seed = derive_seed(config.master_seed, dim, rank, trial)
-    sample, bundle_seed = config._sample_config(dim, rank, seed), derive_seed(seed, 1)
-    if compressed:
-        return sample_compressed(sample, config.scale, bundle_seed)
-    space = sample_space(sample)
-    return space, sample_bundle(space, scale=config.scale, seed=bundle_seed)
+    return sample_compressed(config._sample_config(dim, rank, seed), config.scale)
 
 
 def _run_cell(args) -> list[CheckTable]:
-    """The cell's tables.  Each instance is evaluated as its compression to
-    the range of its seed: the same reduced operands as its full-space
-    draw, up to rounding, drawn with no n x n work but each stream's 2 n^2
-    normals, which run through one float buffer."""
+    """The cell's tables.  Each instance is drawn at its reduced size, one
+    derived seed and one generator per instance, whose r x r seed and
+    operands have the law of a full-space draw compressed to the range of
+    its seed: no work and no allocation grows with dim."""
     config, dim, rank = args
     opts = config.options()
     chunk = max(1, min(_TRIAL_CHUNK, _CHUNK_MATRIX_BYTES // (256 * 16 * max(rank, 1) ** 2)))
@@ -249,10 +250,10 @@ def write_csv(report: dict, path) -> None:
 
 def save_extremes(config: CampaignConfig, report: dict, directory) -> list[Path]:
     """Regenerate each check's argmin instance as the campaign evaluated it,
-    compressed to the range of its seed, and write it as a file, which
-    verify replays to the campaign's rows.  An instance file holds at
-    least one dimension, so a rank-0 instance is written at full size:
-    it reduces to the same empty matrices."""
+    r x r, and write it as a file, which verify replays to the campaign's
+    rows.  An instance file holds at least one dimension, so a rank-0
+    instance is written as the dim-n zero seed with zero n x n operands:
+    they reduce to the same empty matrices."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     ids = sorted(
@@ -268,7 +269,10 @@ def save_extremes(config: CampaignConfig, report: dict, directory) -> list[Path]
         if match is None:
             raise ParseError(f"malformed instance id in report: {iid!r}")
         dim, rank, trial = (int(g) for g in match.groups())
-        space, bundle = _instance(config, dim, rank, trial, compressed=rank > 0)
+        space, bundle = _instance(config, dim, rank, trial)
+        if not rank:
+            space = build_space(np.zeros((dim, dim)))
+            bundle = {name: np.zeros((dim, dim), dtype=np.complex128) for name in bundle}
         path = directory / f"{iid}.json"
         write_instance(path, space, bundle)
         written.append(path)

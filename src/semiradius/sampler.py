@@ -1,9 +1,14 @@
 """Deterministic random generation of seeds, operators, and vectors.
 
-Every draw is reproducible from integer seeds.  Sub-seeds for independent
-streams come from ``derive_seed``, which feeds a derivation path into
-numpy's splittable ``SeedSequence``; adding trials or operands never
-shifts the streams of earlier ones.
+Every draw is reproducible from integer seeds.  Sub-seeds come from
+``derive_seed``, which feeds a derivation path into numpy's splittable
+``SeedSequence``.  The full-space samplers, which library users and the
+acceptance criteria call, give each operand of a bundle its own stream;
+campaigns draw each instance at its reduced size from one generator
+(``sample_compressed``).  Adding trials or operands never shifts the
+draws of earlier ones: a trial or a stream takes its own derivation
+path, and an operand appended to the one generator's draw order is drawn
+after every earlier value.
 """
 
 from __future__ import annotations
@@ -23,7 +28,9 @@ SPECTRUM_LAWS = ("uniform", "equal", "geometric")
 _GEOMETRIC_SPAN = 1e-6
 
 _BUNDLE_SINGLES = ("T", "S", "X", "Y", "T1", "T2", "S1", "S2")
-# One stream per name, in this order; P and Q are drawn from R's stream.
+# The operands' draw order: one stream per name in sample_bundle, one
+# generator in sample_compressed.  The coefficients of P and Q come next,
+# from the generator that drew R.
 _BUNDLE_STREAMS = (*_BUNDLE_SINGLES, "Tsa", "R")
 
 
@@ -45,19 +52,6 @@ def _ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     G = np.empty((rows, cols), dtype=np.complex128)
     G.real = rng.standard_normal((rows, cols))
     G.imag = rng.standard_normal((rows, cols))
-    G /= np.sqrt(2.0)
-    return G
-
-
-def _ginibre_corner(rng: np.random.Generator, buf: np.ndarray, r: int) -> np.ndarray:
-    """The trailing r x r block of _ginibre(rng, n, n), bit for bit, with
-    the generator left where that draw leaves it: each of its two runs of
-    n^2 normals goes into the n x n float buffer buf, and only the corner
-    of each run is kept."""
-    n = buf.shape[0]
-    G = np.empty((r, r), dtype=np.complex128)
-    G.real = rng.standard_normal(out=buf)[n - r :, n - r :]
-    G.imag = rng.standard_normal(out=buf)[n - r :, n - r :]
     G /= np.sqrt(2.0)
     return G
 
@@ -184,52 +178,39 @@ def sample_commuting_pair(space: SemiHilbertSpace, scale: float = 1.0, seed=0) -
     return _quadratics(sample_operator_in_BA(space, scale, rng), rng)
 
 
-def _bundle(space: SemiHilbertSpace, seed: int, draw) -> dict[str, np.ndarray]:
-    """The stream layout of a bundle: the k-th name of _BUNDLE_STREAMS
-    draws from derive_seed(seed, k), first the two runs of n^2 normals of
-    an n x n Ginibre matrix, n the dimension of the full draw, which
-    draw(rng) takes and turns into an operand of space (a draw whose
-    operands are 0 x 0 may take none).  Tsa is the selfadjoint part of
-    its operand; the last stream then draws the coefficients of P and Q,
-    two quadratics in its operand R."""
+def sample_bundle(space: SemiHilbertSpace, scale: float = 1.0, seed: int = 0) -> dict[str, np.ndarray]:
+    """Named operand set used by the check catalog, one stream per name:
+    the k-th name of _BUNDLE_STREAMS draws from derive_seed(seed, k) an
+    n x n Ginibre matrix, which becomes an operand of space.  Tsa is the
+    selfadjoint part of its operand; the last stream then draws the
+    coefficients of P and Q, two quadratics in its operand R."""
+    _check_scale(scale)
+    n = space.dim
     out = {}
     for k, name in enumerate(_BUNDLE_STREAMS):
         rng = np.random.default_rng(derive_seed(seed, k))
-        out[name] = draw(rng)
+        out[name] = _in_BA(space, scale * _ginibre(rng, n, n))
     out["Tsa"] = space.re_part(out["Tsa"])
     out["P"], out["Q"] = _quadratics(out.pop("R"), rng)
     return out
 
 
-def sample_bundle(space: SemiHilbertSpace, scale: float = 1.0, seed: int = 0) -> dict[str, np.ndarray]:
-    """Named operand set used by the check catalog, one stream per name."""
-    _check_scale(scale)
-    n = space.dim
-    return _bundle(space, seed, lambda rng: _in_BA(space, scale * _ginibre(rng, n, n)))
-
-
-def sample_compressed(
-    config: SampleConfig, scale: float = 1.0, seed: int = 0
-) -> tuple[SemiHilbertSpace, dict[str, np.ndarray]]:
-    """The draw of sample_space(config) and its sample_bundle under scale
-    and seed, compressed to the range of the seed.
-
-    The seed is diag(lambda), its spectrum in ascending order, as the
-    eigenbasis of the full seed orders it; each operand is scale times the
-    range block of its stream's Ginibre draw, which is the full operand's
-    matrix on the range in that eigenbasis.  So the reduced matrices equal
-    those of the full-space draw up to the rounding of the full seed's
-    eigendecomposition.  Each stream's normals run through one n x n float
-    buffer, and only their r x r range corner becomes complex
-    (_ginibre_corner): no n x n complex matrix is formed, and the seed's
-    Haar rotation, on which no stream of the bundle depends, is not drawn.
-    At rank 0 every operand is 0 x 0, so no stream draws its normals and
-    no buffer is allocated.
+def sample_compressed(config: SampleConfig, scale: float = 1.0) -> tuple[SemiHilbertSpace, dict[str, np.ndarray]]:
+    """A seed and an operand bundle drawn at their reduced size, from one
+    generator seeded by config.master_seed: the seed spectrum, then each
+    operand's r x r Ginibre matrix in _BUNDLE_STREAMS order, then the
+    coefficients of P and Q, quadratics in R.  The seed is diag(lambda),
+    its spectrum in ascending order, as a full seed's eigenbasis orders it.
+    The range block of an n x n Ginibre matrix in that eigenbasis is r x r
+    Ginibre, so this is the law of sample_space(config) and its
+    sample_bundle under scale, compressed to the range of the seed, at no
+    cost in config.dim; the values are not those of the full-space draw.
     """
     _check_scale(scale)
-    n, r = config.dim, config.rank
-    space = build_space(np.diag(np.sort(_spectrum(config, _as_rng(config.master_seed)))))
-    if not r:
-        return space, _bundle(space, seed, lambda rng: np.empty((0, 0), dtype=np.complex128))
-    buf = np.empty((n, n))
-    return space, _bundle(space, seed, lambda rng: scale * _ginibre_corner(rng, buf, r))
+    rng = np.random.default_rng(config.master_seed)
+    r = config.rank
+    space = build_space(np.diag(np.sort(_spectrum(config, rng))))
+    out = {name: scale * _ginibre(rng, r, r) for name in _BUNDLE_STREAMS}
+    out["Tsa"] = space.re_part(out["Tsa"])
+    out["P"], out["Q"] = _quadratics(out.pop("R"), rng)
+    return space, out

@@ -24,7 +24,7 @@ from semiradius.catalog import PASS_UNCERTIFIED, SKIPPED, run_all, tightness_rep
 from semiradius.errors import BadConfig, ParseError
 from semiradius.functionals import a_numerical_radius
 from semiradius.instances import read_instance
-from semiradius.sampler import SampleConfig, derive_seed, sample_bundle, sample_compressed, sample_space
+from semiradius.sampler import SampleConfig, derive_seed, sample_compressed
 from semiradius.space import SemiHilbertSpace
 
 SMALL = dict(dims=(2, 3), trials=4, master_seed=7, grid_count=64)
@@ -40,6 +40,23 @@ def payload(report, *drop):
 @pytest.fixture(scope="module")
 def small_report():
     return run_campaign(CampaignConfig(**SMALL))
+
+
+@pytest.fixture
+def drawn_instances(monkeypatch):
+    """The items _run_cell passes to run_tables, which evaluates nothing."""
+    items = []
+
+    class Table:
+        def _replace(self, **fields):
+            return self
+
+    def recorded(chunk, opts, checks):
+        items.extend(chunk)
+        return [(None, Table())]
+
+    monkeypatch.setattr(campaign, "run_tables", recorded)
+    return items
 
 
 class TestConfig:
@@ -116,7 +133,7 @@ class TestConfig:
 class TestReport:
     def test_shape_and_counting_invariant(self, small_report):
         rep = small_report
-        assert rep["schema_version"] == 1
+        assert rep["schema_version"] == 2
         assert rep["tool"]["name"] == "semiradius"
         assert rep["master_seed"] == 7
         assert list(rep["checks"]) == [f"C{k}" for k in range(1, 24)]
@@ -204,45 +221,16 @@ class TestReport:
             for trial in range(cfg.trials):
                 seed = derive_seed(cfg.master_seed, dim, rank, trial)
                 sample = SampleConfig(dim=dim, rank=rank, master_seed=seed)
-                sp, bundle = sample_compressed(sample, seed=derive_seed(seed, 1))
+                sp, bundle = sample_compressed(sample)
                 rows.extend(
                     run_all(sp, bundle, opts=cfg.options(),
                             instance=f"d{dim}_r{rank}_t{trial}")
                 )
         assert tightness_report(rows) == rep["checks"]
 
-    def test_full_space_rows_give_the_same_report_up_to_rounding(self):
-        # Campaigns evaluate each instance compressed to its seed's range;
-        # the full-space draws of the same instances give the same counts
-        # and argmins, and slacks equal up to rounding.  C15 draws its unit
-        # vectors from a seed of the bytes of the reduced T, which equal the
-        # full-space draw's only up to rounding, so only its counts are
-        # compared.
-        cfg = CampaignConfig(dims=(2, 3, 40), ranks=(0, 1, 2, 3), trials=5, master_seed=13, grid_count=64)
-        rep = run_campaign(cfg)
-        rows = []
-        for dim, rank in cfg.cells():
-            for trial in range(cfg.trials):
-                sp, bundle = campaign._instance(cfg, dim, rank, trial, compressed=False)
-                rows.extend(run_all(sp, bundle, opts=cfg.options(), instance=f"d{dim}_r{rank}_t{trial}"))
-        full = tightness_report(rows)
-        assert list(full) == list(rep["checks"])
-        for cid, summary in rep["checks"].items():
-            expected = full[cid]
-            assert summary.keys() == expected.keys()
-            for key in campaign._COUNTS:
-                assert summary[key] == expected[key], (cid, key)
-            if cid == "C15":
-                continue
-            assert summary.get("argmin_instance") == expected.get("argmin_instance"), cid
-            pairs = [(summary[key], expected[key]) for key in ("min_slack", "median_slack", "max_tightness") if key in summary]
-            pairs += [(value, expected["note_mins"][key]) for key, value in summary.get("note_mins", {}).items()]
-            for got, want in pairs:
-                assert abs(got - want) <= 1e-12 * (1.0 + abs(want)), cid
-
     def test_cells_reduce_only_range_blocks(self, monkeypatch):
-        # The campaign draws no Haar rotation and no full-space seed or
-        # operand: every matrix reduce_all sees is r x r.
+        # The campaign calls no full-space sampler and draws no Haar
+        # rotation: every matrix reduce_all sees is r x r.
         def forbidden(*args):
             raise AssertionError("full-space step in a campaign")
 
@@ -253,11 +241,48 @@ class TestReport:
             shapes.update(np.shape(M) for M in mats)
             return reduce_all(self, mats)
 
-        monkeypatch.setattr(sampler, "haar_unitary", forbidden)
-        monkeypatch.setattr(campaign, "sample_space", forbidden)
+        for name in ("sample_space", "sample_bundle", "haar_unitary"):
+            monkeypatch.setattr(sampler, name, forbidden)
         monkeypatch.setattr(SemiHilbertSpace, "reduce_all", recorded)
         run_campaign(CampaignConfig(dims=(96,), ranks=(0, 3), trials=2, grid_count=64))
         assert shapes == {(0, 0), (3, 3)}
+
+    def test_cells_draw_one_seed_and_one_generator_per_instance(self, monkeypatch, drawn_instances):
+        # Each instance derives one seed and starts one generator, whatever
+        # its dim and rank, and no full-space step runs.  The catalog, whose
+        # C15 starts generators of its own, evaluates nothing here.
+        def forbidden(*args):
+            raise AssertionError("full-space step in a campaign")
+
+        calls = {"derive_seed": 0, "default_rng": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("haar_unitary", "_in_BA"):
+            monkeypatch.setattr(sampler, name, forbidden)
+        monkeypatch.setattr(campaign, "derive_seed", counted("derive_seed", campaign.derive_seed))
+        monkeypatch.setattr(sampler, "derive_seed", counted("derive_seed", sampler.derive_seed))
+        monkeypatch.setattr(np.random, "default_rng", counted("default_rng", np.random.default_rng))
+        cfg = CampaignConfig(dims=(3, 96), ranks=(0, 2, 3), trials=5)
+        for dim, rank in cfg.cells():
+            campaign._run_cell((cfg, dim, rank))
+        assert len(drawn_instances) == len(cfg.cells()) * cfg.trials == 30
+        assert calls == {"derive_seed": 30, "default_rng": 30}
+
+    def test_appending_trials_keeps_earlier_instances(self, drawn_instances):
+        # A cell of 40 trials runs two chunks; its first 3 instances are
+        # those of a 3-trial cell, byte for byte.
+        for trials in (3, 40):
+            campaign._run_cell((CampaignConfig(dims=(5,), trials=trials, master_seed=4), 5, 3))
+        drawn = [(sp.matrix.tobytes(), [M.tobytes() for M in ops.values()], iid) for sp, ops, iid in drawn_instances]
+        few, many = drawn[:3], drawn[3:]
+        assert len(many) == 40 and [iid for *_, iid in few] == ["d5_r3_t0", "d5_r3_t1", "d5_r3_t2"]
+        assert many[:3] == few
 
     def test_checks_subset_respected(self):
         cfg = CampaignConfig(dims=(2,), trials=2, checks=("C1", "C5"), grid_count=64)
@@ -282,9 +307,7 @@ class TestReport:
         rep = run_campaign(cfg)
         assert rep["totals"]["violations"] == 0 and rep["totals"]["uncertified"] > 0
         assert report_exit_code(rep) == 2
-        seed = derive_seed(cfg.master_seed, 4, 2, 0)
-        sp = sample_space(SampleConfig(dim=4, rank=2, master_seed=seed))
-        bundle = sample_bundle(sp, seed=derive_seed(seed, 1))
+        sp, bundle = campaign._instance(cfg, 4, 2, 0)
         (row,) = run_all(sp, bundle, opts=cfg.options(), instance="d4_r2_t0", checks=["C1"])
         radius = a_numerical_radius(sp, bundle["T"])
         assert row.variant == "upper" and row.lhs.lo <= radius.lo <= radius.hi <= row.lhs.hi

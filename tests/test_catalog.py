@@ -419,7 +419,7 @@ class TestReducedOperands:
         # whose operands get random rows on the null space: the reductions
         # are bit-identical, so every row must be, though the padded P and Q
         # do not commute in the full space.
-        sp, ops = sample_compressed(SampleConfig(dim=5, rank=3, master_seed=71), seed=72)
+        sp, ops = sample_compressed(SampleConfig(dim=5, rank=3, master_seed=71))
         padded = build_space(np.diag(np.concatenate([np.zeros(2), np.diag(sp.matrix).real])))
         rng = np.random.default_rng(73)
         padded_ops = {}

@@ -6,15 +6,27 @@ numerical radius and the Crawford number of U M U*, e^{i phi} M, M^T and
 M* equal those of M; those of s M are s times those of M.  Every
 enclosure holds its true value, so the enclosures of related matrices
 must overlap (after scaling by s), whatever the search does to get them.
+
+Every check reads only reduced operands, so a campaign instance, drawn at
+its reduced size, lifted into seeds of any dim n >= r (a Haar-rotated
+seed with its spectrum, operands with its matrices as range blocks and
+random null rows) must reduce to its own reduced operands and give the
+campaign's rows, up to the rounding of the lifted seed's eigenbasis.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semiradius import campaign
+from semiradius.campaign import CampaignConfig, run_campaign
+from semiradius.catalog import run_many, tightness_report
 from semiradius.functionals import radii_and_crawford_numbers
+from semiradius.sampler import SPECTRUM_LAWS, SampleConfig, sample_compressed
+from semiradius.space import build_space
 
 
 def random_matrix(rng, n: int) -> np.ndarray:
@@ -73,3 +85,76 @@ def test_scaled_matrices_overlap_after_scaling(seed, n, family, s):
     for lo, hi in enclosures([M, s * M]):
         # s lo and s hi are rounded: widen them by an ulp or two.
         assert overlapping(lo[1], hi[1], s * lo[0] * (1.0 - 4e-16), s * hi[0] * (1.0 + 4e-16))
+
+
+def lift(space, ops: dict, n: int, rng) -> tuple:
+    """A dim-n instance that reduces to (space, ops), a diagonal r x r seed
+    and its operands: the seed is U diag(0, lambda) U* for a Haar unitary
+    U, and each operand's matrix in that seed's eigenbasis V (null
+    coordinates first) has the r x r operand as its range block, random
+    null rows and a zero null-to-range block."""
+    r = space.rank
+    U = haar(rng, n)[:, n - r :]
+    seed = (U * np.diag(space.matrix).real) @ U.conj().T
+    big = build_space(0.5 * (seed + seed.conj().T))
+    V = big.eigen.vectors
+    lifted = {}
+    for name, M in ops.items():
+        G = np.zeros((n, n), dtype=np.complex128)
+        G[: n - r] = rng.standard_normal((n - r, n)) + 1j * rng.standard_normal((n - r, n))
+        G[n - r :, n - r :] = M
+        lifted[name] = V @ G @ V.conj().T
+    return big, lifted
+
+
+# A lift's reduced operands differ from the drawn ones by the rounding of
+# the lifted seed's eigendecomposition.  Geometric spectra span a ratio of
+# 1e-6, so their least eigenvalues carry relative errors near 1e-10.
+COMPRESSED_TOL = {"uniform": 1e-13, "equal": 1e-13, "geometric": 1e-9}
+
+
+@pytest.mark.parametrize("law", SPECTRUM_LAWS)
+@pytest.mark.parametrize("rank", [0, 1, 2, 3, 20, 64])
+def test_lifted_instances_reduce_to_the_drawn_operands(law, rank):
+    space, ops = sample_compressed(SampleConfig(dim=max(rank, 1), rank=rank, law=law, master_seed=131 + rank), 0.5)
+    *facts, drawn = space.reduce_all(list(ops.values()))
+    assert all(fact.all() for fact in facts)
+    rng = np.random.default_rng(rank)
+    for n in (max(rank, 1), 2 * rank + 5):
+        big, lifted = lift(space, ops, n, rng)
+        assert (big.dim, big.rank) == (n, rank) and list(lifted) == list(ops)
+        *facts, reduced = big.reduce_all(list(lifted.values()))
+        assert all(fact.all() for fact in facts)
+        for M, C in zip(reduced, drawn):
+            assert np.linalg.norm(M - C) <= COMPRESSED_TOL[law] * np.linalg.norm(C)
+
+
+def test_lifted_instances_give_the_campaign_report():
+    # The campaign's instances, each lifted into dims n = dim and dim + 37,
+    # give its counts and argmins, and slacks equal up to rounding.  C15
+    # draws its unit vectors from a seed of the bytes of the reduced T,
+    # which a lift gives only up to rounding, so only its counts are
+    # compared.
+    cfg = CampaignConfig(dims=(2, 3, 40), ranks=(0, 1, 2, 3), trials=5, master_seed=13, grid_count=64)
+    report = run_campaign(cfg)["checks"]
+    rng = np.random.default_rng(14)
+    for pad in (0, 37):
+        items = []
+        for dim, rank in cfg.cells():
+            for trial in range(cfg.trials):
+                space, ops = campaign._instance(cfg, dim, rank, trial)
+                items.append((*lift(space, ops, dim + pad, rng), f"d{dim}_r{rank}_t{trial}"))
+        lifted = tightness_report([row for rows in run_many(items, opts=cfg.options()) for row in rows])
+        assert list(lifted) == list(report)
+        for cid, summary in report.items():
+            expected = lifted[cid]
+            assert summary.keys() == expected.keys()
+            for key in campaign._COUNTS:
+                assert summary[key] == expected[key], (pad, cid, key)
+            if cid == "C15":
+                continue
+            assert summary.get("argmin_instance") == expected.get("argmin_instance"), (pad, cid)
+            pairs = [(summary[key], expected[key]) for key in ("min_slack", "median_slack", "max_tightness") if key in summary]
+            pairs += [(value, expected["note_mins"][key]) for key, value in summary.get("note_mins", {}).items()]
+            for got, want in pairs:
+                assert abs(got - want) <= 1e-12 * (1.0 + abs(want)), (pad, cid)

@@ -278,109 +278,56 @@ def test_sampler_bytes_are_pinned(dim, rank, seed, law, space_sha, bundle_sha):
     assert _sha256(sorted(bundle.items())) == bundle_sha
 
 
-# The two draws' reduced operands differ by the rounding of the full seed's
-# eigendecomposition.  Geometric spectra span a ratio of 1e-6, so their
-# least eigenvalues carry relative errors near 1e-10.
-COMPRESSED_TOL = {"uniform": 1e-13, "equal": 1e-13, "geometric": 1e-9}
-COMPRESSED_CASES = [
-    (law, dim, rank) for law in SPECTRUM_LAWS for dim in (2, 6, 40, 96, 128) for rank in sorted({0, 1, dim // 2, dim})
-]
-
-
 class TestCompressedDraw:
-    @pytest.mark.parametrize("law,dim,rank", COMPRESSED_CASES)
-    def test_reduced_operands_match_the_full_space_draw(self, law, dim, rank):
-        config = SampleConfig(dim=dim, rank=rank, law=law, master_seed=131 * dim + rank)
-        full = sample_space(config)
-        bundle = sample_bundle(full, scale=0.5, seed=rank + 17)
-        space, compressed = sample_compressed(config, scale=0.5, seed=rank + 17)
-        assert space.dim == space.rank == rank
-        assert list(compressed) == list(bundle)
-        assert all(M.shape == (rank, rank) for M in compressed.values())
-        *facts, reduced = full.reduce_all(list(bundle.values()))
-        *compressed_facts, compressed_reduced = space.reduce_all(list(compressed.values()))
-        assert all(fact.all() for fact in facts + compressed_facts)
-        for M, C in zip(reduced, compressed_reduced):
-            assert np.linalg.norm(C - M) <= COMPRESSED_TOL[law] * np.linalg.norm(M)
+    @pytest.mark.parametrize("law", SPECTRUM_LAWS)
+    def test_one_generator_draws_spectrum_operands_then_coefficients(self, law):
+        # The documented order, rebuilt from one generator: the spectrum,
+        # each operand's r x r Ginibre matrix in _BUNDLE_STREAMS order, then
+        # the 2 x 3 coefficients of P and Q.
+        config = SampleConfig(dim=9, rank=3, law=law, master_seed=5)
+        space, bundle = sample_compressed(config, scale=0.5)
+        rng = np.random.default_rng(5)
+        lam = np.sort(sampler._spectrum(config, rng))
+        draws = {}
+        for name in sampler._BUNDLE_STREAMS:
+            G = np.empty((3, 3), dtype=np.complex128)
+            G.real = rng.standard_normal((3, 3))
+            G.imag = rng.standard_normal((3, 3))
+            draws[name] = 0.5 * (G / np.sqrt(2.0))
+        c = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+        assert space.dim == space.rank == 3
+        assert np.array_equal(space.matrix, np.diag(lam))
+        assert list(bundle) == [*sampler._BUNDLE_SINGLES, "Tsa", "P", "Q"]
+        for name in sampler._BUNDLE_SINGLES:
+            assert bundle[name].tobytes() == draws[name].tobytes(), name
+        assert bundle["Tsa"].tobytes() == space.re_part(draws["Tsa"]).tobytes()
+        R = draws["R"]
+        for M, (a, b, d) in zip((bundle["P"], bundle["Q"]), c / np.sqrt(2.0)):
+            assert np.allclose(M, a * np.eye(3) + b * R + d * (R @ R), rtol=1e-14, atol=1e-14)
 
-    def test_draws_only_the_bundle_streams(self, monkeypatch):
-        # No Haar rotation and no change of basis: each stream runs its
-        # 2 n^2 normals through one shared n x n float buffer, and only the
-        # R stream's coefficients of P and Q are drawn as a Ginibre matrix.
-        def forbidden(*args):
-            raise AssertionError("full-space step in the compressed draw")
+    def test_draw_does_not_depend_on_dim(self):
+        # Dim is only a label of the seed path: the same seed draws the same
+        # bytes at every dim of one rank.
+        first = sample_compressed(SampleConfig(dim=3, rank=3, master_seed=8))
+        for n in (4, 96, 4096):
+            space, bundle = sample_compressed(SampleConfig(dim=n, rank=3, master_seed=8))
+            assert space.matrix.tobytes() == first[0].matrix.tobytes()
+            assert [M.tobytes() for M in bundle.values()] == [M.tobytes() for M in first[1].values()]
 
-        shapes, buffers = [], []
-        ginibre, corner = sampler._ginibre, sampler._ginibre_corner
-
-        def recorded(rng, rows, cols):
-            shapes.append((rows, cols))
-            return ginibre(rng, rows, cols)
-
-        def recorded_corner(rng, buf, r):
-            after = np.random.default_rng()
-            after.bit_generator.state = rng.bit_generator.state
-            after.standard_normal(2 * 96 * 96)
-            block = corner(rng, buf, r)
-            assert rng.bit_generator.state == after.bit_generator.state
-            buffers.append(buf)
-            return block
-
-        monkeypatch.setattr(sampler, "haar_unitary", forbidden)
-        monkeypatch.setattr(sampler, "_in_BA", forbidden)
-        monkeypatch.setattr(sampler, "_ginibre", recorded)
-        monkeypatch.setattr(sampler, "_ginibre_corner", recorded_corner)
-        space, bundle = sample_compressed(SampleConfig(dim=96, rank=3, master_seed=2), seed=4)
-        assert shapes == [(2, 3)]
-        assert len(buffers) == 10 and all(buf is buffers[0] for buf in buffers)
-        assert buffers[0].shape == (96, 96) and buffers[0].dtype == np.float64
-        assert space.matrix.shape == (3, 3) and space.is_a_selfadjoint(bundle["Tsa"])
-
-    @given(
-        st.integers(1, 130).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))),
-        st.integers(0, 2**64 - 1),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_corner_is_the_block_of_the_full_draw(self, shape, seed):
-        # Bit for bit, signed zeros included, and the generator ends where
-        # the full draw leaves it, so the streams' later draws are unchanged.
-        n, r = shape
-        full_rng, corner_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        full = sampler._ginibre(full_rng, n, n)[n - r :, n - r :]
-        corner = sampler._ginibre_corner(corner_rng, np.empty((n, n)), r)
-        assert np.array_equal(corner.view(np.uint64), full.view(np.uint64))
-        assert corner_rng.bit_generator.state == full_rng.bit_generator.state
-
-    def test_draw_holds_one_float_buffer_at_most(self):
-        # Each stream's normals go through one n x n float buffer; a draw
-        # that forms every stream's full Ginibre matrix peaks at 3 n^2 floats.
-        n = 512
-        sample_compressed(SampleConfig(dim=2, rank=1))  # first-call imports and caches
+    @pytest.mark.parametrize("rank", [0, 2])
+    def test_dim_4096_draw_allocates_no_n_sized_array(self, rank):
+        # A draw that allocated one length-n float vector would peak above
+        # n floats; one n x n matrix would take 4096 times that.
+        n = 4096
+        sample_compressed(SampleConfig(dim=2, rank=rank))  # first-call imports and caches
         tracemalloc.start()
         try:
-            sample_compressed(SampleConfig(dim=n, rank=2))
+            space, bundle = sample_compressed(SampleConfig(dim=n, rank=rank, master_seed=3))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * n * n * 8
-
-    def test_rank_zero_draws_no_normals(self, monkeypatch):
-        # Every operand of a rank-0 draw is 0 x 0, so no normal a stream
-        # draws would reach a matrix: none is drawn, and no n x n buffer is
-        # allocated.
-        n, calls = 512, []
-        corner = sampler._ginibre_corner
-        monkeypatch.setattr(sampler, "_ginibre_corner", lambda *args: calls.append(args) or corner(*args))
-        sample_compressed(SampleConfig(dim=2, rank=0))  # first-call imports and caches
-        tracemalloc.start()
-        try:
-            space, bundle = sample_compressed(SampleConfig(dim=n, rank=0), seed=3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert calls == []
-        assert peak < 0.25 * n * n * 8
-        assert space.rank == 0 and all(M.shape == (0, 0) for M in bundle.values())
+        assert peak < n * 8
+        assert space.rank == rank and all(M.shape == (rank, rank) for M in bundle.values())
 
     def test_scale_validation(self):
         for scale in (-0.5, math.nan, math.inf):

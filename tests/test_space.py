@@ -526,7 +526,7 @@ class TestReducedSelfadjointness:
         (n, rank) = shape
         config = SampleConfig(dim=n, rank=rank, law=law, master_seed=seed)
         if compressed:
-            sp, bundle = sample_compressed(config, seed=seed + 1)
+            sp, bundle = sample_compressed(config)
         else:
             sp = sample_space(config)
             bundle = sample_bundle(sp, seed=seed + 1)
