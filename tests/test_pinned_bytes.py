@@ -21,8 +21,8 @@ from semiradius.functionals import RadiusOptions
 from semiradius.sampler import SampleConfig, sample_bundle, sample_space
 from semiradius.space import build_space
 
-REPORT_SHA256 = "571a825428f54017debdcec55894f42076ecafb6e7f97b085163a94fc07789ab"
-MULTI_CHUNK_SHA256 = "a8747b255d3ca90b2043e39a134f5342fdc4dfd922abd7f4691d4b6961cd0e0a"
+REPORT_SHA256 = "553e39ca8c5e2920a3f287570c3d97cd8ecebeafa2d2f218f52ae5ce7e47ab67"
+MULTI_CHUNK_SHA256 = "8bf8779363cee39fd623d50c719306763572ae119a1c1a0b068f344361fbb415"
 ROWS_SHA256 = "20fc0265692746a612ffc42a61760a9d22722e1d214f6ebaac7bad9865a34fde"
 
 
