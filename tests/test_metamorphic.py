@@ -113,14 +113,19 @@ def lift(space, ops: dict, n: int, rng) -> tuple:
 COMPRESSED_TOL = {"uniform": 1e-13, "equal": 1e-13, "geometric": 1e-9}
 
 
-@pytest.mark.parametrize("law", SPECTRUM_LAWS)
-@pytest.mark.parametrize("rank", [0, 1, 2, 3, 20, 64])
-def test_lifted_instances_reduce_to_the_drawn_operands(law, rank):
-    space, ops = sample_compressed(SampleConfig(dim=max(rank, 1), rank=rank, law=law, master_seed=131 + rank), 0.5)
+COMPRESSED_CASES = [
+    (law, dim, rank) for law in SPECTRUM_LAWS for dim in (2, 6, 40, 96, 128) for rank in sorted({0, 1, dim // 2, dim})
+]
+
+
+@pytest.mark.parametrize("law,dim,rank", COMPRESSED_CASES)
+def test_lifted_instances_reduce_to_the_drawn_operands(law, dim, rank):
+    config = SampleConfig(dim=dim, rank=rank, law=law, master_seed=131 * dim + rank)
+    space, ops = sample_compressed(config, scale=0.5)
     *facts, drawn = space.reduce_all(list(ops.values()))
     assert all(fact.all() for fact in facts)
-    rng = np.random.default_rng(rank)
-    for n in (max(rank, 1), 2 * rank + 5):
+    rng = np.random.default_rng(config.master_seed)
+    for n in (dim, 2 * dim):
         big, lifted = lift(space, ops, n, rng)
         assert (big.dim, big.rank) == (n, rank) and list(lifted) == list(ops)
         *facts, reduced = big.reduce_all(list(lifted.values()))
